@@ -67,36 +67,44 @@ _CONFIG_ERRORS = (
 
 
 def _parse_runtime(text: str) -> DurationSpec:
+    usage = f"bad --runtime {text!r}; use expected, fixed:S or uniform:LO,HI"
     if text == "expected":
         return DurationSpec.expected()
     kind, _, args = text.partition(":")
-    if kind == "fixed":
-        return DurationSpec.fixed(float(args))
-    if kind == "uniform":
-        lo, hi = args.split(",")
-        return DurationSpec.uniform(float(lo), float(hi))
-    raise ConfigError(
-        f"bad --runtime {text!r}; use expected, fixed:S or uniform:LO,HI"
-    )
+    try:
+        if kind == "fixed":
+            return DurationSpec.fixed(float(args))
+        if kind == "uniform":
+            lo, hi = args.split(",")
+            return DurationSpec.uniform(float(lo), float(hi))
+    except ValueError as e:
+        raise ConfigError(usage) from e
+    raise ConfigError(usage)
 
 
 def _parse_fail_node(text: str) -> NodeFault:
+    usage = f"bad --fail-node {text!r}; use NODE@TS or NODE@TS:transient"
     spec, _, flavor = text.partition(":")
     node, _, ts = spec.partition("@")
     if not ts or flavor not in ("", "transient", "persistent"):
-        raise ConfigError(
-            f"bad --fail-node {text!r}; use NODE@TS or NODE@TS:transient"
-        )
+        raise ConfigError(usage)
+    try:
+        node_id, at_ts = int(node), float(ts)
+    except ValueError as e:
+        raise ConfigError(usage) from e
     return NodeFault(
-        node_id=int(node), at_ts=float(ts), persistent=flavor != "transient"
+        node_id=node_id, at_ts=at_ts, persistent=flavor != "transient"
     )
 
 
 def _parse_fail_task(text: str) -> TaskFault:
+    usage = f"bad --fail-task {text!r}; use UID@FRACTION"
     uid, _, frac = text.partition("@")
-    if not frac:
-        raise ConfigError(f"bad --fail-task {text!r}; use UID@FRACTION")
-    return TaskFault(uid=uid, at_fraction=float(frac))
+    try:
+        at_fraction = float(frac)
+    except ValueError as e:
+        raise ConfigError(usage) from e
+    return TaskFault(uid=uid, at_fraction=at_fraction)
 
 
 def _load_platform(args) -> PlatformConfig:

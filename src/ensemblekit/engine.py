@@ -17,6 +17,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import json
+import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -53,6 +54,8 @@ class DurationSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("fixed", "uniform", "expected"):
             raise ConfigError(f"unknown duration kind {self.kind!r}")
+        if not (math.isfinite(self.lo_s) and math.isfinite(self.hi_s)):
+            raise ConfigError("duration bounds must be finite")
         if self.kind == "fixed" and self.lo_s <= 0:
             raise ConfigError("fixed duration must be > 0")
         if self.kind == "uniform":
@@ -317,7 +320,7 @@ class SimState:
         transition_task(run, state, ts)
         self.epoch[uid] += 1
         self._emit(ts, kind, uid, run.node_ids or None, detail)
-        placement = self.table.active_placements().get(uid)
+        placement = self.table.placement_of(uid)
         if placement is not None:
             release(self.table, placement)
         self.n_terminal += 1
@@ -326,12 +329,12 @@ class SimState:
             self._enqueue_stage(tracker)
 
     def _running_holders(self, node_id: int) -> list[str]:
-        holders = []
-        for uid, placement in self.table.active_placements().items():
-            if node_id in placement.node_ids:
-                if self._run_of(uid).state is TaskState.RUNNING:
-                    holders.append(uid)
-        return sorted(holders)
+        # sorted: set order of strings depends on PYTHONHASHSEED
+        return sorted(
+            uid
+            for uid in self.table.holders[node_id]
+            if self._run_of(uid).state is TaskState.RUNNING
+        )
 
     @property
     def all_terminal(self) -> bool:
@@ -478,6 +481,8 @@ def run_simulated(
             f"allocation of {allocation_nodes} nodes outside platform "
             f"{platform.name} ({platform.node_count} nodes)"
         )
+    if not math.isfinite(walltime_s):
+        raise ConfigError(f"walltime {walltime_s} must be finite")
     limit = max_walltime_for(platform.policy, allocation_nodes)
     if walltime_s > limit:
         raise PolicyViolation(

@@ -225,26 +225,24 @@ def retry_loop(
     for attempt in range(1, max_attempts + 1):
         log = runner(current, attempt, nodes, walltime_s)
         logs.append(log)
-        unresolved = [
-            r
+        per_spec = [
+            (spec, collect_failures(log, spec, engine_cfg.retry_canceled))
             for spec in current
-            for r in collect_failures(log, spec, engine_cfg.retry_canceled)
         ]
+        unresolved = [r for _, records in per_spec for r in records]
         if not unresolved or attempt == max_attempts:
             break
-        plans = []
-        for spec in current:
-            records = collect_failures(log, spec, engine_cfg.retry_canceled)
-            if records:
-                plans.append(
-                    plan_resubmission(
-                        records,
-                        spec,
-                        platform,
-                        engine_cfg.allocation_nodes,
-                        prior_attempts=attempts,
-                    )
-                )
+        plans = [
+            plan_resubmission(
+                records,
+                spec,
+                platform,
+                engine_cfg.allocation_nodes,
+                prior_attempts=attempts,
+            )
+            for spec, records in per_spec
+            if records
+        ]
         current = [p.workflow for p in plans]
         for p in plans:
             attempts.update(p.attempts)

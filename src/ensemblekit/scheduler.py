@@ -43,8 +43,11 @@ class SlotTable:
     """Free core/GPU slots per node of one allocation.
 
     Single-writer: only the engine's event loop mutates a table. A min-heap
-    of node ids with free capacity keeps first-fit scans cheap at the
-    8000-node scale; the arrays stay authoritative.
+    of node ids with a free core keeps first-fit scans cheap at the
+    8000-node scale; the arrays stay authoritative. A node without a free
+    core can host no chunk (every rank needs at least one core), so it
+    leaves the heap until a release frees one. ``holders[node_id]`` is the
+    set of task uids whose active placement covers that node.
     """
 
     def __init__(self, node: NodeSpec, node_count: int):
@@ -56,19 +59,23 @@ class SlotTable:
         self.free_cores = [cores] * node_count
         self.free_gpus = [node.gpus] * node_count
         self.healthy = [True] * node_count
+        self.holders: list[set[str]] = [set() for _ in range(node_count)]
         self._active: dict[str, Placement] = {}
         self._avail = list(range(node_count))  # already a heap: sorted
         self._queued = [True] * node_count
 
     def _offer(self, node_id: int) -> None:
-        if not self._queued[node_id] and (
-            self.free_cores[node_id] > 0 or self.free_gpus[node_id] > 0
-        ):
+        if not self._queued[node_id] and self.free_cores[node_id] > 0:
             heapq.heappush(self._avail, node_id)
             self._queued[node_id] = True
 
     def active_placements(self) -> dict[str, Placement]:
+        """A copy of every active placement by task uid; O(active), so the
+        engine's per-event paths use ``placement_of`` and ``holders``."""
         return dict(self._active)
+
+    def placement_of(self, uid: str) -> Optional[Placement]:
+        return self._active.get(uid)
 
     def snapshot(self) -> tuple[tuple[int, int, bool], ...]:
         """Immutable (free_cores, free_gpus, healthy) view, by node id."""
@@ -123,6 +130,7 @@ def try_place(
     for node_id, procs in chosen:
         table.free_cores[node_id] -= procs * threads
         table.free_gpus[node_id] -= procs * gpus_pp
+        table.holders[node_id].add(desc.uid)
     for node_id in popped:
         table._offer(node_id)
     table._active[desc.uid] = placement
@@ -139,6 +147,7 @@ def release(table: SlotTable, placement: Placement) -> None:
     for node_id, procs in placement.assignments:
         table.free_cores[node_id] += placement.cores_on(procs)
         table.free_gpus[node_id] += placement.gpus_on(procs)
+        table.holders[node_id].remove(placement.task_uid)
         table._offer(node_id)
 
 

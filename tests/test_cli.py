@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -120,6 +121,52 @@ class TestSimulate:
         assert code == 0
         assert log.exists()
         assert (tmp_path / "run.attempt2.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ("--runtime", "fixed:abc"),
+            ("--runtime", "uniform:nan,nan"),
+            ("--walltime", "nan"),
+            ("--fail-node", "x@1"),
+            ("--fail-task", "t@zz"),
+        ],
+    )
+    def test_bad_flag_value_is_config_error(self, tmp_path, capsys, flag):
+        wf = tmp_path / "wf.json"
+        run_cli("example", "--example", "toy", "--out", str(wf))
+        code = run_cli(
+            "simulate", "--workflow", str(wf), "--profile", "frontier-sim",
+            "--nodes", "4", *flag, "--out", str(tmp_path / "x.jsonl"),
+        )
+        assert code == 2
+        assert "ConfigError" in capsys.readouterr().err
+
+    def test_shared_node_fault_logs_match_golden_hash(self, tmp_path):
+        # 2000 1-core tasks share 100 Frontier nodes, 56 to a node; a
+        # persistent and a transient fault each kill a node's holders.
+        # Hashes recorded before the holder index and the cores-gated
+        # first-fit heap replaced the whole-table scans.
+        wf = tmp_path / "wf.json"
+        log = tmp_path / "run.jsonl"
+        assert run_cli("example", "--example", "exaconstit", "--tasks", "2000",
+                       "--no-optimizer", "--desk", "--seed", "5",
+                       "--out", str(wf)) == 0
+        assert run_cli(
+            "simulate", "--workflow", str(wf), "--profile", "frontier-sim",
+            "--nodes", "100", "--walltime", "21600", "--seed", "5",
+            "--runtime", "uniform:600,1244",
+            "--fail-node", "17@400:persistent", "--fail-node", "3@700:transient",
+            "--max-attempts", "2", "--out", str(log),
+        ) == 0
+        digests = [
+            hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in (log, tmp_path / "run.attempt2.jsonl")
+        ]
+        assert digests == [
+            "33144971e2bf41dcfeb0436bced69a0de7768534133d04744d14329f7d7f6dcd",
+            "a96bb32f06b8b00855f69eabc1b213fa2315eca7a2dc612cd0acf0816a4711ec",
+        ]
 
     def test_seeded_runs_reproduce_logs(self, tmp_path, small_platform_file):
         wf = tmp_path / "wf.json"

@@ -187,6 +187,27 @@ class TestFaults:
         fail_event = next(e for e in log if e.kind == ev.TASK_FAILED)
         assert fail_event.ts == 10.0
 
+    def test_node_fault_fails_running_holders_in_uid_order(self):
+        # four 1-core tasks share one node; "a" ends first and its slot goes
+        # to "late", which is SCHEDULED but not yet launched at the fault
+        platform = small_platform(cores=4, nodes=1)
+        tasks = [make_task("a", expected=10.0)] + [
+            make_task(uid, expected=100.0)
+            for uid in ("m-c", "m-a", "m-b", "late")
+        ]
+        wf = single_stage("s", tasks)
+        log = run_simulated(
+            wf, platform, 1, 1000.0, RuntimeModel(),
+            FailureModel.transient_node(0, 17.0), launch_delay_s=5.0,
+        )
+        tl = task_timelines(log)
+        assert tl["late"].sched_ts == 15.0 and tl["late"].launch_ts == 20.0
+        failed = [e for e in log if e.kind == ev.TASK_FAILED]
+        assert [e.task_uid for e in failed] == ["m-a", "m-b", "m-c"]
+        assert all(e.ts == 17.0 for e in failed)
+        done = [e.task_uid for e in log if e.kind == ev.TASK_DONE]
+        assert done == ["a", "late"]
+
     def test_task_fault_at_last_step(self):
         platform = small_platform()
         wf = single_stage("s", [make_task("t")])

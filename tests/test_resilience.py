@@ -1,6 +1,7 @@
 import pytest
 
 from ensemblekit import events as ev
+from ensemblekit import resilience
 from ensemblekit.engine import (
     DurationSpec,
     FailureModel,
@@ -191,7 +192,14 @@ class TestRetryLoop:
         failed_first = {e.task_uid for e in logs[0] if e.kind == ev.TASK_FAILED}
         assert retried == failed_first
 
-    def test_deterministic_fault_exhausts_attempts(self):
+    def test_deterministic_fault_exhausts_attempts(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1].name)
+            return collect_failures(*args, **kwargs)
+
+        monkeypatch.setattr(resilience, "collect_failures", counting)
         platform = small_platform()
         wf = single_stage("s", [make_task("t", procs=8), make_task("u", procs=8)])
         fm = FailureModel.task_fault("t", 1.0)
@@ -204,6 +212,8 @@ class TestRetryLoop:
         logs, unresolved = retry_loop(wf, platform, cfg, max_attempts=3)
         assert len(logs) == 3
         assert [r.uid for r in unresolved] == ["t"]
+        # one harvest per spec per attempt, reused to plan the retry
+        assert calls == ["s", "s-retry", "s-retry-retry"]
         for log in logs[1:]:
             assert {e.task_uid for e in log if e.kind in ev.TERMINAL_KINDS} == {"t"}
 

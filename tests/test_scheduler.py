@@ -1,11 +1,13 @@
+import heapq
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ensemblekit.errors import DoubleRelease, UnknownNode
-from ensemblekit.platform import NodeSpec, task_footprint
+from ensemblekit import scheduler
+from ensemblekit.errors import DoubleRelease, Unplaceable, UnknownNode
+from ensemblekit.platform import NodeSpec, task_footprint, usable_cores
 from ensemblekit.scheduler import (
     SlotTable,
     drain_queue,
@@ -20,6 +22,26 @@ FRONTIER_NODE = NodeSpec(64, 8, 8)
 
 def place(table, desc):
     return try_place(table, desc, task_footprint(desc, table.node))
+
+
+def reference_first_fit(table, desc):
+    """Brute-force first fit: every healthy node in ascending id, whatever
+    its free capacity, each taking the next chunk if it fits."""
+    nodes_needed, per_node = task_footprint(desc, table.node)
+    chunks = [per_node] * (nodes_needed - 1)
+    chunks.append(desc.cpu_processes - per_node * (nodes_needed - 1))
+    chosen = []
+    for node_id in range(table.node_count):
+        if len(chosen) == nodes_needed:
+            break
+        chunk = chunks[len(chosen)]
+        if (
+            table.healthy[node_id]
+            and table.free_cores[node_id] >= chunk * desc.cpu_threads_per_process
+            and table.free_gpus[node_id] >= chunk * desc.gpus_per_process
+        ):
+            chosen.append((node_id, chunk))
+    return tuple(chosen) if len(chosen) == nodes_needed else None
 
 
 class TestPlaceRelease:
@@ -148,6 +170,30 @@ class TestNodeHealth:
             mark_node_health(table, 4, False)
 
 
+class TestHeapWork:
+    def test_core_full_gpu_free_nodes_leave_the_heap(self, monkeypatch):
+        # 1-core tasks fill the cores of nodes 0 and 1; their GPUs stay free
+        table = SlotTable(FRONTIER_NODE, 4)
+        for i in range(2 * 56):
+            place(table, make_task(f"t{i:03d}"))
+        assert table.free_cores[:2] == [0, 0]
+        assert table.free_gpus[:2] == [8, 8]
+        assert 0 not in table._avail and 1 not in table._avail
+
+        pops = []
+        heappop = heapq.heappop
+
+        def counting_pop(heap):
+            node_id = heappop(heap)
+            pops.append(node_id)
+            return node_id
+
+        monkeypatch.setattr(scheduler.heapq, "heappop", counting_pop)
+        placement = place(table, make_task("next"))
+        assert placement.node_ids == (2,)
+        assert pops == [2]
+
+
 class TestConservation:
     def test_place_release_replay_restores_initial_table(self):
         rng = random.Random(7)
@@ -174,27 +220,51 @@ class TestConservation:
             release(table, placement)
         assert table.snapshot() == initial
 
-    @given(seed=st.integers(min_value=0, max_value=10_000))
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        cores=st.integers(min_value=1, max_value=8),
+        reserved=st.integers(min_value=0, max_value=7),
+        gpus=st.integers(min_value=0, max_value=4),
+        nodes=st.integers(min_value=1, max_value=6),
+    )
     @settings(max_examples=60, deadline=None)
-    def test_free_counts_never_negative(self, seed):
+    def test_free_counts_never_negative(self, seed, cores, reserved, gpus, nodes):
+        # random place/release/health sequences against a brute-force
+        # first fit and a recount of each node's holders
         rng = random.Random(seed)
-        table = SlotTable(NodeSpec(8, 0, 2), 4)
+        node = NodeSpec(cores, min(reserved, cores - 1), gpus)
+        usable = usable_cores(node)
+        table = SlotTable(node, nodes)
         active = {}
         for i in range(100):
-            if active and rng.random() < 0.5:
+            roll = rng.random()
+            if roll < 0.1:
+                mark_node_health(table, rng.randrange(nodes), rng.random() < 0.6)
+            elif active and roll < 0.5:
                 uid = rng.choice(sorted(active))
                 release(table, active.pop(uid))
             else:
                 desc = make_task(
-                    f"t{i}", procs=rng.randint(1, 12), gpus=rng.choice([0, 1])
+                    f"t{i}",
+                    procs=rng.randint(1, 12),
+                    threads=rng.randint(1, 2),
+                    gpus=rng.choice([0, 0, 1]),
                 )
+                try:
+                    expected = reference_first_fit(table, desc)
+                except Unplaceable:
+                    continue
                 placement = place(table, desc)
+                got = None if placement is None else placement.assignments
+                assert got == expected
                 if placement is not None:
                     active[desc.uid] = placement
-            assert all(c >= 0 for c in table.free_cores)
-            assert all(g >= 0 for g in table.free_gpus)
-            assert all(c <= 8 for c in table.free_cores)
-            assert all(g <= 2 for g in table.free_gpus)
+            assert all(0 <= c <= usable for c in table.free_cores)
+            assert all(0 <= g <= gpus for g in table.free_gpus)
+            for node_id in range(nodes):
+                assert table.holders[node_id] == {
+                    uid for uid, p in active.items() if node_id in p.node_ids
+                }
 
     def test_fifo_fairness_identical_footprints(self):
         table = SlotTable(FRONTIER_NODE, 16)
