@@ -1,11 +1,12 @@
 """ensemblekit: pipeline-stage-task workflows on simulated or local backends.
 
 The package splits along the life of a batch job: ``pst`` holds the workflow
-model and lifecycle rules, ``platform`` the machine shape and walltime
-policy, ``scheduler`` the slot-table placement, ``engine``/``local`` the two
-execution backends, ``resilience`` the failure-resubmission protocol, and
-``metrics`` the utilization/concurrency/throughput accounting over event
-logs.
+model, lifecycle rules and the stage progression of a job (``JobRun``),
+``platform`` the machine shape and walltime policy, ``scheduler`` the
+slot-table placement, ``engine``/``local`` the two execution backends (both
+progress through ``JobRun`` and place through ``scheduler``), ``resilience``
+the failure-resubmission protocol, and ``metrics`` the
+utilization/concurrency/throughput accounting over event logs.
 """
 
 from ensemblekit.engine import (
@@ -32,13 +33,11 @@ from ensemblekit.platform import (
     usable_cores,
 )
 from ensemblekit.pst import (
+    JobRun,
     Stage,
     TaskDescription,
     TaskState,
-    WorkflowRun,
     WorkflowSpec,
-    frontier,
-    pipelines_frontier,
     transition_task,
     validate_workflow,
 )
@@ -69,6 +68,7 @@ __all__ = [
     "EventLog",
     "FailureModel",
     "FailureRecord",
+    "JobRun",
     "NodeSpec",
     "Placement",
     "PlatformConfig",
@@ -79,19 +79,16 @@ __all__ = [
     "TaskDescription",
     "TaskState",
     "WalltimePolicy",
-    "WorkflowRun",
     "WorkflowSpec",
     "collect_failures",
     "compute_utilization",
     "concurrency_series",
     "drain_queue",
-    "frontier",
     "generate_example",
     "get_profile",
     "load_platform_config",
     "mark_node_health",
     "max_walltime_for",
-    "pipelines_frontier",
     "plan_resubmission",
     "release",
     "retry_loop",

@@ -20,6 +20,7 @@ from ensemblekit.errors import (
     EnsembleKitError,
     IncompleteLog,
     InsufficientData,
+    InvalidNodeSpec,
     MalformedLog,
     ParseError,
     PolicyGap,
@@ -181,8 +182,6 @@ def cmd_simulate(args) -> int:
     try:
         platform = _load_platform(args)
         spec = _load_workflow(args)
-        if args.backend == "local":
-            return cmd_run(args)
         nodes = args.nodes
         if nodes is None:
             raise ConfigError("--nodes is required for the simulated backend")
@@ -232,8 +231,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_run(args) -> int:
     try:
-        if args.backend != "local":
-            raise ConfigError("run uses the local backend")
         platform = _load_platform(args)
         spec = _load_workflow(args)
         out_dir = Path(args.out)
@@ -259,6 +256,9 @@ def cmd_run(args) -> int:
         logs, unresolved = retry_loop(
             spec, platform, cfg, args.max_attempts, run_attempt=run_attempt
         )
+    except _CONFIG_ERRORS as e:
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 2
     except EnsembleKitError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
@@ -290,7 +290,7 @@ def cmd_report(args) -> int:
                 gpus=int(meta.get("gpus_per_node", 0)),
             )
             nodes = int(meta["allocation_nodes"])
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, InvalidNodeSpec) as e:
             raise MalformedLog(f"log missing run metadata: {e}") from e
         platform = PlatformConfig(
             name=str(meta.get("platform", "unknown")),
@@ -331,7 +331,13 @@ def cmd_resubmit(args) -> int:
         platform = _load_platform(args)
         nodes = args.nodes
         if nodes is None:
-            nodes = int(log.job_meta().get("allocation_nodes", 1))
+            try:
+                nodes = int(log.job_meta().get("allocation_nodes", 1))
+            except (TypeError, ValueError) as e:
+                raise MalformedLog(f"log allocation_nodes: {e}") from e
+    except MalformedLog as e:
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 1
     except _CONFIG_ERRORS as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
@@ -406,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run pipelines on the simulated cluster")
     _add_workflow_source(p)
     _add_platform_flags(p, "frontier-sim")
-    p.add_argument("--backend", choices=("sim", "local"), default="sim")
     p.add_argument("--nodes", type=int, help="allocation size in nodes")
     p.add_argument("--walltime", type=float, help="job walltime seconds")
     p.add_argument("--seed", type=int, default=0)
@@ -433,14 +438,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--launch-delay", type=float, default=0.0)
     p.add_argument("--max-attempts", type=int, default=1)
     p.add_argument("--retry-canceled", action="store_true")
-    p.add_argument("--max-parallel", type=int, default=2)
     p.add_argument("--out", required=True, help="event log output path")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("run", help="execute pipelines as local subprocesses")
     _add_workflow_source(p)
     _add_platform_flags(p, "local")
-    p.add_argument("--backend", choices=("local",), default="local")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-parallel", type=int, default=2)
     p.add_argument("--max-attempts", type=int, default=1)

@@ -1,8 +1,9 @@
 """Discrete-event simulator for one allocation ("batch job").
 
-Drives frontier tasks through schedule, launch, and completion against a
-slot table, emitting the append-only event log. Strictly single-threaded and
-deterministic: identical inputs and seeds yield byte-identical logs.
+Drives the eligible tasks of a ``pst.JobRun`` through schedule, launch and
+completion against a slot table, emitting the append-only event log.
+Strictly single-threaded and deterministic: identical inputs and seeds yield
+byte-identical logs.
 
 Fault injection: a persistent node fault kills the task running on the node
 at fault time and every task launched onto it afterwards; the scheduler keeps
@@ -24,22 +25,23 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from ensemblekit import events as ev
-from ensemblekit.errors import ConfigError, PolicyViolation, Unplaceable
+from ensemblekit.errors import ConfigError, PolicyViolation
 from ensemblekit.events import Event, EventLog
-from ensemblekit.platform import (
-    PlatformConfig,
-    max_walltime_for,
-    task_footprint,
-)
+from ensemblekit.platform import PlatformConfig, max_walltime_for
 from ensemblekit.pst import (
+    JobRun,
     TaskDescription,
+    TaskRun,
     TaskState,
-    WorkflowRun,
     WorkflowSpec,
     transition_task,
-    validate_workflow,
 )
-from ensemblekit.scheduler import SlotTable, release, try_place
+from ensemblekit.scheduler import (
+    SlotTable,
+    release,
+    schedule_head,
+    task_footprints,
+)
 
 
 @dataclass(frozen=True)
@@ -152,28 +154,11 @@ _PRIO_FAIL = 2
 _PRIO_LAUNCH = 3
 _PRIO_WALLTIME = 4
 
-
-@dataclass
-class _Tracker:
-    """Per-pipeline bookkeeping mirror of the frontier computation."""
-
-    run: WorkflowRun
-    stage_idx: int = 0
-    remaining: list[int] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        self.remaining = [len(s.tasks) for s in self.run.spec.stages]
-
-    def current_stage_tasks(self) -> Sequence[TaskDescription]:
-        return self.run.spec.stages[self.stage_idx].tasks
-
-    def on_terminal(self) -> bool:
-        """Count one terminal task; True when the current stage just closed."""
-        self.remaining[self.stage_idx] -= 1
-        if self.remaining[self.stage_idx] == 0:
-            self.stage_idx += 1
-            return self.stage_idx < len(self.run.spec.stages)
-        return False
+_TERMINAL_STATE = {
+    ev.TASK_DONE: TaskState.DONE,
+    ev.TASK_FAILED: TaskState.FAILED,
+    ev.TASK_CANCELED: TaskState.CANCELED,
+}
 
 
 class SimState:
@@ -200,33 +185,15 @@ class SimState:
         self.launch_rate_cap = launch_rate_cap
 
         self.table = SlotTable(platform.node, allocation_nodes)
-        self.trackers = [_Tracker(WorkflowRun.start(s)) for s in specs]
-        self.uid_tracker: dict[str, _Tracker] = {}
-        self.footprints: dict[str, tuple[int, int]] = {}
+        self.job = JobRun(specs)
+        self.footprints = task_footprints(
+            self.table, (run.desc for run in self.job.runs.values())
+        )
         self.task_faults: dict[str, float] = {
             f.uid: f.at_fraction for f in self.failure_model.task_faults
         }
-        for tracker in self.trackers:
-            for desc in tracker.run.spec.tasks():
-                if desc.uid in self.uid_tracker:
-                    raise ConfigError(
-                        f"task uid {desc.uid} appears in more than one "
-                        f"pipeline of this job"
-                    )
-                self.uid_tracker[desc.uid] = tracker
-                fp = task_footprint(desc, platform.node)
-                if fp[0] > allocation_nodes:
-                    raise Unplaceable(
-                        f"task {desc.uid} needs {fp[0]} nodes; allocation "
-                        f"has {allocation_nodes}"
-                    )
-                self.footprints[desc.uid] = fp
-
-        self.n_tasks = len(self.uid_tracker)
-        self.n_terminal = 0
-        self.queue: deque[str] = deque()
+        self.queue: deque[TaskRun] = deque()
         self.persistent_failed: set[int] = set()
-        self.epoch: dict[str, int] = {u: 0 for u in self.uid_tracker}
         self.next_launch_ts = 0.0
         self.now = 0.0
         self.ended = False
@@ -273,116 +240,73 @@ class SimState:
             Event(ts=ts, kind=kind, task_uid=uid, node_ids=node_ids, detail=detail)
         )
 
-    def _run_of(self, uid: str):
-        return self.uid_tracker[uid].run.runs[uid]
-
-    def _enqueue_stage(self, tracker: _Tracker) -> None:
-        for desc in tracker.current_stage_tasks():
-            self.queue.append(desc.uid)
-
     def _drain(self, ts: float) -> None:
         """FIFO placement pass: schedule queue-head tasks while they fit."""
         while self.queue:
-            uid = self.queue[0]
-            desc = self._run_of(uid).desc
-            placement = try_place(self.table, desc, self.footprints[uid])
-            if placement is None:
-                return
-            self.queue.popleft()
-            run = self._run_of(uid)
-            transition_task(run, TaskState.SCHEDULED, ts)
-            run.node_ids = placement.node_ids
-            self._emit(
-                ts,
-                ev.TASK_SCHEDULED,
-                uid,
-                placement.node_ids,
-                ev.scheduled_detail(
-                    desc.cpu_threads_per_process,
-                    desc.gpus_per_process,
-                    [procs for _, procs in placement.assignments],
-                ),
+            run = schedule_head(
+                self.table, self.footprints, self.queue, self.log, ts
             )
+            if run is None:
+                return
             launch_ts = ts + self.launch_delay_s
             if self.launch_rate_cap is not None:
                 launch_ts = max(launch_ts, self.next_launch_ts)
                 self.next_launch_ts = launch_ts + 1.0 / self.launch_rate_cap
-            self._push(launch_ts, _PRIO_LAUNCH, uid, "launch", None)
+            self._push(launch_ts, _PRIO_LAUNCH, run.desc.uid, "launch", None)
 
     def _finish(self, ts: float, uid: str, kind: str, detail: str) -> None:
         """Apply a terminal event: state, log, slot release, stage advance."""
-        run = self._run_of(uid)
-        state = {
-            ev.TASK_DONE: TaskState.DONE,
-            ev.TASK_FAILED: TaskState.FAILED,
-            ev.TASK_CANCELED: TaskState.CANCELED,
-        }[kind]
-        transition_task(run, state, ts)
-        self.epoch[uid] += 1
-        self._emit(ts, kind, uid, run.node_ids or None, detail)
+        opened = self.job.finish(uid, _TERMINAL_STATE[kind], ts)
+        self._emit(ts, kind, uid, self.job.runs[uid].node_ids or None, detail)
         placement = self.table.placement_of(uid)
         if placement is not None:
             release(self.table, placement)
-        self.n_terminal += 1
-        tracker = self.uid_tracker[uid]
-        if tracker.on_terminal():
-            self._enqueue_stage(tracker)
+        self.queue.extend(opened)
 
     def _running_holders(self, node_id: int) -> list[str]:
         # sorted: set order of strings depends on PYTHONHASHSEED
         return sorted(
             uid
             for uid in self.table.holders[node_id]
-            if self._run_of(uid).state is TaskState.RUNNING
+            if self.job.runs[uid].state is TaskState.RUNNING
         )
-
-    @property
-    def all_terminal(self) -> bool:
-        return self.n_terminal == self.n_tasks
 
     # -- handlers -----------------------------------------------------------
 
     def _handle_bootstrap(self, ts: float) -> None:
         self._emit(ts, ev.BOOTSTRAP_DONE)
-        for tracker in self.trackers:
-            self._enqueue_stage(tracker)
+        self.queue.extend(self.job.first_stages())
         self._drain(ts)
 
     def _handle_launch(self, ts: float, uid: str) -> None:
-        run = self._run_of(uid)
+        run = self.job.runs[uid]
         if run.state is not TaskState.SCHEDULED:
             return  # stale: task was canceled or failed before launching
         transition_task(run, TaskState.RUNNING, ts)
         self._emit(ts, ev.TASK_LAUNCHED, uid, run.node_ids)
         duration = self.runtime_model.duration_for(run.desc)
         bad = sorted(set(run.node_ids) & self.persistent_failed)
-        epoch = self.epoch[uid]
         if bad:
             # node is accepting launches but every run on it is doomed;
             # the crash surfaces at the task's natural end
             self._push(
                 ts + duration, _PRIO_FAIL, uid, "task_fail",
-                (epoch, f"node_failure node={bad[0]}"),
+                f"node_failure node={bad[0]}",
             )
         elif uid in self.task_faults:
             fail_ts = ts + self.task_faults[uid] * duration
-            self._push(
-                fail_ts, _PRIO_FAIL, uid, "task_fail", (epoch, "task_fault")
-            )
+            self._push(fail_ts, _PRIO_FAIL, uid, "task_fail", "task_fault")
         else:
-            self._push(ts + duration, _PRIO_COMPLETE, uid, "complete", epoch)
+            self._push(ts + duration, _PRIO_COMPLETE, uid, "complete", None)
 
-    def _handle_complete(self, ts: float, uid: str, epoch: int) -> None:
-        if epoch != self.epoch[uid]:
+    def _handle_end_of_run(
+        self, ts: float, uid: str, kind: str, detail: str
+    ) -> None:
+        # a task runs once per job, so an end whose task is no longer
+        # RUNNING is stale: a node fault or the walltime finished it first
+        if self.job.runs[uid].state is not TaskState.RUNNING:
             return
-        self._finish(ts, uid, ev.TASK_DONE, "")
-        self._drain(ts)
-
-    def _handle_task_fail(self, ts: float, uid: str, data) -> None:
-        epoch, detail = data
-        if epoch != self.epoch[uid]:
-            return
-        self._finish(ts, uid, ev.TASK_FAILED, detail)
+        self._finish(ts, uid, kind, detail)
         self._drain(ts)
 
     def _handle_node_fault(self, ts: float, fault: NodeFault) -> None:
@@ -401,30 +325,14 @@ class SimState:
         self._drain(ts)
 
     def _handle_walltime(self, ts: float) -> None:
-        for tracker in self.trackers:
-            for stage in tracker.run.spec.stages:
-                for desc in stage.tasks:
-                    run = tracker.run.runs[desc.uid]
-                    if not run.state.terminal:
-                        self._finish(ts, desc.uid, ev.TASK_CANCELED, "walltime")
+        for uid, run in self.job.runs.items():
+            if not run.state.terminal:
+                self._finish(ts, uid, ev.TASK_CANCELED, "walltime")
         self.queue.clear()
         self._end(ts)
 
     def _end(self, ts: float) -> None:
-        done = failed = canceled = 0
-        for tracker in self.trackers:
-            for run in tracker.run.runs.values():
-                if run.state is TaskState.DONE:
-                    done += 1
-                elif run.state is TaskState.FAILED:
-                    failed += 1
-                elif run.state is TaskState.CANCELED:
-                    canceled += 1
-        self._emit(
-            ts,
-            ev.JOB_END,
-            detail=f"done={done} failed={failed} canceled={canceled}",
-        )
+        self._emit(ts, ev.JOB_END, detail=self.job.tally)
         self.ended = True
 
 
@@ -441,17 +349,17 @@ def step(state: SimState) -> SimState:
     if action == "bootstrap":
         state._handle_bootstrap(ts)
     elif action == "complete":
-        state._handle_complete(ts, key, data)
+        state._handle_end_of_run(ts, key, ev.TASK_DONE, "")
     elif action == "task_fail":
-        state._handle_task_fail(ts, key, data)
+        state._handle_end_of_run(ts, key, ev.TASK_FAILED, data)
     elif action == "node_fault":
         state._handle_node_fault(ts, data)
     elif action == "launch":
         state._handle_launch(ts, key)
     elif action == "walltime":
-        if not state.all_terminal:
+        if not state.job.all_terminal:
             state._handle_walltime(ts)
-    if not state.ended and state.all_terminal:
+    if not state.ended and state.job.all_terminal:
         # everything terminal (or nothing to run): the job is over
         state._end(ts)
     return state
@@ -491,12 +399,16 @@ def run_simulated(
         )
     if walltime_s <= platform.bootstrap_overhead_s:
         raise ConfigError("walltime must exceed the bootstrap overhead")
-    for spec in specs:
-        violations = validate_workflow(spec)
-        if violations:
-            raise ConfigError(
-                f"workflow {spec.name} invalid: " + "; ".join(violations)
-            )
+    if not (math.isfinite(launch_delay_s) and launch_delay_s >= 0):
+        raise ConfigError(
+            f"launch delay {launch_delay_s} must be finite and >= 0"
+        )
+    if launch_rate_cap is not None and not (
+        math.isfinite(launch_rate_cap) and launch_rate_cap > 0
+    ):
+        raise ConfigError(
+            f"launch rate cap {launch_rate_cap} must be finite and > 0"
+        )
     state = SimState(
         specs,
         platform,
@@ -508,7 +420,7 @@ def run_simulated(
         launch_rate_cap=launch_rate_cap,
     )
     guard = 0
-    limit_steps = 200 * max(state.n_tasks, 1) + 10_000
+    limit_steps = 200 * max(len(state.job.runs), 1) + 10_000
     while not state.ended and state.heap:
         step(state)
         guard += 1

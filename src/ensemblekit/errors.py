@@ -46,10 +46,6 @@ class ConfigError(EnsembleKitError):
     """Invalid workflow, model, or engine configuration."""
 
 
-class SpawnError(EnsembleKitError):
-    """Local backend failed to start a subprocess."""
-
-
 class IncompleteLog(EnsembleKitError):
     """Event log has no JOB_END; metrics and failure collection refuse it."""
 

@@ -8,6 +8,7 @@ start and non-decreasing within one log.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional
@@ -63,13 +64,24 @@ class Event:
         }
 
     @classmethod
-    def from_record(cls, rec: dict) -> "Event":
-        kind = rec["kind"]
-        if kind not in KINDS:
+    def from_record(cls, rec: object) -> "Event":
+        """Raises MalformedLog for anything but a JSON object with a known
+        ``kind``, a finite numeric ``ts`` and ``node_ids`` null or a list."""
+        if not isinstance(rec, dict):
+            raise MalformedLog(f"event is not a JSON object: {rec!r}")
+        if "ts" not in rec or "kind" not in rec:
+            raise MalformedLog(f"event lacks ts or kind: {rec!r}")
+        ts, kind = rec["ts"], rec["kind"]
+        # type(), not isinstance(): JSON true/false load as bool, an int
+        if type(ts) not in (int, float) or not math.isfinite(ts):
+            raise MalformedLog(f"event ts {ts!r} is not a finite number")
+        if not isinstance(kind, str) or kind not in KINDS:
             raise MalformedLog(f"unknown event kind {kind!r}")
         node_ids = rec.get("node_ids")
+        if node_ids is not None and not isinstance(node_ids, list):
+            raise MalformedLog(f"event node_ids {node_ids!r} is not a list")
         return cls(
-            ts=float(rec["ts"]),
+            ts=float(ts),
             kind=kind,
             task_uid=rec.get("task_uid"),
             node_ids=tuple(node_ids) if node_ids is not None else None,

@@ -1,9 +1,11 @@
 """Local process backend: runs tasks as real subprocesses at desk scale.
 
-Honors PST ordering and a concurrency cap instead of slot arithmetic; each
-task's pre_exec lines and executable run under one shell, with stdout/stderr
-captured per task under the output directory. Emits the same event-log
-schema as the simulator, with wall-clock timestamps relative to job start.
+Progresses stages through the same ``pst.JobRun`` as the simulator and places
+tasks through the same slot table, on one node shaped like the platform's,
+with ``max_parallel`` as an extra cap on running tasks. Each task's pre_exec
+lines and executable run under one shell, with stdout/stderr captured per
+task under the output directory. Emits the same event-log schema as the
+simulator, with wall-clock timestamps relative to job start.
 """
 
 from __future__ import annotations
@@ -21,12 +23,18 @@ from ensemblekit.errors import ConfigError
 from ensemblekit.events import Event, EventLog
 from ensemblekit.platform import PlatformConfig
 from ensemblekit.pst import (
+    JobRun,
     TaskDescription,
+    TaskRun,
     TaskState,
-    WorkflowRun,
     WorkflowSpec,
     transition_task,
-    validate_workflow,
+)
+from ensemblekit.scheduler import (
+    SlotTable,
+    release,
+    schedule_head,
+    task_footprints,
 )
 
 _POLL_INTERVAL_S = 0.005
@@ -44,8 +52,10 @@ def run_local(
     max_parallel: int,
     out_dir: str | Path,
 ) -> EventLog:
-    """Execute pipelines as subprocesses, at most max_parallel at a time.
+    """Execute pipelines as subprocesses, at most max_parallel at a time and
+    never more than fit the cores and GPUs of one platform node.
 
+    A task wider than that node raises Unplaceable before anything spawns.
     A nonzero exit becomes TASK_FAILED (with the exit code in the detail) and
     the pipeline still runs to JOB_END; a spawn failure is recorded the same
     way. Tasks run with the output directory as working directory, so
@@ -55,17 +65,9 @@ def run_local(
         specs = [specs]
     if max_parallel < 1:
         raise ConfigError("max_parallel must be >= 1")
-    seen: set[str] = set()
-    for spec in specs:
-        violations = validate_workflow(spec)
-        if violations:
-            raise ConfigError(
-                f"workflow {spec.name} invalid: " + "; ".join(violations)
-            )
-        for desc in spec.tasks():
-            if desc.uid in seen:
-                raise ConfigError(f"task uid {desc.uid} in more than one pipeline")
-            seen.add(desc.uid)
+    job = JobRun(specs)
+    table = SlotTable(platform.node, 1)
+    footprints = task_footprints(table, (r.desc for r in job.runs.values()))
 
     out_dir = Path(out_dir)
     log_dir = out_dir / "task-logs"
@@ -89,34 +91,11 @@ def run_local(
     log.append(Event(ts=0.0, kind=ev.JOB_START, detail=json.dumps(meta)))
     log.append(Event(ts=now(), kind=ev.BOOTSTRAP_DONE))
 
-    runs = [WorkflowRun.start(s) for s in specs]
-    stage_idx = [0] * len(runs)
-    remaining = [[len(s.tasks) for s in r.spec.stages] for r in runs]
-    queue: deque[tuple[int, TaskDescription]] = deque()
-    for i, run in enumerate(runs):
-        for desc in run.spec.stages[0].tasks:
-            queue.append((i, desc))
+    queue: deque[TaskRun] = deque(job.first_stages())
+    running: dict[str, tuple[TaskRun, subprocess.Popen, object, object]] = {}
 
-    running: dict[str, tuple[int, subprocess.Popen, object, object]] = {}
-
-    def spawn(pipeline_i: int, desc: TaskDescription) -> None:
-        run = runs[pipeline_i].runs[desc.uid]
-        ts = now()
-        transition_task(run, TaskState.SCHEDULED, ts)
-        run.node_ids = (0,)
-        log.append(
-            Event(
-                ts=ts,
-                kind=ev.TASK_SCHEDULED,
-                task_uid=desc.uid,
-                node_ids=(0,),
-                detail=ev.scheduled_detail(
-                    desc.cpu_threads_per_process,
-                    desc.gpus_per_process,
-                    [desc.cpu_processes],
-                ),
-            )
-        )
+    def spawn(run: TaskRun) -> None:
+        desc = run.desc
         stdout = open(log_dir / f"{desc.uid}.out", "wb")
         stderr = open(log_dir / f"{desc.uid}.err", "wb")
         try:
@@ -129,67 +108,52 @@ def run_local(
         except OSError as e:
             stdout.close()
             stderr.close()
-            ts = now()
-            transition_task(run, TaskState.RUNNING, ts)
-            log.append(
-                Event(ts=ts, kind=ev.TASK_LAUNCHED, task_uid=desc.uid,
-                      node_ids=(0,))
-            )
-            finish(pipeline_i, desc.uid, ev.TASK_FAILED, f"spawn_error: {e}")
+            launched(run)
+            finish(run, ev.TASK_FAILED, f"spawn_error: {e}")
             return
+        launched(run)
+        running[desc.uid] = (run, proc, stdout, stderr)
+
+    def launched(run: TaskRun) -> None:
         ts = now()
         transition_task(run, TaskState.RUNNING, ts)
         log.append(
-            Event(ts=ts, kind=ev.TASK_LAUNCHED, task_uid=desc.uid, node_ids=(0,))
+            Event(ts=ts, kind=ev.TASK_LAUNCHED, task_uid=run.desc.uid,
+                  node_ids=run.node_ids)
         )
-        running[desc.uid] = (pipeline_i, proc, stdout, stderr)
 
-    def finish(pipeline_i: int, uid: str, kind: str, detail: str) -> None:
-        run = runs[pipeline_i].runs[uid]
+    def finish(run: TaskRun, kind: str, detail: str) -> None:
+        uid = run.desc.uid
         ts = now()
         state = TaskState.DONE if kind == ev.TASK_DONE else TaskState.FAILED
-        transition_task(run, state, ts)
+        queue.extend(job.finish(uid, state, ts))
+        release(table, table.placement_of(uid))
         log.append(
-            Event(ts=ts, kind=kind, task_uid=uid, node_ids=(0,), detail=detail)
+            Event(ts=ts, kind=kind, task_uid=uid, node_ids=run.node_ids,
+                  detail=detail)
         )
-        remaining[pipeline_i][stage_idx[pipeline_i]] -= 1
-        if remaining[pipeline_i][stage_idx[pipeline_i]] == 0:
-            stage_idx[pipeline_i] += 1
-            if stage_idx[pipeline_i] < len(runs[pipeline_i].spec.stages):
-                for d in runs[pipeline_i].spec.stages[stage_idx[pipeline_i]].tasks:
-                    queue.append((pipeline_i, d))
 
     while queue or running:
         while queue and len(running) < max_parallel:
-            pipeline_i, desc = queue.popleft()
-            spawn(pipeline_i, desc)
+            run = schedule_head(table, footprints, queue, log, now())
+            if run is None:
+                break
+            spawn(run)
         finished = [
             uid for uid, (_, proc, _, _) in running.items()
             if proc.poll() is not None
         ]
         for uid in finished:
-            pipeline_i, proc, stdout, stderr = running.pop(uid)
+            run, proc, stdout, stderr = running.pop(uid)
             stdout.close()
             stderr.close()
             rc = proc.returncode
             if rc == 0:
-                finish(pipeline_i, uid, ev.TASK_DONE, "")
+                finish(run, ev.TASK_DONE, "")
             else:
-                finish(pipeline_i, uid, ev.TASK_FAILED, f"exit_code={rc}")
+                finish(run, ev.TASK_FAILED, f"exit_code={rc}")
         if not finished and running:
             time.sleep(_POLL_INTERVAL_S)
 
-    done = sum(
-        1 for r in runs for t in r.runs.values() if t.state is TaskState.DONE
-    )
-    failed = sum(
-        1 for r in runs for t in r.runs.values() if t.state is TaskState.FAILED
-    )
-    log.append(
-        Event(
-            ts=now(),
-            kind=ev.JOB_END,
-            detail=f"done={done} failed={failed} canceled=0",
-        )
-    )
+    log.append(Event(ts=now(), kind=ev.JOB_END, detail=job.tally))
     return log

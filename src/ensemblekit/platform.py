@@ -29,31 +29,28 @@ PROFILE_DIR_ENV = "ENSEMBLEKIT_PROFILE_DIR"
 @dataclass(frozen=True)
 class NodeSpec:
     """Shape of one compute node. ``cores_reserved`` go to system processes
-    and are never schedulable."""
+    and are never schedulable. An invalid shape raises one InvalidNodeSpec
+    that names every violation."""
 
     cores_total: int
     cores_reserved: int = 0
     gpus: int = 0
 
     def __post_init__(self) -> None:
-        for msg in _node_violations(self):
-            raise InvalidNodeSpec(msg)
-
-
-def _node_violations(node: NodeSpec) -> list[str]:
-    out = []
-    if node.cores_total < 1:
-        out.append("cores_total must be >= 1")
-    if node.cores_reserved < 0:
-        out.append("cores_reserved must be >= 0")
-    if node.cores_reserved >= node.cores_total:
-        out.append(
-            f"cores_reserved ({node.cores_reserved}) must be < "
-            f"cores_total ({node.cores_total})"
-        )
-    if node.gpus < 0:
-        out.append("gpus must be >= 0")
-    return out
+        out = []
+        if self.cores_total < 1:
+            out.append("cores_total must be >= 1")
+        if self.cores_reserved < 0:
+            out.append("cores_reserved must be >= 0")
+        if self.cores_reserved >= self.cores_total:
+            out.append(
+                f"cores_reserved ({self.cores_reserved}) must be < "
+                f"cores_total ({self.cores_total})"
+            )
+        if self.gpus < 0:
+            out.append("gpus must be >= 0")
+        if out:
+            raise InvalidNodeSpec("; ".join(out))
 
 
 def usable_cores(node: NodeSpec) -> int:
@@ -210,28 +207,22 @@ def load_platform_config(path: str | Path) -> PlatformConfig:
 
 
 def platform_from_json(doc: dict) -> PlatformConfig:
-    problems: list[str] = []
     try:
         node_doc = doc["node"]
-        node_fields = dict(
+        node = NodeSpec(
             cores_total=int(node_doc["cores_total"]),
             cores_reserved=int(node_doc.get("cores_reserved", 0)),
             gpus=int(node_doc.get("gpus", 0)),
         )
     except (KeyError, TypeError, ValueError) as e:
         raise ValidationError(f"malformed node section: {e}") from e
-    # collect node violations without constructing (construction raises)
-    probe = object.__new__(NodeSpec)
-    object.__setattr__(probe, "cores_total", node_fields["cores_total"])
-    object.__setattr__(probe, "cores_reserved", node_fields["cores_reserved"])
-    object.__setattr__(probe, "gpus", node_fields["gpus"])
-    problems.extend(_node_violations(probe))
-    if problems:
-        raise ValidationError("; ".join(problems))
+    except InvalidNodeSpec as e:
+        # the CLI reports ValidationError as a configuration error
+        raise ValidationError(str(e)) from e
     try:
         return PlatformConfig(
             name=str(doc["name"]),
-            node=NodeSpec(**node_fields),
+            node=node,
             node_count=int(doc["node_count"]),
             policy=WalltimePolicy(
                 tiers=tuple(tuple(t) for t in doc["policy"]["tiers"])

@@ -4,7 +4,8 @@ A pipeline is an ordered sequence of stages; a stage is a set of independent
 tasks. Stages run sequentially within a pipeline, tasks concurrently within a
 stage, and pipelines concurrently with each other. This module holds the
 static workflow description, its JSON form, the task lifecycle state machine,
-and the frontier computation that drives scheduling.
+and :class:`JobRun`, the one model of stage progression that both backends
+drive.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
-from ensemblekit.errors import IllegalTransition
+from ensemblekit.errors import ConfigError, IllegalTransition
 
 
 class TaskState(Enum):
@@ -45,18 +46,6 @@ _EDGES: dict[TaskState, frozenset[TaskState]] = {
     TaskState.FAILED: frozenset(),
     TaskState.CANCELED: frozenset(),
 }
-
-
-class StageState(Enum):
-    NEW = "NEW"
-    IN_PROGRESS = "IN_PROGRESS"
-    COMPLETE = "COMPLETE"
-
-
-class PipelineState(Enum):
-    NEW = "NEW"
-    IN_PROGRESS = "IN_PROGRESS"
-    COMPLETE = "COMPLETE"
 
 
 @dataclass(frozen=True)
@@ -247,60 +236,85 @@ def transition_task(run: TaskRun, to: TaskState, ts: float = 0.0) -> TaskRun:
     return run
 
 
-@dataclass
-class WorkflowRun:
-    """A workflow plus the mutable state of each of its tasks.
+class JobRun:
+    """The mutable state of every task of one job's pipelines.
 
-    Only the engine mutates a run; readers get consistent views because all
-    mutation happens on one thread.
+    Both backends drive a job through it: :meth:`first_stages` gives the
+    tasks eligible at the start, and :meth:`finish` records a terminal state
+    and returns the tasks of the stage it opened. ``runs`` holds every
+    :class:`TaskRun` keyed by uid, in pipeline, stage, task order. Only the
+    backend's event loop mutates a job; all mutation happens on one thread.
     """
 
-    spec: WorkflowSpec
-    runs: dict[str, TaskRun]
+    def __init__(self, specs: Sequence[WorkflowSpec]):
+        self.runs: dict[str, TaskRun] = {}
+        # per pipeline and stage: its runs (_stages) and how many of them are
+        # not terminal yet (_left); _current[p] is pipeline p's earliest
+        # stage with work left
+        self._stages: list[list[tuple[TaskRun, ...]]] = []
+        self._where: dict[str, tuple[int, int]] = {}
+        for p, spec in enumerate(specs):
+            violations = validate_workflow(spec)
+            if violations:
+                raise ConfigError(
+                    f"workflow {spec.name} invalid: " + "; ".join(violations)
+                )
+            for s, stage in enumerate(spec.stages):
+                for desc in stage.tasks:
+                    if desc.uid in self.runs:
+                        raise ConfigError(
+                            f"task uid {desc.uid} appears in more than one "
+                            f"pipeline of this job"
+                        )
+                    self.runs[desc.uid] = TaskRun(desc=desc)
+                    self._where[desc.uid] = (p, s)
+            self._stages.append(
+                [tuple(self.runs[t.uid] for t in st.tasks) for st in spec.stages]
+            )
+        self._left = [[len(st) for st in stages] for stages in self._stages]
+        self._current = [0] * len(self._stages)
+        self._unfinished = len(self.runs)
+        self._tally = dict.fromkeys(_TERMINAL, 0)
 
-    @classmethod
-    def start(cls, spec: WorkflowSpec) -> "WorkflowRun":
-        return cls(
-            spec=spec, runs={t.uid: TaskRun(desc=t) for t in spec.tasks()}
+    def first_stages(self) -> tuple[TaskRun, ...]:
+        """The tasks of every pipeline's first stage, in pipeline order."""
+        return tuple(run for stages in self._stages for run in stages[0])
+
+    def finish(
+        self, uid: str, state: TaskState, ts: float = 0.0
+    ) -> tuple[TaskRun, ...]:
+        """Move a task to a terminal state. When that leaves its pipeline's
+        current stage fully terminal, the pipeline moves on to its next
+        stage with work left, whose NEW tasks are returned; otherwise ()."""
+        if not state.terminal:
+            raise IllegalTransition(
+                f"task {uid}: {state.value} is not a terminal state"
+            )
+        transition_task(self.runs[uid], state, ts)
+        self._unfinished -= 1
+        self._tally[state] += 1
+        p, s = self._where[uid]
+        left = self._left[p]
+        left[s] -= 1
+        before = stage = self._current[p]
+        while stage < len(left) and left[stage] == 0:
+            stage += 1
+        self._current[p] = stage
+        if stage == before or stage == len(left):
+            return ()
+        return tuple(
+            r for r in self._stages[p][stage] if r.state is TaskState.NEW
         )
 
-    def stage_state(self, index: int) -> StageState:
-        states = [self.runs[t.uid].state for t in self.spec.stages[index].tasks]
-        if all(s.terminal for s in states):
-            return StageState.COMPLETE
-        if all(s is TaskState.NEW for s in states):
-            return StageState.NEW
-        return StageState.IN_PROGRESS
+    @property
+    def all_terminal(self) -> bool:
+        return self._unfinished == 0
 
     @property
-    def state(self) -> PipelineState:
-        stage_states = [self.stage_state(i) for i in range(len(self.spec.stages))]
-        if all(s is StageState.COMPLETE for s in stage_states):
-            return PipelineState.COMPLETE
-        if all(s is StageState.NEW for s in stage_states):
-            return PipelineState.NEW
-        return PipelineState.IN_PROGRESS
-
-    @property
-    def complete(self) -> bool:
-        return all(r.state.terminal for r in self.runs.values())
-
-
-def frontier(run: WorkflowRun) -> set[str]:
-    """Uids eligible to schedule now: the NEW tasks of the earliest stage
-    that is not yet fully terminal. Empty once the pipeline is complete, and
-    also while that stage has work in flight but nothing left to start."""
-    for i, stage in enumerate(run.spec.stages):
-        if run.stage_state(i) is StageState.COMPLETE:
-            continue
-        return {
-            t.uid
-            for t in stage.tasks
-            if run.runs[t.uid].state is TaskState.NEW
-        }
-    return set()
-
-
-def pipelines_frontier(runs: Sequence[WorkflowRun]) -> dict[str, set[str]]:
-    """Per-pipeline frontier; pipelines never affect each other's eligibility."""
-    return {run.spec.name: frontier(run) for run in runs}
+    def tally(self) -> str:
+        """Terminal-state counts as the JOB_END detail reports them."""
+        n = self._tally
+        return (
+            f"done={n[TaskState.DONE]} failed={n[TaskState.FAILED]} "
+            f"canceled={n[TaskState.CANCELED]}"
+        )

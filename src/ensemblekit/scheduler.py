@@ -4,18 +4,28 @@ Placement is strict FIFO with no backfill: the queue head blocks everything
 behind it. Nodes are chosen first-fit by ascending node id, each carrying a
 full chunk of ``procs_per_node`` ranks except possibly the last. Tasks may
 share a node when slots allow. All of it is deterministic: identical table
-and queue inputs yield identical placements.
+and queue inputs yield identical placements. Both backends place through
+this module: :func:`task_footprints` rejects a job up front when a task
+could never fit, and :func:`schedule_head` places the head of the queue.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from ensemblekit.errors import DoubleRelease, EnsembleKitError, UnknownNode
+from ensemblekit import events as ev
+from ensemblekit.errors import (
+    DoubleRelease,
+    EnsembleKitError,
+    UnknownNode,
+    Unplaceable,
+)
+from ensemblekit.events import Event, EventLog
 from ensemblekit.platform import NodeSpec, task_footprint, usable_cores
-from ensemblekit.pst import TaskDescription
+from ensemblekit.pst import TaskDescription, TaskRun, TaskState, transition_task
 
 
 @dataclass(frozen=True)
@@ -42,7 +52,7 @@ class Placement:
 class SlotTable:
     """Free core/GPU slots per node of one allocation.
 
-    Single-writer: only the engine's event loop mutates a table. A min-heap
+    Single-writer: only the owning backend's event loop mutates a table. A min-heap
     of node ids with a free core keeps first-fit scans cheap at the
     8000-node scale; the arrays stay authoritative. A node without a free
     core can host no chunk (every rank needs at least one core), so it
@@ -83,6 +93,60 @@ class SlotTable:
             (self.free_cores[i], self.free_gpus[i], self.healthy[i])
             for i in range(self.node_count)
         )
+
+
+def task_footprints(
+    table: SlotTable, descs: Iterable[TaskDescription]
+) -> dict[str, tuple[int, int]]:
+    """Footprint of every task on the table's node shape, by uid.
+
+    Raises Unplaceable for a task that could never fit the table, so a job
+    is rejected before anything of it runs.
+    """
+    out: dict[str, tuple[int, int]] = {}
+    for desc in descs:
+        fp = task_footprint(desc, table.node)
+        if fp[0] > table.node_count:
+            raise Unplaceable(
+                f"task {desc.uid} needs {fp[0]} nodes; allocation "
+                f"has {table.node_count}"
+            )
+        out[desc.uid] = fp
+    return out
+
+
+def schedule_head(
+    table: SlotTable,
+    footprints: dict[str, tuple[int, int]],
+    queue: deque[TaskRun],
+    log: EventLog,
+    ts: float,
+) -> Optional[TaskRun]:
+    """Place the queue's head task: pop it, mark it SCHEDULED on its nodes
+    and log TASK_SCHEDULED with the placed chunks. Returns None, leaving
+    queue and table unchanged, when the head does not fit now."""
+    run = queue[0]
+    desc = run.desc
+    placement = try_place(table, desc, footprints[desc.uid])
+    if placement is None:
+        return None
+    queue.popleft()
+    transition_task(run, TaskState.SCHEDULED, ts)
+    run.node_ids = placement.node_ids
+    log.append(
+        Event(
+            ts=ts,
+            kind=ev.TASK_SCHEDULED,
+            task_uid=desc.uid,
+            node_ids=placement.node_ids,
+            detail=ev.scheduled_detail(
+                desc.cpu_threads_per_process,
+                desc.gpus_per_process,
+                [procs for _, procs in placement.assignments],
+            ),
+        )
+    )
+    return run
 
 
 def try_place(

@@ -6,9 +6,9 @@ import pytest
 from ensemblekit import events as ev
 from ensemblekit.cli import main
 from ensemblekit.events import EventLog
-from ensemblekit.platform import save_platform_config
+from ensemblekit.platform import get_profile, save_platform_config, usable_cores
 from ensemblekit.pst import Stage, TaskDescription, WorkflowSpec, validate_workflow
-from conftest import small_platform
+from conftest import single_stage, small_platform
 
 
 def run_cli(*argv):
@@ -130,6 +130,9 @@ class TestSimulate:
             ("--walltime", "nan"),
             ("--fail-node", "x@1"),
             ("--fail-task", "t@zz"),
+            ("--launch-delay", "nan"),
+            ("--launch-delay", "-5"),
+            ("--launch-rate-cap", "0"),
         ],
     )
     def test_bad_flag_value_is_config_error(self, tmp_path, capsys, flag):
@@ -242,6 +245,36 @@ class TestReport:
     def test_missing_log_exit_2(self, tmp_path):
         assert run_cli("report", "--log", str(tmp_path / "absent.jsonl")) == 2
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"ts":0}',
+            "[1,2]",
+            '{"ts":"x","kind":"JOB_START"}',
+            '{"ts":NaN,"kind":"JOB_START"}',
+            '{"ts":0,"kind":"BOGUS"}',
+            '{"ts":0,"kind":"JOB_START","node_ids":5}',
+            # run metadata naming an invalid node shape and allocation size
+            '{"ts":0,"kind":"JOB_START","detail":"{\\"cores_total\\":2,'
+            '\\"cores_reserved\\":2,\\"allocation_nodes\\":\\"x\\"}"}',
+        ],
+    )
+    def test_malformed_line_exit_1(self, tmp_path, capsys, line):
+        log = tmp_path / "bad.jsonl"
+        log.write_text(line + "\n")
+        wf = tmp_path / "wf.json"
+        assert run_cli("example", "--example", "toy", "--out", str(wf)) == 0
+        capsys.readouterr()
+        for argv in (
+            ("report", "--log", str(log)),
+            ("resubmit", "--log", str(log), "--workflow", str(wf),
+             "--out", str(tmp_path / "plan.json")),
+        ):
+            assert run_cli(*argv) == 1
+            err = capsys.readouterr().err
+            assert "MalformedLog" in err
+            assert "Traceback" not in err
+
 
 class TestResubmitComposition:
     def test_simulate_resubmit_simulate(self, tmp_path, small_platform_file,
@@ -334,6 +367,19 @@ class TestRunLocal:
                        "--out", str(tmp_path / "out"), "--max-attempts", "2")
         assert code == 1
         assert "doomed" in capsys.readouterr().out
+
+    def test_task_wider_than_host_is_config_error(self, tmp_path, capsys):
+        # 224 one-core ranks: an AdditiveFOAM case, wider than a desk host
+        cores = usable_cores(get_profile("local").node)
+        spec = single_stage("s", [TaskDescription(
+            uid="af", executable="/bin/true", cpu_processes=max(224, cores + 1),
+        )])
+        wf = tmp_path / "wf.json"
+        spec.save(wf)
+        out = tmp_path / "out"
+        assert run_cli("run", "--workflow", str(wf), "--out", str(out)) == 2
+        assert "Unplaceable" in capsys.readouterr().err
+        assert not (out / "events.jsonl").exists()
 
     def test_transient_failure_recovers_on_retry(self, tmp_path, capsys):
         # fails once, then succeeds: the flag file survives between attempts

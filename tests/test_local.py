@@ -1,11 +1,15 @@
 import pytest
 
 from ensemblekit import events as ev
-from ensemblekit.errors import ConfigError
+from ensemblekit.errors import ConfigError, Unplaceable
 from ensemblekit.events import EventLog
 from ensemblekit.local import run_local
-from ensemblekit.metrics import concurrency_series, task_timelines
-from ensemblekit.platform import get_profile
+from ensemblekit.metrics import (
+    compute_utilization,
+    concurrency_series,
+    task_timelines,
+)
+from ensemblekit.platform import get_profile, usable_cores
 from ensemblekit.pst import Stage, TaskDescription, WorkflowSpec
 from conftest import make_task, single_stage
 
@@ -116,3 +120,45 @@ def test_rejects_nonpositive_parallelism(local, tmp_path):
     wf = single_stage("s", [sh_task("a", "true")])
     with pytest.raises(ConfigError):
         run_local(wf, local, 0, tmp_path)
+
+
+def test_duplicate_uid_across_pipelines(local, tmp_path):
+    a = single_stage("s", [sh_task("t", "true")], workflow_name="p1")
+    b = single_stage("s", [sh_task("t", "true")], workflow_name="p2")
+    with pytest.raises(ConfigError, match="more than one pipeline"):
+        run_local([a, b], local, 2, tmp_path)
+    assert not (tmp_path / "task-logs").exists()
+
+
+def test_task_wider_than_host_rejected_before_spawning(local, tmp_path):
+    wide = sh_task("wide", "touch spawned", cpu_processes=usable_cores(local.node) + 1)
+    wf = WorkflowSpec(
+        name="w",
+        stages=(
+            Stage(name="s0", tasks=(sh_task("first", "touch spawned"),)),
+            Stage(name="s1", tasks=(wide,)),
+        ),
+    )
+    with pytest.raises(Unplaceable, match="wide"):
+        run_local(wf, local, 2, tmp_path)
+    assert not (tmp_path / "spawned").exists()
+
+
+def test_host_wide_tasks_run_one_at_a_time(local, tmp_path):
+    # each task takes every usable core, so the slot table admits one at a
+    # time even though max_parallel allows two
+    cores = usable_cores(local.node)
+    wf = single_stage(
+        "s",
+        [sh_task(f"w{i}", "sleep 0.05", cpu_threads_per_process=cores)
+         for i in range(3)],
+    )
+    log = run_local(wf, local, 2, tmp_path)
+    assert sum(1 for e in log if e.kind == ev.TASK_DONE) == 3
+    assert max(
+        p.n_running + p.n_scheduled_pending_launch
+        for p in concurrency_series(log).points
+    ) == 1
+    stack = compute_utilization(log, local, 1)
+    for unit in (stack.nodes, stack.cores, stack.gpus):
+        assert 0 <= unit.busy_s <= unit.capacity_s

@@ -150,6 +150,12 @@ class TestLoadSave:
         with pytest.raises(ValidationError) as err:
             load_platform_config(path)
         assert "cores_reserved" in str(err.value)
+        # every violation is named in the one error
+        doc["node"].update(cores_reserved=-1, gpus=-2)
+        with pytest.raises(ValidationError) as err:
+            platform_from_json(doc)
+        assert "cores_reserved must be >= 0" in str(err.value)
+        assert "gpus must be >= 0" in str(err.value)
 
     def test_parse_error_carries_line(self, tmp_path):
         path = tmp_path / "broken.json"

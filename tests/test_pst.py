@@ -6,13 +6,10 @@ from hypothesis import strategies as st
 
 from ensemblekit.errors import IllegalTransition
 from ensemblekit.pst import (
-    PipelineState,
+    JobRun,
     Stage,
     TaskState,
-    WorkflowRun,
     WorkflowSpec,
-    frontier,
-    pipelines_frontier,
     transition_task,
     validate_workflow,
 )
@@ -70,14 +67,14 @@ class TestValidation:
 
 class TestTransitions:
     def test_new_to_scheduled(self):
-        run = WorkflowRun.start(single_stage("s0", [make_task("a")]))
+        run = JobRun([single_stage("s0", [make_task("a")])])
         task = run.runs["a"]
         transition_task(task, TaskState.SCHEDULED, ts=1.5)
         assert task.state is TaskState.SCHEDULED
         assert task.history == [(1.5, TaskState.SCHEDULED)]
 
     def test_terminal_absorbs(self):
-        run = WorkflowRun.start(single_stage("s0", [make_task("a")]))
+        run = JobRun([single_stage("s0", [make_task("a")])])
         task = run.runs["a"]
         for state in (TaskState.SCHEDULED, TaskState.RUNNING, TaskState.DONE):
             transition_task(task, state)
@@ -86,7 +83,7 @@ class TestTransitions:
         assert "DONE" in str(err.value) and "RUNNING" in str(err.value)
 
     def test_running_to_failed(self):
-        run = WorkflowRun.start(single_stage("s0", [make_task("a")]))
+        run = JobRun([single_stage("s0", [make_task("a")])])
         task = run.runs["a"]
         transition_task(task, TaskState.SCHEDULED)
         transition_task(task, TaskState.RUNNING)
@@ -97,7 +94,7 @@ class TestTransitions:
         "start", [TaskState.NEW, TaskState.SCHEDULED, TaskState.RUNNING]
     )
     def test_cancel_from_any_nonterminal(self, start):
-        run = WorkflowRun.start(single_stage("s0", [make_task("a")]))
+        run = JobRun([single_stage("s0", [make_task("a")])])
         task = run.runs["a"]
         path = {
             TaskState.NEW: [],
@@ -110,87 +107,133 @@ class TestTransitions:
         assert task.state is TaskState.CANCELED
 
     def test_skipping_scheduled_is_illegal(self):
-        run = WorkflowRun.start(single_stage("s0", [make_task("a")]))
+        run = JobRun([single_stage("s0", [make_task("a")])])
         with pytest.raises(IllegalTransition):
             transition_task(run.runs["a"], TaskState.RUNNING)
 
 
+def finish_ok(job, uid, outcome=TaskState.DONE):
+    """Run a task through SCHEDULED and RUNNING, then finish it."""
+    transition_task(job.runs[uid], TaskState.SCHEDULED)
+    transition_task(job.runs[uid], TaskState.RUNNING)
+    return uids(job.finish(uid, outcome))
+
+
+def uids(runs):
+    return [r.desc.uid for r in runs]
+
+
 class TestFrontier:
     def test_first_stage_all_new(self):
-        run = WorkflowRun.start(two_stage([make_task("a"), make_task("b")], [make_task("c")]))
-        assert frontier(run) == {"a", "b"}
+        job = JobRun([two_stage([make_task("a"), make_task("b")], [make_task("c")])])
+        assert uids(job.first_stages()) == ["a", "b"]
+        assert all(r.state is TaskState.NEW for r in job.first_stages())
 
     def test_stage_not_fully_terminal_blocks_next(self):
-        run = WorkflowRun.start(two_stage([make_task("a"), make_task("b")], [make_task("c")]))
-        for uid, states in {
-            "a": [TaskState.SCHEDULED, TaskState.RUNNING, TaskState.DONE],
-            "b": [TaskState.SCHEDULED, TaskState.RUNNING],
-        }.items():
-            for s in states:
-                transition_task(run.runs[uid], s)
-        assert frontier(run) == set()
+        job = JobRun([two_stage([make_task("a"), make_task("b")], [make_task("c")])])
+        assert finish_ok(job, "a") == []
+        transition_task(job.runs["b"], TaskState.SCHEDULED)
+        transition_task(job.runs["b"], TaskState.RUNNING)
+        assert job.runs["c"].state is TaskState.NEW
+        assert not job.all_terminal
 
     def test_next_stage_opens_when_previous_terminal(self):
         # hand enumeration: a DONE, b FAILED (both terminal) -> stage 2 eligible
-        run = WorkflowRun.start(
-            two_stage([make_task("a"), make_task("b")], [make_task("c"), make_task("d")])
+        job = JobRun(
+            [two_stage([make_task("a"), make_task("b")], [make_task("c"), make_task("d")])]
         )
-        for s in (TaskState.SCHEDULED, TaskState.RUNNING, TaskState.DONE):
-            transition_task(run.runs["a"], s)
-        for s in (TaskState.SCHEDULED, TaskState.RUNNING, TaskState.FAILED):
-            transition_task(run.runs["b"], s)
-        assert frontier(run) == {"c", "d"}
+        assert finish_ok(job, "a") == []
+        assert finish_ok(job, "b", TaskState.FAILED) == ["c", "d"]
 
     def test_complete_pipeline_has_empty_frontier(self):
-        run = WorkflowRun.start(single_stage("s0", [make_task("a")]))
-        for s in (TaskState.SCHEDULED, TaskState.RUNNING, TaskState.DONE):
-            transition_task(run.runs["a"], s)
-        assert frontier(run) == set()
-        assert run.state is PipelineState.COMPLETE
+        job = JobRun([single_stage("s0", [make_task("a")])])
+        assert finish_ok(job, "a") == []
+        assert job.all_terminal
+        assert job.tally == "done=1 failed=0 canceled=0"
 
     def test_frontier_idempotent(self):
-        run = WorkflowRun.start(two_stage([make_task("a")], [make_task("b")]))
-        assert frontier(run) == frontier(run) == {"a"}
+        job = JobRun([two_stage([make_task("a")], [make_task("b")])])
+        assert uids(job.first_stages()) == uids(job.first_stages()) == ["a"]
+        assert all(r.history == [] for r in job.runs.values())
+
+    def test_finish_rejects_a_nonterminal_state(self):
+        job = JobRun([single_stage("s0", [make_task("a")])])
+        with pytest.raises(IllegalTransition):
+            job.finish("a", TaskState.SCHEDULED)
+        assert job.runs["a"].state is TaskState.NEW
+
+    def test_cancel_of_a_later_stage_is_not_reopened(self):
+        # walltime cancels tasks in any stage; a stage opened afterwards
+        # offers only its NEW tasks, and a fully canceled one is skipped
+        spec = WorkflowSpec(
+            name="wf",
+            stages=tuple(
+                Stage(name=f"s{i}", tasks=tuple(make_task(u) for u in names))
+                for i, names in enumerate([["a"], ["b", "c"], ["d"], ["e"]])
+            ),
+        )
+        job = JobRun([spec])
+        assert job.finish("b", TaskState.CANCELED) == ()
+        assert job.finish("d", TaskState.CANCELED) == ()
+        assert finish_ok(job, "a") == ["c"]
+        assert finish_ok(job, "c") == ["e"]
+        assert finish_ok(job, "e") == []
+        assert job.all_terminal
+        assert job.tally == "done=3 failed=0 canceled=2"
 
 
 class TestPipelinesFrontier:
     def test_two_pipelines_simultaneously_eligible(self):
-        runs = [
-            WorkflowRun.start(single_stage("s0", [make_task("a")], workflow_name="p1")),
-            WorkflowRun.start(single_stage("s0", [make_task("b")], workflow_name="p2")),
-        ]
-        assert pipelines_frontier(runs) == {"p1": {"a"}, "p2": {"b"}}
+        job = JobRun([
+            single_stage("s0", [make_task("a")], workflow_name="p1"),
+            single_stage("s0", [make_task("b")], workflow_name="p2"),
+        ])
+        assert uids(job.first_stages()) == ["a", "b"]
 
     def test_complete_pipeline_contributes_nothing(self):
-        done = WorkflowRun.start(single_stage("s0", [make_task("a")], workflow_name="p1"))
-        for s in (TaskState.SCHEDULED, TaskState.RUNNING, TaskState.DONE):
-            transition_task(done.runs["a"], s)
-        other = WorkflowRun.start(
-            two_stage([make_task("x")], [make_task("y")], name="p2")
-        )
-        for s in (TaskState.SCHEDULED, TaskState.RUNNING, TaskState.DONE):
-            transition_task(other.runs["x"], s)
-        assert pipelines_frontier([done, other]) == {"p1": set(), "p2": {"y"}}
+        job = JobRun([
+            single_stage("s0", [make_task("a")], workflow_name="p1"),
+            two_stage([make_task("x")], [make_task("y")], name="p2"),
+        ])
+        assert finish_ok(job, "a") == []
+        assert finish_ok(job, "x") == ["y"]
+        assert not job.all_terminal
 
     def test_mixed_stages_equal_per_pipeline_oracle(self):
-        runs = []
-        for i in range(3):
-            run = WorkflowRun.start(
-                two_stage(
-                    [make_task(f"p{i}a"), make_task(f"p{i}b")],
-                    [make_task(f"p{i}c")],
-                    name=f"p{i}",
-                )
+        specs = [
+            two_stage(
+                [make_task(f"p{i}a"), make_task(f"p{i}b")],
+                [make_task(f"p{i}c")],
+                name=f"p{i}",
             )
-            runs.append(run)
-        # advance each pipeline differently
-        for s in (TaskState.SCHEDULED, TaskState.RUNNING, TaskState.DONE):
-            transition_task(runs[1].runs["p1a"], s)
-            transition_task(runs[1].runs["p1b"], s)
-            transition_task(runs[2].runs["p2a"], s)
-        combined = pipelines_frontier(runs)
-        for run in runs:
-            assert combined[run.spec.name] == frontier(run)
+            for i in range(3)
+        ]
+        combined = JobRun(specs)
+        alone = {spec.name: JobRun([spec]) for spec in specs}
+        # advance each pipeline differently, interleaved across pipelines
+        for uid, outcome in [
+            ("p1a", TaskState.DONE),
+            ("p2a", TaskState.FAILED),
+            ("p1b", TaskState.DONE),
+            ("p1c", TaskState.DONE),
+        ]:
+            oracle = alone[uid[:2]]
+            assert finish_ok(combined, uid, outcome) == finish_ok(
+                oracle, uid, outcome
+            )
+        for name, oracle in alone.items():
+            for uid, run in oracle.runs.items():
+                assert combined.runs[uid].state is run.state
+        assert uids(combined.first_stages()) == [
+            u for spec in specs for u in uids(alone[spec.name].first_stages())
+        ]
+
+    def test_runs_keyed_in_pipeline_stage_task_order(self):
+        job = JobRun([
+            two_stage([make_task("b"), make_task("a")], [make_task("z")], name="p1"),
+            single_stage("s0", [make_task("c")], workflow_name="p2"),
+        ])
+        assert list(job.runs) == ["b", "a", "z", "c"]
 
 
 # -- randomized trace properties ----------------------------------------------
@@ -202,30 +245,34 @@ def workflow_shapes(draw):
     return [draw(st.integers(min_value=1, max_value=4)) for _ in range(n_stages)]
 
 
-def build_workflow(shape):
+def build_workflow(shape, name="wf"):
     stages = tuple(
         Stage(
             name=f"s{i}",
-            tasks=tuple(make_task(f"s{i}t{j}") for j in range(n)),
+            tasks=tuple(make_task(f"{name}s{i}t{j}") for j in range(n)),
         )
         for i, n in enumerate(shape)
     )
-    return WorkflowSpec(name="wf", stages=stages)
+    return WorkflowSpec(name=name, stages=stages)
 
 
-@given(shape=workflow_shapes(), data=st.data())
+@given(
+    shapes=st.lists(workflow_shapes(), min_size=1, max_size=2),
+    data=st.data(),
+)
 @settings(max_examples=100, deadline=None)
-def test_random_traces_respect_stage_order(shape, data):
-    """Driving tasks only through the frontier can never start stage k+1
-    before stage k is fully terminal, and every trajectory matches
-    NEW SCHEDULED RUNNING (DONE|FAILED)."""
-    spec = build_workflow(shape)
-    run = WorkflowRun.start(spec)
-    stage_of = spec.stage_index()
+def test_random_traces_respect_stage_order(shapes, data):
+    """Driving tasks only through first_stages/finish can never start stage
+    k+1 of a pipeline before its stage k is fully terminal, and every
+    trajectory matches NEW SCHEDULED RUNNING (DONE|FAILED)."""
+    specs = [build_workflow(shape, f"p{i}") for i, shape in enumerate(shapes)]
+    job = JobRun(specs)
+    stage_of = {uid: (spec.name, i) for spec in specs
+                for uid, i in spec.stage_index().items()}
+    eligible = uids(job.first_stages())
     schedule_order: list[str] = []
     in_flight: list[str] = []
     while True:
-        eligible = sorted(frontier(run))
         moves = []
         if eligible:
             moves.append("schedule")
@@ -235,9 +282,10 @@ def test_random_traces_respect_stage_order(shape, data):
             break
         move = data.draw(st.sampled_from(moves))
         if move == "schedule":
-            uid = data.draw(st.sampled_from(eligible))
-            transition_task(run.runs[uid], TaskState.SCHEDULED)
-            transition_task(run.runs[uid], TaskState.RUNNING)
+            uid = data.draw(st.sampled_from(sorted(eligible)))
+            eligible.remove(uid)
+            transition_task(job.runs[uid], TaskState.SCHEDULED)
+            transition_task(job.runs[uid], TaskState.RUNNING)
             schedule_order.append(uid)
             in_flight.append(uid)
         else:
@@ -245,22 +293,19 @@ def test_random_traces_respect_stage_order(shape, data):
             outcome = data.draw(
                 st.sampled_from([TaskState.DONE, TaskState.FAILED])
             )
-            transition_task(run.runs[uid], outcome)
             in_flight.remove(uid)
-    assert run.complete
-    # scheduling order never jumps backwards across stages
-    seen_stage = 0
-    for uid in schedule_order:
-        assert stage_of[uid] >= seen_stage
-        seen_stage = max(seen_stage, stage_of[uid])
-    # and a stage-k+1 task only appears after every stage-k task
+            eligible.extend(uids(job.finish(uid, outcome)))
+    assert job.all_terminal
+    assert len(schedule_order) == len(job.runs)
+    # within a pipeline, a stage-k+1 task only starts after every stage-k
+    # task has finished; pipelines do not wait on each other
     first_seen = {uid: i for i, uid in enumerate(schedule_order)}
-    for uid, stage in stage_of.items():
-        for other, other_stage in stage_of.items():
-            if other_stage < stage:
+    for uid, (pipeline, stage) in stage_of.items():
+        for other, (other_pipeline, other_stage) in stage_of.items():
+            if other_pipeline == pipeline and other_stage < stage:
                 assert first_seen[other] < first_seen[uid]
     # trajectories match the regular language
-    for task in run.runs.values():
+    for task in job.runs.values():
         states = [s for _, s in task.history]
         assert states == [
             TaskState.SCHEDULED,
@@ -268,6 +313,10 @@ def test_random_traces_respect_stage_order(shape, data):
             task.state,
         ]
         assert task.state in (TaskState.DONE, TaskState.FAILED)
+    done = sum(r.state is TaskState.DONE for r in job.runs.values())
+    assert job.tally == (
+        f"done={done} failed={len(job.runs) - done} canceled=0"
+    )
 
 
 def test_json_round_trip_field_names():
