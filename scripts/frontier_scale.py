@@ -58,7 +58,7 @@ def main() -> int:
     )
     wall = time.monotonic() - t0
 
-    stack = compute_utilization(log, platform, args.nodes)
+    stack = compute_utilization(log, platform.node, args.nodes)
     series = concurrency_series(log)
     rates = throughput(log)
     ovh = log.bootstrap_ts()

@@ -52,8 +52,6 @@ from ensemblekit.resilience import (
 from ensemblekit.scheduler import (
     Placement,
     SlotTable,
-    drain_queue,
-    mark_node_health,
     release,
     try_place,
 )
@@ -83,11 +81,9 @@ __all__ = [
     "collect_failures",
     "compute_utilization",
     "concurrency_series",
-    "drain_queue",
     "generate_example",
     "get_profile",
     "load_platform_config",
-    "mark_node_health",
     "max_walltime_for",
     "plan_resubmission",
     "release",

@@ -1,7 +1,8 @@
 """Command-line surface: simulate, run, report, resubmit, example.
 
 Exit codes are a function of outcome class only: 0 success, 1 execution
-failure or malformed input log, 2 configuration error.
+failure or malformed input log, 2 configuration error. :func:`main` maps
+every error a subcommand raises to its code in one place.
 """
 
 from __future__ import annotations
@@ -16,9 +17,7 @@ from ensemblekit import events as ev
 from ensemblekit import metrics
 from ensemblekit.errors import (
     ConfigError,
-    EmptyPlan,
     EnsembleKitError,
-    IncompleteLog,
     InsufficientData,
     InvalidNodeSpec,
     MalformedLog,
@@ -41,7 +40,6 @@ from ensemblekit.local import run_local
 from ensemblekit.platform import (
     NodeSpec,
     PlatformConfig,
-    WalltimePolicy,
     get_profile,
     load_platform_config,
     max_walltime_for,
@@ -160,7 +158,7 @@ def _attempt_path(base: Path, attempt: int) -> Path:
     return base.with_name(f"{base.stem}.attempt{attempt}{base.suffix}")
 
 
-def _summarize(log: EventLog, platform: PlatformConfig, nodes: int) -> str:
+def _summarize(log: EventLog, node: NodeSpec, nodes: int) -> str:
     counts = {"done": 0, "failed": 0, "canceled": 0}
     for event in log:
         if event.kind == ev.TASK_DONE:
@@ -170,7 +168,7 @@ def _summarize(log: EventLog, platform: PlatformConfig, nodes: int) -> str:
         elif event.kind == ev.TASK_CANCELED:
             counts["canceled"] += 1
     makespan = log.job_end_ts()
-    stack = metrics.compute_utilization(log, platform, nodes)
+    stack = metrics.compute_utilization(log, node, nodes)
     return (
         f"done={counts['done']} failed={counts['failed']} "
         f"canceled={counts['canceled']} makespan={makespan:.1f}s "
@@ -179,47 +177,36 @@ def _summarize(log: EventLog, platform: PlatformConfig, nodes: int) -> str:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        platform = _load_platform(args)
-        spec = _load_workflow(args)
-        nodes = args.nodes
-        if nodes is None:
-            raise ConfigError("--nodes is required for the simulated backend")
-        walltime = args.walltime
-        if walltime is None:
-            walltime = max_walltime_for(platform.policy, nodes)
-        runtime_model = RuntimeModel(
-            default=_parse_runtime(args.runtime), seed=args.seed
-        )
-        failure_model = FailureModel(
-            node_faults=tuple(_parse_fail_node(t) for t in args.fail_node),
-            task_faults=tuple(_parse_fail_task(t) for t in args.fail_task),
-        )
-        cfg = EngineConfig(
-            allocation_nodes=nodes,
-            walltime_s=walltime,
-            runtime_model=runtime_model,
-            failure_models=(failure_model,),
-            launch_delay_s=args.launch_delay,
-            launch_rate_cap=args.launch_rate_cap,
-            retry_canceled=args.retry_canceled,
-        )
-    except _CONFIG_ERRORS as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 2
-    try:
-        logs, unresolved = retry_loop(spec, platform, cfg, args.max_attempts)
-    except _CONFIG_ERRORS as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 2
-    except EnsembleKitError as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 1
+    platform = _load_platform(args)
+    spec = _load_workflow(args)
+    nodes = args.nodes
+    if nodes is None:
+        raise ConfigError("--nodes is required for the simulated backend")
+    walltime = args.walltime
+    if walltime is None:
+        walltime = max_walltime_for(platform.policy, nodes)
+    runtime_model = RuntimeModel(
+        default=_parse_runtime(args.runtime), seed=args.seed
+    )
+    failure_model = FailureModel(
+        node_faults=tuple(_parse_fail_node(t) for t in args.fail_node),
+        task_faults=tuple(_parse_fail_task(t) for t in args.fail_task),
+    )
+    cfg = EngineConfig(
+        allocation_nodes=nodes,
+        walltime_s=walltime,
+        runtime_model=runtime_model,
+        failure_models=(failure_model,),
+        launch_delay_s=args.launch_delay,
+        launch_rate_cap=args.launch_rate_cap,
+        retry_canceled=args.retry_canceled,
+    )
+    logs, unresolved = retry_loop(spec, platform, cfg, args.max_attempts)
     out = Path(args.out)
     for i, log in enumerate(logs, start=1):
         path = _attempt_path(out, i)
         log.save_jsonl(path)
-        print(f"attempt {i}: {path} {_summarize(log, platform, cfg.allocation_nodes)}")
+        print(f"attempt {i}: {path} {_summarize(log, platform.node, nodes)}")
     if unresolved:
         print(
             "unresolved failures: "
@@ -230,14 +217,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    try:
-        platform = _load_platform(args)
-        spec = _load_workflow(args)
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except _CONFIG_ERRORS as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 2
+    platform = _load_platform(args)
+    spec = _load_workflow(args)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     def run_attempt(specs, attempt, nodes, walltime_s):
         attempt_dir = out_dir if attempt == 1 else out_dir / f"attempt-{attempt}"
@@ -252,16 +235,9 @@ def cmd_run(args) -> int:
         runtime_model=RuntimeModel(default=DurationSpec.expected()),
         retry_canceled=args.retry_canceled,
     )
-    try:
-        logs, unresolved = retry_loop(
-            spec, platform, cfg, args.max_attempts, run_attempt=run_attempt
-        )
-    except _CONFIG_ERRORS as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 2
-    except EnsembleKitError as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 1
+    logs, unresolved = retry_loop(
+        spec, platform, cfg, args.max_attempts, run_attempt=run_attempt
+    )
     for i, log in enumerate(logs, start=1):
         done = sum(1 for e in log if e.kind == ev.TASK_DONE)
         failed = sum(1 for e in log if e.kind == ev.TASK_FAILED)
@@ -275,101 +251,81 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_report(args) -> int:
-    log_path = Path(args.log)
+def _existing_log(path: str) -> Path:
+    log_path = Path(path)
     if not log_path.exists():
-        print(f"error: log not found: {log_path}", file=sys.stderr)
-        return 2
+        raise FileNotFoundError(f"log not found: {log_path}")
+    return log_path
+
+
+def cmd_report(args) -> int:
+    log_path = _existing_log(args.log)
+    log = EventLog.load_jsonl(log_path)
+    meta = log.job_meta()
     try:
-        log = EventLog.load_jsonl(log_path)
-        meta = log.job_meta()
-        try:
-            node = NodeSpec(
-                cores_total=int(meta["cores_total"]),
-                cores_reserved=int(meta.get("cores_reserved", 0)),
-                gpus=int(meta.get("gpus_per_node", 0)),
-            )
-            nodes = int(meta["allocation_nodes"])
-        except (KeyError, TypeError, ValueError, InvalidNodeSpec) as e:
-            raise MalformedLog(f"log missing run metadata: {e}") from e
-        platform = PlatformConfig(
-            name=str(meta.get("platform", "unknown")),
-            node=node,
-            node_count=max(nodes, 1),
-            policy=WalltimePolicy(tiers=((max(nodes, 1), 1e9),)),
-            bootstrap_overhead_s=float(meta.get("bootstrap_s", 0.0)),
+        node = NodeSpec(
+            cores_total=int(meta["cores_total"]),
+            cores_reserved=int(meta.get("cores_reserved", 0)),
+            gpus=int(meta.get("gpus_per_node", 0)),
         )
-        stack = metrics.compute_utilization(log, platform, nodes)
-        series = metrics.concurrency_series(log)
-        try:
-            rates = metrics.throughput(log)
-        except InsufficientData:
-            rates = None
-        prefix = Path(args.out) if args.out else log_path.with_suffix("")
-        fmt = args.format
-        written = [
-            metrics.export(stack, fmt, f"{prefix}_utilization.{fmt}"),
-            metrics.export(series, fmt, f"{prefix}_concurrency.{fmt}"),
-        ]
-        if rates is not None:
-            written.append(metrics.export(rates, fmt, f"{prefix}_rates.{fmt}"))
-        for path in written:
-            print(path)
-        return 0
-    except (IncompleteLog, MalformedLog) as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 1
+        nodes = int(meta["allocation_nodes"])
+    except (
+        KeyError, TypeError, ValueError, OverflowError, InvalidNodeSpec
+    ) as e:
+        raise MalformedLog(f"log missing run metadata: {e}") from e
+    if nodes < 1:
+        raise MalformedLog(f"log allocation_nodes {nodes} is below 1")
+    stack = metrics.compute_utilization(log, node, nodes)
+    series = metrics.concurrency_series(log)
+    try:
+        rates = metrics.throughput(log)
+    except InsufficientData:
+        rates = None
+    prefix = Path(args.out) if args.out else log_path.with_suffix("")
+    fmt = args.format
+    written = [
+        metrics.export(stack, fmt, f"{prefix}_utilization.{fmt}"),
+        metrics.export(series, fmt, f"{prefix}_concurrency.{fmt}"),
+    ]
+    if rates is not None:
+        written.append(metrics.export(rates, fmt, f"{prefix}_rates.{fmt}"))
+    for path in written:
+        print(path)
+    return 0
 
 
 def cmd_resubmit(args) -> int:
-    try:
-        log_path = Path(args.log)
-        if not log_path.exists():
-            raise FileNotFoundError(f"log not found: {log_path}")
-        spec = _load_workflow(args)
-        log = EventLog.load_jsonl(log_path)
-        platform = _load_platform(args)
-        nodes = args.nodes
-        if nodes is None:
-            try:
-                nodes = int(log.job_meta().get("allocation_nodes", 1))
-            except (TypeError, ValueError) as e:
-                raise MalformedLog(f"log allocation_nodes: {e}") from e
-    except MalformedLog as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 1
-    except _CONFIG_ERRORS as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 2
-    try:
-        records = collect_failures(log, spec, retry_canceled=args.retry_canceled)
-        if not records:
-            print("no failed tasks; nothing to resubmit")
-            return 0
-        plan = plan_resubmission(records, spec, platform, nodes)
-        plan.save(args.out, attempt=args.attempt, parent_log=str(log_path))
-        print(
-            f"{args.out}: {len(records)} tasks in "
-            f"{len(plan.workflow.stages)} stages, "
-            f"allocation nodes={plan.nodes} walltime_s={plan.walltime_s}"
-        )
+    log_path = _existing_log(args.log)
+    spec = _load_workflow(args)
+    log = EventLog.load_jsonl(log_path)
+    platform = _load_platform(args)
+    nodes = args.nodes
+    if nodes is None:
+        try:
+            nodes = int(log.job_meta().get("allocation_nodes", 1))
+        except (TypeError, ValueError, OverflowError) as e:
+            raise MalformedLog(f"log allocation_nodes: {e}") from e
+    records = collect_failures(log, spec, retry_canceled=args.retry_canceled)
+    if not records:
+        print("no failed tasks; nothing to resubmit")
         return 0
-    except (IncompleteLog, MalformedLog, EmptyPlan) as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 1
+    plan = plan_resubmission(records, spec, platform, nodes)
+    plan.save(args.out, attempt=args.attempt, parent_log=str(log_path))
+    print(
+        f"{args.out}: {len(records)} tasks in "
+        f"{len(plan.workflow.stages)} stages, "
+        f"allocation nodes={plan.nodes} walltime_s={plan.walltime_s}"
+    )
+    return 0
 
 
 def cmd_example(args) -> int:
-    try:
-        if not args.example:
-            raise ConfigError("--example SHAPE is required")
-        spec = generate_example(args.example, _example_params(args))
-        spec.save(args.out)
-        print(f"{args.out}: {spec.task_count()} tasks in {len(spec.stages)} stages")
-        return 0
-    except _CONFIG_ERRORS as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 2
+    if not args.example:
+        raise ConfigError("--example SHAPE is required")
+    spec = generate_example(args.example, _example_params(args))
+    spec.save(args.out)
+    print(f"{args.out}: {spec.task_count()} tasks in {len(spec.stages)} stages")
+    return 0
 
 
 def _add_workflow_source(parser: argparse.ArgumentParser) -> None:
@@ -479,7 +435,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (*_CONFIG_ERRORS, EnsembleKitError) as e:
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 2 if isinstance(e, _CONFIG_ERRORS) else 1
 
 
 if __name__ == "__main__":

@@ -34,10 +34,6 @@ class DoubleRelease(EnsembleKitError):
     """Placement released twice."""
 
 
-class UnknownNode(EnsembleKitError):
-    """Node id outside the slot table."""
-
-
 class PolicyViolation(EnsembleKitError):
     """Requested walltime exceeds the policy tier for the allocation."""
 

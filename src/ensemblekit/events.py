@@ -42,6 +42,22 @@ KINDS = frozenset(
 TERMINAL_KINDS = frozenset({TASK_DONE, TASK_FAILED, TASK_CANCELED})
 
 
+def _finite(x: int | float) -> bool:
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _all_at_least(values: list, least: int) -> bool:
+    """Every value is an int >= least. type(), not isinstance(): a JSON
+    true/false loads as bool, an int."""
+    for v in values:
+        if type(v) is not int or v < least:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class Event:
     ts: float
@@ -66,26 +82,37 @@ class Event:
     @classmethod
     def from_record(cls, rec: object) -> "Event":
         """Raises MalformedLog for anything but a JSON object with a known
-        ``kind``, a finite numeric ``ts`` and ``node_ids`` null or a list."""
+        ``kind``, a finite numeric ``ts``, ``task_uid`` null or a string,
+        ``node_ids`` null or a list of ints >= 0, and a string ``detail``."""
         if not isinstance(rec, dict):
             raise MalformedLog(f"event is not a JSON object: {rec!r}")
         if "ts" not in rec or "kind" not in rec:
             raise MalformedLog(f"event lacks ts or kind: {rec!r}")
         ts, kind = rec["ts"], rec["kind"]
         # type(), not isinstance(): JSON true/false load as bool, an int
-        if type(ts) not in (int, float) or not math.isfinite(ts):
+        if type(ts) not in (int, float) or not _finite(ts):
             raise MalformedLog(f"event ts {ts!r} is not a finite number")
         if not isinstance(kind, str) or kind not in KINDS:
             raise MalformedLog(f"unknown event kind {kind!r}")
+        task_uid = rec.get("task_uid")
+        if task_uid is not None and not isinstance(task_uid, str):
+            raise MalformedLog(f"event task_uid {task_uid!r} is not a string")
         node_ids = rec.get("node_ids")
-        if node_ids is not None and not isinstance(node_ids, list):
-            raise MalformedLog(f"event node_ids {node_ids!r} is not a list")
+        if node_ids is not None and (
+            type(node_ids) is not list or not _all_at_least(node_ids, 0)
+        ):
+            raise MalformedLog(
+                f"event node_ids {node_ids!r} is not a list of ints >= 0"
+            )
+        detail = rec.get("detail", "")
+        if not isinstance(detail, str):
+            raise MalformedLog(f"event detail {detail!r} is not a string")
         return cls(
             ts=float(ts),
             kind=kind,
-            task_uid=rec.get("task_uid"),
+            task_uid=task_uid,
             node_ids=tuple(node_ids) if node_ids is not None else None,
-            detail=rec.get("detail", ""),
+            detail=detail,
         )
 
 
@@ -110,9 +137,6 @@ class EventLog:
     def __getitem__(self, i):
         return self.events[i]
 
-    def of_kind(self, kind: str) -> list[Event]:
-        return [e for e in self.events if e.kind == kind]
-
     @property
     def complete(self) -> bool:
         return any(e.kind == JOB_END for e in self.events)
@@ -130,13 +154,15 @@ class EventLog:
         raise IncompleteLog("log has no BOOTSTRAP_DONE event")
 
     def job_meta(self) -> dict:
-        """Run metadata embedded in the JOB_START detail."""
+        """Run metadata embedded in the JOB_START detail; {} when there is
+        none or it is not a JSON object."""
         for e in self.events:
             if e.kind == JOB_START:
                 try:
-                    return json.loads(e.detail) if e.detail else {}
+                    meta = json.loads(e.detail) if e.detail else {}
                 except json.JSONDecodeError:
                     return {}
+                return meta if isinstance(meta, dict) else {}
         return {}
 
     def save_jsonl(self, path: str | Path) -> None:
@@ -170,11 +196,24 @@ def scheduled_detail(threads: int, gpus_pp: int, chunks: list[int]) -> str:
 
 
 def parse_scheduled_detail(detail: str) -> dict:
+    """The reservation widths of a TASK_SCHEDULED detail: a JSON object
+    with int ``threads`` >= 1, int ``gpus_pp`` >= 0 and ``chunks`` a list
+    of ints >= 1."""
     try:
         doc = json.loads(detail)
+        threads, gpus_pp, chunks = doc["threads"], doc["gpus_pp"], doc["chunks"]
     except json.JSONDecodeError as e:
         raise MalformedLog(f"unparseable TASK_SCHEDULED detail: {detail!r}") from e
-    for key in ("threads", "gpus_pp", "chunks"):
-        if key not in doc:
-            raise MalformedLog(f"TASK_SCHEDULED detail missing {key!r}")
+    except (KeyError, TypeError) as e:  # not an object, or a key missing
+        raise MalformedLog(
+            f"TASK_SCHEDULED detail lacks threads, gpus_pp or chunks: "
+            f"{detail!r}"
+        ) from e
+    if not (
+        type(threads) is int and threads >= 1
+        and type(gpus_pp) is int and gpus_pp >= 0
+        and type(chunks) is list
+        and _all_at_least(chunks, 1)
+    ):
+        raise MalformedLog(f"TASK_SCHEDULED detail has bad widths: {detail!r}")
     return doc

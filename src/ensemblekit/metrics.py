@@ -21,7 +21,7 @@ from ensemblekit.errors import (
     MalformedLog,
 )
 from ensemblekit.events import EventLog, parse_scheduled_detail
-from ensemblekit.platform import PlatformConfig, usable_cores
+from ensemblekit.platform import NodeSpec, usable_cores
 
 
 @dataclass(frozen=True)
@@ -104,9 +104,9 @@ def task_timelines(log: EventLog) -> dict[str, _Timeline]:
             tl.sched_ts = event.ts
             tl.node_ids = event.node_ids or ()
             detail = parse_scheduled_detail(event.detail)
-            tl.threads = int(detail["threads"])
-            tl.gpus_pp = int(detail["gpus_pp"])
-            tl.chunks = tuple(int(c) for c in detail["chunks"])
+            tl.threads = detail["threads"]
+            tl.gpus_pp = detail["gpus_pp"]
+            tl.chunks = tuple(detail["chunks"])
         elif event.kind == ev.TASK_LAUNCHED:
             if tl.sched_ts is None:
                 raise MalformedLog(
@@ -129,10 +129,11 @@ def task_timelines(log: EventLog) -> dict[str, _Timeline]:
 
 
 def compute_utilization(
-    log: EventLog, platform: PlatformConfig, allocation_nodes: int
+    log: EventLog, node: NodeSpec, allocation_nodes: int
 ) -> UtilizationStack:
     """Fold a complete log into the three-band stack (ovh, busy, idle) in
-    node-, core- and GPU-seconds.
+    node-, core- and GPU-seconds of ``allocation_nodes`` nodes shaped like
+    ``node``.
 
     Node-busy counts each node's time covered by at least one holder (the
     interval union, which equals nodes-held times duration whenever tasks do
@@ -184,8 +185,8 @@ def compute_utilization(
 
     return UtilizationStack(
         nodes=unit(1.0, busy_nodes),
-        cores=unit(float(usable_cores(platform.node)), busy_cores),
-        gpus=unit(float(platform.node.gpus), busy_gpus),
+        cores=unit(float(usable_cores(node)), busy_cores),
+        gpus=unit(float(node.gpus), busy_gpus),
     )
 
 

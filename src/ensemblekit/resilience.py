@@ -3,8 +3,8 @@
 Failed tasks harvested from a job's event log are regrouped by their original
 stage, in original stage order, into a fresh workflow with a right-sized
 allocation request: enough nodes for full concurrency of the widest failed
-stage, never more than the original job used. Retries run as fresh jobs with
-fresh node health.
+stage, never more than the original job used. Retries run as fresh jobs on a
+fresh allocation.
 """
 
 from __future__ import annotations
@@ -15,7 +15,12 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from ensemblekit import events as ev
-from ensemblekit.errors import EmptyPlan, IncompleteLog, MalformedLog
+from ensemblekit.errors import (
+    ConfigError,
+    EmptyPlan,
+    IncompleteLog,
+    MalformedLog,
+)
 from ensemblekit.events import EventLog
 from ensemblekit.engine import FailureModel, RuntimeModel, run_simulated
 from ensemblekit.platform import PlatformConfig, max_walltime_for, task_footprint
@@ -88,7 +93,6 @@ class ResubmissionPlan:
     nodes: int
     walltime_s: float
     attempts: dict[str, int]
-    estimated_runtime_s: Optional[float] = None
 
     def sidecar(self, attempt: int, parent_log: str) -> dict:
         return {
@@ -117,7 +121,7 @@ def plan_resubmission(
 
     The allocation is sized for full concurrency of the widest failed stage
     and capped by the original allocation; the walltime comes from the policy
-    table, with summed per-stage runtime estimates kept as a feasibility hint.
+    table.
     """
     if not records:
         raise EmptyPlan("no failure records to plan from")
@@ -128,8 +132,6 @@ def plan_resubmission(
 
     stages = []
     widths = []
-    estimate = 0.0
-    estimate_known = True
     for stage in spec.stages:
         tasks = tuple(t for t in stage.tasks if t.uid in failed_uids)
         if not tasks:
@@ -138,11 +140,6 @@ def plan_resubmission(
         widths.append(
             sum(task_footprint(t, platform.node)[0] for t in tasks)
         )
-        runtimes = [t.expected_runtime_s for t in tasks]
-        if any(r is None for r in runtimes):
-            estimate_known = False
-        else:
-            estimate += max(runtimes)
 
     nodes = min(original_allocation_nodes, max(widths))
     walltime_s = max_walltime_for(platform.policy, nodes)
@@ -153,9 +150,6 @@ def plan_resubmission(
         nodes=nodes,
         walltime_s=walltime_s,
         attempts=attempts,
-        estimated_runtime_s=(
-            estimate + platform.bootstrap_overhead_s if estimate_known else None
-        ),
     )
 
 
@@ -164,7 +158,8 @@ class EngineConfig:
     """Everything retry_loop needs to run one attempt of a simulated job.
 
     ``failure_models[k-1]`` applies to attempt k; later attempts run clean.
-    Fresh attempts never inherit node health from earlier ones.
+    Every attempt runs as a fresh job: nothing of an earlier attempt's
+    allocation carries over.
     """
 
     allocation_nodes: int
@@ -198,7 +193,7 @@ def retry_loop(
     simulated backend (the CLI uses this for local execution).
     """
     if max_attempts < 1:
-        raise EmptyPlan("max_attempts must be >= 1")
+        raise ConfigError("max_attempts must be >= 1")
     if isinstance(specs, WorkflowSpec):
         specs = [specs]
 

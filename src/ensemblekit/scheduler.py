@@ -7,6 +7,11 @@ share a node when slots allow. All of it is deterministic: identical table
 and queue inputs yield identical placements. Both backends place through
 this module: :func:`task_footprints` rejects a job up front when a task
 could never fit, and :func:`schedule_head` places the head of the queue.
+
+Every node of the table stays eligible for the life of the job: a failed
+node is never taken out, so the pilot keeps placing work on it, which is
+the one-failure-per-wave cascade of a persistent fault. Failed tasks are
+retried as a fresh job by :mod:`ensemblekit.resilience`.
 """
 
 from __future__ import annotations
@@ -14,15 +19,10 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from ensemblekit import events as ev
-from ensemblekit.errors import (
-    DoubleRelease,
-    EnsembleKitError,
-    UnknownNode,
-    Unplaceable,
-)
+from ensemblekit.errors import DoubleRelease, EnsembleKitError, Unplaceable
 from ensemblekit.events import Event, EventLog
 from ensemblekit.platform import NodeSpec, task_footprint, usable_cores
 from ensemblekit.pst import TaskDescription, TaskRun, TaskState, transition_task
@@ -68,7 +68,6 @@ class SlotTable:
         cores = usable_cores(node)
         self.free_cores = [cores] * node_count
         self.free_gpus = [node.gpus] * node_count
-        self.healthy = [True] * node_count
         self.holders: list[set[str]] = [set() for _ in range(node_count)]
         self._active: dict[str, Placement] = {}
         self._avail = list(range(node_count))  # already a heap: sorted
@@ -86,13 +85,6 @@ class SlotTable:
 
     def placement_of(self, uid: str) -> Optional[Placement]:
         return self._active.get(uid)
-
-    def snapshot(self) -> tuple[tuple[int, int, bool], ...]:
-        """Immutable (free_cores, free_gpus, healthy) view, by node id."""
-        return tuple(
-            (self.free_cores[i], self.free_gpus[i], self.healthy[i])
-            for i in range(self.node_count)
-        )
 
 
 def task_footprints(
@@ -154,8 +146,8 @@ def try_place(
 ) -> Optional[Placement]:
     """Reserve slots for one task, or return None leaving the table unchanged.
 
-    Scans healthy nodes in ascending id order. All chunks are
-    ``procs_per_node`` ranks except the last, which carries the remainder.
+    Scans nodes in ascending id order. All chunks are ``procs_per_node``
+    ranks except the last, which carries the remainder.
     """
     if desc.uid in table._active:
         raise EnsembleKitError(f"task {desc.uid} already placed")
@@ -171,8 +163,6 @@ def try_place(
         node_id = heapq.heappop(table._avail)
         table._queued[node_id] = False
         popped.append(node_id)
-        if not table.healthy[node_id]:
-            continue
         chunk = chunks[len(chosen)]
         if (
             table.free_cores[node_id] >= chunk * threads
@@ -212,32 +202,4 @@ def release(table: SlotTable, placement: Placement) -> None:
         table.free_cores[node_id] += placement.cores_on(procs)
         table.free_gpus[node_id] += placement.gpus_on(procs)
         table.holders[node_id].remove(placement.task_uid)
-        table._offer(node_id)
-
-
-def drain_queue(
-    table: SlotTable, queue: Sequence[TaskDescription]
-) -> tuple[list[Placement], list[TaskDescription]]:
-    """Place tasks head-first; the first one that does not fit blocks the
-    rest (no backfill). Returns placements in queue order plus the waiters."""
-    placements: list[Placement] = []
-    waiting = list(queue)
-    while waiting:
-        desc = waiting[0]
-        footprint = task_footprint(desc, table.node)
-        placement = try_place(table, desc, footprint)
-        if placement is None:
-            break
-        placements.append(placement)
-        waiting.pop(0)
-    return placements, waiting
-
-
-def mark_node_health(table: SlotTable, node_id: int, healthy: bool) -> None:
-    """Exclude (or re-admit) a node for future placements; existing
-    placements on it are untouched."""
-    if not 0 <= node_id < table.node_count:
-        raise UnknownNode(f"node {node_id} outside table of {table.node_count}")
-    table.healthy[node_id] = healthy
-    if healthy:
         table._offer(node_id)

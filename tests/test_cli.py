@@ -1,11 +1,17 @@
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ensemblekit import events as ev
 from ensemblekit.cli import main
-from ensemblekit.events import EventLog
+from ensemblekit.events import EventLog, scheduled_detail
 from ensemblekit.platform import get_profile, save_platform_config, usable_cores
 from ensemblekit.pst import Stage, TaskDescription, WorkflowSpec, validate_workflow
 from conftest import single_stage, small_platform
@@ -133,6 +139,7 @@ class TestSimulate:
             ("--launch-delay", "nan"),
             ("--launch-delay", "-5"),
             ("--launch-rate-cap", "0"),
+            ("--max-attempts", "0"),
         ],
     )
     def test_bad_flag_value_is_config_error(self, tmp_path, capsys, flag):
@@ -254,6 +261,13 @@ class TestReport:
             '{"ts":NaN,"kind":"JOB_START"}',
             '{"ts":0,"kind":"BOGUS"}',
             '{"ts":0,"kind":"JOB_START","node_ids":5}',
+            '{"ts":0,"kind":"TASK_SCHEDULED","task_uid":["a"]}',
+            '{"ts":0,"kind":"TASK_SCHEDULED","task_uid":"a","node_ids":["x"]}',
+            '{"ts":0,"kind":"TASK_SCHEDULED","task_uid":"a","node_ids":[true]}',
+            '{"ts":0,"kind":"TASK_SCHEDULED","task_uid":"a","node_ids":[-1]}',
+            '{"ts":0,"kind":"JOB_START","detail":5}',
+            pytest.param('{"ts":1' + "0" * 400 + ',"kind":"JOB_START"}',
+                         id="ts-int-beyond-float-range"),
             # run metadata naming an invalid node shape and allocation size
             '{"ts":0,"kind":"JOB_START","detail":"{\\"cores_total\\":2,'
             '\\"cores_reserved\\":2,\\"allocation_nodes\\":\\"x\\"}"}',
@@ -274,6 +288,120 @@ class TestReport:
             err = capsys.readouterr().err
             assert "MalformedLog" in err
             assert "Traceback" not in err
+
+
+    def edit_line(self, log, kind, edit):
+        """Apply ``edit`` to the record of the first line of ``kind``."""
+        lines = log.read_text().splitlines()
+        i = next(i for i, line in enumerate(lines) if f'"{kind}"' in line)
+        rec = json.loads(lines[i])
+        edit(rec)
+        lines[i] = json.dumps(rec)
+        log.write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize(
+        "kind,detail",
+        [
+            (ev.TASK_SCHEDULED, '{"threads":7,"gpus_pp":1,"chunks":5}'),
+            (ev.TASK_SCHEDULED, '{"threads":"x","gpus_pp":1,"chunks":[8]}'),
+            (ev.TASK_SCHEDULED, '{"threads":7,"gpus_pp":-1,"chunks":[8]}'),
+            (ev.TASK_SCHEDULED, '{"threads":7,"gpus_pp":1,"chunks":[8,0]}'),
+            (ev.TASK_SCHEDULED, "5"),
+            (ev.JOB_START, '{"cores_total":64,"allocation_nodes":0}'),
+            (ev.JOB_START, '{"cores_total":64,"allocation_nodes":Infinity}'),
+        ],
+    )
+    def test_bad_detail_exit_1(self, tmp_path, small_platform_file, capsys,
+                               kind, detail):
+        log = self.make_log(tmp_path, small_platform_file)
+        self.edit_line(log, kind, lambda rec: rec.update(detail=detail))
+        capsys.readouterr()
+        assert run_cli("report", "--log", str(log)) == 1
+        err = capsys.readouterr().err
+        assert "error: MalformedLog:" in err
+        assert "Traceback" not in err
+
+    def test_negative_bootstrap_metadata_is_not_read(self, tmp_path,
+                                                     small_platform_file):
+        # ovh comes from BOOTSTRAP_DONE; JOB_START's bootstrap_s is unread
+        log = self.make_log(tmp_path, small_platform_file)
+        edited = tmp_path / "edited.jsonl"
+        edited.write_text(log.read_text())
+
+        def negative_bootstrap(rec):
+            meta = json.loads(rec["detail"])
+            meta["bootstrap_s"] = -1
+            rec["detail"] = json.dumps(meta)
+
+        self.edit_line(edited, ev.JOB_START, negative_bootstrap)
+        exports = []
+        for path, prefix in ((log, "a"), (edited, "b")):
+            assert run_cli("report", "--log", str(path),
+                           "--out", str(tmp_path / prefix)) == 0
+            exports.append([
+                (tmp_path / f"{prefix}_{name}.csv").read_bytes()
+                for name in ("utilization", "concurrency", "rates")
+            ])
+        assert exports[0] == exports[1]
+
+
+# A complete one-task log; the property below breaks one field of it.
+_META = {
+    "backend": "sim", "platform": "test", "allocation_nodes": 2,
+    "cores_total": 8, "cores_reserved": 0, "gpus_per_node": 2,
+    "bootstrap_s": 1.0, "walltime_s": 100.0,
+}
+_VALID_LOG = [
+    {"ts": 0.0, "kind": ev.JOB_START, "task_uid": None, "node_ids": None,
+     "detail": json.dumps(_META)},
+    {"ts": 1.0, "kind": ev.BOOTSTRAP_DONE, "task_uid": None, "node_ids": None,
+     "detail": ""},
+    {"ts": 1.0, "kind": ev.TASK_SCHEDULED, "task_uid": "t",
+     "node_ids": [0, 1], "detail": scheduled_detail(2, 1, [2, 2])},
+    {"ts": 2.0, "kind": ev.TASK_LAUNCHED, "task_uid": "t",
+     "node_ids": [0, 1], "detail": ""},
+    {"ts": 10.0, "kind": ev.TASK_DONE, "task_uid": "t", "node_ids": [0, 1],
+     "detail": ""},
+    {"ts": 12.0, "kind": ev.JOB_END, "task_uid": None, "node_ids": None,
+     "detail": ""},
+]
+# (line, field) or (line, "detail", key inside the JSON detail)
+_FIELDS = (
+    [(i, f) for i in range(len(_VALID_LOG))
+     for f in ("ts", "kind", "task_uid", "node_ids", "detail")]
+    + [(0, "detail", key) for key in _META]
+    + [(2, "detail", key) for key in ("threads", "gpus_pp", "chunks")]
+)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.sampled_from(sorted(ev.KINDS)),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+@given(field=st.sampled_from(_FIELDS), value=_JSON_VALUES)
+@settings(max_examples=150, deadline=None)
+def test_report_on_one_broken_field_exits_0_or_1(field, value):
+    records = json.loads(json.dumps(_VALID_LOG))
+    rec = records[field[0]]
+    if len(field) == 2:
+        rec[field[1]] = value
+    else:
+        doc = json.loads(rec["detail"])
+        doc[field[2]] = value
+        rec["detail"] = json.dumps(doc)
+    with tempfile.TemporaryDirectory() as tmp:
+        log = Path(tmp) / "run.jsonl"
+        log.write_text("".join(json.dumps(r) + "\n" for r in records))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(["report", "--log", str(log),
+                         "--out", str(Path(tmp) / "r")])
+    assert code in (0, 1), err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 class TestResubmitComposition:
@@ -329,6 +457,29 @@ class TestResubmitComposition:
         ) == 0
         assert "nothing to resubmit" in capsys.readouterr().out
         assert not (tmp_path / "plan.json").exists()
+
+
+    def test_plan_that_cannot_fit_the_profile_is_config_error(self, tmp_path,
+                                                              capsys):
+        # eight-node GPU members cannot be planned onto the GPU-less host
+        wf = tmp_path / "wf.json"
+        log = tmp_path / "run.jsonl"
+        plan = tmp_path / "plan.json"
+        assert run_cli("example", "--example", "exaconstit", "--tasks", "20",
+                       "--no-optimizer", "--out", str(wf)) == 0
+        assert run_cli(
+            "simulate", "--workflow", str(wf), "--profile", "frontier-sim",
+            "--nodes", "64", "--fail-node", "3@300", "--out", str(log),
+        ) == 1
+        capsys.readouterr()
+        assert run_cli(
+            "resubmit", "--log", str(log), "--workflow", str(wf),
+            "--profile", "local", "--out", str(plan),
+        ) == 2
+        err = capsys.readouterr().err
+        assert "error: Unplaceable:" in err
+        assert "Traceback" not in err
+        assert not plan.exists()
 
 
 class TestRunLocal:

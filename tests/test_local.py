@@ -159,6 +159,6 @@ def test_host_wide_tasks_run_one_at_a_time(local, tmp_path):
         p.n_running + p.n_scheduled_pending_launch
         for p in concurrency_series(log).points
     ) == 1
-    stack = compute_utilization(log, local, 1)
+    stack = compute_utilization(log, local.node, 1)
     for unit in (stack.nodes, stack.cores, stack.gpus):
         assert 0 <= unit.busy_s <= unit.capacity_s

@@ -20,7 +20,7 @@ from ensemblekit.metrics import (
     load_utilization,
     throughput,
 )
-from ensemblekit.platform import NodeSpec, PlatformConfig, WalltimePolicy
+from ensemblekit.platform import NodeSpec
 from conftest import (
     build_log,
     exaconstit_task,
@@ -30,12 +30,7 @@ from conftest import (
     single_stage,
 )
 
-TEST_PLATFORM = PlatformConfig(
-    name="test",
-    node=NodeSpec(cores_total=8, cores_reserved=0, gpus=2),
-    node_count=8,
-    policy=WalltimePolicy(tiers=((8, 100000.0),)),
-)
+TEST_NODE = NodeSpec(cores_total=8, cores_reserved=0, gpus=2)
 
 
 def simple_task_events():
@@ -50,14 +45,14 @@ class TestUtilization:
     def test_two_node_hand_integral(self):
         log = build_log(simple_task_events(), boot_ts=0.0, end_ts=100.0,
                         allocation_nodes=2)
-        stack = compute_utilization(log, TEST_PLATFORM, 2)
+        stack = compute_utilization(log, TEST_NODE, 2)
         assert stack.nodes.busy_s == pytest.approx(130.0)
         assert stack.nodes.capacity_s == pytest.approx(200.0)
         assert stack.nodes.utilization_fraction == pytest.approx(0.65)
 
     def test_no_tasks(self):
         log = build_log([], boot_ts=5.0, end_ts=50.0, allocation_nodes=4)
-        stack = compute_utilization(log, TEST_PLATFORM, 4)
+        stack = compute_utilization(log, TEST_NODE, 4)
         assert stack.nodes.utilization_fraction == 0.0
         assert stack.nodes.ovh_s == pytest.approx(4 * 5.0)
         assert stack.nodes.idle_s == pytest.approx(
@@ -68,7 +63,7 @@ class TestUtilization:
     def test_accounting_identity_all_units(self):
         rng = random.Random(3)
         log, *_ = random_complete_log(rng)
-        stack = compute_utilization(log, TEST_PLATFORM, 8)
+        stack = compute_utilization(log, TEST_NODE, 8)
         for unit in (stack.nodes, stack.cores, stack.gpus):
             total = unit.ovh_s + unit.busy_s + unit.idle_s
             assert total == pytest.approx(unit.capacity_s, rel=1e-9)
@@ -77,13 +72,13 @@ class TestUtilization:
         log = build_log(simple_task_events(), end_ts=100.0)
         truncated = EventLog(events=[e for e in log if e.kind != ev.JOB_END])
         with pytest.raises(IncompleteLog):
-            compute_utilization(truncated, TEST_PLATFORM, 2)
+            compute_utilization(truncated, TEST_NODE, 2)
 
     def test_matches_per_instant_oracle_on_random_logs(self):
         rng = random.Random(11)
         for _ in range(50):
             log, task_events, boot, end = random_complete_log(rng)
-            stack = compute_utilization(log, TEST_PLATFORM, 8)
+            stack = compute_utilization(log, TEST_NODE, 8)
             nodes, cores, gpus = oracle_usage(task_events, boot, end, 8, 8, 2)
             assert stack.nodes.busy_s == pytest.approx(nodes, rel=1e-9, abs=1e-9)
             assert stack.cores.busy_s == pytest.approx(cores, rel=1e-9, abs=1e-9)
@@ -92,13 +87,13 @@ class TestUtilization:
     def test_scheduled_but_never_launched_counts_idle(self):
         events = [("A", [0], [1], 1, 0, 10.0, None, 30.0, ev.TASK_CANCELED)]
         log = build_log(events, end_ts=50.0, allocation_nodes=1)
-        stack = compute_utilization(log, TEST_PLATFORM, 1)
+        stack = compute_utilization(log, TEST_NODE, 1)
         assert stack.nodes.busy_s == 0.0
 
     def test_recomputation_idempotent(self):
         log = build_log(simple_task_events(), end_ts=100.0, allocation_nodes=2)
-        assert compute_utilization(log, TEST_PLATFORM, 2) == compute_utilization(
-            log, TEST_PLATFORM, 2
+        assert compute_utilization(log, TEST_NODE, 2) == (
+            compute_utilization(log, TEST_NODE, 2)
         )
 
 
@@ -196,7 +191,7 @@ class TestThroughput:
 class TestExport:
     def test_stack_round_trips(self, tmp_path):
         log = build_log(simple_task_events(), end_ts=100.0, allocation_nodes=2)
-        stack = compute_utilization(log, TEST_PLATFORM, 2)
+        stack = compute_utilization(log, TEST_NODE, 2)
         for fmt in ("csv", "json"):
             path = tmp_path / f"stack.{fmt}"
             export(stack, fmt, path)
@@ -231,7 +226,7 @@ class TestExport:
 
     def test_stack_csv_columns_re_add_to_capacity(self, tmp_path):
         log = build_log(simple_task_events(), end_ts=100.0, allocation_nodes=2)
-        stack = compute_utilization(log, TEST_PLATFORM, 2)
+        stack = compute_utilization(log, TEST_NODE, 2)
         path = tmp_path / "stack.csv"
         export(stack, "csv", path)
         import csv as csvmod
@@ -245,7 +240,7 @@ class TestExport:
 
     def test_exports_bit_stable(self, tmp_path):
         log = build_log(simple_task_events(), end_ts=100.0, allocation_nodes=2)
-        stack = compute_utilization(log, TEST_PLATFORM, 2)
+        stack = compute_utilization(log, TEST_NODE, 2)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         export(stack, "csv", a)
         export(stack, "csv", b)

@@ -1,18 +1,21 @@
 import heapq
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ensemblekit import scheduler
-from ensemblekit.errors import DoubleRelease, Unplaceable, UnknownNode
+from ensemblekit.errors import DoubleRelease, Unplaceable
+from ensemblekit.events import EventLog
 from ensemblekit.platform import NodeSpec, task_footprint, usable_cores
+from ensemblekit.pst import TaskRun
 from ensemblekit.scheduler import (
     SlotTable,
-    drain_queue,
-    mark_node_health,
     release,
+    schedule_head,
+    task_footprints,
     try_place,
 )
 from conftest import exaconstit_task, make_task
@@ -24,9 +27,34 @@ def place(table, desc):
     return try_place(table, desc, task_footprint(desc, table.node))
 
 
+def run_queue(descs):
+    return deque(TaskRun(desc) for desc in descs)
+
+
+def drain(table, queue, log):
+    """Place through schedule_head until the queue empties or its head
+    blocks; returns the placed runs in order."""
+    footprints = task_footprints(table, (run.desc for run in queue))
+    placed = []
+    while queue:
+        run = schedule_head(table, footprints, queue, log, 0.0)
+        if run is None:
+            break
+        placed.append(run)
+    return placed
+
+
+def uids(runs):
+    return [run.desc.uid for run in runs]
+
+
+def free_slots(table):
+    return list(table.free_cores), list(table.free_gpus)
+
+
 def reference_first_fit(table, desc):
-    """Brute-force first fit: every healthy node in ascending id, whatever
-    its free capacity, each taking the next chunk if it fits."""
+    """Brute-force first fit: every node in ascending id, whatever its free
+    capacity, each taking the next chunk if it fits."""
     nodes_needed, per_node = task_footprint(desc, table.node)
     chunks = [per_node] * (nodes_needed - 1)
     chunks.append(desc.cpu_processes - per_node * (nodes_needed - 1))
@@ -36,8 +64,7 @@ def reference_first_fit(table, desc):
             break
         chunk = chunks[len(chosen)]
         if (
-            table.healthy[node_id]
-            and table.free_cores[node_id] >= chunk * desc.cpu_threads_per_process
+            table.free_cores[node_id] >= chunk * desc.cpu_threads_per_process
             and table.free_gpus[node_id] >= chunk * desc.gpus_per_process
         ):
             chosen.append((node_id, chunk))
@@ -70,10 +97,10 @@ class TestPlaceRelease:
 
     def test_insufficient_nodes_leaves_table_unchanged(self):
         table = SlotTable(FRONTIER_NODE, 2)
-        before = table.snapshot()
+        before = free_slots(table)
         desc = make_task("wide", procs=3 * 56)  # needs 3 nodes
         assert place(table, desc) is None
-        assert table.snapshot() == before
+        assert free_slots(table) == before
 
     def test_first_fit_ascending_node_id(self):
         table = SlotTable(FRONTIER_NODE, 4)
@@ -106,68 +133,46 @@ class TestDrainQueue:
     def test_frontier_capacity_division(self):
         # 8000 free nodes, 7875 eight-node members: exactly 1000 fit
         table = SlotTable(FRONTIER_NODE, 8000)
-        queue = [exaconstit_task(f"m{i:04d}") for i in range(7875)]
-        placements, waiting = drain_queue(table, queue)
-        assert len(placements) == 1000
-        assert len(waiting) == 6875
-        assert [p.task_uid for p in placements] == [t.uid for t in queue[:1000]]
+        members = [exaconstit_task(f"m{i:04d}") for i in range(7875)]
+        queue = run_queue(members)
+        log = EventLog()
+        placed = drain(table, queue, log)
+        assert len(placed) == 1000
+        assert len(queue) == 6875
+        assert uids(placed) == [t.uid for t in members[:1000]]
+        assert [e.task_uid for e in log] == uids(placed)
 
     def test_empty_queue(self):
         table = SlotTable(FRONTIER_NODE, 4)
-        assert drain_queue(table, []) == ([], [])
+        log = EventLog()
+        assert drain(table, deque(), log) == []
+        assert len(log) == 0
 
     def test_fifo_head_blocks_no_backfill(self):
         table = SlotTable(FRONTIER_NODE, 4)
         big = make_task("big", procs=4 * 56)  # all four nodes
         small = make_task("small")
         hold = place(table, make_task("hold"))
-        placements, waiting = drain_queue(table, [big, small])
-        assert placements == []
-        assert [t.uid for t in waiting] == ["big", "small"]
+        queue = run_queue([big, small])
+        log = EventLog()
+        assert drain(table, queue, log) == []
+        assert uids(queue) == ["big", "small"]
         release(table, hold)
-        placements, waiting = drain_queue(table, [big, small])
-        assert [p.task_uid for p in placements] == ["big"]
-        assert [t.uid for t in waiting] == ["small"]
+        assert uids(drain(table, queue, log)) == ["big"]
+        assert uids(queue) == ["small"]
 
     def test_determinism(self):
         def run_once():
             table = SlotTable(FRONTIER_NODE, 16)
-            queue = [exaconstit_task(f"m{i}") for i in range(4)]
-            placements, _ = drain_queue(table, queue)
-            return [(p.task_uid, p.assignments) for p in placements]
+            queue = run_queue(exaconstit_task(f"m{i}") for i in range(4))
+            log = EventLog()
+            placed = drain(table, queue, log)
+            return [
+                (run.desc.uid, table.placement_of(run.desc.uid).assignments)
+                for run in placed
+            ], [e.to_record() for e in log]
 
         assert run_once() == run_once()
-
-
-class TestNodeHealth:
-    def test_unhealthy_node_excluded(self):
-        table = SlotTable(FRONTIER_NODE, 4)
-        mark_node_health(table, 3, False)
-        for i in range(3):
-            placement = place(table, make_task(f"t{i}", procs=56))
-            assert 3 not in placement.node_ids
-        assert place(table, make_task("t3", procs=56)) is None
-
-    def test_remark_healthy(self):
-        table = SlotTable(FRONTIER_NODE, 1)
-        mark_node_health(table, 0, False)
-        assert place(table, make_task("a")) is None
-        mark_node_health(table, 0, True)
-        assert place(table, make_task("a")) is not None
-
-    def test_four_node_task_blocked_by_one_unhealthy(self):
-        # healthy-count oracle: 3 healthy nodes cannot host a 4-node task
-        table = SlotTable(FRONTIER_NODE, 4)
-        mark_node_health(table, 2, False)
-        desc = make_task("wide", procs=4 * 56)
-        assert place(table, desc) is None
-        mark_node_health(table, 2, True)
-        assert place(table, desc) is not None
-
-    def test_unknown_node(self):
-        table = SlotTable(FRONTIER_NODE, 4)
-        with pytest.raises(UnknownNode):
-            mark_node_health(table, 4, False)
 
 
 class TestHeapWork:
@@ -198,7 +203,7 @@ class TestConservation:
     def test_place_release_replay_restores_initial_table(self):
         rng = random.Random(7)
         table = SlotTable(NodeSpec(16, 0, 4), 8)
-        initial = table.snapshot()
+        initial = free_slots(table)
         active = []
         for i in range(300):
             if active and rng.random() < 0.45:
@@ -218,7 +223,7 @@ class TestConservation:
                 assert 0 <= table.free_gpus[node_id] <= 4
         for placement in active:
             release(table, placement)
-        assert table.snapshot() == initial
+        assert free_slots(table) == initial
 
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
@@ -229,8 +234,8 @@ class TestConservation:
     )
     @settings(max_examples=60, deadline=None)
     def test_free_counts_never_negative(self, seed, cores, reserved, gpus, nodes):
-        # random place/release/health sequences against a brute-force
-        # first fit and a recount of each node's holders
+        # random place/release sequences against a brute-force first fit
+        # and a recount of each node's holders
         rng = random.Random(seed)
         node = NodeSpec(cores, min(reserved, cores - 1), gpus)
         usable = usable_cores(node)
@@ -238,9 +243,7 @@ class TestConservation:
         active = {}
         for i in range(100):
             roll = rng.random()
-            if roll < 0.1:
-                mark_node_health(table, rng.randrange(nodes), rng.random() < 0.6)
-            elif active and roll < 0.5:
+            if active and roll < 0.5:
                 uid = rng.choice(sorted(active))
                 release(table, active.pop(uid))
             else:
@@ -268,8 +271,7 @@ class TestConservation:
 
     def test_fifo_fairness_identical_footprints(self):
         table = SlotTable(FRONTIER_NODE, 16)
-        queue = [exaconstit_task(f"m{i}") for i in range(5)]
-        placements, waiting = drain_queue(table, queue)
-        placed = [p.task_uid for p in placements]
-        assert placed == ["m0", "m1"]  # 16 nodes fit two 8-node tasks
-        assert [t.uid for t in waiting] == ["m2", "m3", "m4"]
+        queue = run_queue(exaconstit_task(f"m{i}") for i in range(5))
+        placed = drain(table, queue, EventLog())
+        assert uids(placed) == ["m0", "m1"]  # 16 nodes fit two 8-node tasks
+        assert uids(queue) == ["m2", "m3", "m4"]
