@@ -258,6 +258,18 @@ def _existing_log(path: str) -> Path:
     return log_path
 
 
+def _allocation_nodes(log: EventLog) -> int:
+    """The allocation size in the log's run metadata; MalformedLog unless
+    it is there and >= 1."""
+    try:
+        nodes = int(log.job_meta()["allocation_nodes"])
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        raise MalformedLog(f"log missing run metadata: {e}") from e
+    if nodes < 1:
+        raise MalformedLog(f"log allocation_nodes {nodes} is below 1")
+    return nodes
+
+
 def cmd_report(args) -> int:
     log_path = _existing_log(args.log)
     log = EventLog.load_jsonl(log_path)
@@ -268,17 +280,15 @@ def cmd_report(args) -> int:
             cores_reserved=int(meta.get("cores_reserved", 0)),
             gpus=int(meta.get("gpus_per_node", 0)),
         )
-        nodes = int(meta["allocation_nodes"])
     except (
         KeyError, TypeError, ValueError, OverflowError, InvalidNodeSpec
     ) as e:
         raise MalformedLog(f"log missing run metadata: {e}") from e
-    if nodes < 1:
-        raise MalformedLog(f"log allocation_nodes {nodes} is below 1")
+    nodes = _allocation_nodes(log)
     stack = metrics.compute_utilization(log, node, nodes)
     series = metrics.concurrency_series(log)
     try:
-        rates = metrics.throughput(log)
+        rates = metrics.throughput(log, series)
     except InsufficientData:
         rates = None
     prefix = Path(args.out) if args.out else log_path.with_suffix("")
@@ -299,12 +309,7 @@ def cmd_resubmit(args) -> int:
     spec = _load_workflow(args)
     log = EventLog.load_jsonl(log_path)
     platform = _load_platform(args)
-    nodes = args.nodes
-    if nodes is None:
-        try:
-            nodes = int(log.job_meta().get("allocation_nodes", 1))
-        except (TypeError, ValueError, OverflowError) as e:
-            raise MalformedLog(f"log allocation_nodes: {e}") from e
+    nodes = args.nodes if args.nodes is not None else _allocation_nodes(log)
     records = collect_failures(log, spec, retry_canceled=args.retry_canceled)
     if not records:
         print("no failed tasks; nothing to resubmit")

@@ -154,12 +154,6 @@ _PRIO_FAIL = 2
 _PRIO_LAUNCH = 3
 _PRIO_WALLTIME = 4
 
-_TERMINAL_STATE = {
-    ev.TASK_DONE: TaskState.DONE,
-    ev.TASK_FAILED: TaskState.FAILED,
-    ev.TASK_CANCELED: TaskState.CANCELED,
-}
-
 
 class SimState:
     """Mutable state of a running simulation; advanced one event at a time
@@ -256,7 +250,7 @@ class SimState:
 
     def _finish(self, ts: float, uid: str, kind: str, detail: str) -> None:
         """Apply a terminal event: state, log, slot release, stage advance."""
-        opened = self.job.finish(uid, _TERMINAL_STATE[kind], ts)
+        opened = self.job.finish(uid, ev.STATE_OF_KIND[kind], ts)
         self._emit(ts, kind, uid, self.job.runs[uid].node_ids or None, detail)
         placement = self.table.placement_of(uid)
         if placement is not None:

@@ -3,6 +3,14 @@
 Persisted as JSON lines, one event per line, with fields exactly
 ``ts, kind, task_uid, node_ids, detail``. Timestamps are seconds from job
 start and non-decreasing within one log.
+
+Every log follows the task lifecycle of :mod:`ensemblekit.pst`: a
+``TASK_*`` event names its task and moves it along one edge of the state
+machine (a task starts NEW, with no event; ``TASK_SCHEDULED`` makes it
+SCHEDULED, ``TASK_LAUNCHED`` RUNNING, and ``TASK_DONE`` / ``TASK_FAILED`` /
+``TASK_CANCELED`` terminal, after which nothing follows), and no other kind
+names a task. :meth:`EventLog.append` checks both rules beside the
+timestamp order, so readers of a log fold it without checking again.
 """
 
 from __future__ import annotations
@@ -14,6 +22,7 @@ from pathlib import Path
 from typing import Iterator, Optional
 
 from ensemblekit.errors import IncompleteLog, MalformedLog
+from ensemblekit.pst import _EDGES, TaskState
 
 JOB_START = "JOB_START"
 BOOTSTRAP_DONE = "BOOTSTRAP_DONE"
@@ -39,7 +48,27 @@ KINDS = frozenset(
     }
 )
 
-TERMINAL_KINDS = frozenset({TASK_DONE, TASK_FAILED, TASK_CANCELED})
+# the state each task event moves its task to
+STATE_OF_KIND: dict[str, TaskState] = {
+    TASK_SCHEDULED: TaskState.SCHEDULED,
+    TASK_LAUNCHED: TaskState.RUNNING,
+    TASK_DONE: TaskState.DONE,
+    TASK_FAILED: TaskState.FAILED,
+    TASK_CANCELED: TaskState.CANCELED,
+}
+_KIND_OF_STATE = {state: kind for kind, state in STATE_OF_KIND.items()}
+
+TERMINAL_KINDS = frozenset(
+    kind for kind, state in STATE_OF_KIND.items() if state.terminal
+)
+
+# a task's last event (None before its first: NEW) -> the task events that
+# may follow it. Keyed by kind, not TaskState, to keep append's lookups on
+# str hashes.
+_FOLLOWS: dict[Optional[str], frozenset[str]] = {
+    _KIND_OF_STATE.get(state): frozenset(_KIND_OF_STATE[to] for to in targets)
+    for state, targets in _EDGES.items()
+}
 
 
 def _finite(x: int | float) -> bool:
@@ -118,15 +147,47 @@ class Event:
 
 @dataclass
 class EventLog:
+    """Events in append order. Every event, including those passed as
+    ``events``, goes through :meth:`append`'s checks."""
+
     events: list[Event] = field(default_factory=list)
+    # each task's last event kind, for the lifecycle check
+    _last_kind: dict[str, str] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        events, self.events = self.events, []
+        for event in events:
+            self.append(event)
 
     def append(self, event: Event) -> None:
-        if self.events and event.ts < self.events[-1].ts - 1e-12:
+        """Raises MalformedLog, leaving the log as it was, for an event
+        earlier than the last one, a TASK_* event that does not follow an
+        edge of its task's lifecycle or names no task, or any other kind
+        that names a task."""
+        events = self.events
+        if events and event.ts < events[-1].ts - 1e-12:
             raise MalformedLog(
                 f"timestamps must be non-decreasing: "
-                f"{event.ts} after {self.events[-1].ts}"
+                f"{event.ts} after {events[-1].ts}"
             )
-        self.events.append(event)
+        kind, uid = event.kind, event.task_uid
+        if uid is None:
+            if kind in STATE_OF_KIND:
+                raise MalformedLog(f"{kind} event names no task")
+        else:
+            # _FOLLOWS holds task kinds only, so this also rejects another
+            # kind that names a task
+            last = self._last_kind.get(uid)
+            if kind not in _FOLLOWS[last]:
+                raise MalformedLog(
+                    f"task {uid}: {kind} after {last or 'no event'}"
+                    if kind in STATE_OF_KIND
+                    else f"{kind} event names task {uid!r}"
+                )
+            self._last_kind[uid] = kind
+        events.append(event)
 
     def __iter__(self) -> Iterator[Event]:
         return iter(self.events)
@@ -172,17 +233,24 @@ class EventLog:
 
     @classmethod
     def load_jsonl(cls, path: str | Path) -> "EventLog":
+        """Raises MalformedLog naming ``path:lineno`` for the first line
+        that is not UTF-8 JSON or that :meth:`Event.from_record` or
+        :meth:`append` rejects."""
         log = cls()
-        with open(path) as f:
-            for lineno, line in enumerate(f, start=1):
-                line = line.strip()
-                if not line:
-                    continue
+        with open(path, "rb") as f:
+            for lineno, raw in enumerate(f, start=1):
                 try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError as e:
-                    raise MalformedLog(f"{path}:{lineno}: {e.msg}") from e
-                log.append(Event.from_record(rec))
+                    line = raw.decode("utf-8").strip()
+                    if line:
+                        log.append(Event.from_record(json.loads(line)))
+                except MalformedLog as e:
+                    raise MalformedLog(f"{path}:{lineno}: {e}") from e
+                # ValueError covers bad JSON, bad UTF-8 and an int past
+                # Python's digit limit; RecursionError, deep nesting
+                except (ValueError, RecursionError) as e:
+                    raise MalformedLog(
+                        f"{path}:{lineno}: not a JSON event line: {e}"
+                    ) from e
         return log
 
 
@@ -195,14 +263,21 @@ def scheduled_detail(threads: int, gpus_pp: int, chunks: list[int]) -> str:
     )
 
 
-def parse_scheduled_detail(detail: str) -> dict:
-    """The reservation widths of a TASK_SCHEDULED detail: a JSON object
-    with int ``threads`` >= 1, int ``gpus_pp`` >= 0 and ``chunks`` a list
-    of ints >= 1."""
+# the most slots one task may reserve: every count below it is exact as a
+# float, and the accounting multiplies slots by seconds in floats
+MAX_SLOTS = 2**53
+
+
+def scheduled_slots(detail: str) -> tuple[int, int]:
+    """The (core, GPU) slots a TASK_SCHEDULED detail reserves. The detail
+    is a JSON object with int ``threads`` >= 1, int ``gpus_pp`` >= 0 and
+    ``chunks`` a list of ints >= 1 (ranks per node); neither slot count may
+    exceed :data:`MAX_SLOTS`."""
     try:
         doc = json.loads(detail)
         threads, gpus_pp, chunks = doc["threads"], doc["gpus_pp"], doc["chunks"]
-    except json.JSONDecodeError as e:
+    # ValueError: bad JSON, or an int past Python's digit limit
+    except (ValueError, RecursionError) as e:
         raise MalformedLog(f"unparseable TASK_SCHEDULED detail: {detail!r}") from e
     except (KeyError, TypeError) as e:  # not an object, or a key missing
         raise MalformedLog(
@@ -216,4 +291,11 @@ def parse_scheduled_detail(detail: str) -> dict:
         and _all_at_least(chunks, 1)
     ):
         raise MalformedLog(f"TASK_SCHEDULED detail has bad widths: {detail!r}")
-    return doc
+    ranks = sum(chunks)
+    cores, gpus = threads * ranks, gpus_pp * ranks
+    if cores > MAX_SLOTS or gpus > MAX_SLOTS:
+        raise MalformedLog(
+            f"TASK_SCHEDULED detail reserves more than {MAX_SLOTS} slots: "
+            f"{detail!r}"
+        )
+    return cores, gpus

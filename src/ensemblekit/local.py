@@ -125,8 +125,7 @@ def run_local(
     def finish(run: TaskRun, kind: str, detail: str) -> None:
         uid = run.desc.uid
         ts = now()
-        state = TaskState.DONE if kind == ev.TASK_DONE else TaskState.FAILED
-        queue.extend(job.finish(uid, state, ts))
+        queue.extend(job.finish(uid, ev.STATE_OF_KIND[kind], ts))
         release(table, table.placement_of(uid))
         log.append(
             Event(ts=ts, kind=kind, task_uid=uid, node_ids=run.node_ids,

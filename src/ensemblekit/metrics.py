@@ -1,9 +1,11 @@
 """Utilization, concurrency and throughput analytics over event logs.
 
 Everything here is a pure function of the log: recomputation is idempotent
-and logs are never mutated. The accounting identity ovh + busy + idle =
-capacity holds per unit system (nodes, cores, GPUs). Busy time counts
-launch to terminal; slots reserved but not yet launched count as idle.
+and logs are never mutated. An :class:`EventLog` follows the task lifecycle
+by construction, so the folds here do not check it again. The accounting
+identity ovh + busy + idle = capacity holds per unit system (nodes, cores,
+GPUs). Busy time counts launch to terminal; slots reserved but not yet
+launched count as idle.
 """
 
 from __future__ import annotations
@@ -15,12 +17,8 @@ from pathlib import Path
 from typing import Optional
 
 from ensemblekit import events as ev
-from ensemblekit.errors import (
-    EnsembleKitError,
-    InsufficientData,
-    MalformedLog,
-)
-from ensemblekit.events import EventLog, parse_scheduled_detail
+from ensemblekit.errors import EnsembleKitError, InsufficientData
+from ensemblekit.events import EventLog, scheduled_slots
 from ensemblekit.platform import NodeSpec, usable_cores
 
 
@@ -82,49 +80,25 @@ class _Timeline:
     terminal_ts: Optional[float] = None
     terminal_kind: Optional[str] = None
     node_ids: tuple[int, ...] = ()
-    threads: int = 1
-    gpus_pp: int = 0
-    chunks: tuple[int, ...] = ()
+    cores: int = 0
+    gpus: int = 0
 
 
 def task_timelines(log: EventLog) -> dict[str, _Timeline]:
-    """Per-task schedule/launch/terminal timestamps, validated for ordering."""
+    """Per-task schedule/launch/terminal timestamps and reserved slots."""
     out: dict[str, _Timeline] = {}
     for event in log:
-        if event.task_uid is None:
-            continue
-        tl = out.setdefault(event.task_uid, _Timeline())
-        if tl.terminal_ts is not None:
-            raise MalformedLog(
-                f"task {event.task_uid}: event after terminal state"
-            )
-        if event.kind == ev.TASK_SCHEDULED:
-            if tl.sched_ts is not None:
-                raise MalformedLog(f"task {event.task_uid}: scheduled twice")
-            tl.sched_ts = event.ts
+        kind = event.kind
+        if kind == ev.TASK_SCHEDULED:
+            out[event.task_uid] = tl = _Timeline(sched_ts=event.ts)
             tl.node_ids = event.node_ids or ()
-            detail = parse_scheduled_detail(event.detail)
-            tl.threads = detail["threads"]
-            tl.gpus_pp = detail["gpus_pp"]
-            tl.chunks = tuple(detail["chunks"])
-        elif event.kind == ev.TASK_LAUNCHED:
-            if tl.sched_ts is None:
-                raise MalformedLog(
-                    f"task {event.task_uid}: launched before scheduled"
-                )
-            if tl.launch_ts is not None:
-                raise MalformedLog(f"task {event.task_uid}: launched twice")
-            tl.launch_ts = event.ts
-        elif event.kind in (ev.TASK_DONE, ev.TASK_FAILED):
-            if tl.launch_ts is None:
-                raise MalformedLog(
-                    f"task {event.task_uid}: {event.kind} without launch"
-                )
+            tl.cores, tl.gpus = scheduled_slots(event.detail)
+        elif kind == ev.TASK_LAUNCHED:
+            out[event.task_uid].launch_ts = event.ts
+        elif kind in ev.TERMINAL_KINDS:
+            tl = out.setdefault(event.task_uid, _Timeline())
             tl.terminal_ts = event.ts
-            tl.terminal_kind = event.kind
-        elif event.kind == ev.TASK_CANCELED:
-            tl.terminal_ts = event.ts
-            tl.terminal_kind = event.kind
+            tl.terminal_kind = kind
     return out
 
 
@@ -155,8 +129,8 @@ def compute_utilization(
             node_intervals.setdefault(node_id, []).append(
                 (tl.launch_ts, tl.terminal_ts)
             )
-        busy_cores += sum(c * tl.threads for c in tl.chunks) * span
-        busy_gpus += sum(c * tl.gpus_pp for c in tl.chunks) * span
+        busy_cores += tl.cores * span
+        busy_gpus += tl.gpus * span
 
     busy_nodes = 0.0
     for intervals in node_intervals.values():
@@ -190,6 +164,11 @@ def compute_utilization(
     )
 
 
+# (pending-launch, running) that a task's last event counts it in; a task
+# with no event yet or a terminal one counts in neither
+_PHASE_COUNTS = {ev.TASK_SCHEDULED: (1, 0), ev.TASK_LAUNCHED: (0, 1)}
+
+
 def concurrency_series(log: EventLog) -> ConcurrencySeries:
     """Sweep the log into (ts, pending-launch, running) change points.
 
@@ -197,61 +176,36 @@ def concurrency_series(log: EventLog) -> ConcurrencySeries:
     running, terminal events decrement whichever phase the task occupies.
     Events sharing a timestamp coalesce into one point.
     """
-    phase: dict[str, str] = {}
+    phase: dict[str, str] = {}  # each task's last event kind
     pending = running = 0
     points: list[ConcurrencyPoint] = []
     current_ts: Optional[float] = None
-
-    def flush() -> None:
-        if current_ts is not None:
-            points.append(ConcurrencyPoint(current_ts, pending, running))
-
     for event in log:
-        if event.task_uid is None:
-            continue
         uid = event.task_uid
-        state = phase.get(uid)
-        if state == "terminal":
-            raise MalformedLog(f"task {uid}: event after terminal state")
-        if event.kind == ev.TASK_SCHEDULED:
-            if state is not None:
-                raise MalformedLog(f"task {uid}: scheduled twice")
-            phase[uid] = "scheduled"
-            delta_p, delta_r = 1, 0
-        elif event.kind == ev.TASK_LAUNCHED:
-            if state != "scheduled":
-                raise MalformedLog(f"task {uid}: launched from {state}")
-            phase[uid] = "running"
-            delta_p, delta_r = -1, 1
-        elif event.kind in (ev.TASK_DONE, ev.TASK_FAILED):
-            if state != "running":
-                raise MalformedLog(f"task {uid}: {event.kind} from {state}")
-            phase[uid] = "terminal"
-            delta_p, delta_r = 0, -1
-        elif event.kind == ev.TASK_CANCELED:
-            delta_p = -1 if state == "scheduled" else 0
-            delta_r = -1 if state == "running" else 0
-            phase[uid] = "terminal"
-        else:
+        if uid is None:  # only TASK_* events name a task
             continue
+        was_p, was_r = _PHASE_COUNTS.get(phase.get(uid), (0, 0))
+        now_p, now_r = _PHASE_COUNTS.get(event.kind, (0, 0))
+        phase[uid] = event.kind
         if current_ts is not None and event.ts != current_ts:
-            flush()
+            points.append(ConcurrencyPoint(current_ts, pending, running))
         current_ts = event.ts
-        pending += delta_p
-        running += delta_r
-    flush()
+        pending += now_p - was_p
+        running += now_r - was_r
+    if current_ts is not None:
+        points.append(ConcurrencyPoint(current_ts, pending, running))
     return ConcurrencySeries(points=tuple(points))
 
 
-def throughput(log: EventLog) -> RateSummary:
-    """Scheduling and launching rates measured over the initial ramp."""
+def throughput(log: EventLog, series: ConcurrencySeries) -> RateSummary:
+    """Scheduling and launching rates over the initial ramp of ``series``,
+    the log's :func:`concurrency_series`."""
     sched = [e.ts for e in log if e.kind == ev.TASK_SCHEDULED]
     if len(sched) < 2:
         raise InsufficientData(
             f"need at least 2 TASK_SCHEDULED events, have {len(sched)}"
         )
     launched = [e.ts for e in log if e.kind == ev.TASK_LAUNCHED]
-    series = concurrency_series(log)
     max_running = max((p.n_running for p in series.points), default=0)
     ramp_end: Optional[float] = None
     if max_running > 0:
@@ -286,7 +240,7 @@ def throughput(log: EventLog) -> RateSummary:
     )
 
 
-# -- export / import ----------------------------------------------------------
+# -- export -------------------------------------------------------------------
 
 _UNIT_FIELDS = ["capacity_s", "ovh_s", "busy_s", "idle_s", "utilization_fraction"]
 
@@ -322,55 +276,3 @@ def export(obj, format: str, path: str | Path) -> Path:
         else:
             raise EnsembleKitError(f"cannot export {type(obj).__name__}")
     return path
-
-
-def load_utilization(path: str | Path, format: str) -> UtilizationStack:
-    if format == "json":
-        doc = json.loads(Path(path).read_text())
-        return UtilizationStack(
-            **{k: UnitUsage(**v) for k, v in doc.items()}
-        )
-    units = {}
-    with open(path, newline="") as f:
-        for row in csv.DictReader(f):
-            units[row["unit"]] = UnitUsage(
-                **{k: float(row[k]) for k in _UNIT_FIELDS}
-            )
-    return UtilizationStack(**units)
-
-
-def load_series(path: str | Path, format: str) -> ConcurrencySeries:
-    if format == "json":
-        doc = json.loads(Path(path).read_text())
-        return ConcurrencySeries(
-            points=tuple(ConcurrencyPoint(**p) for p in doc["points"])
-        )
-    points = []
-    with open(path, newline="") as f:
-        for row in csv.DictReader(f):
-            points.append(
-                ConcurrencyPoint(
-                    ts=float(row["ts"]),
-                    n_scheduled_pending_launch=int(
-                        row["n_scheduled_pending_launch"]
-                    ),
-                    n_running=int(row["n_running"]),
-                )
-            )
-    return ConcurrencySeries(points=tuple(points))
-
-
-def load_rates(path: str | Path, format: str) -> RateSummary:
-    if format == "json":
-        return RateSummary(**json.loads(Path(path).read_text()))
-    fields = {}
-    with open(path, newline="") as f:
-        for row in csv.DictReader(f):
-            raw = row["value"]
-            if raw == "":
-                fields[row["field"]] = None
-            elif row["field"].endswith("count"):
-                fields[row["field"]] = int(raw)
-            else:
-                fields[row["field"]] = float(raw)
-    return RateSummary(**fields)

@@ -53,25 +53,20 @@ def collect_failures(
 ) -> list[FailureRecord]:
     """One record per task of the spec whose terminal event in this log is
     TASK_FAILED (or TASK_CANCELED when retry_canceled). DONE tasks never
-    appear; tasks from other pipelines in the same log are ignored."""
+    appear; tasks from other pipelines in the same log are ignored. A log
+    holds at most one terminal event per task (:meth:`EventLog.append`
+    checks it)."""
     if not log.complete:
         raise IncompleteLog("cannot collect failures from a log without JOB_END")
     stage_of = spec.stage_index()
     stage_names = {t.uid: t.stage_name for t in spec.tasks()}
+    retried = {ev.TASK_FAILED}
+    if retry_canceled:
+        retried.add(ev.TASK_CANCELED)
     records = []
-    seen: set[str] = set()
     for event in log:
-        if event.kind not in ev.TERMINAL_KINDS or event.task_uid is None:
-            continue
         uid = event.task_uid
-        if uid not in stage_of:
-            continue
-        if uid in seen:
-            raise MalformedLog(f"task {uid} has two terminal events")
-        seen.add(uid)
-        if event.kind == ev.TASK_DONE:
-            continue
-        if event.kind == ev.TASK_CANCELED and not retry_canceled:
+        if event.kind not in retried or uid not in stage_of:
             continue
         records.append(
             FailureRecord(
@@ -92,7 +87,6 @@ class ResubmissionPlan:
     workflow: WorkflowSpec
     nodes: int
     walltime_s: float
-    attempts: dict[str, int]
 
     def sidecar(self, attempt: int, parent_log: str) -> dict:
         return {
@@ -115,7 +109,6 @@ def plan_resubmission(
     spec: WorkflowSpec,
     platform: PlatformConfig,
     original_allocation_nodes: int,
-    prior_attempts: Optional[dict[str, int]] = None,
 ) -> ResubmissionPlan:
     """Rebuild the failed tasks into a smaller job preserving stage order.
 
@@ -143,13 +136,10 @@ def plan_resubmission(
 
     nodes = min(original_allocation_nodes, max(widths))
     walltime_s = max_walltime_for(platform.policy, nodes)
-    prior = prior_attempts or {}
-    attempts = {uid: prior.get(uid, 1) + 1 for uid in sorted(failed_uids)}
     return ResubmissionPlan(
         workflow=WorkflowSpec(name=f"{spec.name}-retry", stages=tuple(stages)),
         nodes=nodes,
         walltime_s=walltime_s,
-        attempts=attempts,
     )
 
 
@@ -212,7 +202,6 @@ def retry_loop(
     runner = run_attempt or default_run
     logs: list[EventLog] = []
     current: list[WorkflowSpec] = list(specs)
-    attempts: dict[str, int] = {}
     nodes = engine_cfg.allocation_nodes
     walltime_s = engine_cfg.walltime_s
     unresolved: list[FailureRecord] = []
@@ -229,18 +218,12 @@ def retry_loop(
             break
         plans = [
             plan_resubmission(
-                records,
-                spec,
-                platform,
-                engine_cfg.allocation_nodes,
-                prior_attempts=attempts,
+                records, spec, platform, engine_cfg.allocation_nodes
             )
             for spec, records in per_spec
             if records
         ]
         current = [p.workflow for p in plans]
-        for p in plans:
-            attempts.update(p.attempts)
         nodes = min(engine_cfg.allocation_nodes, sum(p.nodes for p in plans))
         walltime_s = max_walltime_for(platform.policy, nodes)
     return logs, unresolved

@@ -108,7 +108,8 @@ def test_criterion_2_throughput_substitutes():
         wf, platform, 8000, 12000.0,
         RuntimeModel(default=CALIBRATED, seed=2), launch_rate_cap=51.0,
     )
-    measured = throughput(log).launching_rate_tasks_per_s
+    rates = throughput(log, concurrency_series(log))
+    measured = rates.launching_rate_tasks_per_s
     check(
         "2a measured launching rate 51 +/- 5%",
         measured is not None and abs(measured - 51.0) <= 0.05 * 51.0,

@@ -268,6 +268,14 @@ class TestReport:
             '{"ts":0,"kind":"JOB_START","detail":5}',
             pytest.param('{"ts":1' + "0" * 400 + ',"kind":"JOB_START"}',
                          id="ts-int-beyond-float-range"),
+            pytest.param('{"ts":1' + "0" * 5000 + ',"kind":"JOB_START"}',
+                         id="ts-int-beyond-int-digit-limit"),
+            pytest.param("[" * 100000, id="nesting-beyond-recursion-limit"),
+            # a task event off its lifecycle, or naming no task, and another
+            # kind naming a task
+            '{"ts":0,"kind":"TASK_LAUNCHED","task_uid":"a"}',
+            '{"ts":0,"kind":"TASK_CANCELED"}',
+            '{"ts":0,"kind":"JOB_START","task_uid":"a"}',
             # run metadata naming an invalid node shape and allocation size
             '{"ts":0,"kind":"JOB_START","detail":"{\\"cores_total\\":2,'
             '\\"cores_reserved\\":2,\\"allocation_nodes\\":\\"x\\"}"}',
@@ -309,6 +317,17 @@ class TestReport:
             (ev.TASK_SCHEDULED, "5"),
             (ev.JOB_START, '{"cores_total":64,"allocation_nodes":0}'),
             (ev.JOB_START, '{"cores_total":64,"allocation_nodes":Infinity}'),
+            pytest.param(
+                ev.TASK_SCHEDULED,
+                json.dumps({"threads": 10**200, "gpus_pp": 1,
+                            "chunks": [10**200]}),
+                id="widths-beyond-float-range",
+            ),
+            pytest.param(
+                ev.TASK_SCHEDULED,
+                '{"threads":1' + "0" * 5000 + ',"gpus_pp":1,"chunks":[8]}',
+                id="widths-beyond-int-digit-limit",
+            ),
         ],
     )
     def test_bad_detail_exit_1(self, tmp_path, small_platform_file, capsys,
@@ -319,6 +338,14 @@ class TestReport:
         assert run_cli("report", "--log", str(log)) == 1
         err = capsys.readouterr().err
         assert "error: MalformedLog:" in err
+        assert "Traceback" not in err
+
+    def test_binary_log_exit_1(self, tmp_path, capsys):
+        log = tmp_path / "binary.jsonl"
+        log.write_bytes(bytes(range(256)))
+        assert run_cli("report", "--log", str(log)) == 1
+        err = capsys.readouterr().err
+        assert f"error: MalformedLog: {log}:1: " in err
         assert "Traceback" not in err
 
     def test_negative_bootstrap_metadata_is_not_read(self, tmp_path,
@@ -458,6 +485,43 @@ class TestResubmitComposition:
         assert "nothing to resubmit" in capsys.readouterr().out
         assert not (tmp_path / "plan.json").exists()
 
+
+    @pytest.mark.parametrize("allocation", [0, None], ids=["zero", "absent"])
+    def test_log_allocation_below_one_is_malformed_log(
+        self, tmp_path, small_platform_file, capsys, allocation
+    ):
+        # the allocation is read from the log, not a flag: exit 1, as report
+        wf = tmp_path / "wf.json"
+        log = tmp_path / "run.jsonl"
+        plan = tmp_path / "plan.json"
+        run_cli("example", "--example", "exaconstit", "--tasks", "6",
+                "--no-optimizer", "--out", str(wf))
+        assert run_cli(
+            "simulate", "--workflow", str(wf),
+            "--platform", str(small_platform_file),
+            "--nodes", "8", "--walltime", "20000",
+            "--runtime", "fixed:500", "--fail-node", "2@600",
+            "--out", str(log),
+        ) == 1
+        lines = log.read_text().splitlines()
+        rec = json.loads(lines[0])
+        meta = json.loads(rec["detail"])
+        if allocation is None:
+            del meta["allocation_nodes"]
+        else:
+            meta["allocation_nodes"] = allocation
+        rec["detail"] = json.dumps(meta)
+        log.write_text("\n".join([json.dumps(rec)] + lines[1:]) + "\n")
+        capsys.readouterr()
+        for argv in (("report", "--log", str(log)),
+                     ("resubmit", "--log", str(log), "--workflow", str(wf),
+                      "--platform", str(small_platform_file),
+                      "--out", str(plan))):
+            assert run_cli(*argv) == 1
+            err = capsys.readouterr().err
+            assert "error: MalformedLog:" in err
+            assert "Traceback" not in err
+        assert not plan.exists()
 
     def test_plan_that_cannot_fit_the_profile_is_config_error(self, tmp_path,
                                                               capsys):

@@ -1,4 +1,8 @@
+import csv
+import dataclasses
+import json
 import random
+import re
 
 import pytest
 
@@ -15,9 +19,6 @@ from ensemblekit.metrics import (
     compute_utilization,
     concurrency_series,
     export,
-    load_rates,
-    load_series,
-    load_utilization,
     throughput,
 )
 from ensemblekit.platform import NodeSpec
@@ -31,6 +32,11 @@ from conftest import (
 )
 
 TEST_NODE = NodeSpec(cores_total=8, cores_reserved=0, gpus=2)
+
+
+def write_jsonl(path, events):
+    path.write_text("".join(json.dumps(e.to_record()) + "\n" for e in events))
+    return path
 
 
 def simple_task_events():
@@ -126,26 +132,43 @@ class TestConcurrencySeries:
                 assert point.n_scheduled_pending_launch >= 0
                 assert point.n_running >= 0
 
-    def test_malformed_launch_without_schedule(self):
-        log = EventLog()
-        log.append(Event(ts=0.0, kind=ev.JOB_START))
-        log.append(Event(ts=0.0, kind=ev.BOOTSTRAP_DONE))
-        log.append(Event(ts=1.0, kind=ev.TASK_LAUNCHED, task_uid="x"))
-        with pytest.raises(MalformedLog):
-            concurrency_series(log)
+    # an illegal lifecycle is rejected where the event enters the log, so
+    # no reader ever sees it; through load_jsonl the message names the line
 
-    def test_malformed_event_after_terminal(self):
+    def test_malformed_launch_without_schedule(self, tmp_path):
+        events = [
+            Event(ts=0.0, kind=ev.JOB_START),
+            Event(ts=0.0, kind=ev.BOOTSTRAP_DONE),
+            Event(ts=1.0, kind=ev.TASK_LAUNCHED, task_uid="x"),
+        ]
         log = EventLog()
-        log.append(Event(ts=0.0, kind=ev.JOB_START))
-        log.append(
-            Event(ts=1.0, kind=ev.TASK_SCHEDULED, task_uid="x",
-                  node_ids=(0,), detail=scheduled_detail(1, 0, [1]))
-        )
-        log.append(Event(ts=2.0, kind=ev.TASK_LAUNCHED, task_uid="x"))
-        log.append(Event(ts=3.0, kind=ev.TASK_DONE, task_uid="x"))
-        log.append(Event(ts=4.0, kind=ev.TASK_DONE, task_uid="x"))
+        for event in events[:-1]:
+            log.append(event)
         with pytest.raises(MalformedLog):
-            concurrency_series(log)
+            log.append(events[-1])
+        assert len(log) == 2
+        path = write_jsonl(tmp_path / "bad.jsonl", events)
+        with pytest.raises(MalformedLog, match=re.escape(f"{path}:3: ")):
+            EventLog.load_jsonl(path)
+
+    def test_malformed_event_after_terminal(self, tmp_path):
+        events = [
+            Event(ts=0.0, kind=ev.JOB_START),
+            Event(ts=1.0, kind=ev.TASK_SCHEDULED, task_uid="x",
+                  node_ids=(0,), detail=scheduled_detail(1, 0, [1])),
+            Event(ts=2.0, kind=ev.TASK_LAUNCHED, task_uid="x"),
+            Event(ts=3.0, kind=ev.TASK_DONE, task_uid="x"),
+            Event(ts=4.0, kind=ev.TASK_DONE, task_uid="x"),
+        ]
+        log = EventLog()
+        for event in events[:-1]:
+            log.append(event)
+        with pytest.raises(MalformedLog):
+            log.append(events[-1])
+        assert len(log) == 4
+        path = write_jsonl(tmp_path / "bad.jsonl", events)
+        with pytest.raises(MalformedLog, match=re.escape(f"{path}:5: ")):
+            EventLog.load_jsonl(path)
 
 
 class TestThroughput:
@@ -155,14 +178,14 @@ class TestThroughput:
             for i in range(11)
         ]
         log = build_log(events, end_ts=3.0)
-        rates = throughput(log)
+        rates = throughput(log, concurrency_series(log))
         assert rates.scheduling_rate_tasks_per_s == pytest.approx(100.0)
 
     def test_single_scheduled_insufficient(self):
         events = [("t", [0], [1], 1, 0, 1.0, 1.0, 2.0, ev.TASK_DONE)]
         log = build_log(events, end_ts=2.0)
         with pytest.raises(InsufficientData):
-            throughput(log)
+            throughput(log, concurrency_series(log))
 
     def test_launch_rate_cap_recovered(self, frontier):
         wf = single_stage(
@@ -173,7 +196,7 @@ class TestThroughput:
             RuntimeModel(default=DurationSpec.uniform(600.0, 1244.0), seed=4),
             launch_rate_cap=51.0,
         )
-        rates = throughput(log)
+        rates = throughput(log, concurrency_series(log))
         assert rates.launching_rate_tasks_per_s == pytest.approx(51.0, rel=0.05)
 
     def test_bulk_schedule_has_undefined_rate(self):
@@ -183,28 +206,58 @@ class TestThroughput:
             for i in range(4)
         ]
         log = build_log(events, end_ts=50.0)
-        rates = throughput(log)
+        rates = throughput(log, concurrency_series(log))
         assert rates.scheduling_rate_tasks_per_s is None
         assert rates.launching_rate_tasks_per_s is not None
 
 
+def csv_rows(path):
+    with open(path, newline="") as f:
+        return list(csv.reader(f))
+
+
 class TestExport:
+    # each export holds every field of its object: floats as repr in CSV,
+    # exactly in JSON
+
     def test_stack_round_trips(self, tmp_path):
         log = build_log(simple_task_events(), end_ts=100.0, allocation_nodes=2)
         stack = compute_utilization(log, TEST_NODE, 2)
-        for fmt in ("csv", "json"):
-            path = tmp_path / f"stack.{fmt}"
-            export(stack, fmt, path)
-            assert load_utilization(path, fmt) == stack
+        units = ("nodes", "cores", "gpus")
+        fields = ["capacity_s", "ovh_s", "busy_s", "idle_s",
+                  "utilization_fraction"]
+        export(stack, "csv", tmp_path / "stack.csv")
+        assert csv_rows(tmp_path / "stack.csv") == [["unit"] + fields] + [
+            [unit] + [repr(getattr(getattr(stack, unit), f)) for f in fields]
+            for unit in units
+        ]
+        export(stack, "json", tmp_path / "stack.json")
+        assert json.loads((tmp_path / "stack.json").read_text()) == {
+            unit: {f: getattr(getattr(stack, unit), f) for f in fields}
+            for unit in units
+        }
 
     def test_series_round_trips(self, tmp_path):
         rng = random.Random(2)
         log, *_ = random_complete_log(rng)
         series = concurrency_series(log)
-        for fmt in ("csv", "json"):
-            path = tmp_path / f"series.{fmt}"
-            export(series, fmt, path)
-            assert load_series(path, fmt) == series
+        assert series.points
+        export(series, "csv", tmp_path / "series.csv")
+        assert csv_rows(tmp_path / "series.csv") == [
+            ["ts", "n_scheduled_pending_launch", "n_running"]
+        ] + [
+            [repr(p.ts), str(p.n_scheduled_pending_launch), str(p.n_running)]
+            for p in series.points
+        ]
+        export(series, "json", tmp_path / "series.json")
+        assert json.loads((tmp_path / "series.json").read_text()) == {
+            "points": [
+                {"ts": p.ts,
+                 "n_scheduled_pending_launch": p.n_scheduled_pending_launch,
+                 "n_running": p.n_running}
+                for p in series.points
+            ]
+        }
 
     def test_rates_round_trip_with_none(self, tmp_path):
         events = [
@@ -212,11 +265,18 @@ class TestExport:
             for i in range(4)
         ]
         log = build_log(events, end_ts=50.0)
-        rates = throughput(log)
-        for fmt in ("csv", "json"):
-            path = tmp_path / f"rates.{fmt}"
-            export(rates, fmt, path)
-            assert load_rates(path, fmt) == rates
+        rates = throughput(log, concurrency_series(log))
+        assert rates.scheduling_rate_tasks_per_s is None
+        fields = [f.name for f in dataclasses.fields(rates)]
+        export(rates, "csv", tmp_path / "rates.csv")
+        assert csv_rows(tmp_path / "rates.csv") == [["field", "value"]] + [
+            [f, "" if getattr(rates, f) is None else repr(getattr(rates, f))]
+            for f in fields
+        ]
+        export(rates, "json", tmp_path / "rates.json")
+        assert json.loads((tmp_path / "rates.json").read_text()) == {
+            f: getattr(rates, f) for f in fields
+        }
 
     def test_empty_series_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
