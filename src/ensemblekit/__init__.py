@@ -3,10 +3,12 @@
 The package splits along the life of a batch job: ``pst`` holds the workflow
 model, lifecycle rules and the stage progression of a job (``JobRun``),
 ``platform`` the machine shape and walltime policy, ``scheduler`` the
-slot-table placement, ``engine``/``local`` the two execution backends (both
-progress through ``JobRun`` and place through ``scheduler``), ``resilience``
-the failure-resubmission protocol, and ``metrics`` the
-utilization/concurrency/throughput accounting over event logs.
+slot-table placement and the ``Pilot`` that keeps one job's tasks, slots and
+event log, ``engine``/``local`` the two execution backends (each drives a
+``Pilot`` and adds only how tasks start and end), ``resilience`` the
+failure-resubmission protocol over a caller's attempt runner, and
+``metrics`` the utilization/concurrency/throughput accounting over event
+logs.
 """
 
 from ensemblekit.engine import (
@@ -42,7 +44,6 @@ from ensemblekit.pst import (
     validate_workflow,
 )
 from ensemblekit.resilience import (
-    EngineConfig,
     FailureRecord,
     ResubmissionPlan,
     collect_failures,
@@ -61,7 +62,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DurationSpec",
-    "EngineConfig",
     "Event",
     "EventLog",
     "FailureModel",

@@ -13,7 +13,6 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from ensemblekit import events as ev
 from ensemblekit import metrics
 from ensemblekit.errors import (
     ConfigError,
@@ -34,6 +33,7 @@ from ensemblekit.engine import (
     NodeFault,
     RuntimeModel,
     TaskFault,
+    run_simulated,
 )
 from ensemblekit.events import EventLog
 from ensemblekit.local import run_local
@@ -46,7 +46,6 @@ from ensemblekit.platform import (
 )
 from ensemblekit.pst import WorkflowSpec, validate_workflow
 from ensemblekit.resilience import (
-    EngineConfig,
     collect_failures,
     plan_resubmission,
     retry_loop,
@@ -158,22 +157,25 @@ def _attempt_path(base: Path, attempt: int) -> Path:
     return base.with_name(f"{base.stem}.attempt{attempt}{base.suffix}")
 
 
-def _summarize(log: EventLog, node: NodeSpec, nodes: int) -> str:
-    counts = {"done": 0, "failed": 0, "canceled": 0}
-    for event in log:
-        if event.kind == ev.TASK_DONE:
-            counts["done"] += 1
-        elif event.kind == ev.TASK_FAILED:
-            counts["failed"] += 1
-        elif event.kind == ev.TASK_CANCELED:
-            counts["canceled"] += 1
-    makespan = log.job_end_ts()
-    stack = metrics.compute_utilization(log, node, nodes)
+def _summarize(log: EventLog, node: NodeSpec) -> str:
+    """One attempt's JOB_END tally (its last event's detail, ``done=…
+    failed=… canceled=…``), makespan and utilization of the nodes its run
+    metadata records, which for a retry are fewer than attempt 1's."""
+    stack = metrics.compute_utilization(log, node, _allocation_nodes(log))
     return (
-        f"done={counts['done']} failed={counts['failed']} "
-        f"canceled={counts['canceled']} makespan={makespan:.1f}s "
+        f"{log[-1].detail} makespan={log.job_end_ts():.1f}s "
         f"node_utilization={stack.nodes.utilization_fraction:.3f}"
     )
+
+
+def _unresolved_exit(unresolved) -> int:
+    if unresolved:
+        print(
+            "unresolved failures: "
+            + " ".join(sorted(r.uid for r in unresolved))
+        )
+        return 1
+    return 0
 
 
 def cmd_simulate(args) -> int:
@@ -192,28 +194,30 @@ def cmd_simulate(args) -> int:
         node_faults=tuple(_parse_fail_node(t) for t in args.fail_node),
         task_faults=tuple(_parse_fail_task(t) for t in args.fail_task),
     )
-    cfg = EngineConfig(
-        allocation_nodes=nodes,
-        walltime_s=walltime,
-        runtime_model=runtime_model,
-        failure_models=(failure_model,),
-        launch_delay_s=args.launch_delay,
-        launch_rate_cap=args.launch_rate_cap,
-        retry_canceled=args.retry_canceled,
+
+    def run_attempt(specs, attempt, nodes, walltime_s):
+        # injected faults hit attempt 1 only; retries run clean
+        return run_simulated(
+            specs,
+            platform,
+            nodes,
+            walltime_s,
+            runtime_model,
+            failure_model if attempt == 1 else None,
+            launch_delay_s=args.launch_delay,
+            launch_rate_cap=args.launch_rate_cap,
+        )
+
+    logs, unresolved = retry_loop(
+        spec, platform, run_attempt, nodes, walltime, args.max_attempts,
+        args.retry_canceled,
     )
-    logs, unresolved = retry_loop(spec, platform, cfg, args.max_attempts)
     out = Path(args.out)
     for i, log in enumerate(logs, start=1):
         path = _attempt_path(out, i)
         log.save_jsonl(path)
-        print(f"attempt {i}: {path} {_summarize(log, platform.node, nodes)}")
-    if unresolved:
-        print(
-            "unresolved failures: "
-            + " ".join(sorted(r.uid for r in unresolved))
-        )
-        return 1
-    return 0
+        print(f"attempt {i}: {path} {_summarize(log, platform.node)}")
+    return _unresolved_exit(unresolved)
 
 
 def cmd_run(args) -> int:
@@ -229,26 +233,14 @@ def cmd_run(args) -> int:
         log.save_jsonl(attempt_dir / "events.jsonl")
         return log
 
-    cfg = EngineConfig(
-        allocation_nodes=1,
-        walltime_s=86400.0,
-        runtime_model=RuntimeModel(default=DurationSpec.expected()),
-        retry_canceled=args.retry_canceled,
-    )
+    # one node and no walltime: the local backend runs on this machine
     logs, unresolved = retry_loop(
-        spec, platform, cfg, args.max_attempts, run_attempt=run_attempt
+        spec, platform, run_attempt, 1, None, args.max_attempts,
+        args.retry_canceled,
     )
     for i, log in enumerate(logs, start=1):
-        done = sum(1 for e in log if e.kind == ev.TASK_DONE)
-        failed = sum(1 for e in log if e.kind == ev.TASK_FAILED)
-        print(f"attempt {i}: done={done} failed={failed}")
-    if unresolved:
-        print(
-            "unresolved failures: "
-            + " ".join(sorted(r.uid for r in unresolved))
-        )
-        return 1
-    return 0
+        print(f"attempt {i}: {_summarize(log, platform.node)}")
+    return _unresolved_exit(unresolved)
 
 
 def _existing_log(path: str) -> Path:

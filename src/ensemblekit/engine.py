@@ -1,9 +1,10 @@
 """Discrete-event simulator for one allocation ("batch job").
 
-Drives the eligible tasks of a ``pst.JobRun`` through schedule, launch and
-completion against a slot table, emitting the append-only event log.
-Strictly single-threaded and deterministic: identical inputs and seeds yield
-byte-identical logs.
+Drives one job's :class:`~ensemblekit.scheduler.Pilot` through schedule,
+launch and completion in simulated time: the pilot keeps the tasks, slots
+and append-only event log, and this module decides when each task launches
+and how it ends, one heap event per :func:`step`. Strictly single-threaded
+and deterministic: identical inputs and seeds yield byte-identical logs.
 
 Fault injection: a persistent node fault kills the task running on the node
 at fault time and every task launched onto it afterwards; the scheduler keeps
@@ -17,31 +18,17 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import json
 import math
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from ensemblekit import events as ev
 from ensemblekit.errors import ConfigError, PolicyViolation
-from ensemblekit.events import Event, EventLog
+from ensemblekit.events import EventLog
 from ensemblekit.platform import PlatformConfig, max_walltime_for
-from ensemblekit.pst import (
-    JobRun,
-    TaskDescription,
-    TaskRun,
-    TaskState,
-    WorkflowSpec,
-    transition_task,
-)
-from ensemblekit.scheduler import (
-    SlotTable,
-    release,
-    schedule_head,
-    task_footprints,
-)
+from ensemblekit.pst import TaskDescription, TaskState, WorkflowSpec
+from ensemblekit.scheduler import Pilot
 
 
 @dataclass(frozen=True)
@@ -79,24 +66,17 @@ class DurationSpec:
 
 @dataclass(frozen=True)
 class RuntimeModel:
-    """Duration distribution per stage with a default, plus the seed.
+    """One duration distribution for every task, plus the seed.
 
     Draws are keyed by (seed, task uid) so a task's duration does not depend
     on scheduling order.
     """
 
     default: DurationSpec = field(default_factory=DurationSpec.expected)
-    per_stage: tuple[tuple[str, DurationSpec], ...] = ()
     seed: int = 0
 
-    def spec_for(self, desc: TaskDescription) -> DurationSpec:
-        for stage_name, spec in self.per_stage:
-            if stage_name == desc.stage_name:
-                return spec
-        return self.default
-
     def duration_for(self, desc: TaskDescription) -> float:
-        spec = self.spec_for(desc)
+        spec = self.default
         if spec.kind == "fixed":
             return spec.lo_s
         if spec.kind == "uniform":
@@ -105,7 +85,7 @@ class RuntimeModel:
         if desc.expected_runtime_s is None:
             raise ConfigError(
                 f"task {desc.uid} has no expected_runtime_s and the runtime "
-                f"model for its stage is 'expected'"
+                f"model is 'expected'"
             )
         return desc.expected_runtime_s
 
@@ -131,7 +111,6 @@ class TaskFault:
 class FailureModel:
     node_faults: tuple[NodeFault, ...] = ()
     task_faults: tuple[TaskFault, ...] = ()
-    seed: int = 0
 
     @classmethod
     def persistent_node(cls, node_id: int, at_ts: float) -> "FailureModel":
@@ -157,7 +136,9 @@ _PRIO_WALLTIME = 4
 
 class SimState:
     """Mutable state of a running simulation; advanced one event at a time
-    by :func:`step`."""
+    by :func:`step`. The job's tasks, slots and log live in its
+    :class:`Pilot`; the state adds the pending-event heap, the runtime and
+    fault models and launch timing."""
 
     def __init__(
         self,
@@ -170,48 +151,33 @@ class SimState:
         launch_delay_s: float = 0.0,
         launch_rate_cap: Optional[float] = None,
     ):
-        self.platform = platform
-        self.allocation_nodes = allocation_nodes
-        self.walltime_s = walltime_s
+        self.pilot = Pilot(
+            specs,
+            platform,
+            allocation_nodes,
+            backend="sim",
+            bootstrap_s=platform.bootstrap_overhead_s,
+            walltime_s=walltime_s,
+        )
+        self.log = self.pilot.log
         self.runtime_model = runtime_model
-        self.failure_model = failure_model or FailureModel()
+        failure_model = failure_model or FailureModel()
+        self.task_faults: dict[str, float] = {
+            f.uid: f.at_fraction for f in failure_model.task_faults
+        }
+        self.persistent_failed: set[int] = set()
         self.launch_delay_s = launch_delay_s
         self.launch_rate_cap = launch_rate_cap
-
-        self.table = SlotTable(platform.node, allocation_nodes)
-        self.job = JobRun(specs)
-        self.footprints = task_footprints(
-            self.table, (run.desc for run in self.job.runs.values())
-        )
-        self.task_faults: dict[str, float] = {
-            f.uid: f.at_fraction for f in self.failure_model.task_faults
-        }
-        self.queue: deque[TaskRun] = deque()
-        self.persistent_failed: set[int] = set()
         self.next_launch_ts = 0.0
         self.now = 0.0
         self.ended = False
-        self.log = EventLog()
         self._seq = itertools.count()
         self.heap: list[tuple[float, int, str, int, str, object]] = []
 
-        meta = {
-            "backend": "sim",
-            "platform": platform.name,
-            "allocation_nodes": allocation_nodes,
-            "cores_total": platform.node.cores_total,
-            "cores_reserved": platform.node.cores_reserved,
-            "gpus_per_node": platform.node.gpus,
-            "bootstrap_s": platform.bootstrap_overhead_s,
-            "walltime_s": walltime_s,
-        }
-        self.log.append(
-            Event(ts=0.0, kind=ev.JOB_START, detail=json.dumps(meta))
-        )
         self._push(
             platform.bootstrap_overhead_s, _PRIO_BOOTSTRAP, "", "bootstrap", None
         )
-        for fault in self.failure_model.node_faults:
+        for fault in failure_model.node_faults:
             if not 0 <= fault.node_id < allocation_nodes:
                 raise ConfigError(
                     f"fault node {fault.node_id} outside allocation"
@@ -229,55 +195,35 @@ class SimState:
     def _push(self, ts: float, prio: int, key: str, action: str, data) -> None:
         heapq.heappush(self.heap, (ts, prio, key, next(self._seq), action, data))
 
-    def _emit(self, ts, kind, uid=None, node_ids=None, detail="") -> None:
-        self.log.append(
-            Event(ts=ts, kind=kind, task_uid=uid, node_ids=node_ids, detail=detail)
-        )
-
     def _drain(self, ts: float) -> None:
         """FIFO placement pass: schedule queue-head tasks while they fit."""
-        while self.queue:
-            run = schedule_head(
-                self.table, self.footprints, self.queue, self.log, ts
-            )
-            if run is None:
-                return
+        while (run := self.pilot.place(ts)) is not None:
             launch_ts = ts + self.launch_delay_s
             if self.launch_rate_cap is not None:
                 launch_ts = max(launch_ts, self.next_launch_ts)
                 self.next_launch_ts = launch_ts + 1.0 / self.launch_rate_cap
             self._push(launch_ts, _PRIO_LAUNCH, run.desc.uid, "launch", None)
 
-    def _finish(self, ts: float, uid: str, kind: str, detail: str) -> None:
-        """Apply a terminal event: state, log, slot release, stage advance."""
-        opened = self.job.finish(uid, ev.STATE_OF_KIND[kind], ts)
-        self._emit(ts, kind, uid, self.job.runs[uid].node_ids or None, detail)
-        placement = self.table.placement_of(uid)
-        if placement is not None:
-            release(self.table, placement)
-        self.queue.extend(opened)
-
     def _running_holders(self, node_id: int) -> list[str]:
         # sorted: set order of strings depends on PYTHONHASHSEED
+        runs = self.pilot.job.runs
         return sorted(
             uid
-            for uid in self.table.holders[node_id]
-            if self.job.runs[uid].state is TaskState.RUNNING
+            for uid in self.pilot.table.holders[node_id]
+            if runs[uid].state is TaskState.RUNNING
         )
 
     # -- handlers -----------------------------------------------------------
 
     def _handle_bootstrap(self, ts: float) -> None:
-        self._emit(ts, ev.BOOTSTRAP_DONE)
-        self.queue.extend(self.job.first_stages())
+        self.pilot.boot(ts)
         self._drain(ts)
 
     def _handle_launch(self, ts: float, uid: str) -> None:
-        run = self.job.runs[uid]
+        run = self.pilot.job.runs[uid]
         if run.state is not TaskState.SCHEDULED:
             return  # stale: task was canceled or failed before launching
-        transition_task(run, TaskState.RUNNING, ts)
-        self._emit(ts, ev.TASK_LAUNCHED, uid, run.node_ids)
+        self.pilot.launch(run, ts)
         duration = self.runtime_model.duration_for(run.desc)
         bad = sorted(set(run.node_ids) & self.persistent_failed)
         if bad:
@@ -298,13 +244,13 @@ class SimState:
     ) -> None:
         # a task runs once per job, so an end whose task is no longer
         # RUNNING is stale: a node fault or the walltime finished it first
-        if self.job.runs[uid].state is not TaskState.RUNNING:
+        if self.pilot.job.runs[uid].state is not TaskState.RUNNING:
             return
-        self._finish(ts, uid, kind, detail)
+        self.pilot.finish(uid, kind, ts, detail)
         self._drain(ts)
 
     def _handle_node_fault(self, ts: float, fault: NodeFault) -> None:
-        self._emit(
+        self.pilot.emit(
             ts,
             ev.NODE_FAILED,
             node_ids=(fault.node_id,),
@@ -313,20 +259,20 @@ class SimState:
         if fault.persistent:
             self.persistent_failed.add(fault.node_id)
         for uid in self._running_holders(fault.node_id):
-            self._finish(
-                ts, uid, ev.TASK_FAILED, f"node_failure node={fault.node_id}"
+            self.pilot.finish(
+                uid, ev.TASK_FAILED, ts, f"node_failure node={fault.node_id}"
             )
         self._drain(ts)
 
     def _handle_walltime(self, ts: float) -> None:
-        for uid, run in self.job.runs.items():
+        for uid, run in self.pilot.job.runs.items():
             if not run.state.terminal:
-                self._finish(ts, uid, ev.TASK_CANCELED, "walltime")
-        self.queue.clear()
+                self.pilot.finish(uid, ev.TASK_CANCELED, ts, "walltime")
+        self.pilot.queue.clear()
         self._end(ts)
 
     def _end(self, ts: float) -> None:
-        self._emit(ts, ev.JOB_END, detail=self.job.tally)
+        self.pilot.end(ts)
         self.ended = True
 
 
@@ -351,9 +297,9 @@ def step(state: SimState) -> SimState:
     elif action == "launch":
         state._handle_launch(ts, key)
     elif action == "walltime":
-        if not state.job.all_terminal:
+        if not state.pilot.job.all_terminal:
             state._handle_walltime(ts)
-    if not state.ended and state.job.all_terminal:
+    if not state.ended and state.pilot.job.all_terminal:
         # everything terminal (or nothing to run): the job is over
         state._end(ts)
     return state
@@ -414,7 +360,7 @@ def run_simulated(
         launch_rate_cap=launch_rate_cap,
     )
     guard = 0
-    limit_steps = 200 * max(len(state.job.runs), 1) + 10_000
+    limit_steps = 200 * max(len(state.pilot.job.runs), 1) + 10_000
     while not state.ended and state.heap:
         step(state)
         guard += 1

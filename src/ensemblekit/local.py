@@ -1,41 +1,28 @@
 """Local process backend: runs tasks as real subprocesses at desk scale.
 
-Progresses stages through the same ``pst.JobRun`` as the simulator and places
-tasks through the same slot table, on one node shaped like the platform's,
-with ``max_parallel`` as an extra cap on running tasks. Each task's pre_exec
-lines and executable run under one shell, with stdout/stderr captured per
-task under the output directory. Emits the same event-log schema as the
-simulator, with wall-clock timestamps relative to job start.
+Runs a job through the same :class:`~ensemblekit.scheduler.Pilot` as the
+simulator, on one node shaped like the platform's, with ``max_parallel`` as
+an extra cap on running tasks; this module only spawns tasks, polls them and
+reaps them. Each task's pre_exec lines and executable run under one shell,
+with stdout/stderr captured per task under the output directory. Emits the
+same event-log schema as the simulator, with wall-clock timestamps relative
+to job start.
 """
 
 from __future__ import annotations
 
-import json
 import shlex
 import subprocess
 import time
-from collections import deque
 from pathlib import Path
 from typing import Sequence
 
 from ensemblekit import events as ev
 from ensemblekit.errors import ConfigError
-from ensemblekit.events import Event, EventLog
+from ensemblekit.events import EventLog
 from ensemblekit.platform import PlatformConfig
-from ensemblekit.pst import (
-    JobRun,
-    TaskDescription,
-    TaskRun,
-    TaskState,
-    WorkflowSpec,
-    transition_task,
-)
-from ensemblekit.scheduler import (
-    SlotTable,
-    release,
-    schedule_head,
-    task_footprints,
-)
+from ensemblekit.pst import TaskDescription, TaskRun, WorkflowSpec
+from ensemblekit.scheduler import Pilot
 
 _POLL_INTERVAL_S = 0.005
 
@@ -65,9 +52,7 @@ def run_local(
         specs = [specs]
     if max_parallel < 1:
         raise ConfigError("max_parallel must be >= 1")
-    job = JobRun(specs)
-    table = SlotTable(platform.node, 1)
-    footprints = task_footprints(table, (r.desc for r in job.runs.values()))
+    pilot = Pilot(specs, platform, 1, backend="local", max_parallel=max_parallel)
 
     out_dir = Path(out_dir)
     log_dir = out_dir / "task-logs"
@@ -76,23 +61,8 @@ def run_local(
     t0 = time.monotonic()
     now = lambda: time.monotonic() - t0
 
-    log = EventLog()
-    meta = {
-        "backend": "local",
-        "platform": platform.name,
-        "allocation_nodes": 1,
-        "cores_total": platform.node.cores_total,
-        "cores_reserved": platform.node.cores_reserved,
-        "gpus_per_node": platform.node.gpus,
-        "bootstrap_s": 0.0,
-        "walltime_s": None,
-        "max_parallel": max_parallel,
-    }
-    log.append(Event(ts=0.0, kind=ev.JOB_START, detail=json.dumps(meta)))
-    log.append(Event(ts=now(), kind=ev.BOOTSTRAP_DONE))
-
-    queue: deque[TaskRun] = deque(job.first_stages())
-    running: dict[str, tuple[TaskRun, subprocess.Popen, object, object]] = {}
+    pilot.boot(now())
+    running: dict[str, tuple[subprocess.Popen, object, object]] = {}
 
     def spawn(run: TaskRun) -> None:
         desc = run.desc
@@ -108,51 +78,32 @@ def run_local(
         except OSError as e:
             stdout.close()
             stderr.close()
-            launched(run)
-            finish(run, ev.TASK_FAILED, f"spawn_error: {e}")
+            pilot.launch(run, now())
+            pilot.finish(desc.uid, ev.TASK_FAILED, now(), f"spawn_error: {e}")
             return
-        launched(run)
-        running[desc.uid] = (run, proc, stdout, stderr)
+        pilot.launch(run, now())
+        running[desc.uid] = (proc, stdout, stderr)
 
-    def launched(run: TaskRun) -> None:
-        ts = now()
-        transition_task(run, TaskState.RUNNING, ts)
-        log.append(
-            Event(ts=ts, kind=ev.TASK_LAUNCHED, task_uid=run.desc.uid,
-                  node_ids=run.node_ids)
-        )
-
-    def finish(run: TaskRun, kind: str, detail: str) -> None:
-        uid = run.desc.uid
-        ts = now()
-        queue.extend(job.finish(uid, ev.STATE_OF_KIND[kind], ts))
-        release(table, table.placement_of(uid))
-        log.append(
-            Event(ts=ts, kind=kind, task_uid=uid, node_ids=run.node_ids,
-                  detail=detail)
-        )
-
-    while queue or running:
-        while queue and len(running) < max_parallel:
-            run = schedule_head(table, footprints, queue, log, now())
-            if run is None:
-                break
+    while pilot.queue or running:
+        while len(running) < max_parallel and (
+            (run := pilot.place(now())) is not None
+        ):
             spawn(run)
         finished = [
-            uid for uid, (_, proc, _, _) in running.items()
+            uid for uid, (proc, _, _) in running.items()
             if proc.poll() is not None
         ]
         for uid in finished:
-            run, proc, stdout, stderr = running.pop(uid)
+            proc, stdout, stderr = running.pop(uid)
             stdout.close()
             stderr.close()
             rc = proc.returncode
             if rc == 0:
-                finish(run, ev.TASK_DONE, "")
+                pilot.finish(uid, ev.TASK_DONE, now())
             else:
-                finish(run, ev.TASK_FAILED, f"exit_code={rc}")
+                pilot.finish(uid, ev.TASK_FAILED, now(), f"exit_code={rc}")
         if not finished and running:
             time.sleep(_POLL_INTERVAL_S)
 
-    log.append(Event(ts=now(), kind=ev.JOB_END, detail=job.tally))
-    return log
+    pilot.end(now())
+    return pilot.log

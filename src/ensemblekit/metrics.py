@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
 from ensemblekit import events as ev
-from ensemblekit.errors import EnsembleKitError, InsufficientData
+from ensemblekit.errors import EnsembleKitError, InsufficientData, MalformedLog
 from ensemblekit.events import EventLog, scheduled_slots
 from ensemblekit.platform import NodeSpec, usable_cores
 
@@ -112,7 +113,8 @@ def compute_utilization(
     Node-busy counts each node's time covered by at least one holder (the
     interval union, which equals nodes-held times duration whenever tasks do
     not share nodes). Core/GPU busy counts the reserved slot-seconds between
-    launch and terminal.
+    launch and terminal. Raises MalformedLog when an accounted value leaves
+    the float range.
     """
     end_ts = log.job_end_ts()
     boot_ts = log.bootstrap_ts()
@@ -148,6 +150,11 @@ def compute_utilization(
         capacity = allocation_nodes * per_node * end_ts
         ovh = allocation_nodes * per_node * boot_ts
         idle = capacity - ovh - busy
+        if not all(map(math.isfinite, (capacity, ovh, busy, idle))):
+            raise MalformedLog(
+                f"accounting leaves the float range: capacity {capacity}, "
+                f"ovh {ovh}, busy {busy}, idle {idle}"
+            )
         fraction = busy / capacity if capacity > 0 else 0.0
         return UnitUsage(
             capacity_s=capacity,

@@ -4,7 +4,8 @@ Failed tasks harvested from a job's event log are regrouped by their original
 stage, in original stage order, into a fresh workflow with a right-sized
 allocation request: enough nodes for full concurrency of the widest failed
 stage, never more than the original job used. Retries run as fresh jobs on a
-fresh allocation.
+fresh allocation, through an attempt runner the caller passes to
+:func:`retry_loop`, so one protocol serves both backends.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from ensemblekit.errors import (
     MalformedLog,
 )
 from ensemblekit.events import EventLog
-from ensemblekit.engine import FailureModel, RuntimeModel, run_simulated
 from ensemblekit.platform import PlatformConfig, max_walltime_for, task_footprint
 from ensemblekit.pst import Stage, WorkflowSpec
 
@@ -143,87 +143,55 @@ def plan_resubmission(
     )
 
 
-@dataclass
-class EngineConfig:
-    """Everything retry_loop needs to run one attempt of a simulated job.
-
-    ``failure_models[k-1]`` applies to attempt k; later attempts run clean.
-    Every attempt runs as a fresh job: nothing of an earlier attempt's
-    allocation carries over.
-    """
-
-    allocation_nodes: int
-    walltime_s: float
-    runtime_model: RuntimeModel
-    failure_models: tuple[Optional[FailureModel], ...] = ()
-    launch_delay_s: float = 0.0
-    launch_rate_cap: Optional[float] = None
-    retry_canceled: bool = False
-
-    def failure_model_for(self, attempt: int) -> Optional[FailureModel]:
-        if 1 <= attempt <= len(self.failure_models):
-            return self.failure_models[attempt - 1]
-        return None
-
-
-RunAttempt = Callable[[Sequence[WorkflowSpec], int, int, float], EventLog]
+RunAttempt = Callable[
+    [Sequence[WorkflowSpec], int, int, Optional[float]], EventLog
+]
 
 
 def retry_loop(
     specs: Sequence[WorkflowSpec] | WorkflowSpec,
     platform: PlatformConfig,
-    engine_cfg: EngineConfig,
+    run_attempt: RunAttempt,
+    nodes: int,
+    walltime_s: Optional[float],
     max_attempts: int,
-    run_attempt: Optional[RunAttempt] = None,
+    retry_canceled: bool = False,
 ) -> tuple[list[EventLog], list[FailureRecord]]:
     """Run a job, then re-submit failures as fresh smaller jobs until clean
     or out of attempts. Returns all logs and whatever is still failed.
 
-    ``run_attempt(specs, attempt, nodes, walltime_s)`` can replace the
-    simulated backend (the CLI uses this for local execution).
+    ``run_attempt(specs, attempt, nodes, walltime_s)`` runs attempt
+    ``attempt`` (from 1) as a fresh job on its own backend and returns its
+    log. Attempt 1 gets ``nodes`` and ``walltime_s`` (None for a backend
+    without a walltime); a retry gets the nodes its plans need, never more
+    than ``nodes``, and the policy walltime for them.
     """
     if max_attempts < 1:
         raise ConfigError("max_attempts must be >= 1")
     if isinstance(specs, WorkflowSpec):
         specs = [specs]
 
-    def default_run(specs_, attempt, nodes, walltime_s):
-        return run_simulated(
-            specs_,
-            platform,
-            nodes,
-            walltime_s,
-            engine_cfg.runtime_model,
-            engine_cfg.failure_model_for(attempt),
-            launch_delay_s=engine_cfg.launch_delay_s,
-            launch_rate_cap=engine_cfg.launch_rate_cap,
-        )
-
-    runner = run_attempt or default_run
     logs: list[EventLog] = []
     current: list[WorkflowSpec] = list(specs)
-    nodes = engine_cfg.allocation_nodes
-    walltime_s = engine_cfg.walltime_s
+    allocation_nodes = nodes
     unresolved: list[FailureRecord] = []
 
     for attempt in range(1, max_attempts + 1):
-        log = runner(current, attempt, nodes, walltime_s)
+        log = run_attempt(current, attempt, nodes, walltime_s)
         logs.append(log)
         per_spec = [
-            (spec, collect_failures(log, spec, engine_cfg.retry_canceled))
+            (spec, collect_failures(log, spec, retry_canceled))
             for spec in current
         ]
         unresolved = [r for _, records in per_spec for r in records]
         if not unresolved or attempt == max_attempts:
             break
         plans = [
-            plan_resubmission(
-                records, spec, platform, engine_cfg.allocation_nodes
-            )
+            plan_resubmission(records, spec, platform, allocation_nodes)
             for spec, records in per_spec
             if records
         ]
         current = [p.workflow for p in plans]
-        nodes = min(engine_cfg.allocation_nodes, sum(p.nodes for p in plans))
+        nodes = min(allocation_nodes, sum(p.nodes for p in plans))
         walltime_s = max_walltime_for(platform.policy, nodes)
     return logs, unresolved

@@ -1,12 +1,14 @@
-"""Pilot-side placement: per-node free core/GPU slot tables.
+"""Pilot-side placement: per-node free core/GPU slot tables, and the
+:class:`Pilot` that keeps one job's tasks, slots and event log.
 
 Placement is strict FIFO with no backfill: the queue head blocks everything
 behind it. Nodes are chosen first-fit by ascending node id, each carrying a
 full chunk of ``procs_per_node`` ranks except possibly the last. Tasks may
 share a node when slots allow. All of it is deterministic: identical table
-and queue inputs yield identical placements. Both backends place through
-this module: :func:`task_footprints` rejects a job up front when a task
-could never fit, and :func:`schedule_head` places the head of the queue.
+and queue inputs yield identical placements. Both backends run a job
+through a :class:`Pilot`: :func:`task_footprints` rejects the job up front
+when a task could never fit, and :meth:`Pilot.place` places the head of the
+queue.
 
 Every node of the table stays eligible for the life of the job: a failed
 node is never taken out, so the pilot keeps placing work on it, which is
@@ -17,15 +19,28 @@ retried as a fresh job by :mod:`ensemblekit.resilience`.
 from __future__ import annotations
 
 import heapq
+import json
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from ensemblekit import events as ev
 from ensemblekit.errors import DoubleRelease, EnsembleKitError, Unplaceable
 from ensemblekit.events import Event, EventLog
-from ensemblekit.platform import NodeSpec, task_footprint, usable_cores
-from ensemblekit.pst import TaskDescription, TaskRun, TaskState, transition_task
+from ensemblekit.platform import (
+    NodeSpec,
+    PlatformConfig,
+    task_footprint,
+    usable_cores,
+)
+from ensemblekit.pst import (
+    JobRun,
+    TaskDescription,
+    TaskRun,
+    TaskState,
+    WorkflowSpec,
+    transition_task,
+)
 
 
 @dataclass(frozen=True)
@@ -107,40 +122,6 @@ def task_footprints(
     return out
 
 
-def schedule_head(
-    table: SlotTable,
-    footprints: dict[str, tuple[int, int]],
-    queue: deque[TaskRun],
-    log: EventLog,
-    ts: float,
-) -> Optional[TaskRun]:
-    """Place the queue's head task: pop it, mark it SCHEDULED on its nodes
-    and log TASK_SCHEDULED with the placed chunks. Returns None, leaving
-    queue and table unchanged, when the head does not fit now."""
-    run = queue[0]
-    desc = run.desc
-    placement = try_place(table, desc, footprints[desc.uid])
-    if placement is None:
-        return None
-    queue.popleft()
-    transition_task(run, TaskState.SCHEDULED, ts)
-    run.node_ids = placement.node_ids
-    log.append(
-        Event(
-            ts=ts,
-            kind=ev.TASK_SCHEDULED,
-            task_uid=desc.uid,
-            node_ids=placement.node_ids,
-            detail=ev.scheduled_detail(
-                desc.cpu_threads_per_process,
-                desc.gpus_per_process,
-                [procs for _, procs in placement.assignments],
-            ),
-        )
-    )
-    return run
-
-
 def try_place(
     table: SlotTable, desc: TaskDescription, footprint: tuple[int, int]
 ) -> Optional[Placement]:
@@ -203,3 +184,100 @@ def release(table: SlotTable, placement: Placement) -> None:
         table.free_gpus[node_id] += placement.gpus_on(procs)
         table.holders[node_id].remove(placement.task_uid)
         table._offer(node_id)
+
+
+class Pilot:
+    """The agent of one job: its tasks (a :class:`JobRun`), its slot table,
+    the FIFO queue of tasks eligible to place, and its event log.
+
+    Both backends drive a job only through these methods, which keep the
+    task states, the slots and the log in step; a backend adds only how
+    and when tasks start and end. JOB_START is logged at ts 0 on creation.
+    Its metadata lists the platform and allocation, then ``backend``,
+    ``bootstrap_s`` and ``walltime_s`` (given in ``meta``, or null, 0 and
+    null), then any further ``meta`` keys in the order given.
+    """
+
+    def __init__(
+        self,
+        specs: Sequence[WorkflowSpec],
+        platform: PlatformConfig,
+        nodes: int,
+        **meta,
+    ):
+        self.job = JobRun(specs)
+        self.table = SlotTable(platform.node, nodes)
+        self.footprints = task_footprints(
+            self.table, (run.desc for run in self.job.runs.values())
+        )
+        self.queue: deque[TaskRun] = deque()
+        self.log = EventLog()
+        start = {
+            "backend": None,
+            "platform": platform.name,
+            "allocation_nodes": nodes,
+            "cores_total": platform.node.cores_total,
+            "cores_reserved": platform.node.cores_reserved,
+            "gpus_per_node": platform.node.gpus,
+            "bootstrap_s": 0.0,
+            "walltime_s": None,
+        }
+        start.update(meta)  # a key already above keeps its place
+        self.emit(0.0, ev.JOB_START, detail=json.dumps(start))
+
+    def emit(self, ts, kind, uid=None, node_ids=None, detail="") -> None:
+        self.log.append(
+            Event(ts=ts, kind=kind, task_uid=uid, node_ids=node_ids, detail=detail)
+        )
+
+    def boot(self, ts: float) -> None:
+        """Log BOOTSTRAP_DONE and queue every pipeline's first stage."""
+        self.emit(ts, ev.BOOTSTRAP_DONE)
+        self.queue.extend(self.job.first_stages())
+
+    def place(self, ts: float) -> Optional[TaskRun]:
+        """Place the queue's head task: pop it, mark it SCHEDULED on its nodes
+        and log TASK_SCHEDULED with the placed chunks. Returns None, leaving
+        queue and table unchanged, when the queue is empty or its head does
+        not fit now."""
+        if not self.queue:
+            return None
+        run = self.queue[0]
+        desc = run.desc
+        placement = try_place(self.table, desc, self.footprints[desc.uid])
+        if placement is None:
+            return None
+        self.queue.popleft()
+        transition_task(run, TaskState.SCHEDULED, ts)
+        run.node_ids = placement.node_ids
+        self.emit(
+            ts,
+            ev.TASK_SCHEDULED,
+            desc.uid,
+            placement.node_ids,
+            ev.scheduled_detail(
+                desc.cpu_threads_per_process,
+                desc.gpus_per_process,
+                [procs for _, procs in placement.assignments],
+            ),
+        )
+        return run
+
+    def launch(self, run: TaskRun, ts: float) -> None:
+        """Mark a placed task RUNNING and log TASK_LAUNCHED."""
+        transition_task(run, TaskState.RUNNING, ts)
+        self.emit(ts, ev.TASK_LAUNCHED, run.desc.uid, run.node_ids)
+
+    def finish(self, uid: str, kind: str, ts: float, detail: str = "") -> None:
+        """Apply a terminal event: the task's state, the log, the release of
+        its slots, and the queueing of the stage it opened."""
+        opened = self.job.finish(uid, ev.STATE_OF_KIND[kind], ts)
+        self.emit(ts, kind, uid, self.job.runs[uid].node_ids or None, detail)
+        placement = self.table.placement_of(uid)
+        if placement is not None:
+            release(self.table, placement)
+        self.queue.extend(opened)
+
+    def end(self, ts: float) -> None:
+        """Log JOB_END with the terminal-state tally."""
+        self.emit(ts, ev.JOB_END, detail=self.job.tally)

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from ensemblekit import events as ev
+from ensemblekit.engine import run_simulated
 from ensemblekit.events import Event, EventLog, scheduled_detail
 from ensemblekit.platform import (
     NodeSpec,
@@ -59,6 +60,20 @@ def small_platform(
         policy=WalltimePolicy(tiers=((nodes, max_walltime),)),
         bootstrap_overhead_s=bootstrap,
     )
+
+
+def simulated_attempts(platform, runtime_model, *failure_models):
+    """A retry_loop attempt runner over run_simulated: attempt k runs with
+    ``failure_models[k-1]``, later attempts run clean."""
+
+    def run_attempt(specs, attempt, nodes, walltime_s):
+        faults = failure_models[attempt - 1:attempt]
+        return run_simulated(
+            specs, platform, nodes, walltime_s, runtime_model,
+            faults[0] if faults else None,
+        )
+
+    return run_attempt
 
 
 @pytest.fixture

@@ -7,7 +7,6 @@ stream; tolerances are pinned in the assertions.
 import os
 import random
 import time
-from collections import deque
 
 from ensemblekit import events as ev
 from ensemblekit.cli import main as cli_main
@@ -24,20 +23,17 @@ from ensemblekit.metrics import (
     task_timelines,
     throughput,
 )
-from ensemblekit.events import EventLog
 from ensemblekit.platform import get_profile, task_footprint
-from ensemblekit.pst import Stage, TaskRun, WorkflowSpec
+from ensemblekit.pst import Stage, WorkflowSpec
 from ensemblekit.resilience import (
-    EngineConfig,
     collect_failures,
     plan_resubmission,
     retry_loop,
 )
 from ensemblekit.scheduler import (
+    Pilot,
     SlotTable,
     release,
-    schedule_head,
-    task_footprints,
     try_place,
 )
 from ensemblekit.workloads import generate_example
@@ -47,6 +43,7 @@ from conftest import (
     oracle_counts_at,
     oracle_usage,
     random_complete_log,
+    simulated_attempts,
     single_stage,
     small_platform,
 )
@@ -118,18 +115,14 @@ def test_criterion_2_throughput_substitutes():
 
     # placing all 7875 members through the 8000-node table in <= 30 s
     wf = frontier_ensemble()
-    table = SlotTable(platform.node, 8000)
     t0 = time.monotonic()
-    footprints = task_footprints(table, wf.tasks())
-    queue = deque(TaskRun(desc) for desc in wf.tasks())
-    log = EventLog()
+    pilot = Pilot([wf], platform, 8000)
+    pilot.boot(0.0)
+    table = pilot.table
     placed = 0
-    while queue:
+    while pilot.queue:
         wave = []
-        while queue:
-            run = schedule_head(table, footprints, queue, log, 0.0)
-            if run is None:
-                break
+        while (run := pilot.place(0.0)) is not None:
             wave.append(run.desc.uid)
         placed += len(wave)
         for uid in wave:
@@ -147,11 +140,10 @@ def test_criterion_3_fault_tolerance_reproduction():
     wf = single_stage("members", [exaconstit_task(f"m{i:03d}") for i in range(48)])
     fault = FailureModel.persistent_node(2, 700.0)
     model = RuntimeModel(default=CALIBRATED, seed=3)
-    cfg = EngineConfig(
-        allocation_nodes=64, walltime_s=7200.0, runtime_model=model,
-        failure_models=(fault,),
+    runner = simulated_attempts(platform, model, fault)
+    logs, unresolved = retry_loop(
+        wf, platform, runner, 64, 7200.0, max_attempts=2
     )
-    logs, unresolved = retry_loop(wf, platform, cfg, max_attempts=2)
 
     first = logs[0]
     failed = {e.task_uid for e in first if e.kind == ev.TASK_FAILED}
@@ -199,16 +191,14 @@ def test_criterion_3_fault_tolerance_reproduction():
                 rng.randrange(nodes), rng.uniform(1.0, 400.0)
             ),
         )
-        cfg = EngineConfig(
-            allocation_nodes=nodes,
-            walltime_s=50000.0,
-            runtime_model=RuntimeModel(
-                default=DurationSpec.uniform(10.0, 100.0), seed=seed
-            ),
-            failure_models=fault_models,
+        runner = simulated_attempts(
+            platform_for(nodes),
+            RuntimeModel(default=DurationSpec.uniform(10.0, 100.0), seed=seed),
+            *fault_models,
         )
         logs, unresolved = retry_loop(
-            spec, platform_for(nodes), cfg, max_attempts=rng.randint(1, 3)
+            spec, platform_for(nodes), runner, nodes, 50000.0,
+            max_attempts=rng.randint(1, 3),
         )
         all_uids = {t.uid for t in spec.tasks()}
         done: set[str] = set()

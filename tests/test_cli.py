@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from ensemblekit import events as ev
 from ensemblekit.cli import main
 from ensemblekit.events import EventLog, scheduled_detail
+from ensemblekit.metrics import compute_utilization
 from ensemblekit.platform import get_profile, save_platform_config, usable_cores
 from ensemblekit.pst import Stage, TaskDescription, WorkflowSpec, validate_workflow
 from conftest import single_stage, small_platform
@@ -127,6 +129,28 @@ class TestSimulate:
         assert code == 0
         assert log.exists()
         assert (tmp_path / "run.attempt2.jsonl").exists()
+
+    def test_retry_summary_uses_the_retry_allocation(self, tmp_path, capsys):
+        # a transient fault fails one 8-node member, so attempt 2 runs on 8
+        # of attempt 1's 16 nodes
+        wf = tmp_path / "wf.json"
+        run_cli("example", "--example", "exaconstit", "--tasks", "4",
+                "--no-optimizer", "--out", str(wf))
+        code = run_cli(
+            "simulate", "--workflow", str(wf), "--profile", "frontier-sim",
+            "--nodes", "16", "--runtime", "fixed:500",
+            "--fail-node", "0@600:transient", "--max-attempts", "2",
+            "--out", str(tmp_path / "run.jsonl"),
+        )
+        assert code == 0
+        retry = EventLog.load_jsonl(tmp_path / "run.attempt2.jsonl")
+        assert retry.job_meta()["allocation_nodes"] == 8
+        stack = compute_utilization(retry, get_profile("frontier-sim").node, 8)
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert line.startswith("attempt 2: ")
+        assert line.endswith(
+            f"node_utilization={stack.nodes.utilization_fraction:.3f}"
+        )
 
     @pytest.mark.parametrize(
         "flag",
@@ -339,6 +363,22 @@ class TestReport:
         err = capsys.readouterr().err
         assert "error: MalformedLog:" in err
         assert "Traceback" not in err
+
+    def test_non_finite_accounting_exit_1(self, tmp_path, capsys):
+        # finite timestamps whose capacity product leaves the float range
+        meta = dict(_META, allocation_nodes=2)
+        records = [
+            {"ts": 0.0, "kind": ev.JOB_START, "detail": json.dumps(meta)},
+            {"ts": 1e308, "kind": ev.BOOTSTRAP_DONE},
+            {"ts": 1.5e308, "kind": ev.JOB_END},
+        ]
+        log = tmp_path / "huge.jsonl"
+        log.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert run_cli("report", "--log", str(log)) == 1
+        err = capsys.readouterr().err
+        assert "error: MalformedLog:" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "huge_utilization.csv").exists()
 
     def test_binary_log_exit_1(self, tmp_path, capsys):
         log = tmp_path / "binary.jsonl"
@@ -556,6 +596,12 @@ class TestRunLocal:
         assert code == 0
         assert (out_dir / "events.jsonl").exists()
         assert (out_dir / "task-logs").is_dir()
+        # the same summary line as simulate prints
+        assert re.search(
+            r"^attempt 1: done=\d+ failed=0 canceled=0 makespan=\d+\.\ds "
+            r"node_utilization=\d\.\d{3}$",
+            capsys.readouterr().out, re.MULTILINE,
+        )
 
     def test_deterministic_failure_exhausts_retries(self, tmp_path, capsys):
         spec = WorkflowSpec(

@@ -405,7 +405,7 @@ class TestStep:
         new = [(e.kind, e.task_uid) for e in state.log[before:]]
         assert (ev.TASK_DONE, "t0") in new
         assert not any(k == ev.TASK_SCHEDULED for k, _ in new)
-        assert state.table.free_cores[0] == 8
+        assert state.pilot.table.free_cores[0] == 8
 
     def test_simultaneous_events_total_order(self):
         """All 3-event permutations at one timestamp pop as completions,

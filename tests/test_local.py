@@ -1,6 +1,9 @@
+import subprocess
+
 import pytest
 
 from ensemblekit import events as ev
+from ensemblekit import local as local_backend
 from ensemblekit.errors import ConfigError, Unplaceable
 from ensemblekit.events import EventLog
 from ensemblekit.local import run_local
@@ -11,7 +14,8 @@ from ensemblekit.metrics import (
 )
 from ensemblekit.platform import get_profile, usable_cores
 from ensemblekit.pst import Stage, TaskDescription, WorkflowSpec
-from conftest import make_task, single_stage
+from ensemblekit.scheduler import Pilot
+from conftest import make_task, single_stage, small_platform
 
 
 def sh_task(uid, script, **kw):
@@ -72,6 +76,53 @@ def test_missing_executable_recorded_as_failure(local, tmp_path):
     fail = next(e for e in log if e.kind == ev.TASK_FAILED)
     assert fail.task_uid == "ghost"
     assert "exit_code=127" in fail.detail
+
+
+def test_spawn_failure_fails_the_task_and_frees_its_slots(
+    tmp_path, monkeypatch
+):
+    # an 8-core node fits all three tasks at once, so a leaked slot shows
+    # in the table at the end instead of stalling the run
+    host = small_platform(cores=8, nodes=1)
+    real_popen = subprocess.Popen
+
+    def popen(argv, **kw):
+        if "unspawnable" in argv[-1]:
+            raise OSError(12, "Cannot allocate memory")
+        return real_popen(argv, **kw)
+
+    pilots = []
+
+    class RecordingPilot(Pilot):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            pilots.append(self)
+
+    monkeypatch.setattr(local_backend.subprocess, "Popen", popen)
+    monkeypatch.setattr(local_backend, "Pilot", RecordingPilot)
+    wf = single_stage(
+        "s",
+        [sh_task("boom", "echo unspawnable"), sh_task("a", "true"),
+         sh_task("b", "true")],
+    )
+    log = run_local(wf, host, 2, tmp_path)
+    boom = [e for e in log if e.task_uid == "boom"]
+    assert [e.kind for e in boom] == [
+        ev.TASK_SCHEDULED, ev.TASK_LAUNCHED, ev.TASK_FAILED
+    ]
+    assert boom[-1].detail.startswith("spawn_error: ")
+    # its slots went back to the table and the other tasks ran
+    (pilot,) = pilots
+    assert pilot.table.placement_of("boom") is None
+    assert pilot.table.free_cores == [8]
+    assert {e.task_uid for e in log if e.kind == ev.TASK_DONE} == {"a", "b"}
+    assert log[-1].kind == ev.JOB_END
+    assert log[-1].detail == "done=2 failed=1 canceled=0"
+    assert list(log.job_meta()) == [
+        "backend", "platform", "allocation_nodes", "cores_total",
+        "cores_reserved", "gpus_per_node", "bootstrap_s", "walltime_s",
+        "max_parallel",
+    ]
 
 
 def test_concurrency_never_exceeds_max_parallel(local, tmp_path):

@@ -15,12 +15,17 @@ from ensemblekit.resilience import (
     KIND_CANCELED,
     KIND_NODE_FAILURE,
     KIND_TASK_FAULT,
-    EngineConfig,
     collect_failures,
     plan_resubmission,
     retry_loop,
 )
-from conftest import exaconstit_task, make_task, single_stage, small_platform
+from conftest import (
+    exaconstit_task,
+    make_task,
+    simulated_attempts,
+    single_stage,
+    small_platform,
+)
 
 FIXED = RuntimeModel(default=DurationSpec.fixed(100.0))
 
@@ -179,13 +184,12 @@ class TestRetryLoop:
     def test_bad_node_then_clean_attempt(self):
         platform = small_platform(nodes=4)
         wf = single_stage("s", [make_task(f"t{i}", procs=8) for i in range(8)])
-        cfg = EngineConfig(
-            allocation_nodes=4,
-            walltime_s=10000.0,
-            runtime_model=FIXED,
-            failure_models=(FailureModel.persistent_node(1, 10.0),),
+        runner = simulated_attempts(
+            platform, FIXED, FailureModel.persistent_node(1, 10.0)
         )
-        logs, unresolved = retry_loop(wf, platform, cfg, max_attempts=2)
+        logs, unresolved = retry_loop(
+            wf, platform, runner, 4, 10000.0, max_attempts=2
+        )
         assert len(logs) == 2
         assert unresolved == []
         retried = {e.task_uid for e in logs[1] if e.kind == ev.TASK_DONE}
@@ -203,13 +207,10 @@ class TestRetryLoop:
         platform = small_platform()
         wf = single_stage("s", [make_task("t", procs=8), make_task("u", procs=8)])
         fm = FailureModel.task_fault("t", 1.0)
-        cfg = EngineConfig(
-            allocation_nodes=4,
-            walltime_s=10000.0,
-            runtime_model=FIXED,
-            failure_models=(fm, fm, fm),
+        runner = simulated_attempts(platform, FIXED, fm, fm, fm)
+        logs, unresolved = retry_loop(
+            wf, platform, runner, 4, 10000.0, max_attempts=3
         )
-        logs, unresolved = retry_loop(wf, platform, cfg, max_attempts=3)
         assert len(logs) == 3
         assert [r.uid for r in unresolved] == ["t"]
         # one harvest per spec per attempt, reused to plan the retry
@@ -220,23 +221,22 @@ class TestRetryLoop:
     def test_zero_failures_single_log(self):
         platform = small_platform()
         wf = single_stage("s", [make_task("t", procs=8)])
-        cfg = EngineConfig(
-            allocation_nodes=4, walltime_s=10000.0, runtime_model=FIXED
+        runner = simulated_attempts(platform, FIXED)
+        logs, unresolved = retry_loop(
+            wf, platform, runner, 4, 10000.0, max_attempts=5
         )
-        logs, unresolved = retry_loop(wf, platform, cfg, max_attempts=5)
         assert len(logs) == 1
         assert unresolved == []
 
     def test_multiset_identity_over_attempt_chain(self):
         platform = small_platform(nodes=4)
         wf = single_stage("s", [make_task(f"t{i}", procs=8) for i in range(6)])
-        cfg = EngineConfig(
-            allocation_nodes=4,
-            walltime_s=10000.0,
-            runtime_model=FIXED,
-            failure_models=(FailureModel.persistent_node(0, 10.0),),
+        runner = simulated_attempts(
+            platform, FIXED, FailureModel.persistent_node(0, 10.0)
         )
-        logs, unresolved = retry_loop(wf, platform, cfg, max_attempts=3)
+        logs, unresolved = retry_loop(
+            wf, platform, runner, 4, 10000.0, max_attempts=3
+        )
         all_uids = {t.uid for t in wf.tasks()}
         done = set()
         for log in logs:

@@ -1,24 +1,21 @@
 import heapq
 import random
-from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ensemblekit import events as ev
 from ensemblekit import scheduler
 from ensemblekit.errors import DoubleRelease, Unplaceable
-from ensemblekit.events import EventLog
 from ensemblekit.platform import NodeSpec, task_footprint, usable_cores
-from ensemblekit.pst import TaskRun
 from ensemblekit.scheduler import (
+    Pilot,
     SlotTable,
     release,
-    schedule_head,
-    task_footprints,
     try_place,
 )
-from conftest import exaconstit_task, make_task
+from conftest import exaconstit_task, make_task, single_stage, small_platform
 
 FRONTIER_NODE = NodeSpec(64, 8, 8)
 
@@ -27,21 +24,31 @@ def place(table, desc):
     return try_place(table, desc, task_footprint(desc, table.node))
 
 
-def run_queue(descs):
-    return deque(TaskRun(desc) for desc in descs)
+def pilot_for(descs, nodes):
+    """A Pilot over one stage of descs on ``nodes`` FRONTIER_NODE-shaped
+    nodes; not booted, so its queue is empty."""
+    platform = small_platform(cores=64, reserved=8, gpus=8, nodes=nodes)
+    return Pilot([single_stage("s", descs)], platform, nodes)
 
 
-def drain(table, queue, log):
-    """Place through schedule_head until the queue empties or its head
+def queued(descs, nodes):
+    """pilot_for, booted at ts 0: its queue holds descs in order."""
+    pilot = pilot_for(descs, nodes)
+    pilot.boot(0.0)
+    return pilot
+
+
+def drain(pilot):
+    """Place through Pilot.place until the queue empties or its head
     blocks; returns the placed runs in order."""
-    footprints = task_footprints(table, (run.desc for run in queue))
     placed = []
-    while queue:
-        run = schedule_head(table, footprints, queue, log, 0.0)
-        if run is None:
-            break
+    while (run := pilot.place(0.0)) is not None:
         placed.append(run)
     return placed
+
+
+def scheduled(pilot):
+    return [e for e in pilot.log if e.kind == ev.TASK_SCHEDULED]
 
 
 def uids(runs):
@@ -132,41 +139,38 @@ class TestPlaceRelease:
 class TestDrainQueue:
     def test_frontier_capacity_division(self):
         # 8000 free nodes, 7875 eight-node members: exactly 1000 fit
-        table = SlotTable(FRONTIER_NODE, 8000)
         members = [exaconstit_task(f"m{i:04d}") for i in range(7875)]
-        queue = run_queue(members)
-        log = EventLog()
-        placed = drain(table, queue, log)
+        pilot = queued(members, 8000)
+        placed = drain(pilot)
+        queue, log = pilot.queue, scheduled(pilot)
         assert len(placed) == 1000
         assert len(queue) == 6875
         assert uids(placed) == [t.uid for t in members[:1000]]
         assert [e.task_uid for e in log] == uids(placed)
 
     def test_empty_queue(self):
-        table = SlotTable(FRONTIER_NODE, 4)
-        log = EventLog()
-        assert drain(table, deque(), log) == []
+        pilot = pilot_for([make_task("t")], 4)
+        assert drain(pilot) == []
+        log = scheduled(pilot)
         assert len(log) == 0
 
     def test_fifo_head_blocks_no_backfill(self):
-        table = SlotTable(FRONTIER_NODE, 4)
         big = make_task("big", procs=4 * 56)  # all four nodes
         small = make_task("small")
+        pilot = queued([big, small], 4)
+        table, queue = pilot.table, pilot.queue
         hold = place(table, make_task("hold"))
-        queue = run_queue([big, small])
-        log = EventLog()
-        assert drain(table, queue, log) == []
+        assert drain(pilot) == []
         assert uids(queue) == ["big", "small"]
         release(table, hold)
-        assert uids(drain(table, queue, log)) == ["big"]
+        assert uids(drain(pilot)) == ["big"]
         assert uids(queue) == ["small"]
 
     def test_determinism(self):
         def run_once():
-            table = SlotTable(FRONTIER_NODE, 16)
-            queue = run_queue(exaconstit_task(f"m{i}") for i in range(4))
-            log = EventLog()
-            placed = drain(table, queue, log)
+            pilot = queued([exaconstit_task(f"m{i}") for i in range(4)], 16)
+            table, log = pilot.table, pilot.log
+            placed = drain(pilot)
             return [
                 (run.desc.uid, table.placement_of(run.desc.uid).assignments)
                 for run in placed
@@ -270,8 +274,8 @@ class TestConservation:
                 }
 
     def test_fifo_fairness_identical_footprints(self):
-        table = SlotTable(FRONTIER_NODE, 16)
-        queue = run_queue(exaconstit_task(f"m{i}") for i in range(5))
-        placed = drain(table, queue, EventLog())
+        pilot = queued([exaconstit_task(f"m{i}") for i in range(5)], 16)
+        queue = pilot.queue
+        placed = drain(pilot)
         assert uids(placed) == ["m0", "m1"]  # 16 nodes fit two 8-node tasks
         assert uids(queue) == ["m2", "m3", "m4"]
