@@ -1,14 +1,19 @@
 """Command-line surface: simulate, run, report, resubmit, example.
 
+Each input has one route in: ``simulate``, ``run`` and ``resubmit`` read
+the workflow from ``--workflow FILE`` (``example`` writes one), and the
+machine from ``--platform FILE`` or, without it, the built-in profile
+``--profile NAME``.
+
 Exit codes are a function of outcome class only: 0 success, 1 execution
-failure or malformed input log, 2 configuration error. :func:`main` maps
-every error a subcommand raises to its code in one place.
+failure or malformed input log, 2 configuration error (any
+:class:`~ensemblekit.errors.ConfigError`, or a missing file). :func:`main`
+maps every error a subcommand raises to its code in one place.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import Optional
@@ -20,11 +25,6 @@ from ensemblekit.errors import (
     InsufficientData,
     InvalidNodeSpec,
     MalformedLog,
-    ParseError,
-    PolicyGap,
-    PolicyViolation,
-    UnknownShape,
-    Unplaceable,
     ValidationError,
 )
 from ensemblekit.engine import (
@@ -52,16 +52,7 @@ from ensemblekit.resilience import (
 )
 from ensemblekit.workloads import SHAPES, generate_example
 
-_CONFIG_ERRORS = (
-    ConfigError,
-    ParseError,
-    ValidationError,
-    PolicyViolation,
-    PolicyGap,
-    UnknownShape,
-    Unplaceable,
-    FileNotFoundError,
-)
+_CONFIG_ERRORS = (ConfigError, FileNotFoundError)
 
 
 def _parse_runtime(text: str) -> DurationSpec:
@@ -106,45 +97,13 @@ def _parse_fail_task(text: str) -> TaskFault:
 
 
 def _load_platform(args) -> PlatformConfig:
-    target = getattr(args, "platform", None)
-    if target:
-        # a config file path, or a profile name as a convenience
-        if Path(target).exists():
-            return load_platform_config(target)
-        return get_profile(target)
-    return get_profile(getattr(args, "profile", None) or "local")
-
-
-def _example_params(args) -> dict:
-    params: dict = {"seed": args.seed}
-    if getattr(args, "tasks", None) is not None:
-        params["tasks"] = args.tasks
-    if getattr(args, "cases", None) is not None:
-        params["cases"] = args.cases
-    if getattr(args, "uq_params", None) is not None:
-        params["uq_params"] = args.uq_params
-    if getattr(args, "sleep", None) is not None:
-        params["sleep_s"] = args.sleep
-    if getattr(args, "desk", False):
-        params["desk"] = True
-    if getattr(args, "no_optimizer", False):
-        params["optimizer"] = False
-    return params
+    if args.platform:
+        return load_platform_config(args.platform)
+    return get_profile(args.profile)
 
 
 def _load_workflow(args) -> WorkflowSpec:
-    if getattr(args, "workflow", None):
-        path = Path(args.workflow)
-        if not path.exists():
-            raise FileNotFoundError(f"workflow file not found: {path}")
-        try:
-            spec = WorkflowSpec.load(path)
-        except (json.JSONDecodeError, KeyError, TypeError) as e:
-            raise ParseError(f"{path}: {e}") from e
-    elif getattr(args, "example", None):
-        spec = generate_example(args.example, _example_params(args))
-    else:
-        raise ConfigError("one of --workflow or --example is required")
+    spec = WorkflowSpec.load(args.workflow)
     violations = validate_workflow(spec)
     if violations:
         raise ValidationError("; ".join(violations))
@@ -319,39 +278,26 @@ def cmd_resubmit(args) -> int:
 def cmd_example(args) -> int:
     if not args.example:
         raise ConfigError("--example SHAPE is required")
-    spec = generate_example(args.example, _example_params(args))
+    params = {"seed": args.seed, "desk": args.desk,
+              "optimizer": not args.no_optimizer}
+    for key, value in (("tasks", args.tasks), ("cases", args.cases),
+                       ("uq_params", args.uq_params), ("sleep_s", args.sleep)):
+        if value is not None:
+            params[key] = value
+    spec = generate_example(args.example, params)
     spec.save(args.out)
     print(f"{args.out}: {spec.task_count()} tasks in {len(spec.stages)} stages")
     return 0
 
 
-def _add_workflow_source(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--workflow", help="workflow JSON file")
-    parser.add_argument(
-        "--example", choices=SHAPES, help="generate a named example workflow"
-    )
-    parser.add_argument("--tasks", type=int, help="example: ensemble size")
-    parser.add_argument("--cases", type=int, help="example: melt-pool cases")
-    parser.add_argument("--uq-params", type=int, help="example: UQ parameters")
-    parser.add_argument(
-        "--desk", action="store_true", help="example: single-core task shapes"
-    )
-    parser.add_argument(
-        "--sleep", type=float, help="example: mock payload sleep seconds"
-    )
-    parser.add_argument(
-        "--no-optimizer",
-        action="store_true",
-        help="example: drop the trailing optimization task",
-    )
-
-
-def _add_platform_flags(parser: argparse.ArgumentParser, default_profile) -> None:
+def _add_inputs(parser: argparse.ArgumentParser, default_profile) -> None:
+    parser.add_argument("--workflow", required=True, help="workflow JSON file")
     parser.add_argument("--platform", help="platform config JSON file")
     parser.add_argument(
         "--profile",
         default=default_profile,
-        help=f"built-in platform profile (default: {default_profile})",
+        help="built-in platform profile, frontier-sim or local, used "
+        f"without --platform (default: {default_profile})",
     )
 
 
@@ -363,8 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run pipelines on the simulated cluster")
-    _add_workflow_source(p)
-    _add_platform_flags(p, "frontier-sim")
+    _add_inputs(p, "frontier-sim")
     p.add_argument("--nodes", type=int, help="allocation size in nodes")
     p.add_argument("--walltime", type=float, help="job walltime seconds")
     p.add_argument("--seed", type=int, default=0)
@@ -395,9 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("run", help="execute pipelines as local subprocesses")
-    _add_workflow_source(p)
-    _add_platform_flags(p, "local")
-    p.add_argument("--seed", type=int, default=0)
+    _add_inputs(p, "local")
     p.add_argument("--max-parallel", type=int, default=2)
     p.add_argument("--max-attempts", type=int, default=1)
     p.add_argument("--retry-canceled", action="store_true")
@@ -411,18 +354,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("resubmit", help="plan a retry job from a log")
-    _add_workflow_source(p)
-    _add_platform_flags(p, "frontier-sim")
+    _add_inputs(p, "frontier-sim")
     p.add_argument("--log", required=True)
     p.add_argument("--nodes", type=int, help="original allocation nodes")
     p.add_argument("--attempt", type=int, default=2)
     p.add_argument("--retry-canceled", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="plan workflow JSON path")
     p.set_defaults(func=cmd_resubmit)
 
     p = sub.add_parser("example", help="write an example workflow JSON")
-    _add_workflow_source(p)
+    p.add_argument(
+        "--example", choices=SHAPES, help="named example workflow shape"
+    )
+    p.add_argument("--tasks", type=int, help="ensemble size")
+    p.add_argument("--cases", type=int, help="melt-pool cases")
+    p.add_argument("--uq-params", type=int, help="UQ parameters")
+    p.add_argument(
+        "--desk", action="store_true", help="single-core task shapes"
+    )
+    p.add_argument("--sleep", type=float, help="mock payload sleep seconds")
+    p.add_argument(
+        "--no-optimizer",
+        action="store_true",
+        help="drop the trailing optimization task",
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_example)

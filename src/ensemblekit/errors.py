@@ -5,6 +5,11 @@ class EnsembleKitError(Exception):
     """Base class for all domain errors raised by ensemblekit."""
 
 
+class ConfigError(EnsembleKitError):
+    """Invalid workflow, platform, model or engine configuration. Every
+    configuration error derives from it; the CLI exits 2 for any of them."""
+
+
 class IllegalTransition(EnsembleKitError):
     """Task state machine edge is not allowed."""
 
@@ -13,20 +18,20 @@ class InvalidNodeSpec(EnsembleKitError):
     """Node shape is degenerate (e.g. all cores reserved)."""
 
 
-class Unplaceable(EnsembleKitError):
+class Unplaceable(ConfigError):
     """A single process of the task exceeds what one node offers, or the
     task can never fit the allocation."""
 
 
-class PolicyGap(EnsembleKitError):
+class PolicyGap(ConfigError):
     """No walltime-policy tier covers the requested node count."""
 
 
-class ParseError(EnsembleKitError):
+class ParseError(ConfigError):
     """Config file could not be parsed; message carries line context."""
 
 
-class ValidationError(EnsembleKitError):
+class ValidationError(ConfigError):
     """Config parsed but violates invariants; message lists them all."""
 
 
@@ -34,12 +39,8 @@ class DoubleRelease(EnsembleKitError):
     """Placement released twice."""
 
 
-class PolicyViolation(EnsembleKitError):
+class PolicyViolation(ConfigError):
     """Requested walltime exceeds the policy tier for the allocation."""
-
-
-class ConfigError(EnsembleKitError):
-    """Invalid workflow, model, or engine configuration."""
 
 
 class IncompleteLog(EnsembleKitError):
@@ -58,5 +59,5 @@ class EmptyPlan(EnsembleKitError):
     """Resubmission requested with no failure records."""
 
 
-class UnknownShape(EnsembleKitError):
+class UnknownShape(ConfigError):
     """Example-workflow generator does not know the requested shape."""

@@ -16,13 +16,12 @@ timestamp order, so readers of a log fold it without checking again.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional
 
 from ensemblekit.errors import IncompleteLog, MalformedLog
-from ensemblekit.pst import _EDGES, TaskState
+from ensemblekit.pst import _EDGES, MAX_SLOTS, TaskState, is_number
 
 JOB_START = "JOB_START"
 BOOTSTRAP_DONE = "BOOTSTRAP_DONE"
@@ -71,13 +70,6 @@ _FOLLOWS: dict[Optional[str], frozenset[str]] = {
 }
 
 
-def _finite(x: int | float) -> bool:
-    try:
-        return math.isfinite(x)
-    except OverflowError:  # an int beyond the float range
-        return False
-
-
 def _all_at_least(values: list, least: int) -> bool:
     """Every value is an int >= least. type(), not isinstance(): a JSON
     true/false loads as bool, an int."""
@@ -118,8 +110,7 @@ class Event:
         if "ts" not in rec or "kind" not in rec:
             raise MalformedLog(f"event lacks ts or kind: {rec!r}")
         ts, kind = rec["ts"], rec["kind"]
-        # type(), not isinstance(): JSON true/false load as bool, an int
-        if type(ts) not in (int, float) or not _finite(ts):
+        if not is_number(ts):
             raise MalformedLog(f"event ts {ts!r} is not a finite number")
         if not isinstance(kind, str) or kind not in KINDS:
             raise MalformedLog(f"unknown event kind {kind!r}")
@@ -261,11 +252,6 @@ def scheduled_detail(threads: int, gpus_pp: int, chunks: list[int]) -> str:
         {"threads": threads, "gpus_pp": gpus_pp, "chunks": chunks},
         separators=(",", ":"),
     )
-
-
-# the most slots one task may reserve: every count below it is exact as a
-# float, and the accounting multiplies slots by seconds in floats
-MAX_SLOTS = 2**53
 
 
 def scheduled_slots(detail: str) -> tuple[int, int]:

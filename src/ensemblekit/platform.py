@@ -1,9 +1,10 @@
 """Target-machine model: node shape, walltime policy, footprint arithmetic.
 
-Platform configs are immutable after load and freely shareable. Two profiles
-ship built in: ``frontier-sim`` (64 cores with 8 reserved, 8 GPUs per node)
-and ``local`` (shaped like the current host). Extra profiles can be dropped
-as JSON files into a directory named by ``ENSEMBLEKIT_PROFILE_DIR``.
+Platform configs are immutable after load and freely shareable. A machine
+comes from one of two places: a platform JSON file
+(:func:`load_platform_config`) or a built-in profile by name
+(:func:`get_profile`): ``frontier-sim`` (64 cores with 8 reserved, 8 GPUs
+per node) or ``local`` (shaped like the current host).
 """
 
 from __future__ import annotations
@@ -21,34 +22,32 @@ from ensemblekit.errors import (
     Unplaceable,
     ValidationError,
 )
-from ensemblekit.pst import TaskDescription
-
-PROFILE_DIR_ENV = "ENSEMBLEKIT_PROFILE_DIR"
+from ensemblekit.pst import TaskDescription, count_violation, is_number
 
 
 @dataclass(frozen=True)
 class NodeSpec:
     """Shape of one compute node. ``cores_reserved`` go to system processes
-    and are never schedulable. An invalid shape raises one InvalidNodeSpec
-    that names every violation."""
+    and are never schedulable. Every field is an int of at most
+    :data:`~ensemblekit.pst.MAX_SLOTS`; an invalid shape raises one
+    InvalidNodeSpec that names every violation."""
 
     cores_total: int
     cores_reserved: int = 0
     gpus: int = 0
 
     def __post_init__(self) -> None:
-        out = []
-        if self.cores_total < 1:
-            out.append("cores_total must be >= 1")
-        if self.cores_reserved < 0:
-            out.append("cores_reserved must be >= 0")
-        if self.cores_reserved >= self.cores_total:
+        out = [
+            v for name, least in (
+                ("cores_total", 1), ("cores_reserved", 0), ("gpus", 0)
+            )
+            if (v := count_violation(name, getattr(self, name), least))
+        ]
+        if not out and self.cores_reserved >= self.cores_total:
             out.append(
                 f"cores_reserved ({self.cores_reserved}) must be < "
                 f"cores_total ({self.cores_total})"
             )
-        if self.gpus < 0:
-            out.append("gpus must be >= 0")
         if out:
             raise InvalidNodeSpec("; ".join(out))
 
@@ -67,17 +66,25 @@ class WalltimePolicy:
     tiers: tuple[tuple[int, float], ...]
 
     def __post_init__(self) -> None:
-        tiers = tuple((int(n), float(w)) for n, w in self.tiers)
-        object.__setattr__(self, "tiers", tiers)
-        prev = 0
-        for max_nodes, max_walltime_s in tiers:
-            if max_nodes <= prev:
+        tiers, prev = [], 0
+        for tier in self.tiers:
+            if not (isinstance(tier, (list, tuple)) and len(tier) == 2):
                 raise ValidationError(
-                    "policy tiers must have strictly increasing max_nodes"
+                    f"policy tier {tier!r} is not [max_nodes, max_walltime_s]"
                 )
-            if max_walltime_s <= 0:
-                raise ValidationError("policy walltimes must be > 0")
+            max_nodes, max_walltime_s = tier
+            if type(max_nodes) is not int or max_nodes <= prev:
+                raise ValidationError(
+                    "policy tiers must have strictly increasing integer "
+                    "max_nodes"
+                )
+            if not (is_number(max_walltime_s) and max_walltime_s > 0):
+                raise ValidationError(
+                    "policy walltimes must be finite numbers > 0"
+                )
+            tiers.append((max_nodes, float(max_walltime_s)))
             prev = max_nodes
+        object.__setattr__(self, "tiers", tuple(tiers))
 
 
 def max_walltime_for(policy: WalltimePolicy, nodes_requested: int) -> float:
@@ -102,10 +109,19 @@ class PlatformConfig:
     bootstrap_overhead_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.node_count < 1:
-            raise ValidationError("node_count must be >= 1")
-        if self.bootstrap_overhead_s < 0:
-            raise ValidationError("bootstrap_overhead_s must be >= 0")
+        if not isinstance(self.name, str):
+            raise ValidationError(f"platform name {self.name!r} is not a string")
+        if type(self.node_count) is not int or self.node_count < 1:
+            raise ValidationError(
+                f"node_count must be an integer >= 1, not {self.node_count!r}"
+            )
+        bootstrap = self.bootstrap_overhead_s
+        if not (is_number(bootstrap) and bootstrap >= 0):
+            raise ValidationError(
+                f"bootstrap_overhead_s must be a finite number >= 0, "
+                f"not {bootstrap!r}"
+            )
+        object.__setattr__(self, "bootstrap_overhead_s", float(bootstrap))
 
     def to_json(self) -> dict:
         return {
@@ -173,35 +189,29 @@ def _local() -> PlatformConfig:
     )
 
 
-def builtin_profiles() -> dict[str, PlatformConfig]:
-    return {"frontier-sim": _frontier_sim(), "local": _local()}
+_PROFILES = {"frontier-sim": _frontier_sim, "local": _local}
 
 
 def get_profile(name: str) -> PlatformConfig:
-    """Resolve a profile by name: built-ins first, then JSON files named
-    ``<name>.json`` under ENSEMBLEKIT_PROFILE_DIR."""
-    profiles = builtin_profiles()
-    if name in profiles:
-        return profiles[name]
-    profile_dir = os.environ.get(PROFILE_DIR_ENV)
-    if profile_dir:
-        candidate = Path(profile_dir) / f"{name}.json"
-        if candidate.exists():
-            return load_platform_config(candidate)
-    raise ValidationError(
-        f"unknown platform profile {name!r}; "
-        f"built-ins: {sorted(profiles)}"
-    )
+    """The built-in profile ``name``: frontier-sim or local."""
+    if name not in _PROFILES:
+        raise ValidationError(
+            f"unknown platform profile {name!r}; built-ins: {sorted(_PROFILES)}"
+        )
+    return _PROFILES[name]()
 
 
 def load_platform_config(path: str | Path) -> PlatformConfig:
-    """Load and validate a platform config JSON file."""
+    """Load and validate a platform config JSON file: ParseError for a
+    file that cannot be read or is not JSON, ValidationError for a field
+    that is missing or of the wrong type or range."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as e:
         raise ParseError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
-    except OSError as e:
+    # ValueError: bad UTF-8 or an int past Python's digit limit
+    except (OSError, ValueError, RecursionError) as e:
         raise ParseError(f"{path}: {e}") from e
     return platform_from_json(doc)
 
@@ -209,28 +219,23 @@ def load_platform_config(path: str | Path) -> PlatformConfig:
 def platform_from_json(doc: dict) -> PlatformConfig:
     try:
         node_doc = doc["node"]
-        node = NodeSpec(
-            cores_total=int(node_doc["cores_total"]),
-            cores_reserved=int(node_doc.get("cores_reserved", 0)),
-            gpus=int(node_doc.get("gpus", 0)),
+        return PlatformConfig(
+            name=doc["name"],
+            node=NodeSpec(
+                cores_total=node_doc["cores_total"],
+                cores_reserved=node_doc.get("cores_reserved", 0),
+                gpus=node_doc.get("gpus", 0),
+            ),
+            node_count=doc["node_count"],
+            policy=WalltimePolicy(tiers=doc["policy"]["tiers"]),
+            bootstrap_overhead_s=doc.get("bootstrap_overhead_s", 0.0),
         )
-    except (KeyError, TypeError, ValueError) as e:
-        raise ValidationError(f"malformed node section: {e}") from e
+    # KeyError, TypeError: a key missing or a section of the wrong type
+    except (KeyError, TypeError) as e:
+        raise ValidationError(f"malformed platform config: {e}") from e
     except InvalidNodeSpec as e:
         # the CLI reports ValidationError as a configuration error
         raise ValidationError(str(e)) from e
-    try:
-        return PlatformConfig(
-            name=str(doc["name"]),
-            node=node,
-            node_count=int(doc["node_count"]),
-            policy=WalltimePolicy(
-                tiers=tuple(tuple(t) for t in doc["policy"]["tiers"])
-            ),
-            bootstrap_overhead_s=float(doc.get("bootstrap_overhead_s", 0.0)),
-        )
-    except (KeyError, TypeError) as e:
-        raise ValidationError(f"malformed platform config: {e}") from e
 
 
 def save_platform_config(config: PlatformConfig, path: str | Path) -> None:

@@ -11,12 +11,13 @@ drive.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
-from ensemblekit.errors import ConfigError, IllegalTransition
+from ensemblekit.errors import ConfigError, IllegalTransition, ParseError
 
 
 class TaskState(Enum):
@@ -48,13 +49,55 @@ _EDGES: dict[TaskState, frozenset[TaskState]] = {
 }
 
 
+# the most slots one task may reserve, and the most cores or GPUs of a
+# node: every count up to it is exact as a float, and the accounting
+# multiplies slots by seconds in floats
+MAX_SLOTS = 2**53
+
+
+def is_number(value: object) -> bool:
+    """An int or float within the float range. type(), not isinstance():
+    JSON true/false load as bool, an int."""
+    if type(value) not in (int, float):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def count_violation(name: str, value: object, least: int) -> Optional[str]:
+    """Why ``value`` is not an int in [least, MAX_SLOTS], or None."""
+    if type(value) is not int:
+        return f"{name} must be an integer, not {value!r}"
+    if value < least:
+        return f"{name} must be >= {least}"
+    if value > MAX_SLOTS:
+        return f"{name} must be <= {MAX_SLOTS}"
+    return None
+
+
+def _strings(value: object) -> bool:
+    return type(value) is tuple and all(isinstance(v, str) for v in value)
+
+
+# the integer fields of a task and the least value of each
+_COUNTS = (
+    ("cpu_processes", 1),
+    ("cpu_threads_per_process", 1),
+    ("gpus_per_process", 0),
+)
+
+
 @dataclass(frozen=True)
 class TaskDescription:
     """One self-contained executable with its resource requirements.
 
     ``cpu_processes`` counts MPI ranks, ``cpu_threads_per_process`` cores per
     rank, ``gpus_per_process`` GPUs per rank. ``pre_exec`` holds shell lines
-    run before the executable to prepare the environment.
+    run before the executable to prepare the environment. Fields come
+    straight from workflow JSON; :meth:`violations` names each one of the
+    wrong type or out of range.
     """
 
     uid: str
@@ -69,24 +112,45 @@ class TaskDescription:
     tags: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "arguments", tuple(self.arguments))
-        object.__setattr__(self, "pre_exec", tuple(self.pre_exec))
-        object.__setattr__(self, "tags", dict(self.tags))
+        # copy sequences and mappings; anything else is left for violations()
+        if isinstance(self.arguments, (tuple, list)):
+            object.__setattr__(self, "arguments", tuple(self.arguments))
+        if isinstance(self.pre_exec, (tuple, list)):
+            object.__setattr__(self, "pre_exec", tuple(self.pre_exec))
+        if isinstance(self.tags, (dict, Mapping)):
+            object.__setattr__(self, "tags", dict(self.tags))
 
     def violations(self) -> list[str]:
         out = []
-        if not self.uid:
+        uid = self.uid
+        for name, least in _COUNTS:
+            reason = count_violation(name, getattr(self, name), least)
+            if reason:
+                out.append(f"task {uid}: {reason}")
+        if not out and self.cpu_processes * max(
+            self.cpu_threads_per_process, self.gpus_per_process
+        ) > MAX_SLOTS:
+            out.append(
+                f"task {uid}: reserves more than {MAX_SLOTS} core or GPU slots"
+            )
+        if not isinstance(uid, str):
+            out.append(f"task uid {uid!r} is not a string")
+        elif not uid:
             out.append("task has empty uid")
-        if not self.executable:
-            out.append(f"task {self.uid}: executable is empty")
-        if self.cpu_processes < 1:
-            out.append(f"task {self.uid}: cpu_processes must be >= 1")
-        if self.cpu_threads_per_process < 1:
-            out.append(f"task {self.uid}: cpu_threads_per_process must be >= 1")
-        if self.gpus_per_process < 0:
-            out.append(f"task {self.uid}: gpus_per_process must be >= 0")
-        if self.expected_runtime_s is not None and self.expected_runtime_s <= 0:
-            out.append(f"task {self.uid}: expected_runtime_s must be > 0")
+        if not (isinstance(self.executable, str) and self.executable):
+            out.append(f"task {uid}: executable must be a non-empty string")
+        if not _strings(self.arguments):
+            out.append(f"task {uid}: arguments must be a list of strings")
+        if not _strings(self.pre_exec):
+            out.append(f"task {uid}: pre_exec must be a list of strings")
+        runtime = self.expected_runtime_s
+        if runtime is not None and not (is_number(runtime) and runtime > 0):
+            out.append(
+                f"task {uid}: expected_runtime_s must be a finite number > 0, "
+                f"not {runtime!r}"
+            )
+        if not isinstance(self.tags, dict):
+            out.append(f"task {uid}: tags must be a JSON object")
         return out
 
 
@@ -163,8 +227,8 @@ class WorkflowSpec:
                     TaskDescription(
                         uid=t["uid"],
                         executable=t["executable"],
-                        arguments=tuple(t.get("arguments", ())),
-                        pre_exec=tuple(t.get("pre_exec", ())),
+                        arguments=t.get("arguments", ()),
+                        pre_exec=t.get("pre_exec", ()),
                         cpu_processes=t.get("cpu_processes", 1),
                         cpu_threads_per_process=t.get(
                             "cpu_threads_per_process", 1
@@ -186,7 +250,15 @@ class WorkflowSpec:
 
     @classmethod
     def load(cls, path: str | Path) -> "WorkflowSpec":
-        return cls.from_json(json.loads(Path(path).read_text()))
+        """Raises ParseError naming the path for a file that cannot be
+        read, is not JSON, or lacks the workflow's keys; field values are
+        left for :func:`validate_workflow`."""
+        try:
+            return cls.from_json(json.loads(Path(path).read_text()))
+        # ValueError: bad JSON or UTF-8; RecursionError: deep nesting;
+        # KeyError, TypeError: a key missing or a section of the wrong type
+        except (OSError, ValueError, RecursionError, KeyError, TypeError) as e:
+            raise ParseError(f"{path}: {e}") from e
 
 
 def validate_workflow(spec: WorkflowSpec) -> list[str]:
@@ -197,15 +269,20 @@ def validate_workflow(spec: WorkflowSpec) -> list[str]:
     """
     out: list[str] = []
     seen: set[str] = set()
+    if not isinstance(spec.name, str):
+        out.append(f"workflow name {spec.name!r} is not a string")
     if not spec.stages:
         out.append("workflow has no stages")
     for stage in spec.stages:
+        if not isinstance(stage.name, str):
+            out.append(f"stage name {stage.name!r} is not a string")
         if not stage.tasks:
             out.append(f"stage {stage.name} is empty")
         for task in stage.tasks:
-            if task.uid in seen:
-                out.append(f"duplicate uid {task.uid}")
-            seen.add(task.uid)
+            if isinstance(task.uid, str):  # else violations() names it
+                if task.uid in seen:
+                    out.append(f"duplicate uid {task.uid}")
+                seen.add(task.uid)
             out.extend(task.violations())
     return out
 

@@ -24,6 +24,9 @@ _SHAPE_EXACA = (8, 7, 1)
 _SHAPE_EXACONSTIT = (64, 7, 1)
 _SHAPE_SERIAL = (1, 1, 0)
 
+# ExaConstit members draw their runtime hint uniformly from this range
+_EXACONSTIT_RUNTIME_S = (600.0, 1500.0)
+
 
 def _mock_task(
     uid: str,
@@ -128,8 +131,6 @@ def _exaca_stages(
 
 def _exaconstit_stages(params: Mapping) -> list[Stage]:
     n = int(params.get("tasks", 16))
-    lo = float(params.get("runtime_lo", 600.0))
-    hi = float(params.get("runtime_hi", 1500.0))
     seed = params.get("seed", 0)
     sleep_s = params.get("sleep_s", 0.05)
     desk = bool(params.get("desk", False))
@@ -143,7 +144,7 @@ def _exaconstit_stages(params: Mapping) -> list[Stage]:
             [],
             sleep_s,
             _SHAPE_EXACONSTIT,
-            rng.uniform(lo, hi),
+            rng.uniform(*_EXACONSTIT_RUNTIME_S),
             desk,
         )
         for i in range(n)
@@ -170,7 +171,7 @@ def _exaconstit_stages(params: Mapping) -> list[Stage]:
 
 def _toy_stages(params: Mapping) -> list[Stage]:
     n_stages = int(params.get("stages", 2))
-    per_stage = int(params.get("tasks", params.get("tasks_per_stage", 2)))
+    per_stage = int(params.get("tasks", 2))
     sleep_s = params.get("sleep_s", 0.05)
     if n_stages < 1 or per_stage < 1:
         raise UnknownShape("toy needs stages >= 1 and tasks >= 1")

@@ -88,15 +88,88 @@ class TestSimulate:
         )
         assert code == 2
 
-    def test_profile_name_accepted_via_platform_flag(self, tmp_path):
+    def test_platform_and_workflow_come_only_from_files(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # --platform names a file, never a profile; no inline workflow
+        monkeypatch.chdir(tmp_path)
         wf = tmp_path / "wf.json"
         run_cli("example", "--example", "toy", "--out", str(wf))
+        capsys.readouterr()
         code = run_cli(
             "simulate", "--workflow", str(wf), "--platform", "frontier-sim",
-            "--nodes", "4", "--walltime", "7200",
-            "--out", str(tmp_path / "x.jsonl"),
+            "--nodes", "4", "--walltime", "7200", "--out", "x.jsonl",
         )
-        assert code == 0
+        assert code == 2
+        assert "error: ParseError: frontier-sim: " in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("simulate", "--example", "toy", "--profile",
+                    "frontier-sim", "--nodes", "4", "--out", "x.jsonl")
+        assert exit_info.value.code == 2
+        assert not (tmp_path / "x.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("cpu_processes", "x"),
+            ("expected_runtime_s", "x"),
+            ("cpu_processes", 1.5),
+            ("gpus_per_process", True),
+            ("expected_runtime_s", float("nan")),
+            ("uid", 5),
+            ("arguments", "abc"),
+        ],
+    )
+    def test_bad_workflow_field_is_config_error(self, tmp_path, capsys,
+                                                field, value):
+        doc = json.loads(json.dumps(_WORKFLOW))
+        _put(doc, _TASK + (field,), value)
+        wf = tmp_path / "wf.json"
+        wf.write_text(json.dumps(doc))
+        log = tmp_path / "run.jsonl"
+        code = run_cli(
+            "simulate", "--workflow", str(wf), "--profile", "frontier-sim",
+            "--nodes", "2", "--walltime", "7200", "--out", str(log),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: ValidationError: task " in err
+        assert field in err
+        assert "Traceback" not in err
+        assert not log.exists()
+
+    @pytest.mark.parametrize(
+        "path,value",
+        [
+            (("bootstrap_overhead_s",), float("nan")),
+            (("bootstrap_overhead_s",), "x"),
+            (("policy", "tiers", 0), ["a", 1.0]),
+            (("policy", "tiers", 0), [4, 3600.0, 1]),
+            (("node", "cores_total"), 10**400),
+            (("node_count",), 1.5),
+        ],
+        ids=["bootstrap-nan", "bootstrap-string", "tier-string-nodes",
+             "tier-three-elements", "cores-beyond-float-range",
+             "node-count-float"],
+    )
+    def test_bad_platform_field_is_validation_error(self, tmp_path, capsys,
+                                                    path, value):
+        doc = json.loads(json.dumps(_PLATFORM))
+        _put(doc, path, value)
+        platform = tmp_path / "p.json"
+        platform.write_text(json.dumps(doc))
+        wf = tmp_path / "wf.json"
+        wf.write_text(json.dumps(_WORKFLOW))
+        log = tmp_path / "run.jsonl"
+        code = run_cli(
+            "simulate", "--workflow", str(wf), "--platform", str(platform),
+            "--nodes", "2", "--out", str(log),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: ValidationError: " in err
+        assert "Traceback" not in err
+        assert not log.exists()
 
     def test_walltime_above_policy(self, tmp_path, capsys):
         wf = tmp_path / "wf.json"
@@ -352,6 +425,17 @@ class TestReport:
                 '{"threads":1' + "0" * 5000 + ',"gpus_pp":1,"chunks":[8]}',
                 id="widths-beyond-int-digit-limit",
             ),
+            pytest.param(
+                ev.JOB_START,
+                '{"cores_total":1' + "0" * 400 + ',"allocation_nodes":8}',
+                id="cores-beyond-float-range",
+            ),
+            pytest.param(
+                ev.JOB_START,
+                '{"cores_total":64,"gpus_per_node":1' + "0" * 400
+                + ',"allocation_nodes":8}',
+                id="gpus-beyond-float-range",
+            ),
         ],
     )
     def test_bad_detail_exit_1(self, tmp_path, small_platform_file, capsys,
@@ -469,6 +553,81 @@ def test_report_on_one_broken_field_exits_0_or_1(field, value):
                          "--out", str(Path(tmp) / "r")])
     assert code in (0, 1), err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+# A valid one-task workflow and a small platform; the properties below
+# replace one field of either.
+_WORKFLOW = {
+    "name": "w",
+    "stages": [{"name": "s", "tasks": [{
+        "uid": "t", "executable": "/bin/true", "arguments": ["-c"],
+        "pre_exec": [], "cpu_processes": 1, "cpu_threads_per_process": 1,
+        "gpus_per_process": 0, "expected_runtime_s": 10.0, "tags": {},
+    }]}],
+}
+_PLATFORM = {
+    "name": "p", "node": {"cores_total": 8, "cores_reserved": 0, "gpus": 2},
+    "node_count": 4, "bootstrap_overhead_s": 1.0,
+    "policy": {"tiers": [[4, 3600.0]]},
+}
+_TASK = ("stages", 0, "tasks", 0)
+_WORKFLOW_FIELDS = (
+    [("name",), ("stages",), ("stages", 0), ("stages", 0, "name"),
+     ("stages", 0, "tasks"), _TASK]
+    + [_TASK + (key,) for key in _WORKFLOW["stages"][0]["tasks"][0]]
+)
+_PLATFORM_FIELDS = (
+    [("name",), ("node",), ("node_count",), ("bootstrap_overhead_s",),
+     ("policy",), ("policy", "tiers"), ("policy", "tiers", 0),
+     ("policy", "tiers", 0, 0), ("policy", "tiers", 0, 1)]
+    + [("node", key) for key in _PLATFORM["node"]]
+)
+
+
+def _put(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+def _simulate_then_report(workflow, platform, *flags):
+    """Run simulate on the two documents in-process: it exits 0 or 2 with
+    no traceback, writes no log on 2, and on 0 writes one report reads."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        wf, plat, log = tmp / "wf.json", tmp / "p.json", tmp / "run.jsonl"
+        wf.write_text(json.dumps(workflow))
+        plat.write_text(json.dumps(platform))
+        for argv, codes in (
+            (["simulate", "--workflow", str(wf), "--platform", str(plat),
+              *flags, "--out", str(log)], (0, 2)),
+            (["report", "--log", str(log), "--out", str(tmp / "r")], (0,)),
+        ):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in codes, err.getvalue()
+            assert "Traceback" not in err.getvalue()
+            if code == 2:
+                assert not log.exists()
+                return
+
+
+@given(field=st.sampled_from(_WORKFLOW_FIELDS), value=_JSON_VALUES)
+@settings(max_examples=150, deadline=None)
+def test_simulate_on_one_broken_workflow_field(field, value):
+    doc = json.loads(json.dumps(_WORKFLOW))
+    _put(doc, field, value)
+    _simulate_then_report(doc, _PLATFORM, "--nodes", "2", "--walltime", "3600")
+
+
+@given(field=st.sampled_from(_PLATFORM_FIELDS), value=_JSON_VALUES)
+@settings(max_examples=150, deadline=None)
+def test_simulate_on_one_broken_platform_field(field, value):
+    doc = json.loads(json.dumps(_PLATFORM))
+    _put(doc, field, value)
+    _simulate_then_report(_WORKFLOW, doc, "--nodes", "2")
 
 
 class TestResubmitComposition:

@@ -127,13 +127,6 @@ class TestProfiles:
         with pytest.raises(ValidationError):
             get_profile("no-such-machine")
 
-    def test_profile_dir_env(self, tmp_path, monkeypatch):
-        config = get_profile("frontier-sim")
-        save_platform_config(config, tmp_path / "mymachine.json")
-        monkeypatch.setenv("ENSEMBLEKIT_PROFILE_DIR", str(tmp_path))
-        loaded = get_profile("mymachine")
-        assert loaded.node == config.node
-
 
 class TestLoadSave:
     def test_round_trip(self, tmp_path):
