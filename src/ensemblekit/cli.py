@@ -14,6 +14,7 @@ maps every error a subcommand raises to its code in one place.
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 from pathlib import Path
 from typing import Optional
@@ -24,8 +25,8 @@ from ensemblekit.errors import (
     EnsembleKitError,
     InsufficientData,
     InvalidNodeSpec,
+    Interrupted,
     MalformedLog,
-    ValidationError,
 )
 from ensemblekit.engine import (
     DurationSpec,
@@ -44,7 +45,7 @@ from ensemblekit.platform import (
     load_platform_config,
     max_walltime_for,
 )
-from ensemblekit.pst import WorkflowSpec, validate_workflow
+from ensemblekit.pst import WorkflowSpec, check_workflow
 from ensemblekit.resilience import (
     collect_failures,
     plan_resubmission,
@@ -102,14 +103,6 @@ def _load_platform(args) -> PlatformConfig:
     return get_profile(args.profile)
 
 
-def _load_workflow(args) -> WorkflowSpec:
-    spec = WorkflowSpec.load(args.workflow)
-    violations = validate_workflow(spec)
-    if violations:
-        raise ValidationError("; ".join(violations))
-    return spec
-
-
 def _attempt_path(base: Path, attempt: int) -> Path:
     if attempt == 1:
         return base
@@ -139,7 +132,7 @@ def _unresolved_exit(unresolved) -> int:
 
 def cmd_simulate(args) -> int:
     platform = _load_platform(args)
-    spec = _load_workflow(args)
+    spec = WorkflowSpec.load(args.workflow)
     nodes = args.nodes
     if nodes is None:
         raise ConfigError("--nodes is required for the simulated backend")
@@ -181,22 +174,30 @@ def cmd_simulate(args) -> int:
 
 def cmd_run(args) -> int:
     platform = _load_platform(args)
-    spec = _load_workflow(args)
+    spec = WorkflowSpec.load(args.workflow)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     def run_attempt(specs, attempt, nodes, walltime_s):
+        # run_local makes the attempt's directory
         attempt_dir = out_dir if attempt == 1 else out_dir / f"attempt-{attempt}"
-        attempt_dir.mkdir(parents=True, exist_ok=True)
-        log = run_local(specs, platform, args.max_parallel, attempt_dir)
+        try:
+            log = run_local(specs, platform, args.max_parallel, attempt_dir)
+        except Interrupted as e:
+            e.log.save_jsonl(attempt_dir / "events.jsonl")
+            raise
         log.save_jsonl(attempt_dir / "events.jsonl")
         return log
 
-    # one node and no walltime: the local backend runs on this machine
-    logs, unresolved = retry_loop(
-        spec, platform, run_attempt, 1, None, args.max_attempts,
-        args.retry_canceled,
-    )
+    # SIGTERM stops the run the way SIGINT does, through KeyboardInterrupt
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
+    try:
+        # one node and no walltime: the local backend runs on this machine
+        logs, unresolved = retry_loop(
+            spec, platform, run_attempt, 1, None, args.max_attempts,
+            args.retry_canceled,
+        )
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     for i, log in enumerate(logs, start=1):
         print(f"attempt {i}: {_summarize(log, platform.node)}")
     return _unresolved_exit(unresolved)
@@ -257,7 +258,9 @@ def cmd_report(args) -> int:
 
 def cmd_resubmit(args) -> int:
     log_path = _existing_log(args.log)
-    spec = _load_workflow(args)
+    # no job runs here to validate the workflow, so check it before use
+    spec = WorkflowSpec.load(args.workflow)
+    check_workflow(spec)
     log = EventLog.load_jsonl(log_path)
     platform = _load_platform(args)
     nodes = args.nodes if args.nodes is not None else _allocation_nodes(log)

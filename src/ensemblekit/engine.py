@@ -265,10 +265,7 @@ class SimState:
         self._drain(ts)
 
     def _handle_walltime(self, ts: float) -> None:
-        for uid, run in self.pilot.job.runs.items():
-            if not run.state.terminal:
-                self.pilot.finish(uid, ev.TASK_CANCELED, ts, "walltime")
-        self.pilot.queue.clear()
+        self.pilot.cancel_all(ts, "walltime")
         self._end(ts)
 
     def _end(self, ts: float) -> None:

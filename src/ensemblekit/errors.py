@@ -51,6 +51,15 @@ class MalformedLog(EnsembleKitError):
     """Event log violates per-task event ordering."""
 
 
+class Interrupted(EnsembleKitError):
+    """A local run stopped on SIGINT or SIGTERM; ``log`` is its complete
+    event log, every unfinished task canceled and JOB_END last."""
+
+    def __init__(self, message: str, log):
+        super().__init__(message)
+        self.log = log
+
+
 class InsufficientData(EnsembleKitError):
     """Not enough events to compute a rate."""
 

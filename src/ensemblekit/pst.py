@@ -17,7 +17,12 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
-from ensemblekit.errors import ConfigError, IllegalTransition, ParseError
+from ensemblekit.errors import (
+    ConfigError,
+    IllegalTransition,
+    ParseError,
+    ValidationError,
+)
 
 
 class TaskState(Enum):
@@ -287,6 +292,13 @@ def validate_workflow(spec: WorkflowSpec) -> list[str]:
     return out
 
 
+def check_workflow(spec: WorkflowSpec) -> None:
+    """Raise ValidationError listing every violation of the spec, if any."""
+    violations = validate_workflow(spec)
+    if violations:
+        raise ValidationError("; ".join(violations))
+
+
 @dataclass
 class TaskRun:
     """Runtime record of one task: state, assigned nodes, transition times."""
@@ -331,11 +343,7 @@ class JobRun:
         self._stages: list[list[tuple[TaskRun, ...]]] = []
         self._where: dict[str, tuple[int, int]] = {}
         for p, spec in enumerate(specs):
-            violations = validate_workflow(spec)
-            if violations:
-                raise ConfigError(
-                    f"workflow {spec.name} invalid: " + "; ".join(violations)
-                )
+            check_workflow(spec)
             for s, stage in enumerate(spec.stages):
                 for desc in stage.tasks:
                     if desc.uid in self.runs:

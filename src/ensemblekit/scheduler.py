@@ -278,6 +278,14 @@ class Pilot:
             release(self.table, placement)
         self.queue.extend(opened)
 
+    def cancel_all(self, ts: float, detail: str) -> None:
+        """Finish every task not yet terminal TASK_CANCELED, in job order,
+        and empty the queue."""
+        for uid, run in self.job.runs.items():
+            if not run.state.terminal:
+                self.finish(uid, ev.TASK_CANCELED, ts, detail)
+        self.queue.clear()
+
     def end(self, ts: float) -> None:
         """Log JOB_END with the terminal-state tally."""
         self.emit(ts, ev.JOB_END, detail=self.job.tally)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import signal
 
 import pytest
 
@@ -17,6 +18,16 @@ from ensemblekit.platform import (
     get_profile,
 )
 from ensemblekit.pst import Stage, TaskDescription, WorkflowSpec
+
+
+@pytest.fixture
+def sigint_raises():
+    """SIGINT raises KeyboardInterrupt in this process, and takes its default
+    action in the processes it starts, even when this process was started
+    with SIGINT ignored (as a background job of a script is)."""
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    yield
+    signal.signal(signal.SIGINT, previous)
 
 
 def make_task(

@@ -2,14 +2,20 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
+import signal
+import subprocess
+import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ensemblekit
 from ensemblekit import events as ev
 from ensemblekit.cli import main
 from ensemblekit.events import EventLog, scheduled_detail
@@ -827,3 +833,81 @@ class TestRunLocal:
         out = capsys.readouterr().out
         assert "attempt 1: done=0 failed=1" in out
         assert "attempt 2: done=1 failed=0" in out
+
+
+def _alive(pid: int) -> bool:
+    """Whether the process runs; a zombie nobody reaped counts as dead."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rpartition(")")[2].split()[0] not in ("Z", "X")
+
+
+class TestInterruptedRun:
+    def test_sigint_leaves_a_complete_log_resubmit_accepts(
+        self, tmp_path, capsys, sigint_raises
+    ):
+        # each task records its pid, then becomes "sleep 5"; the pre_exec
+        # line makes the task's outer shell fork, so killing that shell
+        # alone would leave the sleep running
+        pid_dir = tmp_path / "pids"
+        pid_dir.mkdir()
+        spec = single_stage("s", [
+            TaskDescription(
+                uid=f"t{i}", executable="/bin/sh",
+                arguments=("-c", f"echo $$ > {pid_dir}/t{i}; exec sleep 5"),
+                pre_exec=("true",),
+            )
+            for i in range(4)
+        ])
+        wf = tmp_path / "wf.json"
+        spec.save(wf)
+        out = tmp_path / "out"
+        src = str(Path(ensemblekit.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ensemblekit.cli", "run", "--workflow",
+             str(wf), "--out", str(out), "--max-parallel", "2",
+             "--max-attempts", "2", "--retry-canceled"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            deadline = time.monotonic() + 30
+            while len(list(pid_dir.iterdir())) < 2:
+                assert time.monotonic() < deadline, "tasks never started"
+                time.sleep(0.02)
+            # the pid files are written before exec: let both tasks exec
+            time.sleep(0.2)
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 1
+        assert "error: Interrupted: " in err
+        assert "Traceback" not in err
+        log = EventLog.load_jsonl(out / "events.jsonl")
+        assert log[-1].kind == ev.JOB_END
+        assert log[-1].detail == "done=0 failed=0 canceled=4"
+        assert not (out / "attempt-2").exists()
+        pids = [int(f.read_text()) for f in pid_dir.iterdir()]
+        assert len(pids) == 2
+        assert not any(_alive(pid) for pid in pids)
+
+        plan = tmp_path / "plan.json"
+        assert run_cli(
+            "resubmit", "--log", str(out / "events.jsonl"), "--workflow",
+            str(wf), "--profile", "local", "--retry-canceled",
+            "--out", str(plan),
+        ) == 0
+        assert "4 tasks in 1 stages" in capsys.readouterr().out
+        planned = WorkflowSpec.load(plan)
+        assert sorted(t.uid for st in planned.stages for t in st.tasks) == [
+            "t0", "t1", "t2", "t3"
+        ]

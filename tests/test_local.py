@@ -1,10 +1,12 @@
+import os
 import subprocess
+import time
 
 import pytest
 
 from ensemblekit import events as ev
 from ensemblekit import local as local_backend
-from ensemblekit.errors import ConfigError, Unplaceable
+from ensemblekit.errors import ConfigError, Interrupted, Unplaceable
 from ensemblekit.events import EventLog
 from ensemblekit.local import run_local
 from ensemblekit.metrics import (
@@ -213,3 +215,70 @@ def test_host_wide_tasks_run_one_at_a_time(local, tmp_path):
     stack = compute_utilization(log, local.node, 1)
     for unit in (stack.nodes, stack.cores, stack.gpus):
         assert 0 <= unit.busy_s <= unit.capacity_s
+
+
+def test_a_freed_slot_refills_while_a_long_task_runs(tmp_path):
+    # the short tasks cycle through the second slot while the first stays
+    # busy, so a wait on the oldest child would finish "long" first
+    host = small_platform(cores=8, nodes=1)
+    wf = single_stage(
+        "s",
+        [sh_task("long", "sleep 0.5")]
+        + [sh_task(f"short{i}", "true") for i in range(4)],
+    )
+    log = run_local(wf, host, 2, tmp_path)
+    done = [e.task_uid for e in log if e.kind == ev.TASK_DONE]
+    assert done == [f"short{i}" for i in range(4)] + ["long"]
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+def test_every_descriptor_is_closed(tmp_path):
+    host = small_platform(cores=8, nodes=1)
+    wf = single_stage("s", [sh_task(f"t{i}", "true") for i in range(50)])
+    before = _open_fds()
+    log = run_local(wf, host, 4, tmp_path)
+    assert log[-1].detail == "done=50 failed=0 canceled=0"
+    assert _open_fds() == before
+
+
+def test_waits_on_exits_without_sleeping(local, tmp_path, monkeypatch):
+    def no_sleep(seconds):
+        raise AssertionError(f"run_local slept {seconds}s")
+
+    monkeypatch.setattr(time, "sleep", no_sleep)
+    wf = single_stage("s", [sh_task(f"t{i}", "sleep 0.05") for i in range(4)])
+    log = run_local(wf, local, 2, tmp_path)
+    assert log[-1].detail == "done=4 failed=0 canceled=0"
+
+
+def test_interrupt_cancels_the_rest_and_keeps_a_complete_log(
+    tmp_path, sigint_raises
+):
+    # the first task sends this process SIGINT while run_local waits on it
+    host = small_platform(cores=8, nodes=1)
+    wf = WorkflowSpec(
+        name="stopped",
+        stages=(
+            Stage(name="s0", tasks=(
+                sh_task("killer", f"kill -INT {os.getpid()}; exec sleep 30"),
+                sh_task("waiting", "true"),
+            )),
+            Stage(name="s1", tasks=(sh_task("later", "true"),)),
+        ),
+    )
+    before = _open_fds()
+    start = time.monotonic()
+    with pytest.raises(Interrupted) as caught:
+        run_local(wf, host, 1, tmp_path)
+    assert time.monotonic() - start < 10
+    assert _open_fds() == before
+    log = caught.value.log
+    assert log[-1].kind == ev.JOB_END
+    assert log[-1].detail == "done=0 failed=0 canceled=3"
+    canceled = [(e.task_uid, e.detail) for e in log
+                if e.kind == ev.TASK_CANCELED]
+    assert canceled == [(uid, "interrupted")
+                        for uid in ("killer", "waiting", "later")]
