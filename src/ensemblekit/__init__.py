@@ -44,7 +44,6 @@ from ensemblekit.pst import (
     validate_workflow,
 )
 from ensemblekit.resilience import (
-    FailureRecord,
     ResubmissionPlan,
     collect_failures,
     plan_resubmission,
@@ -65,7 +64,6 @@ __all__ = [
     "Event",
     "EventLog",
     "FailureModel",
-    "FailureRecord",
     "JobRun",
     "NodeSpec",
     "Placement",

@@ -7,8 +7,10 @@ machine from ``--platform FILE`` or, without it, the built-in profile
 
 Exit codes are a function of outcome class only: 0 success, 1 execution
 failure or malformed input log, 2 configuration error (any
-:class:`~ensemblekit.errors.ConfigError`, or a missing file). :func:`main`
-maps every error a subcommand raises to its code in one place.
+:class:`~ensemblekit.errors.ConfigError`, or an ``OSError`` from a path that
+cannot be read or written: missing, a directory where a file is wanted, or
+the other way round). :func:`main` maps every error a subcommand raises to
+its code in one place.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from ensemblekit.resilience import (
 )
 from ensemblekit.workloads import SHAPES, generate_example
 
-_CONFIG_ERRORS = (ConfigError, FileNotFoundError)
+_CONFIG_ERRORS = (ConfigError, OSError)
 
 
 def _parse_runtime(text: str) -> DurationSpec:
@@ -120,12 +122,9 @@ def _summarize(log: EventLog, node: NodeSpec) -> str:
     )
 
 
-def _unresolved_exit(unresolved) -> int:
+def _unresolved_exit(unresolved: list[str]) -> int:
     if unresolved:
-        print(
-            "unresolved failures: "
-            + " ".join(sorted(r.uid for r in unresolved))
-        )
+        print("unresolved failures: " + " ".join(sorted(unresolved)))
         return 1
     return 0
 
@@ -203,13 +202,6 @@ def cmd_run(args) -> int:
     return _unresolved_exit(unresolved)
 
 
-def _existing_log(path: str) -> Path:
-    log_path = Path(path)
-    if not log_path.exists():
-        raise FileNotFoundError(f"log not found: {log_path}")
-    return log_path
-
-
 def _allocation_nodes(log: EventLog) -> int:
     """The allocation size in the log's run metadata; MalformedLog unless
     it is there and >= 1."""
@@ -223,7 +215,7 @@ def _allocation_nodes(log: EventLog) -> int:
 
 
 def cmd_report(args) -> int:
-    log_path = _existing_log(args.log)
+    log_path = Path(args.log)
     log = EventLog.load_jsonl(log_path)
     meta = log.job_meta()
     try:
@@ -257,21 +249,21 @@ def cmd_report(args) -> int:
 
 
 def cmd_resubmit(args) -> int:
-    log_path = _existing_log(args.log)
+    log_path = Path(args.log)
     # no job runs here to validate the workflow, so check it before use
     spec = WorkflowSpec.load(args.workflow)
     check_workflow(spec)
     log = EventLog.load_jsonl(log_path)
     platform = _load_platform(args)
     nodes = args.nodes if args.nodes is not None else _allocation_nodes(log)
-    records = collect_failures(log, spec, retry_canceled=args.retry_canceled)
-    if not records:
+    failed = collect_failures(log, spec, retry_canceled=args.retry_canceled)
+    if not failed:
         print("no failed tasks; nothing to resubmit")
         return 0
-    plan = plan_resubmission(records, spec, platform, nodes)
+    plan = plan_resubmission(failed, spec, platform, nodes)
     plan.save(args.out, attempt=args.attempt, parent_log=str(log_path))
     print(
-        f"{args.out}: {len(records)} tasks in "
+        f"{args.out}: {len(failed)} tasks in "
         f"{len(plan.workflow.stages)} stages, "
         f"allocation nodes={plan.nodes} walltime_s={plan.walltime_s}"
     )

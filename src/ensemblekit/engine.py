@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 from ensemblekit import events as ev
 from ensemblekit.errors import ConfigError, PolicyViolation
 from ensemblekit.events import EventLog
-from ensemblekit.platform import PlatformConfig, max_walltime_for
+from ensemblekit.platform import PlatformConfig, max_walltime_for, usable_cores
 from ensemblekit.pst import TaskDescription, TaskState, WorkflowSpec
 from ensemblekit.scheduler import Pilot
 
@@ -165,6 +165,11 @@ class SimState:
         self.task_faults: dict[str, float] = {
             f.uid: f.at_fraction for f in failure_model.task_faults
         }
+        unknown = sorted(
+            uid for uid in self.task_faults if uid not in self.pilot.job.runs
+        )
+        if unknown:
+            raise ConfigError(f"task faults name no task of the job: {unknown}")
         self.persistent_failed: set[int] = set()
         self.launch_delay_s = launch_delay_s
         self.launch_rate_cap = launch_rate_cap
@@ -328,6 +333,18 @@ def run_simulated(
         )
     if not math.isfinite(walltime_s):
         raise ConfigError(f"walltime {walltime_s} must be finite")
+    # the widest unit's slot-seconds bound every figure the log's accounting
+    # computes; node_count and the node's counts are at most MAX_SLOTS, so
+    # the integer product converts to a float
+    node = platform.node
+    capacity = (
+        allocation_nodes * max(usable_cores(node), node.gpus, 1) * walltime_s
+    )
+    if not math.isfinite(capacity):
+        raise ConfigError(
+            f"{allocation_nodes} nodes for {walltime_s}s leave the float "
+            f"range in slot-seconds"
+        )
     limit = max_walltime_for(platform.policy, allocation_nodes)
     if walltime_s > limit:
         raise PolicyViolation(

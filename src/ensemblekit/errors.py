@@ -65,7 +65,7 @@ class InsufficientData(EnsembleKitError):
 
 
 class EmptyPlan(EnsembleKitError):
-    """Resubmission requested with no failure records."""
+    """Resubmission requested with no failed tasks."""
 
 
 class UnknownShape(ConfigError):

@@ -22,6 +22,10 @@ from ensemblekit.errors import EnsembleKitError, InsufficientData, MalformedLog
 from ensemblekit.events import EventLog, scheduled_slots
 from ensemblekit.platform import NodeSpec, usable_cores
 
+# the share of a unit's capacity by which float rounding may push busy past
+# what capacity leaves after overhead
+_ROUNDING = 1e-9
+
 
 @dataclass(frozen=True)
 class UnitUsage:
@@ -113,8 +117,9 @@ def compute_utilization(
     Node-busy counts each node's time covered by at least one holder (the
     interval union, which equals nodes-held times duration whenever tasks do
     not share nodes). Core/GPU busy counts the reserved slot-seconds between
-    launch and terminal. Raises MalformedLog when an accounted value leaves
-    the float range.
+    launch and terminal. A unit busy for the whole run reads idle 0, not
+    the few ulps below it that float rounding leaves. Raises MalformedLog
+    when an accounted value leaves the float range.
     """
     end_ts = log.job_end_ts()
     boot_ts = log.bootstrap_ts()
@@ -150,6 +155,10 @@ def compute_utilization(
         capacity = allocation_nodes * per_node * end_ts
         ovh = allocation_nodes * per_node * boot_ts
         idle = capacity - ovh - busy
+        if idle < 0 and -idle <= _ROUNDING * capacity:
+            # busy for the whole run: the rounding of the products and the
+            # sum left idle a few ulps below zero
+            busy, idle = capacity - ovh, 0.0
         if not all(map(math.isfinite, (capacity, ovh, busy, idle))):
             raise MalformedLog(
                 f"accounting leaves the float range: capacity {capacity}, "

@@ -111,10 +111,9 @@ class PlatformConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.name, str):
             raise ValidationError(f"platform name {self.name!r} is not a string")
-        if type(self.node_count) is not int or self.node_count < 1:
-            raise ValidationError(
-                f"node_count must be an integer >= 1, not {self.node_count!r}"
-            )
+        reason = count_violation("node_count", self.node_count, 1)
+        if reason:
+            raise ValidationError(reason)
         bootstrap = self.bootstrap_overhead_s
         if not (is_number(bootstrap) and bootstrap >= 0):
             raise ValidationError(

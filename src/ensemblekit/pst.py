@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
@@ -113,7 +113,6 @@ class TaskDescription:
     cpu_threads_per_process: int = 1
     gpus_per_process: int = 0
     expected_runtime_s: Optional[float] = None
-    stage_name: str = ""
     tags: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -165,14 +164,6 @@ class Stage:
 
     name: str
     tasks: tuple[TaskDescription, ...]
-
-    def __post_init__(self) -> None:
-        # stage_name on each task mirrors the enclosing stage
-        fixed = tuple(
-            t if t.stage_name == self.name else replace(t, stage_name=self.name)
-            for t in self.tasks
-        )
-        object.__setattr__(self, "tasks", fixed)
 
 
 @dataclass(frozen=True)
@@ -240,7 +231,6 @@ class WorkflowSpec:
                         ),
                         gpus_per_process=t.get("gpus_per_process", 0),
                         expected_runtime_s=t.get("expected_runtime_s"),
-                        stage_name=s["name"],
                         tags=t.get("tags", {}),
                     )
                     for t in s.get("tasks", ())
@@ -301,16 +291,16 @@ def check_workflow(spec: WorkflowSpec) -> None:
 
 @dataclass
 class TaskRun:
-    """Runtime record of one task: state, assigned nodes, transition times."""
+    """Runtime state of one task: its state and assigned nodes. When each
+    transition happened is recorded only in the job's event log."""
 
     desc: TaskDescription
     state: TaskState = TaskState.NEW
     node_ids: tuple[int, ...] = ()
-    history: list[tuple[float, TaskState]] = field(default_factory=list)
 
 
-def transition_task(run: TaskRun, to: TaskState, ts: float = 0.0) -> TaskRun:
-    """Advance a task along a legal edge, recording the timestamp.
+def transition_task(run: TaskRun, to: TaskState) -> TaskRun:
+    """Advance a task along a legal edge.
 
     Raises IllegalTransition naming both states for any other edge; terminal
     states absorb.
@@ -321,7 +311,6 @@ def transition_task(run: TaskRun, to: TaskState, ts: float = 0.0) -> TaskRun:
             f"{run.state.value} -> {to.value}"
         )
     run.state = to
-    run.history.append((ts, to))
     return run
 
 
@@ -365,9 +354,7 @@ class JobRun:
         """The tasks of every pipeline's first stage, in pipeline order."""
         return tuple(run for stages in self._stages for run in stages[0])
 
-    def finish(
-        self, uid: str, state: TaskState, ts: float = 0.0
-    ) -> tuple[TaskRun, ...]:
+    def finish(self, uid: str, state: TaskState) -> tuple[TaskRun, ...]:
         """Move a task to a terminal state. When that leaves its pipeline's
         current stage fully terminal, the pipeline moves on to its next
         stage with work left, whose NEW tasks are returned; otherwise ()."""
@@ -375,7 +362,7 @@ class JobRun:
             raise IllegalTransition(
                 f"task {uid}: {state.value} is not a terminal state"
             )
-        transition_task(self.runs[uid], state, ts)
+        transition_task(self.runs[uid], state)
         self._unfinished -= 1
         self._tally[state] += 1
         p, s = self._where[uid]

@@ -1,10 +1,12 @@
 """Order-preserving failure resubmission.
 
-Failed tasks harvested from a job's event log are regrouped by their original
-stage, in original stage order, into a fresh workflow with a right-sized
-allocation request: enough nodes for full concurrency of the widest failed
-stage, never more than the original job used. Retries run as fresh jobs on a
-fresh allocation, through an attempt runner the caller passes to
+A failure is a task uid: the uids of a spec's tasks that a job's event log
+ends FAILED (or CANCELED) are regrouped by their original stage, in
+original stage order, into a fresh workflow with a right-sized allocation
+request: enough nodes for full concurrency of the widest failed stage,
+never more than the original job used. Why a task failed stays in the log,
+in its terminal event's detail. Retries run as fresh jobs on a fresh
+allocation, through an attempt runner the caller passes to
 :func:`retry_loop`, so one protocol serves both backends.
 """
 
@@ -26,58 +28,26 @@ from ensemblekit.events import EventLog
 from ensemblekit.platform import PlatformConfig, max_walltime_for, task_footprint
 from ensemblekit.pst import Stage, WorkflowSpec
 
-KIND_NODE_FAILURE = "node_failure"
-KIND_TASK_FAULT = "task_fault"
-KIND_CANCELED = "canceled"
-
-
-@dataclass(frozen=True)
-class FailureRecord:
-    uid: str
-    stage_name: str
-    stage_index: int
-    kind: str
-    ts: float
-
-
-def _failure_kind(event) -> str:
-    if event.kind == ev.TASK_CANCELED:
-        return KIND_CANCELED
-    if event.detail.startswith("node_failure"):
-        return KIND_NODE_FAILURE
-    return KIND_TASK_FAULT
-
 
 def collect_failures(
     log: EventLog, spec: WorkflowSpec, retry_canceled: bool = False
-) -> list[FailureRecord]:
-    """One record per task of the spec whose terminal event in this log is
-    TASK_FAILED (or TASK_CANCELED when retry_canceled). DONE tasks never
-    appear; tasks from other pipelines in the same log are ignored. A log
-    holds at most one terminal event per task (:meth:`EventLog.append`
-    checks it)."""
+) -> list[str]:
+    """The uids of the spec's tasks whose terminal event in this log is
+    TASK_FAILED (or TASK_CANCELED when retry_canceled), in log order. DONE
+    tasks never appear; tasks from other pipelines in the same log are
+    ignored. A log holds at most one terminal event per task
+    (:meth:`EventLog.append` checks it)."""
     if not log.complete:
         raise IncompleteLog("cannot collect failures from a log without JOB_END")
-    stage_of = spec.stage_index()
-    stage_names = {t.uid: t.stage_name for t in spec.tasks()}
+    uids = {t.uid for t in spec.tasks()}
     retried = {ev.TASK_FAILED}
     if retry_canceled:
         retried.add(ev.TASK_CANCELED)
-    records = []
-    for event in log:
-        uid = event.task_uid
-        if event.kind not in retried or uid not in stage_of:
-            continue
-        records.append(
-            FailureRecord(
-                uid=uid,
-                stage_name=stage_names[uid],
-                stage_index=stage_of[uid],
-                kind=_failure_kind(event),
-                ts=event.ts,
-            )
-        )
-    return records
+    return [
+        event.task_uid
+        for event in log
+        if event.kind in retried and event.task_uid in uids
+    ]
 
 
 @dataclass
@@ -105,23 +75,24 @@ class ResubmissionPlan:
 
 
 def plan_resubmission(
-    records: Sequence[FailureRecord],
+    failed: Sequence[str],
     spec: WorkflowSpec,
     platform: PlatformConfig,
     original_allocation_nodes: int,
 ) -> ResubmissionPlan:
-    """Rebuild the failed tasks into a smaller job preserving stage order.
+    """Rebuild the tasks whose uids are ``failed`` into a smaller job
+    preserving stage order.
 
     The allocation is sized for full concurrency of the widest failed stage
     and capped by the original allocation; the walltime comes from the policy
     table.
     """
-    if not records:
-        raise EmptyPlan("no failure records to plan from")
-    failed_uids = {r.uid for r in records}
+    if not failed:
+        raise EmptyPlan("no failed tasks to plan from")
+    failed_uids = set(failed)
     unknown = failed_uids - {t.uid for t in spec.tasks()}
     if unknown:
-        raise MalformedLog(f"records reference unknown tasks: {sorted(unknown)}")
+        raise MalformedLog(f"failures name unknown tasks: {sorted(unknown)}")
 
     stages = []
     widths = []
@@ -156,9 +127,9 @@ def retry_loop(
     walltime_s: Optional[float],
     max_attempts: int,
     retry_canceled: bool = False,
-) -> tuple[list[EventLog], list[FailureRecord]]:
+) -> tuple[list[EventLog], list[str]]:
     """Run a job, then re-submit failures as fresh smaller jobs until clean
-    or out of attempts. Returns all logs and whatever is still failed.
+    or out of attempts. Returns all logs and the uids still failed.
 
     ``run_attempt(specs, attempt, nodes, walltime_s)`` runs attempt
     ``attempt`` (from 1) as a fresh job on its own backend and returns its
@@ -174,7 +145,7 @@ def retry_loop(
     logs: list[EventLog] = []
     current: list[WorkflowSpec] = list(specs)
     allocation_nodes = nodes
-    unresolved: list[FailureRecord] = []
+    unresolved: list[str] = []
 
     for attempt in range(1, max_attempts + 1):
         log = run_attempt(current, attempt, nodes, walltime_s)
@@ -183,13 +154,13 @@ def retry_loop(
             (spec, collect_failures(log, spec, retry_canceled))
             for spec in current
         ]
-        unresolved = [r for _, records in per_spec for r in records]
+        unresolved = [uid for _, failed in per_spec for uid in failed]
         if not unresolved or attempt == max_attempts:
             break
         plans = [
-            plan_resubmission(records, spec, platform, allocation_nodes)
-            for spec, records in per_spec
-            if records
+            plan_resubmission(failed, spec, platform, allocation_nodes)
+            for spec, failed in per_spec
+            if failed
         ]
         current = [p.workflow for p in plans]
         nodes = min(allocation_nodes, sum(p.nodes for p in plans))

@@ -248,7 +248,7 @@ class Pilot:
         if placement is None:
             return None
         self.queue.popleft()
-        transition_task(run, TaskState.SCHEDULED, ts)
+        transition_task(run, TaskState.SCHEDULED)
         run.node_ids = placement.node_ids
         self.emit(
             ts,
@@ -265,13 +265,13 @@ class Pilot:
 
     def launch(self, run: TaskRun, ts: float) -> None:
         """Mark a placed task RUNNING and log TASK_LAUNCHED."""
-        transition_task(run, TaskState.RUNNING, ts)
+        transition_task(run, TaskState.RUNNING)
         self.emit(ts, ev.TASK_LAUNCHED, run.desc.uid, run.node_ids)
 
     def finish(self, uid: str, kind: str, ts: float, detail: str = "") -> None:
         """Apply a terminal event: the task's state, the log, the release of
         its slots, and the queueing of the stage it opened."""
-        opened = self.job.finish(uid, ev.STATE_OF_KIND[kind], ts)
+        opened = self.job.finish(uid, ev.STATE_OF_KIND[kind])
         self.emit(ts, kind, uid, self.job.runs[uid].node_ids or None, detail)
         placement = self.table.placement_of(uid)
         if placement is not None:

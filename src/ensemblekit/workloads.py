@@ -27,6 +27,18 @@ _SHAPE_SERIAL = (1, 1, 0)
 # ExaConstit members draw their runtime hint uniformly from this range
 _EXACONSTIT_RUNTIME_S = (600.0, 1500.0)
 
+# the most tasks the parameters of one generator may ask for (uq-stage1
+# chains two); a larger request is rejected before anything is built,
+# rather than filling memory
+MAX_EXAMPLE_TASKS = 1_000_000
+
+
+def _check_size(shape: str, n: int) -> None:
+    if n > MAX_EXAMPLE_TASKS:
+        raise UnknownShape(
+            f"{shape} asks for {n} tasks; at most {MAX_EXAMPLE_TASKS}"
+        )
+
 
 def _mock_task(
     uid: str,
@@ -58,6 +70,7 @@ def _additivefoam_stages(params: Mapping, prefix: str = "af") -> list[Stage]:
     desk = bool(params.get("desk", False))
     if cases < 1:
         raise UnknownShape("additivefoam needs at least 1 case")
+    _check_size("additivefoam", cases)
     pre = _mock_task(
         f"{prefix}-pre", [], sleep_s, _SHAPE_SERIAL, 60.0, desk
     )
@@ -101,6 +114,7 @@ def _exaca_stages(
     desk = bool(params.get("desk", False))
     if cases < 1 or uq_params < 1:
         raise UnknownShape("exaca needs cases >= 1 and uq_params >= 1")
+    _check_size("exaca", cases * uq_params)
     # one microstructure task per (melt-pool case, UQ parameter) pair
     grid = [
         _mock_task(
@@ -137,6 +151,7 @@ def _exaconstit_stages(params: Mapping) -> list[Stage]:
     optimizer = bool(params.get("optimizer", True))
     if n < 1:
         raise UnknownShape("exaconstit needs tasks >= 1")
+    _check_size("exaconstit", n)
     rng = random.Random(seed)
     members = [
         _mock_task(
@@ -175,6 +190,7 @@ def _toy_stages(params: Mapping) -> list[Stage]:
     sleep_s = params.get("sleep_s", 0.05)
     if n_stages < 1 or per_stage < 1:
         raise UnknownShape("toy needs stages >= 1 and tasks >= 1")
+    _check_size("toy", n_stages * per_stage)
     return [
         Stage(
             name=f"toy-stage{s}",

@@ -158,10 +158,10 @@ def test_criterion_3_fault_tolerance_reproduction():
         f"failed={len(failed)} held={len(ever_held)}",
     )
     check("3b retry_loop(max_attempts=2) resolves everything",
-          unresolved == [], f"unresolved={[r.uid for r in unresolved]}")
+          unresolved == [], f"unresolved={unresolved}")
 
-    records = collect_failures(first, wf)
-    plan = plan_resubmission(records, wf, platform, 64)
+    failures = collect_failures(first, wf)
+    plan = plan_resubmission(failures, wf, platform, 64)
     original_order = [s.name for s in wf.stages]
     plan_order = [s.name for s in plan.workflow.stages]
     is_subsequence = all(name in original_order for name in plan_order) and (
@@ -216,7 +216,7 @@ def test_criterion_3_fault_tolerance_reproduction():
                 }
                 if planned != failed_k:
                     ok = False
-        if done | {r.uid for r in unresolved} != all_uids:
+        if done | set(unresolved) != all_uids:
             ok = False
         if not ok:
             bad += 1

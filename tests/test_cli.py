@@ -153,10 +153,11 @@ class TestSimulate:
             (("policy", "tiers", 0), [4, 3600.0, 1]),
             (("node", "cores_total"), 10**400),
             (("node_count",), 1.5),
+            (("node_count",), 2**53 + 1),
         ],
         ids=["bootstrap-nan", "bootstrap-string", "tier-string-nodes",
              "tier-three-elements", "cores-beyond-float-range",
-             "node-count-float"],
+             "node-count-float", "node-count-beyond-slots"],
     )
     def test_bad_platform_field_is_validation_error(self, tmp_path, capsys,
                                                     path, value):
@@ -175,6 +176,29 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "error: ValidationError: " in err
         assert "Traceback" not in err
+        assert not log.exists()
+
+    def test_accounting_beyond_float_range_is_config_error(self, tmp_path,
+                                                           capsys):
+        # each value passes its own field check; together, 4 nodes of 2^53
+        # cores for 1e300 s leave the float range in core-seconds
+        platform = tmp_path / "p.json"
+        platform.write_text(json.dumps({
+            "name": "big", "node": {"cores_total": 2**53},
+            "node_count": 4, "policy": {"tiers": [[4, 1e300]]},
+        }))
+        doc = json.loads(json.dumps(_WORKFLOW))
+        _put(doc, _TASK + ("expected_runtime_s",), 1e300)
+        wf = tmp_path / "wf.json"
+        wf.write_text(json.dumps(doc))
+        log = tmp_path / "h.jsonl"
+        code = run_cli(
+            "simulate", "--workflow", str(wf), "--platform", str(platform),
+            "--nodes", "4", "--out", str(log),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: ConfigError: " in err and "float range" in err
         assert not log.exists()
 
     def test_walltime_above_policy(self, tmp_path, capsys):
@@ -243,6 +267,7 @@ class TestSimulate:
             ("--launch-delay", "-5"),
             ("--launch-rate-cap", "0"),
             ("--max-attempts", "0"),
+            ("--fail-task", "nosuch@0.5"),
         ],
     )
     def test_bad_flag_value_is_config_error(self, tmp_path, capsys, flag):
@@ -634,6 +659,132 @@ def test_simulate_on_one_broken_platform_field(field, value):
     doc = json.loads(json.dumps(_PLATFORM))
     _put(doc, field, value)
     _simulate_then_report(_WORKFLOW, doc, "--nodes", "2")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("report", "--log", "{dir}"),
+        ("simulate", "--workflow", "{wf}", "--nodes", "4", "--out", "{dir}"),
+        ("run", "--workflow", "{wf}", "--out", "{file}"),
+        ("example", "--example", "toy", "--out", "{dir}"),
+        ("resubmit", "--workflow", "{wf}", "--log", "{log}", "--out", "{dir}"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_path_of_the_wrong_kind_exits_2(tmp_path, capsys, argv):
+    # a directory where a file is wanted, or a file where a directory is
+    wf, log = tmp_path / "wf.json", tmp_path / "run.jsonl"
+    run_cli("example", "--example", "toy", "--out", str(wf))
+    run_cli("simulate", "--workflow", str(wf), "--nodes", "4",
+            "--fail-task", "toy-s0-t0@0.5", "--out", str(log))
+    (tmp_path / "d").mkdir()
+    (tmp_path / "f").write_text("")
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    paths = {"dir": tmp_path / "d", "file": tmp_path / "f", "wf": wf,
+             "log": log}
+    assert run_cli(*(a.format(**paths) for a in argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert sorted(tmp_path.rglob("*")) == before  # no log, no output
+
+
+@contextlib.contextmanager
+def _chdir(path):
+    old = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(old)
+
+
+# Valid command lines for the argv property below, one value after each
+# flag; {…} names a file of the example's own directory. run is left out
+# because it spawns processes.
+_ARGV = {
+    "simulate": [
+        "simulate", "--workflow", "{wf}", "--platform", "{platform}",
+        "--profile", "frontier-sim", "--nodes", "2", "--walltime", "3600",
+        "--seed", "0", "--runtime", "uniform:1,20", "--fail-node", "0@5",
+        "--fail-task", "t@0.5", "--launch-rate-cap", "10",
+        "--launch-delay", "0.5", "--max-attempts", "2", "--out", "{out}",
+    ],
+    "report": ["report", "--log", "{log}", "--out", "{out}", "--format", "csv"],
+    "resubmit": [
+        "resubmit", "--workflow", "{wf}", "--platform", "{platform}",
+        "--log", "{log}", "--nodes", "2", "--attempt", "2", "--out", "{out}",
+    ],
+    "example": [
+        "example", "--example", "uq-stage1", "--tasks", "2", "--cases", "2",
+        "--uq-params", "2", "--sleep", "0", "--seed", "0", "--out", "{out}",
+    ],
+}
+# a drawn value: (name of an existing file or directory, "") or ("", text).
+# Text holds no NUL, which no argv string can, no lone surrogate, which no
+# decoded argv string holds outside the surrogateescape range, and no "/",
+# so that every path it names lies in the example's directory.
+_ARGV_VALUES = st.one_of(
+    st.text(
+        st.characters(blacklist_categories=("Cs",),
+                      blacklist_characters="\x00/"),
+        max_size=12,
+    ).map(lambda text: ("", text)),
+    st.one_of(
+        st.integers(-3, 100),
+        st.sampled_from([2**31, 2**53, 2**53 + 1, 2**63, 10**30]),
+        st.floats(),
+    ).map(lambda n: ("", str(n))),
+    st.sampled_from(["wf", "platform", "log", "dir", "tmp"]).map(
+        lambda name: (name, "")
+    ),
+)
+
+
+@pytest.fixture(scope="module")
+def argv_inputs(tmp_path_factory):
+    """The property's input files: a workflow, a platform and the log of a
+    run of them in which task t failed."""
+    tmp = tmp_path_factory.mktemp("argv")
+    files = {"wf": tmp / "wf.json", "platform": tmp / "p.json",
+             "log": tmp / "run.jsonl"}
+    files["wf"].write_text(json.dumps(_WORKFLOW))
+    files["platform"].write_text(json.dumps(_PLATFORM))
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(["simulate", "--workflow", str(files["wf"]),
+              "--platform", str(files["platform"]), "--nodes", "2",
+              "--fail-task", "t@0.5", "--out", str(files["log"])])
+    return {name: path.read_bytes() for name, path in files.items()}
+
+
+@given(command=st.sampled_from(sorted(_ARGV)), data=st.data(),
+       value=_ARGV_VALUES)
+@settings(max_examples=150, deadline=None)
+def test_one_replaced_flag_value_exits_0_1_or_2(argv_inputs, command, data,
+                                                value):
+    template = _ARGV[command]
+    at = data.draw(st.sampled_from(range(2, len(template), 2)))
+    with tempfile.TemporaryDirectory() as tmp, _chdir(tmp):
+        tmp = Path(tmp)
+        paths = {"wf": tmp / "wf.json", "platform": tmp / "p.json",
+                 "log": tmp / "run.jsonl", "dir": tmp / "d", "tmp": tmp,
+                 "out": tmp / "out"}
+        for name, content in argv_inputs.items():
+            paths[name].write_bytes(content)
+        paths["dir"].mkdir()
+        argv = [a.format(**paths) for a in template]
+        name, text = value
+        argv[at] = str(paths[name]) if name else text
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as e:  # argparse rejects the value
+                code = e.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 class TestResubmitComposition:

@@ -40,7 +40,7 @@ def test_append_accepts_exactly_the_legal_walks(walk):
     run = TaskRun(desc=make_task("t"))
     for i, kind in enumerate(walk, start=1):
         try:
-            transition_task(run, STATE_OF[kind], float(i))
+            transition_task(run, STATE_OF[kind])
             legal = True
         except IllegalTransition:
             legal = False

@@ -5,9 +5,17 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ensemblekit import events as ev
-from ensemblekit.engine import DurationSpec, RuntimeModel, run_simulated
+from ensemblekit.engine import (
+    DurationSpec,
+    FailureModel,
+    NodeFault,
+    RuntimeModel,
+    run_simulated,
+)
 from ensemblekit.errors import (
     IncompleteLog,
     InsufficientData,
@@ -22,13 +30,17 @@ from ensemblekit.metrics import (
     throughput,
 )
 from ensemblekit.platform import NodeSpec
+from ensemblekit.pst import Stage, WorkflowSpec
+from ensemblekit.resilience import retry_loop
 from conftest import (
     build_log,
     exaconstit_task,
+    make_task,
     oracle_counts_at,
     oracle_usage,
     random_complete_log,
     single_stage,
+    small_platform,
 )
 
 TEST_NODE = NodeSpec(cores_total=8, cores_reserved=0, gpus=2)
@@ -305,3 +317,66 @@ class TestExport:
         export(stack, "csv", a)
         export(stack, "csv", b)
         assert a.read_bytes() == b.read_bytes()
+
+
+@st.composite
+def simulated_jobs(draw):
+    """A small platform, a workflow whose every task fits its allocation,
+    node faults and launch timing for attempt 1, and a walltime that may
+    cut the job short."""
+    nodes = draw(st.integers(1, 4))
+    cores = draw(st.integers(1, 8))
+    gpus = draw(st.integers(0, 2))
+    walltime = draw(st.floats(20.0, 400.0))
+    platform = small_platform(cores=cores, gpus=gpus, nodes=nodes,
+                              bootstrap=draw(st.floats(0.0, 10.0)),
+                              max_walltime=walltime)
+    stages, uid = [], 0
+    for s in range(draw(st.integers(1, 3))):
+        tasks = []
+        for _ in range(draw(st.integers(1, 4))):
+            threads = draw(st.integers(1, cores))
+            gpus_pp = draw(st.integers(0, gpus))
+            per_node = cores // threads
+            if gpus_pp:
+                per_node = min(per_node, gpus // gpus_pp)
+            tasks.append(make_task(
+                f"t{uid}", procs=draw(st.integers(1, per_node * nodes)),
+                threads=threads, gpus=gpus_pp,
+            ))
+            uid += 1
+        stages.append(Stage(name=f"s{s}", tasks=tuple(tasks)))
+    faults = FailureModel(node_faults=tuple(
+        NodeFault(draw(st.integers(0, nodes - 1)),
+                  draw(st.floats(0.0, walltime)), draw(st.booleans()))
+        for _ in range(draw(st.integers(0, 3)))
+    ))
+    launch = {
+        "launch_delay_s": draw(st.floats(0.0, 5.0)),
+        "launch_rate_cap": draw(st.none() | st.floats(0.01, 10.0)),
+    }
+    return (platform, WorkflowSpec(name="w", stages=tuple(stages)), nodes,
+            walltime, faults, launch)
+
+
+@given(job=simulated_jobs(), seed=st.integers(0, 3),
+       max_attempts=st.integers(1, 3), retry_canceled=st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_simulated_attempts_keep_accounting_in_bounds(
+    job, seed, max_attempts, retry_canceled
+):
+    platform, spec, nodes, walltime, faults, launch = job
+    model = RuntimeModel(default=DurationSpec.uniform(1.0, 100.0), seed=seed)
+
+    def run_attempt(specs, attempt, nodes, walltime_s):
+        return run_simulated(specs, platform, nodes, walltime_s, model,
+                             faults if attempt == 1 else None, **launch)
+
+    logs, _ = retry_loop(spec, platform, run_attempt, nodes, walltime,
+                         max_attempts, retry_canceled)
+    for log in logs:
+        allocation = log.job_meta()["allocation_nodes"]
+        stack = compute_utilization(log, platform.node, allocation)
+        for unit in (stack.nodes, stack.cores, stack.gpus):
+            assert 0 <= unit.busy_s <= unit.capacity_s, unit
+            assert unit.idle_s >= 0, unit

@@ -69,9 +69,8 @@ class TestTransitions:
     def test_new_to_scheduled(self):
         run = JobRun([single_stage("s0", [make_task("a")])])
         task = run.runs["a"]
-        transition_task(task, TaskState.SCHEDULED, ts=1.5)
+        transition_task(task, TaskState.SCHEDULED)
         assert task.state is TaskState.SCHEDULED
-        assert task.history == [(1.5, TaskState.SCHEDULED)]
 
     def test_terminal_absorbs(self):
         run = JobRun([single_stage("s0", [make_task("a")])])
@@ -154,7 +153,7 @@ class TestFrontier:
     def test_frontier_idempotent(self):
         job = JobRun([two_stage([make_task("a")], [make_task("b")])])
         assert uids(job.first_stages()) == uids(job.first_stages()) == ["a"]
-        assert all(r.history == [] for r in job.runs.values())
+        assert all(r.state is TaskState.NEW for r in job.runs.values())
 
     def test_finish_rejects_a_nonterminal_state(self):
         job = JobRun([single_stage("s0", [make_task("a")])])
@@ -263,8 +262,10 @@ def build_workflow(shape, name="wf"):
 @settings(max_examples=100, deadline=None)
 def test_random_traces_respect_stage_order(shapes, data):
     """Driving tasks only through first_stages/finish can never start stage
-    k+1 of a pipeline before its stage k is fully terminal, and every
-    trajectory matches NEW SCHEDULED RUNNING (DONE|FAILED)."""
+    k+1 of a pipeline before its stage k is fully terminal. The test drives
+    each task NEW -> SCHEDULED -> RUNNING -> DONE|FAILED itself, and
+    transition_task raises on any other edge, so every task that ends
+    terminal took exactly that path."""
     specs = [build_workflow(shape, f"p{i}") for i, shape in enumerate(shapes)]
     job = JobRun(specs)
     stage_of = {uid: (spec.name, i) for spec in specs
@@ -304,14 +305,7 @@ def test_random_traces_respect_stage_order(shapes, data):
         for other, (other_pipeline, other_stage) in stage_of.items():
             if other_pipeline == pipeline and other_stage < stage:
                 assert first_seen[other] < first_seen[uid]
-    # trajectories match the regular language
     for task in job.runs.values():
-        states = [s for _, s in task.history]
-        assert states == [
-            TaskState.SCHEDULED,
-            TaskState.RUNNING,
-            task.state,
-        ]
         assert task.state in (TaskState.DONE, TaskState.FAILED)
     done = sum(r.state is TaskState.DONE for r in job.runs.values())
     assert job.tally == (
@@ -339,8 +333,3 @@ def test_json_round_trip_field_names():
     }
     restored = WorkflowSpec.from_json(json.loads(json.dumps(doc)))
     assert restored == spec
-
-
-def test_stage_name_mirrors_enclosing_stage():
-    spec = single_stage("melt-pool", [make_task("a")])
-    assert spec.stages[0].tasks[0].stage_name == "melt-pool"

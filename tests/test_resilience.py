@@ -12,9 +12,6 @@ from ensemblekit.errors import EmptyPlan, IncompleteLog
 from ensemblekit.events import EventLog
 from ensemblekit.pst import Stage, WorkflowSpec, validate_workflow
 from ensemblekit.resilience import (
-    KIND_CANCELED,
-    KIND_NODE_FAILURE,
-    KIND_TASK_FAULT,
     collect_failures,
     plan_resubmission,
     retry_loop,
@@ -40,10 +37,7 @@ def run_with_fault(n_tasks=4, fault=None, nodes=4, walltime=10000.0):
 class TestCollectFailures:
     def test_counts_failed_tasks(self):
         wf, log = run_with_fault(fault=FailureModel.persistent_node(2, 10.0))
-        records = collect_failures(log, wf)
-        assert [r.uid for r in records] == ["t2"]
-        assert records[0].kind == KIND_NODE_FAILURE
-        assert records[0].stage_index == 0
+        assert collect_failures(log, wf) == ["t2"]
 
     def test_all_done_yields_nothing(self):
         wf, log = run_with_fault()
@@ -51,8 +45,11 @@ class TestCollectFailures:
 
     def test_task_fault_kind(self):
         wf, log = run_with_fault(fault=FailureModel.task_fault("t1", 0.5))
-        records = collect_failures(log, wf)
-        assert [(r.uid, r.kind) for r in records] == [("t1", KIND_TASK_FAULT)]
+        assert collect_failures(log, wf) == ["t1"]
+        # why it failed stays in the log, in the terminal event's detail
+        assert [e.detail for e in log if e.kind == ev.TASK_FAILED] == [
+            "task_fault"
+        ]
 
     def test_canceled_only_with_flag(self):
         platform = small_platform()
@@ -62,9 +59,7 @@ class TestCollectFailures:
             wf, platform, 1, 500.0, RuntimeModel(default=DurationSpec.expected())
         )
         assert collect_failures(log, wf) == []
-        records = collect_failures(log, wf, retry_canceled=True)
-        assert {r.uid for r in records} == {"t1", "t2"}
-        assert all(r.kind == KIND_CANCELED for r in records)
+        assert collect_failures(log, wf, retry_canceled=True) == ["t1", "t2"]
 
     def test_incomplete_log_rejected(self):
         wf, log = run_with_fault()
@@ -85,26 +80,21 @@ class TestPlanResubmission:
     def test_widest_stage_full_concurrency_sizing(self, frontier):
         # eight failed 8-node members want 64 nodes
         wf = single_stage("members", [exaconstit_task(f"m{i}") for i in range(8)])
-        records = [
-            r
-            for r in (
-                collect_failures(
-                    run_simulated(
-                        wf, frontier, 64, 7200.0,
-                        RuntimeModel(default=DurationSpec.fixed(100.0)),
-                        FailureModel(
-                            task_faults=tuple(
-                                FailureModel.task_fault(f"m{i}", 1.0).task_faults[0]
-                                for i in range(8)
-                            )
-                        ),
-                    ),
-                    wf,
-                )
-            )
-        ]
-        assert len(records) == 8
-        plan = plan_resubmission(records, wf, frontier, 8000)
+        failed = collect_failures(
+            run_simulated(
+                wf, frontier, 64, 7200.0,
+                RuntimeModel(default=DurationSpec.fixed(100.0)),
+                FailureModel(
+                    task_faults=tuple(
+                        FailureModel.task_fault(f"m{i}", 1.0).task_faults[0]
+                        for i in range(8)
+                    )
+                ),
+            ),
+            wf,
+        )
+        assert len(failed) == 8
+        plan = plan_resubmission(failed, wf, frontier, 8000)
         assert plan.nodes == 64
         assert plan.walltime_s == 7200.0
 
@@ -120,8 +110,8 @@ class TestPlanResubmission:
             wf, frontier, 16, 7200.0,
             RuntimeModel(default=DurationSpec.fixed(100.0)), fm,
         )
-        records = collect_failures(log, wf)
-        plan = plan_resubmission(records, wf, frontier, 16)
+        failed = collect_failures(log, wf)
+        plan = plan_resubmission(failed, wf, frontier, 16)
         assert plan.nodes == 16  # never more than the original job
 
     def test_stage_order_preserved(self):
@@ -141,8 +131,8 @@ class TestPlanResubmission:
             )
         )
         log = run_simulated(wf, platform, 4, 10000.0, FIXED, fm)
-        records = collect_failures(log, wf)
-        plan = plan_resubmission(records, wf, platform, 4)
+        failed = collect_failures(log, wf)
+        plan = plan_resubmission(failed, wf, platform, 4)
         assert [s.name for s in plan.workflow.stages] == ["early", "late"]
         assert [t.uid for s in plan.workflow.stages for t in s.tasks] == ["y", "x"]
 
@@ -212,7 +202,7 @@ class TestRetryLoop:
             wf, platform, runner, 4, 10000.0, max_attempts=3
         )
         assert len(logs) == 3
-        assert [r.uid for r in unresolved] == ["t"]
+        assert unresolved == ["t"]
         # one harvest per spec per attempt, reused to plan the retry
         assert calls == ["s", "s-retry", "s-retry-retry"]
         for log in logs[1:]:
@@ -244,7 +234,7 @@ class TestRetryLoop:
                 if e.kind == ev.TASK_DONE:
                     assert e.task_uid not in done  # a task succeeds once
                     done.add(e.task_uid)
-        assert done | {r.uid for r in unresolved} == all_uids
+        assert done | set(unresolved) == all_uids
         # per-attempt identity: tasks in attempt k = done(k) + planned(k+1)
         for i, log in enumerate(logs):
             in_log = {

@@ -3,7 +3,7 @@ import pytest
 from ensemblekit.errors import UnknownShape
 from ensemblekit.platform import NodeSpec, task_footprint
 from ensemblekit.pst import validate_workflow
-from ensemblekit.workloads import SHAPES, generate_example
+from ensemblekit.workloads import MAX_EXAMPLE_TASKS, SHAPES, generate_example
 
 FRONTIER_NODE = NodeSpec(64, 8, 8)
 
@@ -101,6 +101,21 @@ def test_toy_degenerate_shapes_rejected():
         generate_example("exaconstit", {"tasks": 0})
     with pytest.raises(UnknownShape):
         generate_example("no-such-shape")
+
+
+@pytest.mark.parametrize(
+    "shape,params",
+    [
+        ("toy", {"tasks": MAX_EXAMPLE_TASKS + 1}),
+        ("exaconstit", {"tasks": 2**63}),
+        ("additivefoam", {"cases": MAX_EXAMPLE_TASKS + 1}),
+        ("exaca", {"cases": 2**20, "uq_params": 2**20}),
+        ("uq-stage1", {"cases": 2, "uq_params": 10**30}),
+    ],
+)
+def test_oversized_examples_rejected_before_building(shape, params):
+    with pytest.raises(UnknownShape, match="at most"):
+        generate_example(shape, params)
 
 
 def test_mock_payloads_are_plain_shell():
