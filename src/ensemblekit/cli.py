@@ -16,7 +16,10 @@ its code in one place.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import signal
+import stat
 import sys
 from pathlib import Path
 from typing import Optional
@@ -111,6 +114,18 @@ def _attempt_path(base: Path, attempt: int) -> Path:
     return base.with_name(f"{base.stem}.attempt{attempt}{base.suffix}")
 
 
+def _check_writable(path: Path) -> None:
+    """Raise, creating nothing, the OSError that opening ``path`` for
+    writing would raise because its parent is missing or not a directory,
+    or it is a directory."""
+    # os.stat raises FileNotFoundError or NotADirectoryError itself, and
+    # OSError(errno, ...) makes the subclass of that errno
+    if not stat.S_ISDIR(os.stat(path.parent).st_mode):
+        raise OSError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(path))
+    if path.is_dir():
+        raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+
+
 def _summarize(log: EventLog, node: NodeSpec) -> str:
     """One attempt's JOB_END tally (its last event's detail, ``done=…
     failed=… canceled=…``), makespan and utilization of the nodes its run
@@ -159,11 +174,12 @@ def cmd_simulate(args) -> int:
             launch_rate_cap=args.launch_rate_cap,
         )
 
+    out = Path(args.out)
+    _check_writable(out)  # fail before the run, not after it
     logs, unresolved = retry_loop(
         spec, platform, run_attempt, nodes, walltime, args.max_attempts,
         args.retry_canceled,
     )
-    out = Path(args.out)
     for i, log in enumerate(logs, start=1):
         path = _attempt_path(out, i)
         log.save_jsonl(path)

@@ -1,8 +1,9 @@
 """Append-only event log: the contract between engine, resilience and metrics.
 
 Persisted as JSON lines, one event per line, with fields exactly
-``ts, kind, task_uid, node_ids, detail``. Timestamps are seconds from job
-start and non-decreasing within one log.
+``ts, kind, task_uid, node_ids, detail``. Timestamps are finite seconds
+from job start and non-decreasing within one log. The writer emits one
+fixed layout, byte-equal to ``json.dumps`` of the event's record.
 
 Every log follows the task lifecycle of :mod:`ensemblekit.pst`: a
 ``TASK_*`` event names its task and moves it along one edge of the state
@@ -17,8 +18,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from ensemblekit.errors import IncompleteLog, MalformedLog
 from ensemblekit.pst import _EDGES, MAX_SLOTS, TaskState, is_number
@@ -70,6 +72,11 @@ _FOLLOWS: dict[Optional[str], frozenset[str]] = {
 }
 
 
+# the JSON parser without json.loads' wrapper: a stripped line leaves that
+# wrapper no whitespace to skip, only the check for data after the value
+_parse = json.JSONDecoder().raw_decode
+
+
 def _all_at_least(values: list, least: int) -> bool:
     """Every value is an int >= least. type(), not isinstance(): a JSON
     true/false loads as bool, an int."""
@@ -79,26 +86,12 @@ def _all_at_least(values: list, least: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     ts: float
     kind: str
     task_uid: Optional[str] = None
     node_ids: Optional[tuple[int, ...]] = None
     detail: str = ""
-
-    def __post_init__(self) -> None:
-        if self.node_ids is not None:
-            object.__setattr__(self, "node_ids", tuple(self.node_ids))
-
-    def to_record(self) -> dict:
-        return {
-            "ts": self.ts,
-            "kind": self.kind,
-            "task_uid": self.task_uid,
-            "node_ids": list(self.node_ids) if self.node_ids is not None else None,
-            "detail": self.detail,
-        }
 
     @classmethod
     def from_record(cls, rec: object) -> "Event":
@@ -127,13 +120,8 @@ class Event:
         detail = rec.get("detail", "")
         if not isinstance(detail, str):
             raise MalformedLog(f"event detail {detail!r} is not a string")
-        return cls(
-            ts=float(ts),
-            kind=kind,
-            task_uid=task_uid,
-            node_ids=tuple(node_ids) if node_ids is not None else None,
-            detail=detail,
-        )
+        node_ids = tuple(node_ids) if node_ids is not None else None
+        return cls(float(ts), kind, task_uid, node_ids, detail)
 
 
 @dataclass
@@ -153,17 +141,23 @@ class EventLog:
             self.append(event)
 
     def append(self, event: Event) -> None:
-        """Raises MalformedLog, leaving the log as it was, for an event
-        earlier than the last one, a TASK_* event that does not follow an
-        edge of its task's lifecycle or names no task, or any other kind
-        that names a task."""
+        """Raises MalformedLog, leaving the log as it was, for an event of
+        unknown kind, a ts that is not a finite number or is earlier than
+        the last one, a TASK_* event that does not follow an edge of its
+        task's lifecycle or names no task, or any other kind that names a
+        task."""
+        ts, kind, uid = event.ts, event.kind, event.task_uid
+        if kind not in KINDS:
+            raise MalformedLog(f"unknown event kind {kind!r}")
+        if not is_number(ts):
+            raise MalformedLog(f"event ts {ts!r} is not a finite number")
         events = self.events
-        if events and event.ts < events[-1].ts - 1e-12:
+        # a difference: the float last - 1e-12 can round a large int last up
+        # past an equal ts
+        if events and events[-1].ts - ts > 1e-12:
             raise MalformedLog(
-                f"timestamps must be non-decreasing: "
-                f"{event.ts} after {events[-1].ts}"
+                f"timestamps must be non-decreasing: {ts} after {events[-1].ts}"
             )
-        kind, uid = event.kind, event.task_uid
         if uid is None:
             if kind in STATE_OF_KIND:
                 raise MalformedLog(f"{kind} event names no task")
@@ -219,8 +213,7 @@ class EventLog:
 
     def save_jsonl(self, path: str | Path) -> None:
         with open(path, "w") as f:
-            for event in self.events:
-                f.write(json.dumps(event.to_record()) + "\n")
+            f.writelines(map(_line, self.events))
 
     @classmethod
     def load_jsonl(cls, path: str | Path) -> "EventLog":
@@ -233,7 +226,10 @@ class EventLog:
                 try:
                     line = raw.decode("utf-8").strip()
                     if line:
-                        log.append(Event.from_record(json.loads(line)))
+                        rec, end = _parse(line)
+                        if end != len(line):
+                            raise json.JSONDecodeError("Extra data", line, end)
+                        log.append(Event.from_record(rec))
                 except MalformedLog as e:
                     raise MalformedLog(f"{path}:{lineno}: {e}") from e
                 # ValueError covers bad JSON, bad UTF-8 and an int past
@@ -245,12 +241,29 @@ class EventLog:
         return log
 
 
+def _line(event: Event) -> str:
+    """One log line: ``json.dumps`` of the event's fields as a record, for
+    every event :meth:`EventLog.append` accepts (a known kind, a finite int
+    or float ts, str uid and detail, int node ids)."""
+    ts, kind, uid, node_ids, detail = event
+    return (
+        '{"ts": %r, "kind": "%s", "task_uid": %s, "node_ids": %s, '
+        '"detail": %s}\n'
+    ) % (
+        ts,
+        kind,
+        "null" if uid is None else _quote(uid),
+        "null" if node_ids is None else "[%s]" % ", ".join(map(str, node_ids)),
+        _quote(detail),
+    )
+
+
 def scheduled_detail(threads: int, gpus_pp: int, chunks: list[int]) -> str:
     """Reservation widths carried on TASK_SCHEDULED so metrics can account
-    core/GPU slot-seconds from the log alone."""
-    return json.dumps(
-        {"threads": threads, "gpus_pp": gpus_pp, "chunks": chunks},
-        separators=(",", ":"),
+    core/GPU slot-seconds from the log alone: compact JSON, as
+    ``json.dumps(..., separators=(",", ":"))`` writes it for ints."""
+    return '{"threads":%r,"gpus_pp":%r,"chunks":[%s]}' % (
+        threads, gpus_pp, ",".join(map(str, chunks))
     )
 
 

@@ -92,17 +92,22 @@ class _Timeline:
 def task_timelines(log: EventLog) -> dict[str, _Timeline]:
     """Per-task schedule/launch/terminal timestamps and reserved slots."""
     out: dict[str, _Timeline] = {}
-    for event in log:
-        kind = event.kind
+    # TASK_SCHEDULED detail -> its slots: tasks of one shape share a detail,
+    # so each distinct one is parsed (and checked) once
+    slots: dict[str, tuple[int, int]] = {}
+    for ts, kind, uid, node_ids, detail in log:
         if kind == ev.TASK_SCHEDULED:
-            out[event.task_uid] = tl = _Timeline(sched_ts=event.ts)
-            tl.node_ids = event.node_ids or ()
-            tl.cores, tl.gpus = scheduled_slots(event.detail)
+            out[uid] = tl = _Timeline(sched_ts=ts)
+            tl.node_ids = node_ids or ()
+            reserved = slots.get(detail)
+            if reserved is None:
+                reserved = slots[detail] = scheduled_slots(detail)
+            tl.cores, tl.gpus = reserved
         elif kind == ev.TASK_LAUNCHED:
-            out[event.task_uid].launch_ts = event.ts
+            out[uid].launch_ts = ts
         elif kind in ev.TERMINAL_KINDS:
-            tl = out.setdefault(event.task_uid, _Timeline())
-            tl.terminal_ts = event.ts
+            tl = out.setdefault(uid, _Timeline())
+            tl.terminal_ts = ts
             tl.terminal_kind = kind
     return out
 

@@ -226,9 +226,7 @@ class Pilot:
         self.emit(0.0, ev.JOB_START, detail=json.dumps(start))
 
     def emit(self, ts, kind, uid=None, node_ids=None, detail="") -> None:
-        self.log.append(
-            Event(ts=ts, kind=kind, task_uid=uid, node_ids=node_ids, detail=detail)
-        )
+        self.log.append(Event(ts, kind, uid, node_ids, detail))
 
     def boot(self, ts: float) -> None:
         """Log BOOTSTRAP_DONE and queue every pipeline's first stage."""

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as they
 stream; tolerances are pinned in the assertions.
 """
 
+import hashlib
 import os
 import random
 import time
@@ -65,7 +66,20 @@ def frontier_ensemble(n=7875):
     )
 
 
-def test_criterion_1_frontier_scale_reproduction():
+# sha256 of the log criterion 1 simulates, and of report's csv exports of it
+HEADLINE_SHA256 = {
+    "run.jsonl":
+        "32ad9d7514ee0354c6b9a2fbfd96b0e51bb2df9deb8fb8db4d1bb32ae36a5de0",
+    "report_utilization.csv":
+        "d4a11f30dc44f11310ff5d68c68769933b997638113345b6baa38525ab8f6170",
+    "report_concurrency.csv":
+        "98541d485151d01d950a3321939c55f7bedf5be0c373b403ae2fcd9ffe3fd410",
+    "report_rates.csv":
+        "8c1d95edae13ab7e207316e701e61fa2aea384383d702a39203ec3fad5c410ce",
+}
+
+
+def test_criterion_1_frontier_scale_reproduction(tmp_path):
     platform = get_profile("frontier-sim")
     wf = frontier_ensemble()
     t0 = time.monotonic()
@@ -94,6 +108,15 @@ def test_criterion_1_frontier_scale_reproduction():
     check("1d OVH+TTX = job runtime to 1e-9", identity_err <= 1e-9,
           f"rel_err={identity_err:.2e}")
     check("1e simulation wall-clock <= 60 s", wall <= 60.0, f"wall={wall:.1f}s")
+
+    log.save_jsonl(tmp_path / "run.jsonl")
+    assert cli_main(["report", "--log", str(tmp_path / "run.jsonl"),
+                     "--out", str(tmp_path / "report")]) == 0
+    changed = [name for name, sha in HEADLINE_SHA256.items()
+               if hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               != sha]
+    check("1f log and report exports byte-identical to the golden hashes",
+          not changed, f"changed={changed}")
 
 
 def test_criterion_2_throughput_substitutes():

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ensemblekit
+from ensemblekit import cli
 from ensemblekit import events as ev
 from ensemblekit.cli import main
 from ensemblekit.events import EventLog, scheduled_detail
@@ -669,10 +670,20 @@ def test_simulate_on_one_broken_platform_field(field, value):
         ("run", "--workflow", "{wf}", "--out", "{file}"),
         ("example", "--example", "toy", "--out", "{dir}"),
         ("resubmit", "--workflow", "{wf}", "--log", "{log}", "--out", "{dir}"),
+        pytest.param(
+            ("simulate", "--workflow", "{wf}", "--nodes", "4",
+             "--out", "{dir}/gone/run.jsonl"),
+            id="simulate-missing-parent",
+        ),
+        pytest.param(
+            ("simulate", "--workflow", "{wf}", "--nodes", "4",
+             "--out", "{file}/run.jsonl"),
+            id="simulate-file-parent",
+        ),
     ],
     ids=lambda argv: argv[0],
 )
-def test_path_of_the_wrong_kind_exits_2(tmp_path, capsys, argv):
+def test_path_of_the_wrong_kind_exits_2(tmp_path, capsys, monkeypatch, argv):
     # a directory where a file is wanted, or a file where a directory is
     wf, log = tmp_path / "wf.json", tmp_path / "run.jsonl"
     run_cli("example", "--example", "toy", "--out", str(wf))
@@ -682,12 +693,27 @@ def test_path_of_the_wrong_kind_exits_2(tmp_path, capsys, argv):
     (tmp_path / "f").write_text("")
     before = sorted(tmp_path.rglob("*"))
     capsys.readouterr()
+
+    def simulated(*args, **kwargs):
+        pytest.fail("simulate ran before it checked --out")
+
+    monkeypatch.setattr(cli, "run_simulated", simulated)
     paths = {"dir": tmp_path / "d", "file": tmp_path / "f", "wf": wf,
              "log": log}
     assert run_cli(*(a.format(**paths) for a in argv)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert sorted(tmp_path.rglob("*")) == before  # no log, no output
+    if argv[0] == "simulate":
+        assert err.startswith(f"error: {_OPEN_ERROR[argv[-1]]}: ")
+
+
+# the OSError that opening each wrong --out path for writing raises
+_OPEN_ERROR = {
+    "{dir}": "IsADirectoryError",
+    "{dir}/gone/run.jsonl": "FileNotFoundError",
+    "{file}/run.jsonl": "NotADirectoryError",
+}
 
 
 @contextlib.contextmanager

@@ -1,7 +1,14 @@
-"""EventLog.append: the one place a log's task lifecycle is checked."""
+"""EventLog.append: the one place a log's task lifecycle is checked; the
+log writer and reader."""
+
+import json
+import math
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ensemblekit import events as ev
@@ -86,3 +93,61 @@ def test_slots_up_to_the_float_exact_limit():
     ):
         with pytest.raises(MalformedLog, match="slots"):
             scheduled_slots(detail)
+
+
+@pytest.mark.parametrize("ts", [math.inf, -math.inf, math.nan, True, "1"],
+                         ids=repr)
+def test_append_rejects_a_ts_that_is_not_a_finite_number(ts):
+    log = EventLog(events=[Event(0.0, ev.JOB_START)])
+    with pytest.raises(MalformedLog, match="not a finite number"):
+        log.append(task_event(ts, ev.TASK_SCHEDULED))
+    assert log.events == [Event(0.0, ev.JOB_START)]
+    # the task's lifecycle did not move either
+    log.append(task_event(1.0, ev.TASK_SCHEDULED))
+
+
+def test_append_rejects_an_unknown_kind():
+    log = EventLog()
+    for kind in ("BOGUS", 'JOB_START", "x'):
+        with pytest.raises(MalformedLog, match="unknown event kind"):
+            log.append(Event(0.0, kind))
+    assert log.events == []
+
+
+# all of Unicode, lone surrogates included, and the characters JSON escapes;
+# but no high surrogate just before a low one: JSON writes that pair as the
+# escapes of the one non-BMP character it reads them back as
+_TEXT = st.text(
+    st.characters(exclude_categories=())
+    | st.sampled_from('"\\\x00\x1f\x7f\ud800\udfff\U0001f600')
+).filter(lambda s: not re.search("[\ud800-\udbff][\udc00-\udfff]", s))
+_TS = st.one_of(
+    st.integers(-(10**308), 10**308),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 1.7e308]),
+)
+
+
+@given(
+    ts=st.lists(_TS, min_size=2, max_size=2).map(sorted),
+    uid=_TEXT,
+    node_ids=st.none() | st.lists(st.integers(0, 2**63), max_size=4).map(tuple),
+    detail=_TEXT,
+)
+# an int ts whose float rounds up: equal to the last ts, not below it
+@example(ts=[2**60 - 1] * 2, uid="", node_ids=None, detail="")
+@settings(max_examples=100, deadline=None)
+def test_saved_lines_are_json_dumps_of_the_records(ts, uid, node_ids, detail):
+    log = EventLog()
+    log.append(Event(ts[0], ev.JOB_START, detail=detail))
+    log.append(Event(ts[1], ev.TASK_SCHEDULED, uid, node_ids))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "log.jsonl"
+        log.save_jsonl(path)
+        assert path.read_text() == "".join(
+            json.dumps(e._asdict()) + "\n" for e in log
+        )
+        # the reader gives every ts back as a float
+        assert EventLog.load_jsonl(path).events == [
+            e._replace(ts=float(e.ts)) for e in log
+        ]

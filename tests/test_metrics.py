@@ -47,7 +47,7 @@ TEST_NODE = NodeSpec(cores_total=8, cores_reserved=0, gpus=2)
 
 
 def write_jsonl(path, events):
-    path.write_text("".join(json.dumps(e.to_record()) + "\n" for e in events))
+    path.write_text("".join(json.dumps(e._asdict()) + "\n" for e in events))
     return path
 
 

@@ -174,7 +174,7 @@ class TestDrainQueue:
             return [
                 (run.desc.uid, table.placement_of(run.desc.uid).assignments)
                 for run in placed
-            ], [e.to_record() for e in log]
+            ], [e._asdict() for e in log]
 
         assert run_once() == run_once()
 
