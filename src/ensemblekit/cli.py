@@ -29,9 +29,7 @@ from ensemblekit.errors import (
     ConfigError,
     EnsembleKitError,
     InsufficientData,
-    InvalidNodeSpec,
     Interrupted,
-    MalformedLog,
 )
 from ensemblekit.engine import (
     DurationSpec,
@@ -44,7 +42,6 @@ from ensemblekit.engine import (
 from ensemblekit.events import EventLog
 from ensemblekit.local import run_local
 from ensemblekit.platform import (
-    NodeSpec,
     PlatformConfig,
     get_profile,
     load_platform_config,
@@ -126,11 +123,11 @@ def _check_writable(path: Path) -> None:
         raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
 
 
-def _summarize(log: EventLog, node: NodeSpec) -> str:
+def _summarize(log: EventLog) -> str:
     """One attempt's JOB_END tally (its last event's detail, ``done=…
     failed=… canceled=…``), makespan and utilization of the nodes its run
     metadata records, which for a retry are fewer than attempt 1's."""
-    stack = metrics.compute_utilization(log, node, _allocation_nodes(log))
+    stack = metrics.compute_utilization(log)
     return (
         f"{log[-1].detail} makespan={log.job_end_ts():.1f}s "
         f"node_utilization={stack.nodes.utilization_fraction:.3f}"
@@ -183,7 +180,7 @@ def cmd_simulate(args) -> int:
     for i, log in enumerate(logs, start=1):
         path = _attempt_path(out, i)
         log.save_jsonl(path)
-        print(f"attempt {i}: {path} {_summarize(log, platform.node)}")
+        print(f"attempt {i}: {path} {_summarize(log)}")
     return _unresolved_exit(unresolved)
 
 
@@ -214,38 +211,14 @@ def cmd_run(args) -> int:
     finally:
         signal.signal(signal.SIGTERM, previous)
     for i, log in enumerate(logs, start=1):
-        print(f"attempt {i}: {_summarize(log, platform.node)}")
+        print(f"attempt {i}: {_summarize(log)}")
     return _unresolved_exit(unresolved)
-
-
-def _allocation_nodes(log: EventLog) -> int:
-    """The allocation size in the log's run metadata; MalformedLog unless
-    it is there and >= 1."""
-    try:
-        nodes = int(log.job_meta()["allocation_nodes"])
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
-        raise MalformedLog(f"log missing run metadata: {e}") from e
-    if nodes < 1:
-        raise MalformedLog(f"log allocation_nodes {nodes} is below 1")
-    return nodes
 
 
 def cmd_report(args) -> int:
     log_path = Path(args.log)
     log = EventLog.load_jsonl(log_path)
-    meta = log.job_meta()
-    try:
-        node = NodeSpec(
-            cores_total=int(meta["cores_total"]),
-            cores_reserved=int(meta.get("cores_reserved", 0)),
-            gpus=int(meta.get("gpus_per_node", 0)),
-        )
-    except (
-        KeyError, TypeError, ValueError, OverflowError, InvalidNodeSpec
-    ) as e:
-        raise MalformedLog(f"log missing run metadata: {e}") from e
-    nodes = _allocation_nodes(log)
-    stack = metrics.compute_utilization(log, node, nodes)
+    stack = metrics.compute_utilization(log)
     series = metrics.concurrency_series(log)
     try:
         rates = metrics.throughput(log, series)
@@ -271,7 +244,7 @@ def cmd_resubmit(args) -> int:
     check_workflow(spec)
     log = EventLog.load_jsonl(log_path)
     platform = _load_platform(args)
-    nodes = args.nodes if args.nodes is not None else _allocation_nodes(log)
+    nodes = metrics.allocation(log)[1] if args.nodes is None else args.nodes
     failed = collect_failures(log, spec, retry_canceled=args.retry_canceled)
     if not failed:
         print("no failed tasks; nothing to resubmit")

@@ -199,18 +199,6 @@ class EventLog:
                 return e.ts
         raise IncompleteLog("log has no BOOTSTRAP_DONE event")
 
-    def job_meta(self) -> dict:
-        """Run metadata embedded in the JOB_START detail; {} when there is
-        none or it is not a JSON object."""
-        for e in self.events:
-            if e.kind == JOB_START:
-                try:
-                    meta = json.loads(e.detail) if e.detail else {}
-                except json.JSONDecodeError:
-                    return {}
-                return meta if isinstance(meta, dict) else {}
-        return {}
-
     def save_jsonl(self, path: str | Path) -> None:
         with open(path, "w") as f:
             f.writelines(map(_line, self.events))
@@ -267,11 +255,11 @@ def scheduled_detail(threads: int, gpus_pp: int, chunks: list[int]) -> str:
     )
 
 
-def scheduled_slots(detail: str) -> tuple[int, int]:
-    """The (core, GPU) slots a TASK_SCHEDULED detail reserves. The detail
-    is a JSON object with int ``threads`` >= 1, int ``gpus_pp`` >= 0 and
-    ``chunks`` a list of ints >= 1 (ranks per node); neither slot count may
-    exceed :data:`MAX_SLOTS`."""
+def scheduled_slots(detail: str) -> tuple[int, int, list[int]]:
+    """The widths ``(threads, gpus_pp, chunks)`` of a TASK_SCHEDULED detail:
+    a JSON object with int ``threads`` >= 1, int ``gpus_pp`` >= 0 and
+    ``chunks`` a list of ints >= 1 (ranks per node); neither width times
+    the ranks may exceed :data:`MAX_SLOTS`."""
     try:
         doc = json.loads(detail)
         threads, gpus_pp, chunks = doc["threads"], doc["gpus_pp"], doc["chunks"]
@@ -291,10 +279,9 @@ def scheduled_slots(detail: str) -> tuple[int, int]:
     ):
         raise MalformedLog(f"TASK_SCHEDULED detail has bad widths: {detail!r}")
     ranks = sum(chunks)
-    cores, gpus = threads * ranks, gpus_pp * ranks
-    if cores > MAX_SLOTS or gpus > MAX_SLOTS:
+    if threads * ranks > MAX_SLOTS or gpus_pp * ranks > MAX_SLOTS:
         raise MalformedLog(
             f"TASK_SCHEDULED detail reserves more than {MAX_SLOTS} slots: "
             f"{detail!r}"
         )
-    return cores, gpus
+    return threads, gpus_pp, chunks

@@ -2,10 +2,11 @@
 
 Everything here is a pure function of the log: recomputation is idempotent
 and logs are never mutated. An :class:`EventLog` follows the task lifecycle
-by construction, so the folds here do not check it again. The accounting
-identity ovh + busy + idle = capacity holds per unit system (nodes, cores,
-GPUs). Busy time counts launch to terminal; slots reserved but not yet
-launched count as idle.
+by construction, so the folds here do not check it again; its machine comes
+from its JOB_START, and each reservation is checked against it. The identity
+ovh + busy + idle = capacity, busy <= capacity, holds per unit system (nodes,
+cores, GPUs). Busy time counts launch to terminal; slots reserved but not
+yet launched count as idle.
 """
 
 from __future__ import annotations
@@ -18,9 +19,11 @@ from pathlib import Path
 from typing import Optional
 
 from ensemblekit import events as ev
-from ensemblekit.errors import EnsembleKitError, InsufficientData, MalformedLog
+from ensemblekit.errors import (EnsembleKitError, InsufficientData,
+                                InvalidNodeSpec, MalformedLog)
 from ensemblekit.events import EventLog, scheduled_slots
 from ensemblekit.platform import NodeSpec, usable_cores
+from ensemblekit.pst import count_violation
 
 # the share of a unit's capacity by which float rounding may push busy past
 # what capacity leaves after overhead
@@ -78,83 +81,124 @@ class RateSummary:
     launch_count: int
 
 
-@dataclass
-class _Timeline:
-    sched_ts: Optional[float] = None
-    launch_ts: Optional[float] = None
-    terminal_ts: Optional[float] = None
-    terminal_kind: Optional[str] = None
-    node_ids: tuple[int, ...] = ()
-    cores: int = 0
-    gpus: int = 0
+def allocation(log: EventLog) -> tuple[NodeSpec, int]:
+    """The node shape and count in the first JOB_START's run metadata, JSON
+    integers read as written (MalformedLog if one is missing or bad)."""
+    start = next((e.detail for e in log if e.kind == ev.JOB_START), "")
+    try:
+        meta = json.loads(start)
+        node = NodeSpec(meta["cores_total"], meta.get("cores_reserved", 0),
+                        meta.get("gpus_per_node", 0))
+        nodes = meta["allocation_nodes"]
+    # ValueError: bad JSON or an int past the digit limit; TypeError: no dict
+    except (ValueError, RecursionError, TypeError, KeyError,
+            InvalidNodeSpec) as e:
+        raise MalformedLog(f"bad run metadata in JOB_START: {e!r}") from e
+    reason = count_violation("allocation_nodes", nodes, 1)
+    if reason:
+        raise MalformedLog(f"bad run metadata in JOB_START: {reason}")
+    return node, nodes
 
 
-def task_timelines(log: EventLog) -> dict[str, _Timeline]:
-    """Per-task schedule/launch/terminal timestamps and reserved slots."""
-    out: dict[str, _Timeline] = {}
-    # TASK_SCHEDULED detail -> its slots: tasks of one shape share a detail,
-    # so each distinct one is parsed (and checked) once
-    slots: dict[str, tuple[int, int]] = {}
+def compute_utilization(log: EventLog) -> UtilizationStack:
+    """Fold a complete log into the three-band stack (ovh, busy, idle) in
+    node-, core- and GPU-seconds of the log's :func:`allocation`, in one
+    pass that keeps each node's free cores and GPUs and its holders.
+
+    Node-busy runs from a node's holder count leaving 0 to its return (a
+    launch at the instant it returned continues the span); core/GPU busy is
+    the reserved slot-seconds from launch to terminal. The sums run in a
+    fixed order (spans by start, nodes by first launch, tasks by schedule),
+    and a unit busy for the whole run reads idle 0, not a few ulps below.
+    MalformedLog: a node outside the allocation, chunks not one per node, a
+    node reserved past its free slots, a task open at JOB_END or the log's
+    end, or an accounted value beyond the float range.
+    """
+    node, allocation_nodes = allocation(log)
+    end_ts, boot_ts = log.job_end_ts(), log.bootstrap_ts()
+    cores_per_node, gpus_per_node = usable_cores(node), node.gpus
+    # per node, by first reservation: free slots and holder count
+    index: dict[int, int] = {}  # node id -> its place in these lists
+    free_cores, free_gpus, holders = [], [], []
+    # per node, the end of its last span with a holder; and by first launch,
+    # each node's spans so far as [start, end, start, end, ..., start]
+    span_end: list[Optional[float]] = []
+    spans: dict[int, list[float]] = {}
+    # detail -> (cores, GPUs, cores per chunk, GPUs per chunk), parsed once
+    shapes: dict[str, tuple[int, int, list[int], list[int]]] = {}
+    # uid -> [shape, node places, launch ts, terminal ts], by schedule
+    tasks: dict[str, list] = {}
+    open_tasks = 0
     for ts, kind, uid, node_ids, detail in log:
         if kind == ev.TASK_SCHEDULED:
-            out[uid] = tl = _Timeline(sched_ts=ts)
-            tl.node_ids = node_ids or ()
-            reserved = slots.get(detail)
-            if reserved is None:
-                reserved = slots[detail] = scheduled_slots(detail)
-            tl.cores, tl.gpus = reserved
+            shape = shapes.get(detail)
+            if shape is None:
+                threads, gpus_pp, chunks = scheduled_slots(detail)
+                cores = [threads * ranks for ranks in chunks]
+                gpus = [gpus_pp * ranks for ranks in chunks]
+                shape = shapes[detail] = (sum(cores), sum(gpus), cores, gpus)
+            node_ids = node_ids or ()
+            if len(node_ids) != len(shape[2]):
+                raise MalformedLog(f"task {uid}: {len(shape[2])} chunks on "
+                                   f"{len(node_ids)} nodes")
+            nodes = []
+            for node_id, cores, gpus in zip(node_ids, shape[2], shape[3]):
+                i = index.get(node_id)
+                if i is None:
+                    if node_id >= allocation_nodes:
+                        raise MalformedLog(f"task {uid}: node {node_id} is "
+                                           f"outside the allocation")
+                    i = index[node_id] = len(holders)
+                    free_cores.append(cores_per_node)
+                    free_gpus.append(gpus_per_node)
+                    holders.append(0)
+                    span_end.append(None)
+                cores, gpus = free_cores[i] - cores, free_gpus[i] - gpus
+                if cores < 0 or gpus < 0:
+                    raise MalformedLog(f"task {uid}: takes more cores or GPUs "
+                                       f"of node {node_id} than are free")
+                free_cores[i], free_gpus[i] = cores, gpus
+                nodes.append(i)
+            tasks[uid] = [shape, nodes, None, None]
+            open_tasks += 1
         elif kind == ev.TASK_LAUNCHED:
-            out[uid].launch_ts = ts
-        elif kind in ev.TERMINAL_KINDS:
-            tl = out.setdefault(uid, _Timeline())
-            tl.terminal_ts = ts
-            tl.terminal_kind = kind
-    return out
+            tasks[uid][2] = ts
+            for i in tasks[uid][1]:
+                holders[i] += 1
+                if holders[i] == 1:
+                    end = span_end[i]
+                    if end is None:
+                        spans[i] = [ts]
+                    elif ts > end:
+                        spans[i] += end, ts
+        elif kind in ev.TERMINAL_KINDS and uid in tasks:  # was scheduled
+            shape, nodes, launch_ts, _ = task = tasks[uid]
+            task[3] = ts
+            open_tasks -= 1
+            for i, cores, gpus in zip(nodes, shape[2], shape[3]):
+                free_cores[i] += cores
+                free_gpus[i] += gpus
+            if launch_ts is not None:
+                for i in nodes:
+                    holders[i] -= 1
+                    if not holders[i]:
+                        span_end[i] = ts
+        elif kind == ev.JOB_END and open_tasks:
+            break
+    if open_tasks:
+        raise MalformedLog(f"{open_tasks} tasks still scheduled or running "
+                           f"at JOB_END or the end of the log")
 
-
-def compute_utilization(
-    log: EventLog, node: NodeSpec, allocation_nodes: int
-) -> UtilizationStack:
-    """Fold a complete log into the three-band stack (ovh, busy, idle) in
-    node-, core- and GPU-seconds of ``allocation_nodes`` nodes shaped like
-    ``node``.
-
-    Node-busy counts each node's time covered by at least one holder (the
-    interval union, which equals nodes-held times duration whenever tasks do
-    not share nodes). Core/GPU busy counts the reserved slot-seconds between
-    launch and terminal. A unit busy for the whole run reads idle 0, not
-    the few ulps below it that float rounding leaves. Raises MalformedLog
-    when an accounted value leaves the float range.
-    """
-    end_ts = log.job_end_ts()
-    boot_ts = log.bootstrap_ts()
-    timelines = task_timelines(log)
-
-    node_intervals: dict[int, list[tuple[float, float]]] = {}
-    busy_cores = 0.0
-    busy_gpus = 0.0
-    for tl in timelines.values():
-        if tl.launch_ts is None or tl.terminal_ts is None:
-            continue
-        span = tl.terminal_ts - tl.launch_ts
-        for node_id in tl.node_ids:
-            node_intervals.setdefault(node_id, []).append(
-                (tl.launch_ts, tl.terminal_ts)
-            )
-        busy_cores += tl.cores * span
-        busy_gpus += tl.gpus * span
-
-    busy_nodes = 0.0
-    for intervals in node_intervals.values():
-        intervals.sort()
-        cur_lo, cur_hi = intervals[0]
-        for lo, hi in intervals[1:]:
-            if lo > cur_hi:
-                busy_nodes += cur_hi - cur_lo
-                cur_lo, cur_hi = lo, hi
-            else:
-                cur_hi = max(cur_hi, hi)
-        busy_nodes += cur_hi - cur_lo
+    busy_nodes = busy_cores = busy_gpus = 0.0
+    for i, span in spans.items():
+        span.append(span_end[i])
+        for k in range(0, len(span), 2):
+            busy_nodes += span[k + 1] - span[k]
+    for (cores, gpus, _, _), _, launch_ts, terminal_ts in tasks.values():
+        if launch_ts is not None:
+            span = terminal_ts - launch_ts
+            busy_cores += cores * span
+            busy_gpus += gpus * span
 
     def unit(per_node: float, busy: float) -> UnitUsage:
         capacity = allocation_nodes * per_node * end_ts
@@ -170,18 +214,12 @@ def compute_utilization(
                 f"ovh {ovh}, busy {busy}, idle {idle}"
             )
         fraction = busy / capacity if capacity > 0 else 0.0
-        return UnitUsage(
-            capacity_s=capacity,
-            ovh_s=ovh,
-            busy_s=busy,
-            idle_s=idle,
-            utilization_fraction=fraction,
-        )
+        return UnitUsage(capacity, ovh, busy, idle, fraction)
 
     return UtilizationStack(
         nodes=unit(1.0, busy_nodes),
-        cores=unit(float(usable_cores(node)), busy_cores),
-        gpus=unit(float(node.gpus), busy_gpus),
+        cores=unit(float(cores_per_node), busy_cores),
+        gpus=unit(float(gpus_per_node), busy_gpus),
     )
 
 

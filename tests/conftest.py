@@ -153,40 +153,74 @@ def build_log(task_events, boot_ts=0.0, end_ts=None, allocation_nodes=8):
 
 
 def random_complete_log(rng: random.Random, max_tasks=25, node_pool=6):
-    """A random but well-formed complete log, for oracle-equivalence tests."""
+    """A random but well-formed complete log, for oracle-equivalence tests.
+
+    Tasks share nodes, but each reserves only what its nodes (8 cores and
+    2 GPUs, as :func:`build_log` records) have left beside the tasks drawn
+    before it whose [schedule, terminal] span meets its own; a task that
+    finds no room is not drawn.
+    """
     n = rng.randint(0, max_tasks)
     boot = round(rng.uniform(0.0, 5.0), 3)
     task_events = []
     horizon = boot
     for i in range(n):
         uid = f"t{i:03d}"
-        n_nodes = rng.randint(1, 3)
-        node_ids = sorted(rng.sample(range(node_pool), n_nodes))
-        chunks = [rng.randint(1, 4) for _ in node_ids]
         threads = rng.randint(1, 2)
         gpus_pp = rng.randint(0, 1)
         sched = round(boot + rng.uniform(0.0, 40.0), 3)
         fate = rng.random()
         if fate < 0.12:
             # canceled while still pending launch
+            launch = None
             term = round(sched + rng.uniform(0.0, 20.0), 3)
-            task_events.append(
-                (uid, node_ids, chunks, threads, gpus_pp, sched, None, term,
-                 ev.TASK_CANCELED)
-            )
+            kind = ev.TASK_CANCELED
         else:
             launch = round(sched + rng.uniform(0.0, 5.0), 3)
             term = round(launch + rng.uniform(0.0, 30.0), 3)
             kind = rng.choice(
                 [ev.TASK_DONE, ev.TASK_DONE, ev.TASK_FAILED, ev.TASK_CANCELED]
             )
-            task_events.append(
-                (uid, node_ids, chunks, threads, gpus_pp, sched, launch, term,
-                 kind)
-            )
+        # ranks each node has room for beside the overlapping tasks
+        room = {}
+        for node in range(node_pool):
+            cores, gpus = 8, 2
+            for _, ids, chunks, t, g, lo, _, hi, _ in task_events:
+                if node in ids and lo <= term and sched <= hi:
+                    ranks = chunks[ids.index(node)]
+                    cores -= t * ranks
+                    gpus -= g * ranks
+            ranks = cores // threads
+            if gpus_pp:
+                ranks = min(ranks, gpus // gpus_pp)
+            if ranks >= 1:
+                room[node] = min(ranks, 4)
+        if not room:
+            continue
+        n_nodes = rng.randint(1, min(3, len(room)))
+        node_ids = sorted(rng.sample(sorted(room), n_nodes))
+        chunks = [rng.randint(1, room[node]) for node in node_ids]
+        task_events.append(
+            (uid, node_ids, chunks, threads, gpus_pp, sched, launch, term,
+             kind)
+        )
         horizon = max(horizon, term)
     end = round(horizon + rng.uniform(0.0, 5.0), 3)
     return build_log(task_events, boot_ts=boot, end_ts=end), task_events, boot, end
+
+
+def events_by_task(log):
+    """uid -> {kind: event} over the task events of ``log``."""
+    out = {}
+    for event in log:
+        if event.task_uid is not None:
+            out.setdefault(event.task_uid, {})[event.kind] = event
+    return out
+
+
+def terminal_ts(kinds):
+    """The ts of the terminal event in one task's {kind: event}."""
+    return next(e.ts for kind, e in kinds.items() if kind in ev.TERMINAL_KINDS)
 
 
 def oracle_usage(task_events, boot, end, allocation_nodes, cores_per_node,

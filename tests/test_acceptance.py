@@ -21,7 +21,6 @@ from ensemblekit.local import run_local
 from ensemblekit.metrics import (
     compute_utilization,
     concurrency_series,
-    task_timelines,
     throughput,
 )
 from ensemblekit.platform import get_profile, task_footprint
@@ -39,6 +38,7 @@ from ensemblekit.scheduler import (
 )
 from ensemblekit.workloads import generate_example
 from conftest import (
+    events_by_task,
     exaconstit_task,
     make_task,
     oracle_counts_at,
@@ -47,6 +47,7 @@ from conftest import (
     simulated_attempts,
     single_stage,
     small_platform,
+    terminal_ts,
 )
 
 # Calibrated member runtime: uniform with mean 922 s, the per-task average
@@ -86,7 +87,7 @@ def test_criterion_1_frontier_scale_reproduction(tmp_path):
     log = run_simulated(
         wf, platform, 8000, 12000.0, RuntimeModel(default=CALIBRATED, seed=1)
     )
-    stack = compute_utilization(log, platform.node, 8000)
+    stack = compute_utilization(log)
     series = concurrency_series(log)
     wall = time.monotonic() - t0
 
@@ -170,10 +171,11 @@ def test_criterion_3_fault_tolerance_reproduction():
 
     first = logs[0]
     failed = {e.task_uid for e in first if e.kind == ev.TASK_FAILED}
-    timelines = task_timelines(first)
     ever_held = {
-        uid for uid, tl in timelines.items()
-        if 2 in tl.node_ids and tl.terminal_ts >= 700.0
+        uid for uid, kinds in events_by_task(first).items()
+        if ev.TASK_SCHEDULED in kinds
+        and 2 in kinds[ev.TASK_SCHEDULED].node_ids
+        and terminal_ts(kinds) >= 700.0
     }
     check(
         "3a exactly the tasks that ever held the bad node fail",
@@ -254,12 +256,11 @@ def platform_for(nodes):
 
 def test_criterion_4_oracle_equivalences():
     rng = random.Random(12345)
-    platform = small_platform(cores=8, gpus=2, nodes=8)
     worst_rel = 0.0
     mismatches = 0
     for _ in range(500):
         log, task_events, boot, end = random_complete_log(rng)
-        stack = compute_utilization(log, platform.node, 8)
+        stack = compute_utilization(log)
         nodes, cores, gpus = oracle_usage(task_events, boot, end, 8, 8, 2)
         for got, want in (
             (stack.nodes.busy_s, nodes),
@@ -357,14 +358,14 @@ def test_criterion_6_pst_semantics():
             spec, platform, 4, 1e6,
             RuntimeModel(default=DurationSpec.uniform(5.0, 50.0), seed=seed),
         )
-        timelines = task_timelines(log)
+        tasks = events_by_task(log)
         stage_of = spec.stage_index()
         for k in range(len(stages) - 1):
             this_stage_end = max(
-                timelines[t.uid].terminal_ts for t in stages[k].tasks
+                terminal_ts(tasks[t.uid]) for t in stages[k].tasks
             )
             next_stage_start = min(
-                timelines[t.uid].sched_ts for t in stages[k + 1].tasks
+                tasks[t.uid][ev.TASK_SCHEDULED].ts for t in stages[k + 1].tasks
             )
             if next_stage_start < this_stage_end:
                 ordering_violations += 1
@@ -392,10 +393,10 @@ def test_criterion_6_pst_semantics():
     )
     log = run_simulated([slow, fast], platform, 4, 1e6,
                         RuntimeModel(default=DurationSpec.expected()))
-    timelines = task_timelines(log)
+    tasks = events_by_task(log)
     check(
         "6c pipelines progress independently",
-        timelines["f1"].sched_ts < timelines["slowtask"].terminal_ts,
+        tasks["f1"][ev.TASK_SCHEDULED].ts < terminal_ts(tasks["slowtask"]),
     )
 
 

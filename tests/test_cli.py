@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import signal
 import subprocess
@@ -19,11 +20,12 @@ import ensemblekit
 from ensemblekit import cli
 from ensemblekit import events as ev
 from ensemblekit.cli import main
+from ensemblekit.engine import DurationSpec, RuntimeModel, run_simulated
 from ensemblekit.events import EventLog, scheduled_detail
 from ensemblekit.metrics import compute_utilization
 from ensemblekit.platform import get_profile, save_platform_config, usable_cores
 from ensemblekit.pst import Stage, TaskDescription, WorkflowSpec, validate_workflow
-from conftest import single_stage, small_platform
+from conftest import make_task, single_stage, small_platform
 
 
 def run_cli(*argv):
@@ -40,6 +42,14 @@ def small_platform_file(tmp_path):
         path,
     )
     return path
+
+
+# the run metadata of a log simulated on small_platform_file's 8 nodes
+_SMALL_META = {
+    "backend": "sim", "platform": "test", "allocation_nodes": 8,
+    "cores_total": 64, "cores_reserved": 8, "gpus_per_node": 8,
+    "bootstrap_s": 0.0, "walltime_s": 20000.0,
+}
 
 
 class TestExample:
@@ -248,8 +258,8 @@ class TestSimulate:
         )
         assert code == 0
         retry = EventLog.load_jsonl(tmp_path / "run.attempt2.jsonl")
-        assert retry.job_meta()["allocation_nodes"] == 8
-        stack = compute_utilization(retry, get_profile("frontier-sim").node, 8)
+        assert json.loads(retry[0].detail)["allocation_nodes"] == 8
+        stack = compute_utilization(retry)
         line = capsys.readouterr().out.splitlines()[-1]
         assert line.startswith("attempt 2: ")
         assert line.endswith(
@@ -298,13 +308,33 @@ class TestSimulate:
             "--fail-node", "17@400:persistent", "--fail-node", "3@700:transient",
             "--max-attempts", "2", "--out", str(log),
         ) == 0
+        logs = (log, tmp_path / "run.attempt2.jsonl")
         digests = [
-            hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in (log, tmp_path / "run.attempt2.jsonl")
+            hashlib.sha256(path.read_bytes()).hexdigest() for path in logs
         ]
         assert digests == [
             "33144971e2bf41dcfeb0436bced69a0de7768534133d04744d14329f7d7f6dcd",
             "a96bb32f06b8b00855f69eabc1b213fa2315eca7a2dc612cd0acf0816a4711ec",
+        ]
+        # each attempt's exports: tasks share nodes, fail on them and retry.
+        # Recorded before the utilization fold became one ordered sweep.
+        exports = []
+        for path in logs:
+            prefix = path.with_suffix("")
+            assert run_cli("report", "--log", str(path)) == 0
+            exports += [
+                hashlib.sha256(
+                    Path(f"{prefix}_{name}.csv").read_bytes()
+                ).hexdigest()
+                for name in ("utilization", "concurrency", "rates")
+            ]
+        assert exports == [
+            "b31709377b819c9d12dc5c67fbd07490c41db280f96ca945e452285f9815e842",
+            "1e4e3803da6ada4bc2c653ee4815229488d4d690ff363e1e01e4ed7fa174022c",
+            "1ac34d7868cb5715fef9fc67296ec2c1d86095b25458f1ebe98e32aa9889e5ba",
+            "17568c224f2fe9a3e9e426d2d33988773e42329096574f551f11e6ff70015505",
+            "e20314269f032a68c5937436b17a68cdcb1bba7828e1e966b25eb907ffa72c50",
+            "468d554dc425d441d854b09d1d0915f2eebef28bd617593107d798b4a746bdfa",
         ]
 
     def test_seeded_runs_reproduce_logs(self, tmp_path, small_platform_file):
@@ -446,6 +476,22 @@ class TestReport:
             (ev.TASK_SCHEDULED, "5"),
             (ev.JOB_START, '{"cores_total":64,"allocation_nodes":0}'),
             (ev.JOB_START, '{"cores_total":64,"allocation_nodes":Infinity}'),
+            # run metadata is read as written: no number is coerced
+            *[
+                pytest.param(
+                    ev.JOB_START, json.dumps(dict(_SMALL_META, **edit)),
+                    id="-".join(f"{k}={v!r}" for k, v in edit.items()),
+                )
+                for edit in (
+                    {"allocation_nodes": True},
+                    {"allocation_nodes": "2"},
+                    {"allocation_nodes": 2.7},
+                    # with no reserved cores, so 8 would be a valid shape
+                    {"cores_total": 8.9, "cores_reserved": 0},
+                    {"cores_total": "8", "cores_reserved": 0},
+                    {"gpus_per_node": 2.5},
+                )
+            ],
             pytest.param(
                 ev.TASK_SCHEDULED,
                 json.dumps({"threads": 10**200, "gpus_pp": 1,
@@ -464,6 +510,13 @@ class TestReport:
             ),
             pytest.param(
                 ev.JOB_START,
+                '{"cores_total":1' + "0" * 5000 + ',"allocation_nodes":8}',
+                id="cores-beyond-int-digit-limit",
+            ),
+            pytest.param(ev.JOB_START, "[" * 100000,
+                         id="metadata-nesting-beyond-recursion-limit"),
+            pytest.param(
+                ev.JOB_START,
                 '{"cores_total":64,"gpus_per_node":1' + "0" * 400
                 + ',"allocation_nodes":8}',
                 id="gpus-beyond-float-range",
@@ -479,6 +532,57 @@ class TestReport:
         err = capsys.readouterr().err
         assert "error: MalformedLog:" in err
         assert "Traceback" not in err
+        assert not list(tmp_path.glob("run_*"))
+
+    @pytest.mark.parametrize(
+        "tasks,match",
+        [
+            # two tasks each take all 8 cores of node 0 at once
+            ([("a", [0], [1], 0, 10), ("b", [0], [1], 0, 10)],
+             "more cores or GPUs of node 0 than are free"),
+            ([("a", [0, 5, 6], [1, 1, 1], 0, 10)],
+             "node 5 is outside the allocation"),
+            ([("a", [0], [1, 1, 1], 0, 10)], "3 chunks on 1 nodes"),
+            ([("a", [0], [1], None, None)],
+             "1 tasks still scheduled or running at JOB_END"),
+            ([("a", [0], [1], 0, None)],
+             "1 tasks still scheduled or running at JOB_END"),
+        ],
+        ids=["over-reserved", "node-outside-allocation", "chunks-not-per-node",
+             "scheduled-at-job-end", "running-at-job-end"],
+    )
+    def test_impossible_reservation_exit_1(self, tmp_path, capsys, tasks,
+                                           match):
+        # 1 node of 8 cores; each task is (uid, node_ids, chunks, launch ts,
+        # terminal ts) of 8 threads per rank, scheduled at ts 0; JOB_END at
+        # ts 10
+        meta = dict(_SMALL_META, allocation_nodes=1, cores_total=8,
+                    cores_reserved=0, gpus_per_node=0)
+        records = [
+            {"ts": 0, "kind": ev.JOB_START, "detail": json.dumps(meta)},
+            {"ts": 0, "kind": ev.BOOTSTRAP_DONE},
+        ]
+        rows = []
+        for uid, node_ids, chunks, launch, term in tasks:
+            rows.append({"ts": 0, "kind": ev.TASK_SCHEDULED, "task_uid": uid,
+                         "node_ids": node_ids,
+                         "detail": scheduled_detail(8, 0, chunks)})
+            if launch is not None:
+                rows.append({"ts": launch, "kind": ev.TASK_LAUNCHED,
+                             "task_uid": uid})
+            if term is not None:
+                rows.append({"ts": term, "kind": ev.TASK_DONE,
+                             "task_uid": uid})
+        records += sorted(rows, key=lambda r: r["ts"])
+        records.append({"ts": 10, "kind": ev.JOB_END})
+        log = tmp_path / "bad.jsonl"
+        log.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert run_cli("report", "--log", str(log)) == 1
+        err = capsys.readouterr().err
+        assert "error: MalformedLog:" in err
+        assert match in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("bad_*"))
 
     def test_non_finite_accounting_exit_1(self, tmp_path, capsys):
         # finite timestamps whose capacity product leaves the float range
@@ -585,6 +689,66 @@ def test_report_on_one_broken_field_exits_0_or_1(field, value):
                          "--out", str(Path(tmp) / "r")])
     assert code in (0, 1), err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+def _shared_node_log() -> list[dict]:
+    """The records of a simulated log in which 1- to 3-rank tasks of 1 or 2
+    threads, some with a GPU, share 3 nodes of 4 cores and 2 GPUs."""
+    rng = random.Random(0)
+    tasks = [
+        make_task(f"t{i}", procs=rng.randint(1, 3), threads=rng.randint(1, 2),
+                  gpus=rng.randint(0, 1))
+        for i in range(8)
+    ]
+    log = run_simulated(
+        single_stage("s", tasks), small_platform(cores=4, gpus=2, nodes=3),
+        3, 1000.0, RuntimeModel(DurationSpec.uniform(1.0, 10.0), seed=0),
+    )
+    return [event._asdict() for event in log]
+
+
+_SHARED_NODE_LOG = _shared_node_log()
+_SCHEDULED = [
+    i for i, rec in enumerate(_SHARED_NODE_LOG)
+    if rec["kind"] == ev.TASK_SCHEDULED
+]
+
+
+@given(
+    line=st.sampled_from(_SCHEDULED),
+    node_ids=st.none() | st.lists(st.integers(0, 4), max_size=4),
+    widths=st.fixed_dictionaries({}, optional={
+        "threads": st.integers(0, 5),
+        "gpus_pp": st.integers(0, 3),
+        "chunks": st.lists(st.integers(0, 5), max_size=4),
+    }),
+)
+@settings(max_examples=100, deadline=None)
+def test_report_on_one_edited_reservation_stays_in_bounds(line, node_ids,
+                                                          widths):
+    # a TASK_SCHEDULED given other node ids, chunks or widths is rejected,
+    # or every unit accounts busy within capacity and leaves idle >= 0
+    records = json.loads(json.dumps(_SHARED_NODE_LOG))
+    rec = records[line]
+    if node_ids is not None:
+        rec["node_ids"] = node_ids
+    rec["detail"] = json.dumps(dict(json.loads(rec["detail"]), **widths))
+    with tempfile.TemporaryDirectory() as tmp:
+        log = Path(tmp) / "run.jsonl"
+        log.write_text("".join(json.dumps(r) + "\n" for r in records))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(["report", "--log", str(log), "--format", "json"])
+        if code == 1:
+            assert "error: MalformedLog:" in err.getvalue()
+            assert not list(Path(tmp).glob("run_*"))
+            return
+        assert code == 0, err.getvalue()
+        stack = json.loads((Path(tmp) / "run_utilization.json").read_text())
+    for unit in stack.values():
+        assert 0 <= unit["busy_s"] <= unit["capacity_s"], unit
+        assert unit["idle_s"] >= 0, unit
 
 
 # A valid one-task workflow and a small platform; the properties below

@@ -13,10 +13,17 @@ from ensemblekit.engine import (
     step,
 )
 from ensemblekit.errors import ConfigError, PolicyViolation, Unplaceable
-from ensemblekit.metrics import concurrency_series, task_timelines
+from ensemblekit.metrics import concurrency_series
 from ensemblekit.platform import get_profile
 from ensemblekit.pst import Stage, WorkflowSpec
-from conftest import exaconstit_task, make_task, single_stage, small_platform
+from conftest import (
+    events_by_task,
+    exaconstit_task,
+    make_task,
+    single_stage,
+    small_platform,
+    terminal_ts,
+)
 
 FIXED_100 = RuntimeModel(default=DurationSpec.fixed(100.0))
 
@@ -58,10 +65,11 @@ class TestBasics:
         platform = small_platform(nodes=2)
         wf = single_stage("s", [make_task(f"t{i}", procs=8) for i in range(5)])
         log = run_simulated(wf, platform, 2, 1000.0, FIXED_100)
-        timelines = task_timelines(log)
-        assert len(timelines) == 5
-        for tl in timelines.values():
-            assert tl.sched_ts <= tl.launch_ts <= tl.terminal_ts
+        tasks = events_by_task(log)
+        assert len(tasks) == 5
+        for kinds in tasks.values():
+            assert (kinds[ev.TASK_SCHEDULED].ts <= kinds[ev.TASK_LAUNCHED].ts
+                    <= terminal_ts(kinds))
 
     def test_scaled_ensemble_completes_with_capacity_plateau(self):
         # 64 eight-node members on 128 nodes: peak concurrency 16
@@ -108,9 +116,10 @@ class TestStageSequencing:
             ),
         )
         log = run_simulated(wf, platform, 4, 1000.0, FIXED_100)
-        timelines = task_timelines(log)
-        assert timelines["c"].sched_ts >= timelines["a"].terminal_ts
-        assert timelines["c"].sched_ts >= timelines["b"].terminal_ts
+        tasks = events_by_task(log)
+        c_sched = tasks["c"][ev.TASK_SCHEDULED].ts
+        assert c_sched >= terminal_ts(tasks["a"])
+        assert c_sched >= terminal_ts(tasks["b"])
 
     def test_two_pipelines_progress_independently(self):
         platform = small_platform(nodes=4)
@@ -127,9 +136,10 @@ class TestStageSequencing:
             [slow, fast], platform, 4, 1000.0,
             RuntimeModel(default=DurationSpec.expected()),
         )
-        timelines = task_timelines(log)
+        tasks = events_by_task(log)
         # fast pipeline's second stage starts long before the slow one ends
-        assert timelines["f1"].sched_ts < timelines["slowtask"].terminal_ts
+        assert (tasks["f1"][ev.TASK_SCHEDULED].ts
+                < terminal_ts(tasks["slowtask"]))
 
 
 class TestFaults:
@@ -161,10 +171,10 @@ class TestFaults:
             FailureModel.persistent_node(1, 50.0),
         )
         failed = {e.task_uid for e in log if e.kind == ev.TASK_FAILED}
-        timelines = task_timelines(log)
         ever_held = {
-            uid for uid, tl in timelines.items()
-            if 1 in tl.node_ids and tl.terminal_ts >= 50.0
+            uid for uid, kinds in events_by_task(log).items()
+            if 1 in kinds[ev.TASK_SCHEDULED].node_ids
+            and terminal_ts(kinds) >= 50.0
         }
         assert failed == ever_held
         assert len(failed) == 3  # one per wave
@@ -200,8 +210,9 @@ class TestFaults:
             wf, platform, 1, 1000.0, RuntimeModel(),
             FailureModel.transient_node(0, 17.0), launch_delay_s=5.0,
         )
-        tl = task_timelines(log)
-        assert tl["late"].sched_ts == 15.0 and tl["late"].launch_ts == 20.0
+        late = events_by_task(log)["late"]
+        assert late[ev.TASK_SCHEDULED].ts == 15.0
+        assert late[ev.TASK_LAUNCHED].ts == 20.0
         failed = [e for e in log if e.kind == ev.TASK_FAILED]
         assert [e.task_uid for e in failed] == ["m-a", "m-b", "m-c"]
         assert all(e.ts == 17.0 for e in failed)
@@ -323,8 +334,8 @@ class TestLaunchPipeline:
         log = run_simulated(
             wf, platform, 1, 1000.0, FIXED_100, launch_delay_s=7.0
         )
-        tl = task_timelines(log)["t"]
-        assert tl.launch_ts == tl.sched_ts + 7.0
+        t = events_by_task(log)["t"]
+        assert t[ev.TASK_LAUNCHED].ts == t[ev.TASK_SCHEDULED].ts + 7.0
 
     def test_launch_rate_cap_spacing(self):
         platform = small_platform(nodes=8)

@@ -84,8 +84,10 @@ def test_constructor_replays_events_through_append():
 
 
 def test_slots_up_to_the_float_exact_limit():
-    assert scheduled_slots(scheduled_detail(2, 1, [3, 4])) == (14, 7)
-    assert scheduled_slots(scheduled_detail(1, 0, [MAX_SLOTS])) == (MAX_SLOTS, 0)
+    assert scheduled_slots(scheduled_detail(2, 1, [3, 4])) == (2, 1, [3, 4])
+    assert scheduled_slots(scheduled_detail(1, 0, [MAX_SLOTS])) == (
+        1, 0, [MAX_SLOTS]
+    )
     for detail in (
         scheduled_detail(1, 0, [MAX_SLOTS + 1]),
         scheduled_detail(2, 0, [MAX_SLOTS // 2 + 1]),

@@ -29,7 +29,6 @@ from ensemblekit.metrics import (
     export,
     throughput,
 )
-from ensemblekit.platform import NodeSpec
 from ensemblekit.pst import Stage, WorkflowSpec
 from ensemblekit.resilience import retry_loop
 from conftest import (
@@ -43,8 +42,6 @@ from conftest import (
     small_platform,
 )
 
-TEST_NODE = NodeSpec(cores_total=8, cores_reserved=0, gpus=2)
-
 
 def write_jsonl(path, events):
     path.write_text("".join(json.dumps(e._asdict()) + "\n" for e in events))
@@ -52,10 +49,10 @@ def write_jsonl(path, events):
 
 
 def simple_task_events():
-    # A holds node 1 over [10, 60], B holds node 2 over [10, 90]
+    # A holds node 0 over [10, 60], B holds node 1 over [10, 90]
     return [
-        ("A", [1], [4], 1, 0, 10.0, 10.0, 60.0, ev.TASK_DONE),
-        ("B", [2], [4], 1, 0, 10.0, 10.0, 90.0, ev.TASK_DONE),
+        ("A", [0], [4], 1, 0, 10.0, 10.0, 60.0, ev.TASK_DONE),
+        ("B", [1], [4], 1, 0, 10.0, 10.0, 90.0, ev.TASK_DONE),
     ]
 
 
@@ -63,14 +60,14 @@ class TestUtilization:
     def test_two_node_hand_integral(self):
         log = build_log(simple_task_events(), boot_ts=0.0, end_ts=100.0,
                         allocation_nodes=2)
-        stack = compute_utilization(log, TEST_NODE, 2)
+        stack = compute_utilization(log)
         assert stack.nodes.busy_s == pytest.approx(130.0)
         assert stack.nodes.capacity_s == pytest.approx(200.0)
         assert stack.nodes.utilization_fraction == pytest.approx(0.65)
 
     def test_no_tasks(self):
         log = build_log([], boot_ts=5.0, end_ts=50.0, allocation_nodes=4)
-        stack = compute_utilization(log, TEST_NODE, 4)
+        stack = compute_utilization(log)
         assert stack.nodes.utilization_fraction == 0.0
         assert stack.nodes.ovh_s == pytest.approx(4 * 5.0)
         assert stack.nodes.idle_s == pytest.approx(
@@ -81,7 +78,7 @@ class TestUtilization:
     def test_accounting_identity_all_units(self):
         rng = random.Random(3)
         log, *_ = random_complete_log(rng)
-        stack = compute_utilization(log, TEST_NODE, 8)
+        stack = compute_utilization(log)
         for unit in (stack.nodes, stack.cores, stack.gpus):
             total = unit.ovh_s + unit.busy_s + unit.idle_s
             assert total == pytest.approx(unit.capacity_s, rel=1e-9)
@@ -90,13 +87,13 @@ class TestUtilization:
         log = build_log(simple_task_events(), end_ts=100.0)
         truncated = EventLog(events=[e for e in log if e.kind != ev.JOB_END])
         with pytest.raises(IncompleteLog):
-            compute_utilization(truncated, TEST_NODE, 2)
+            compute_utilization(truncated)
 
     def test_matches_per_instant_oracle_on_random_logs(self):
         rng = random.Random(11)
         for _ in range(50):
             log, task_events, boot, end = random_complete_log(rng)
-            stack = compute_utilization(log, TEST_NODE, 8)
+            stack = compute_utilization(log)
             nodes, cores, gpus = oracle_usage(task_events, boot, end, 8, 8, 2)
             assert stack.nodes.busy_s == pytest.approx(nodes, rel=1e-9, abs=1e-9)
             assert stack.cores.busy_s == pytest.approx(cores, rel=1e-9, abs=1e-9)
@@ -105,13 +102,13 @@ class TestUtilization:
     def test_scheduled_but_never_launched_counts_idle(self):
         events = [("A", [0], [1], 1, 0, 10.0, None, 30.0, ev.TASK_CANCELED)]
         log = build_log(events, end_ts=50.0, allocation_nodes=1)
-        stack = compute_utilization(log, TEST_NODE, 1)
+        stack = compute_utilization(log)
         assert stack.nodes.busy_s == 0.0
 
     def test_recomputation_idempotent(self):
         log = build_log(simple_task_events(), end_ts=100.0, allocation_nodes=2)
-        assert compute_utilization(log, TEST_NODE, 2) == (
-            compute_utilization(log, TEST_NODE, 2)
+        assert compute_utilization(log) == (
+            compute_utilization(log)
         )
 
 
@@ -234,7 +231,7 @@ class TestExport:
 
     def test_stack_round_trips(self, tmp_path):
         log = build_log(simple_task_events(), end_ts=100.0, allocation_nodes=2)
-        stack = compute_utilization(log, TEST_NODE, 2)
+        stack = compute_utilization(log)
         units = ("nodes", "cores", "gpus")
         fields = ["capacity_s", "ovh_s", "busy_s", "idle_s",
                   "utilization_fraction"]
@@ -298,7 +295,7 @@ class TestExport:
 
     def test_stack_csv_columns_re_add_to_capacity(self, tmp_path):
         log = build_log(simple_task_events(), end_ts=100.0, allocation_nodes=2)
-        stack = compute_utilization(log, TEST_NODE, 2)
+        stack = compute_utilization(log)
         path = tmp_path / "stack.csv"
         export(stack, "csv", path)
         import csv as csvmod
@@ -312,7 +309,7 @@ class TestExport:
 
     def test_exports_bit_stable(self, tmp_path):
         log = build_log(simple_task_events(), end_ts=100.0, allocation_nodes=2)
-        stack = compute_utilization(log, TEST_NODE, 2)
+        stack = compute_utilization(log)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         export(stack, "csv", a)
         export(stack, "csv", b)
@@ -375,8 +372,7 @@ def test_simulated_attempts_keep_accounting_in_bounds(
     logs, _ = retry_loop(spec, platform, run_attempt, nodes, walltime,
                          max_attempts, retry_canceled)
     for log in logs:
-        allocation = log.job_meta()["allocation_nodes"]
-        stack = compute_utilization(log, platform.node, allocation)
+        stack = compute_utilization(log)
         for unit in (stack.nodes, stack.cores, stack.gpus):
             assert 0 <= unit.busy_s <= unit.capacity_s, unit
             assert unit.idle_s >= 0, unit
