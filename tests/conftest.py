@@ -73,6 +73,26 @@ def small_platform(
     )
 
 
+def platform_doc(config):
+    """A platform config as the JSON document ``--platform`` reads."""
+    node = config.node
+    return {
+        "name": config.name,
+        "node": {
+            "cores_total": node.cores_total,
+            "cores_reserved": node.cores_reserved,
+            "gpus": node.gpus,
+        },
+        "node_count": config.node_count,
+        "bootstrap_overhead_s": config.bootstrap_overhead_s,
+        "policy": {"tiers": [list(t) for t in config.policy.tiers]},
+    }
+
+
+def save_platform(config, path):
+    path.write_text(json.dumps(platform_doc(config), indent=2) + "\n")
+
+
 def simulated_attempts(platform, runtime_model, *failure_models):
     """A retry_loop attempt runner over run_simulated: attempt k runs with
     ``failure_models[k-1]``, later attempts run clean."""
