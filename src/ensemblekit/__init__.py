@@ -4,8 +4,9 @@ The package splits along the life of a batch job: ``pst`` holds the workflow
 model, lifecycle rules and the stage progression of a job (``JobRun``),
 ``platform`` the machine shape and walltime policy, ``scheduler`` the
 slot-table placement and the ``Pilot`` that keeps one job's tasks, slots and
-event log, ``engine``/``local`` the two execution backends (each drives a
-``Pilot`` and adds only how tasks start and end), ``resilience`` the
+event log and runs its one drive loop, ``engine``/``local`` the two
+execution backends that loop drives (each adds only how tasks start and
+end; the simulator's ``step`` applies one heap event), ``resilience`` the
 failure-resubmission protocol over a caller's attempt runner, and
 ``metrics`` the utilization/concurrency/throughput accounting over event
 logs.
@@ -40,7 +41,6 @@ from ensemblekit.pst import (
     TaskDescription,
     TaskState,
     WorkflowSpec,
-    transition_task,
     validate_workflow,
 )
 from ensemblekit.resilience import (
@@ -48,12 +48,6 @@ from ensemblekit.resilience import (
     collect_failures,
     plan_resubmission,
     retry_loop,
-)
-from ensemblekit.scheduler import (
-    Placement,
-    SlotTable,
-    release,
-    try_place,
 )
 from ensemblekit.workloads import generate_example
 
@@ -66,11 +60,9 @@ __all__ = [
     "FailureModel",
     "JobRun",
     "NodeSpec",
-    "Placement",
     "PlatformConfig",
     "ResubmissionPlan",
     "RuntimeModel",
-    "SlotTable",
     "Stage",
     "TaskDescription",
     "TaskState",
@@ -84,14 +76,11 @@ __all__ = [
     "load_platform_config",
     "max_walltime_for",
     "plan_resubmission",
-    "release",
     "retry_loop",
     "run_local",
     "run_simulated",
     "task_footprint",
     "throughput",
-    "transition_task",
-    "try_place",
     "usable_cores",
     "validate_workflow",
 ]

@@ -1,10 +1,11 @@
 """Discrete-event simulator for one allocation ("batch job").
 
-Drives one job's :class:`~ensemblekit.scheduler.Pilot` through schedule,
-launch and completion in simulated time: the pilot keeps the tasks, slots
-and append-only event log, and this module decides when each task launches
-and how it ends, one heap event per :func:`step`. Strictly single-threaded
-and deterministic: identical inputs and seeds yield byte-identical logs.
+The backend that one job's :class:`~ensemblekit.scheduler.Pilot` drives
+in simulated time. The pilot's one drive loop places tasks and ends the
+job, and keeps the tasks, slots and append-only event log; this module
+decides when each placed task launches and how it ends, and :func:`step`
+applies one heap event. Strictly single-threaded and deterministic:
+identical inputs and seeds yield byte-identical logs.
 
 Fault injection: a persistent node fault kills the task running on the node
 at fault time and every task launched onto it afterwards; the scheduler keeps
@@ -27,7 +28,7 @@ from ensemblekit import events as ev
 from ensemblekit.errors import ConfigError, PolicyViolation
 from ensemblekit.events import EventLog
 from ensemblekit.platform import PlatformConfig, max_walltime_for, usable_cores
-from ensemblekit.pst import TaskDescription, TaskState, WorkflowSpec
+from ensemblekit.pst import TaskDescription, TaskRun, TaskState, WorkflowSpec
 from ensemblekit.scheduler import Pilot
 
 
@@ -112,18 +113,6 @@ class FailureModel:
     node_faults: tuple[NodeFault, ...] = ()
     task_faults: tuple[TaskFault, ...] = ()
 
-    @classmethod
-    def persistent_node(cls, node_id: int, at_ts: float) -> "FailureModel":
-        return cls(node_faults=(NodeFault(node_id, at_ts, persistent=True),))
-
-    @classmethod
-    def transient_node(cls, node_id: int, at_ts: float) -> "FailureModel":
-        return cls(node_faults=(NodeFault(node_id, at_ts, persistent=False),))
-
-    @classmethod
-    def task_fault(cls, uid: str, at_fraction: float) -> "FailureModel":
-        return cls(task_faults=(TaskFault(uid, at_fraction),))
-
 
 # Internal event priorities at equal timestamps: completions run before
 # failures, failures before launches, walltime expiry last.
@@ -135,10 +124,11 @@ _PRIO_WALLTIME = 4
 
 
 class SimState:
-    """Mutable state of a running simulation; advanced one event at a time
-    by :func:`step`. The job's tasks, slots and log live in its
-    :class:`Pilot`; the state adds the pending-event heap, the runtime and
-    fault models and launch timing."""
+    """Mutable state of a running simulation, and the backend its
+    :class:`Pilot` drives: each :meth:`advance` applies one heap event
+    through :func:`step`. The job's tasks, slots and log live in the pilot;
+    the state adds the pending-event heap, the runtime and fault models and
+    launch timing."""
 
     def __init__(
         self,
@@ -174,8 +164,9 @@ class SimState:
         self.launch_delay_s = launch_delay_s
         self.launch_rate_cap = launch_rate_cap
         self.next_launch_ts = 0.0
-        self.now = 0.0
-        self.ended = False
+        self.ts = 0.0
+        # no job of this size takes more steps: more means an internal stall
+        self._steps_left = 200 * max(len(self.pilot.job.runs), 1) + 10_000
         self._seq = itertools.count()
         self.heap: list[tuple[float, int, str, int, str, object]] = []
 
@@ -200,15 +191,6 @@ class SimState:
     def _push(self, ts: float, prio: int, key: str, action: str, data) -> None:
         heapq.heappush(self.heap, (ts, prio, key, next(self._seq), action, data))
 
-    def _drain(self, ts: float) -> None:
-        """FIFO placement pass: schedule queue-head tasks while they fit."""
-        while (run := self.pilot.place(ts)) is not None:
-            launch_ts = ts + self.launch_delay_s
-            if self.launch_rate_cap is not None:
-                launch_ts = max(launch_ts, self.next_launch_ts)
-                self.next_launch_ts = launch_ts + 1.0 / self.launch_rate_cap
-            self._push(launch_ts, _PRIO_LAUNCH, run.desc.uid, "launch", None)
-
     def _running_holders(self, node_id: int) -> list[str]:
         # sorted: set order of strings depends on PYTHONHASHSEED
         runs = self.pilot.job.runs
@@ -218,11 +200,35 @@ class SimState:
             if runs[uid].state is TaskState.RUNNING
         )
 
-    # -- handlers -----------------------------------------------------------
+    # -- the backend the pilot drives ---------------------------------------
 
-    def _handle_bootstrap(self, ts: float) -> None:
-        self.pilot.boot(ts)
-        self._drain(ts)
+    def now(self) -> float:
+        return self.ts
+
+    def ready(self) -> bool:
+        return True
+
+    def start(self, run: TaskRun) -> None:
+        """Schedule a placed task's launch after the launch delay, and no
+        sooner than the launch rate cap allows."""
+        launch_ts = self.ts + self.launch_delay_s
+        if self.launch_rate_cap is not None:
+            launch_ts = max(launch_ts, self.next_launch_ts)
+            self.next_launch_ts = launch_ts + 1.0 / self.launch_rate_cap
+        self._push(launch_ts, _PRIO_LAUNCH, run.desc.uid, "launch", None)
+
+    def advance(self) -> None:
+        """Apply the next heap event through :func:`step`. RuntimeError if
+        no event is left while tasks are open, or after more steps than a
+        job of this size takes."""
+        if not self.heap:
+            raise RuntimeError("simulation ran out of events with tasks open")
+        self._steps_left -= 1
+        if self._steps_left < 0:
+            raise RuntimeError("simulation did not converge (internal stall)")
+        step(self)
+
+    # -- handlers -----------------------------------------------------------
 
     def _handle_launch(self, ts: float, uid: str) -> None:
         run = self.pilot.job.runs[uid]
@@ -252,7 +258,6 @@ class SimState:
         if self.pilot.job.runs[uid].state is not TaskState.RUNNING:
             return
         self.pilot.finish(uid, kind, ts, detail)
-        self._drain(ts)
 
     def _handle_node_fault(self, ts: float, fault: NodeFault) -> None:
         self.pilot.emit(
@@ -267,29 +272,19 @@ class SimState:
             self.pilot.finish(
                 uid, ev.TASK_FAILED, ts, f"node_failure node={fault.node_id}"
             )
-        self._drain(ts)
-
-    def _handle_walltime(self, ts: float) -> None:
-        self.pilot.cancel_all(ts, "walltime")
-        self._end(ts)
-
-    def _end(self, ts: float) -> None:
-        self.pilot.end(ts)
-        self.ended = True
 
 
 def step(state: SimState) -> SimState:
     """Pop the earliest pending event, apply it, enqueue consequents.
 
     Simultaneous events process in (ts, kind-priority, uid) order with
-    completions before failures before launches.
+    completions before failures before launches. Placing the tasks an
+    event lets fit is the pilot's loop's part, not this one's.
     """
-    if state.ended or not state.heap:
-        return state
     ts, prio, key, _seq, action, data = heapq.heappop(state.heap)
-    state.now = ts
+    state.ts = ts
     if action == "bootstrap":
-        state._handle_bootstrap(ts)
+        state.pilot.boot(ts)
     elif action == "complete":
         state._handle_end_of_run(ts, key, ev.TASK_DONE, "")
     elif action == "task_fail":
@@ -299,11 +294,7 @@ def step(state: SimState) -> SimState:
     elif action == "launch":
         state._handle_launch(ts, key)
     elif action == "walltime":
-        if not state.pilot.job.all_terminal:
-            state._handle_walltime(ts)
-    if not state.ended and state.pilot.job.all_terminal:
-        # everything terminal (or nothing to run): the job is over
-        state._end(ts)
+        state.pilot.cancel_all(ts, "walltime")
     return state
 
 
@@ -373,13 +364,5 @@ def run_simulated(
         launch_delay_s=launch_delay_s,
         launch_rate_cap=launch_rate_cap,
     )
-    guard = 0
-    limit_steps = 200 * max(len(state.pilot.job.runs), 1) + 10_000
-    while not state.ended and state.heap:
-        step(state)
-        guard += 1
-        if guard > limit_steps:
-            raise RuntimeError("simulation did not converge (internal stall)")
-    if not state.ended:
-        state._end(state.now)
+    state.pilot.drive(state)
     return state.log

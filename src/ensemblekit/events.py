@@ -10,8 +10,9 @@ Every log follows the task lifecycle of :mod:`ensemblekit.pst`: a
 machine (a task starts NEW, with no event; ``TASK_SCHEDULED`` makes it
 SCHEDULED, ``TASK_LAUNCHED`` RUNNING, and ``TASK_DONE`` / ``TASK_FAILED`` /
 ``TASK_CANCELED`` terminal, after which nothing follows), and no other kind
-names a task. :meth:`EventLog.append` checks both rules beside the
-timestamp order, so readers of a log fold it without checking again.
+names a task. Nothing follows JOB_END. :meth:`EventLog.append` checks these
+rules beside the timestamp order and each field's type, so readers of a log
+fold it without checking again.
 """
 
 from __future__ import annotations
@@ -77,6 +78,10 @@ _FOLLOWS: dict[Optional[str], frozenset[str]] = {
 _parse = json.JSONDecoder().raw_decode
 
 
+# the one type a node id may have: not bool, which JSON true/false load as
+_INT = {int}
+
+
 def _all_at_least(values: list, least: int) -> bool:
     """Every value is an int >= least. type(), not isinstance(): a JSON
     true/false loads as bool, an int."""
@@ -95,33 +100,22 @@ class Event(NamedTuple):
 
     @classmethod
     def from_record(cls, rec: object) -> "Event":
-        """Raises MalformedLog for anything but a JSON object with a known
-        ``kind``, a finite numeric ``ts``, ``task_uid`` null or a string,
-        ``node_ids`` null or a list of ints >= 0, and a string ``detail``."""
+        """The event of a JSON record, for :meth:`EventLog.append` to check:
+        an int ts reads as a float (OverflowError beyond the float range)
+        and a list of node ids as a tuple. Raises MalformedLog for anything
+        but a JSON object with ``ts`` and ``kind``."""
         if not isinstance(rec, dict):
             raise MalformedLog(f"event is not a JSON object: {rec!r}")
         if "ts" not in rec or "kind" not in rec:
             raise MalformedLog(f"event lacks ts or kind: {rec!r}")
-        ts, kind = rec["ts"], rec["kind"]
-        if not is_number(ts):
-            raise MalformedLog(f"event ts {ts!r} is not a finite number")
-        if not isinstance(kind, str) or kind not in KINDS:
-            raise MalformedLog(f"unknown event kind {kind!r}")
-        task_uid = rec.get("task_uid")
-        if task_uid is not None and not isinstance(task_uid, str):
-            raise MalformedLog(f"event task_uid {task_uid!r} is not a string")
-        node_ids = rec.get("node_ids")
-        if node_ids is not None and (
-            type(node_ids) is not list or not _all_at_least(node_ids, 0)
-        ):
-            raise MalformedLog(
-                f"event node_ids {node_ids!r} is not a list of ints >= 0"
-            )
-        detail = rec.get("detail", "")
-        if not isinstance(detail, str):
-            raise MalformedLog(f"event detail {detail!r} is not a string")
-        node_ids = tuple(node_ids) if node_ids is not None else None
-        return cls(float(ts), kind, task_uid, node_ids, detail)
+        ts, node_ids = rec["ts"], rec.get("node_ids")
+        return cls(
+            float(ts) if type(ts) is int else ts,
+            rec["kind"],
+            rec.get("task_uid"),
+            tuple(node_ids) if type(node_ids) is list else node_ids,
+            rec.get("detail", ""),
+        )
 
 
 @dataclass
@@ -141,17 +135,33 @@ class EventLog:
             self.append(event)
 
     def append(self, event: Event) -> None:
-        """Raises MalformedLog, leaving the log as it was, for an event of
-        unknown kind, a ts that is not a finite number or is earlier than
-        the last one, a TASK_* event that does not follow an edge of its
-        task's lifecycle or names no task, or any other kind that names a
-        task."""
-        ts, kind, uid = event.ts, event.kind, event.task_uid
-        if kind not in KINDS:
+        """Raises MalformedLog, leaving the log as it was, for an event
+        after JOB_END; of unknown kind; with a ts that is not a finite
+        number or is earlier than the last one; with a ``task_uid`` other
+        than None or a str, ``node_ids`` other than None or a tuple of ints
+        >= 0, or a ``detail`` that is not a str; a TASK_* event that does
+        not follow an edge of its task's lifecycle or names no task; or any
+        other kind that names a task."""
+        ts, kind, uid, node_ids, detail = event
+        events = self.events
+        if events and events[-1].kind == JOB_END:
+            raise MalformedLog(f"{kind} event after JOB_END")
+        if not isinstance(kind, str) or kind not in KINDS:
             raise MalformedLog(f"unknown event kind {kind!r}")
         if not is_number(ts):
             raise MalformedLog(f"event ts {ts!r} is not a finite number")
-        events = self.events
+        if not (uid is None or isinstance(uid, str)):
+            raise MalformedLog(f"event task_uid {uid!r} is not a string")
+        if node_ids is not None and not (
+            type(node_ids) is tuple
+            and set(map(type, node_ids)) <= _INT
+            and min(node_ids, default=0) >= 0
+        ):
+            raise MalformedLog(
+                f"event node_ids {node_ids!r} is not a tuple of ints >= 0"
+            )
+        if not isinstance(detail, str):
+            raise MalformedLog(f"event detail {detail!r} is not a string")
         # a difference: the float last - 1e-12 can round a large int last up
         # past an equal ts
         if events and events[-1].ts - ts > 1e-12:
@@ -185,13 +195,13 @@ class EventLog:
 
     @property
     def complete(self) -> bool:
-        return any(e.kind == JOB_END for e in self.events)
+        """Whether the log ends with JOB_END, after which nothing follows."""
+        return bool(self.events) and self.events[-1].kind == JOB_END
 
     def job_end_ts(self) -> float:
-        for e in reversed(self.events):
-            if e.kind == JOB_END:
-                return e.ts
-        raise IncompleteLog("log has no JOB_END event")
+        if not self.complete:
+            raise IncompleteLog("log has no JOB_END event")
+        return self.events[-1].ts
 
     def bootstrap_ts(self) -> float:
         for e in self.events:
@@ -221,8 +231,9 @@ class EventLog:
                 except MalformedLog as e:
                     raise MalformedLog(f"{path}:{lineno}: {e}") from e
                 # ValueError covers bad JSON, bad UTF-8 and an int past
-                # Python's digit limit; RecursionError, deep nesting
-                except (ValueError, RecursionError) as e:
+                # Python's digit limit; RecursionError, deep nesting;
+                # OverflowError, an int ts beyond the float range
+                except (ValueError, RecursionError, OverflowError) as e:
                     raise MalformedLog(
                         f"{path}:{lineno}: not a JSON event line: {e}"
                     ) from e

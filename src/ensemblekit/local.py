@@ -1,10 +1,11 @@
 """Local process backend: runs tasks as real subprocesses at desk scale.
 
-Runs a job through the same :class:`~ensemblekit.scheduler.Pilot` as the
-simulator, on one node shaped like the platform's, with ``max_parallel`` as
-an extra cap on running tasks; this module only spawns tasks, waits on
-their exits and reaps them. The wait blocks on one pidfd per child (Linux
->= 5.3), so a slot is refilled the moment any task ends. Each task's
+The backend that one job's :class:`~ensemblekit.scheduler.Pilot` drives
+with wall-clock time, through the same drive loop as the simulator, on one
+node shaped like the platform's, with ``max_parallel`` as an extra cap on
+running tasks; this module only spawns tasks, waits on their exits and
+reaps them. The wait blocks on one pidfd per child (Linux >= 5.3), so a
+slot is refilled the moment any task ends. Each task's
 pre_exec lines and executable run under one shell, in a session of their
 own, with stdout/stderr captured per task under the output directory.
 Emits the same event-log schema as the simulator, with wall-clock
@@ -43,14 +44,6 @@ def _compose_command(desc: TaskDescription) -> str:
     return " && ".join(parts)
 
 
-def _reap(selector: selectors.BaseSelector, running: _Running, uid: str) -> int:
-    """Forget a task's pidfd and wait for its shell; its exit code."""
-    proc, pidfd = running.pop(uid)
-    selector.unregister(pidfd)
-    os.close(pidfd)
-    return proc.wait()
-
-
 def _signal_group(proc: subprocess.Popen, sig: int) -> None:
     try:
         os.killpg(proc.pid, sig)
@@ -58,18 +51,92 @@ def _signal_group(proc: subprocess.Popen, sig: int) -> None:
         pass
 
 
-def _stop(selector: selectors.BaseSelector, running: _Running) -> None:
-    """Terminate every running task's process group and reap its shell,
-    killing a shell still alive after :data:`_TERM_GRACE_S`."""
-    for proc, _ in running.values():
-        _signal_group(proc, signal.SIGTERM)
-    deadline = time.monotonic() + _TERM_GRACE_S
-    while running and (left := deadline - time.monotonic()) > 0:
-        for key, _ in selector.select(left):
-            _reap(selector, running, key.data)
-    for uid in list(running):
-        _signal_group(running[uid][0], signal.SIGKILL)
-        _reap(selector, running, uid)
+class _Processes:
+    """The backend a local job's :class:`Pilot` drives: each placed task
+    runs as a subprocess, at most ``max_parallel`` at a time, and
+    :meth:`advance` waits on their pidfds for the next exits."""
+
+    def __init__(self, pilot: Pilot, out_dir: Path, max_parallel: int):
+        self.pilot = pilot
+        self.out_dir = out_dir
+        self.log_dir = out_dir / "task-logs"
+        self.log_dir.mkdir(parents=True, exist_ok=True)
+        self.max_parallel = max_parallel
+        self.selector = selectors.DefaultSelector()
+        self.running: _Running = {}
+        self.t0 = time.monotonic()
+
+    def now(self) -> float:
+        return time.monotonic() - self.t0
+
+    def ready(self) -> bool:
+        return len(self.running) < self.max_parallel
+
+    def start(self, run: TaskRun) -> None:
+        """Spawn a placed task and log its launch; a spawn that fails
+        launches and fails the task."""
+        desc = run.desc
+        try:
+            # the child holds its own copies of the log files' descriptors
+            with open(self.log_dir / f"{desc.uid}.out", "wb") as stdout, open(
+                self.log_dir / f"{desc.uid}.err", "wb"
+            ) as stderr:
+                proc = subprocess.Popen(
+                    ["/bin/sh", "-c", _compose_command(desc)],
+                    stdout=stdout,
+                    stderr=stderr,
+                    cwd=self.out_dir,
+                    start_new_session=True,
+                )
+        except OSError as e:
+            self.pilot.launch(run, self.now())
+            self.pilot.finish(
+                desc.uid, ev.TASK_FAILED, self.now(), f"spawn_error: {e}"
+            )
+            return
+        self.pilot.launch(run, self.now())
+        pidfd = os.pidfd_open(proc.pid)
+        self.running[desc.uid] = (proc, pidfd)
+        self.selector.register(pidfd, selectors.EVENT_READ, desc.uid)
+
+    def advance(self) -> None:
+        """Wait until tasks exit and finish each by its exit code; with no
+        task running (the last one failed to spawn) there is nothing to
+        wait for."""
+        if not self.running:
+            return
+        for key, _ in self.selector.select():
+            uid = key.data
+            rc = self._reap(uid)
+            if rc == 0:
+                self.pilot.finish(uid, ev.TASK_DONE, self.now())
+            else:
+                self.pilot.finish(
+                    uid, ev.TASK_FAILED, self.now(), f"exit_code={rc}"
+                )
+
+    def _reap(self, uid: str) -> int:
+        """Forget a task's pidfd and wait for its shell; its exit code."""
+        proc, pidfd = self.running.pop(uid)
+        self.selector.unregister(pidfd)
+        os.close(pidfd)
+        return proc.wait()
+
+    def stop(self) -> None:
+        """Terminate every running task's process group and reap its shell,
+        killing a shell still alive after :data:`_TERM_GRACE_S`; then close
+        the selector."""
+        running = self.running
+        for proc, _ in running.values():
+            _signal_group(proc, signal.SIGTERM)
+        deadline = time.monotonic() + _TERM_GRACE_S
+        while running and (left := deadline - time.monotonic()) > 0:
+            for key, _ in self.selector.select(left):
+                self._reap(key.data)
+        for uid in list(running):
+            _signal_group(running[uid][0], signal.SIGKILL)
+            self._reap(uid)
+        self.selector.close()
 
 
 def run_local(
@@ -103,67 +170,19 @@ def run_local(
             f"the local backend needs os.pidfd_open (Linux >= 5.3): {e}"
         ) from e
     pilot = Pilot(specs, platform, 1, backend="local", max_parallel=max_parallel)
-
-    out_dir = Path(out_dir)
-    log_dir = out_dir / "task-logs"
-    log_dir.mkdir(parents=True, exist_ok=True)
-
-    t0 = time.monotonic()
-    now = lambda: time.monotonic() - t0
-
-    pilot.boot(now())
-    selector = selectors.DefaultSelector()
-    running: _Running = {}
-
-    def spawn(run: TaskRun) -> None:
-        desc = run.desc
-        try:
-            # the child holds its own copies of the log files' descriptors
-            with open(log_dir / f"{desc.uid}.out", "wb") as stdout, open(
-                log_dir / f"{desc.uid}.err", "wb"
-            ) as stderr:
-                proc = subprocess.Popen(
-                    ["/bin/sh", "-c", _compose_command(desc)],
-                    stdout=stdout,
-                    stderr=stderr,
-                    cwd=out_dir,
-                    start_new_session=True,
-                )
-        except OSError as e:
-            pilot.launch(run, now())
-            pilot.finish(desc.uid, ev.TASK_FAILED, now(), f"spawn_error: {e}")
-            return
-        pilot.launch(run, now())
-        pidfd = os.pidfd_open(proc.pid)
-        running[desc.uid] = (proc, pidfd)
-        selector.register(pidfd, selectors.EVENT_READ, desc.uid)
-
+    processes = _Processes(pilot, Path(out_dir), max_parallel)
+    pilot.boot(processes.now())
     interrupted = False
     try:
-        while True:
-            while len(running) < max_parallel and (
-                (run := pilot.place(now())) is not None
-            ):
-                spawn(run)
-            if not running:
-                break
-            for key, _ in selector.select():
-                rc = _reap(selector, running, key.data)
-                if rc == 0:
-                    pilot.finish(key.data, ev.TASK_DONE, now())
-                else:
-                    pilot.finish(
-                        key.data, ev.TASK_FAILED, now(), f"exit_code={rc}"
-                    )
+        pilot.drive(processes)
     except KeyboardInterrupt:
         interrupted = True
     finally:
-        _stop(selector, running)
-        selector.close()
+        processes.stop()
 
     if interrupted:
-        pilot.cancel_all(now(), "interrupted")
-        pilot.end(now())
+        if not pilot.log.complete:  # else the interrupt came after JOB_END
+            pilot.cancel_all(processes.now(), "interrupted")
+            pilot.end(processes.now())
         raise Interrupted(f"run interrupted: {pilot.job.tally}", pilot.log)
-    pilot.end(now())
     return pilot.log

@@ -111,8 +111,9 @@ def compute_utilization(log: EventLog) -> UtilizationStack:
     fixed order (spans by start, nodes by first launch, tasks by schedule),
     and a unit busy for the whole run reads idle 0, not a few ulps below.
     MalformedLog: a node outside the allocation, chunks not one per node, a
-    node reserved past its free slots, a task open at JOB_END or the log's
-    end, or an accounted value beyond the float range.
+    node reserved past its free slots, a task scheduled before
+    BOOTSTRAP_DONE or open at JOB_END, or an accounted value beyond the
+    float range.
     """
     node, allocation_nodes = allocation(log)
     end_ts, boot_ts = log.job_end_ts(), log.bootstrap_ts()
@@ -131,6 +132,9 @@ def compute_utilization(log: EventLog) -> UtilizationStack:
     open_tasks = 0
     for ts, kind, uid, node_ids, detail in log:
         if kind == ev.TASK_SCHEDULED:
+            if ts < boot_ts:
+                raise MalformedLog(f"task {uid}: scheduled at {ts}, before "
+                                   f"BOOTSTRAP_DONE at {boot_ts}")
             shape = shapes.get(detail)
             if shape is None:
                 threads, gpus_pp, chunks = scheduled_slots(detail)
@@ -183,11 +187,9 @@ def compute_utilization(log: EventLog) -> UtilizationStack:
                     holders[i] -= 1
                     if not holders[i]:
                         span_end[i] = ts
-        elif kind == ev.JOB_END and open_tasks:
-            break
     if open_tasks:
         raise MalformedLog(f"{open_tasks} tasks still scheduled or running "
-                           f"at JOB_END or the end of the log")
+                           f"at JOB_END")
 
     busy_nodes = busy_cores = busy_gpus = 0.0
     for i, span in spans.items():

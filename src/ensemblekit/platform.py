@@ -122,19 +122,6 @@ class PlatformConfig:
             )
         object.__setattr__(self, "bootstrap_overhead_s", float(bootstrap))
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "node": {
-                "cores_total": self.node.cores_total,
-                "cores_reserved": self.node.cores_reserved,
-                "gpus": self.node.gpus,
-            },
-            "node_count": self.node_count,
-            "bootstrap_overhead_s": self.bootstrap_overhead_s,
-            "policy": {"tiers": [list(t) for t in self.policy.tiers]},
-        }
-
 
 def task_footprint(
     desc: TaskDescription, node: NodeSpec
@@ -235,7 +222,3 @@ def platform_from_json(doc: dict) -> PlatformConfig:
     except InvalidNodeSpec as e:
         # the CLI reports ValidationError as a configuration error
         raise ValidationError(str(e)) from e
-
-
-def save_platform_config(config: PlatformConfig, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(config.to_json(), indent=2) + "\n")

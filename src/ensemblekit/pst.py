@@ -321,7 +321,7 @@ class JobRun:
     tasks eligible at the start, and :meth:`finish` records a terminal state
     and returns the tasks of the stage it opened. ``runs`` holds every
     :class:`TaskRun` keyed by uid, in pipeline, stage, task order. Only the
-    backend's event loop mutates a job; all mutation happens on one thread.
+    pilot's drive loop mutates a job; all mutation happens on one thread.
     """
 
     def __init__(self, specs: Sequence[WorkflowSpec]):

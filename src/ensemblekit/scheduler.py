@@ -1,14 +1,16 @@
 """Pilot-side placement: per-node free core/GPU slot tables, and the
-:class:`Pilot` that keeps one job's tasks, slots and event log.
+:class:`Pilot` that keeps one job's tasks, slots and event log and runs
+its one drive loop for both backends.
 
 Placement is strict FIFO with no backfill: the queue head blocks everything
 behind it. Nodes are chosen first-fit by ascending node id, each carrying a
 full chunk of ``procs_per_node`` ranks except possibly the last. Tasks may
 share a node when slots allow. All of it is deterministic: identical table
 and queue inputs yield identical placements. Both backends run a job
-through a :class:`Pilot`: :func:`task_footprints` rejects the job up front
-when a task could never fit, and :meth:`Pilot.place` places the head of the
-queue.
+through :meth:`Pilot.drive`: :func:`task_footprints` rejects the job up
+front when a task could never fit, and after each of the backend's events
+the loop places queue-head tasks (:meth:`Pilot.place`) while they fit, and
+logs JOB_END once every task is terminal.
 
 Every node of the table stays eligible for the life of the job: a failed
 node is never taken out, so the pilot keeps placing work on it, which is
@@ -67,8 +69,8 @@ class Placement:
 class SlotTable:
     """Free core/GPU slots per node of one allocation.
 
-    Single-writer: only the owning backend's event loop mutates a table. A min-heap
-    of node ids with a free core keeps first-fit scans cheap at the
+    Single-writer: only the owning pilot's drive loop mutates a table. A
+    min-heap of node ids with a free core keeps first-fit scans cheap at the
     8000-node scale; the arrays stay authoritative. A node without a free
     core can host no chunk (every rank needs at least one core), so it
     leaves the heap until a release frees one. ``holders[node_id]`` is the
@@ -190,9 +192,10 @@ class Pilot:
     """The agent of one job: its tasks (a :class:`JobRun`), its slot table,
     the FIFO queue of tasks eligible to place, and its event log.
 
-    Both backends drive a job only through these methods, which keep the
-    task states, the slots and the log in step; a backend adds only how
-    and when tasks start and end. JOB_START is logged at ts 0 on creation.
+    Both backends run a job through :meth:`drive` and these methods, which
+    keep the task states, the slots and the log in step; a backend adds
+    only how and when tasks start and end. JOB_START is logged at ts 0 on
+    creation.
     Its metadata lists the platform and allocation, then ``backend``,
     ``bootstrap_s`` and ``walltime_s`` (given in ``meta``, or null, 0 and
     null), then any further ``meta`` keys in the order given.
@@ -287,3 +290,22 @@ class Pilot:
     def end(self, ts: float) -> None:
         """Log JOB_END with the terminal-state tally."""
         self.emit(ts, ev.JOB_END, detail=self.job.tally)
+
+    def drive(self, backend) -> None:
+        """Run the job to JOB_END: the one loop of both backends.
+
+        Each turn places queue-head tasks while they fit and the backend
+        can take one, hands each to ``backend.start(run)``, then has
+        ``backend.advance()`` apply the backend's next event through these
+        methods. Once every task is terminal, JOB_END is logged at
+        ``backend.now()``.
+        """
+        while True:
+            while backend.ready() and (
+                (run := self.place(backend.now())) is not None
+            ):
+                backend.start(run)
+            backend.advance()
+            if self.job.all_terminal:
+                break
+        self.end(backend.now())

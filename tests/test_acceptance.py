@@ -14,6 +14,7 @@ from ensemblekit.cli import main as cli_main
 from ensemblekit.engine import (
     DurationSpec,
     FailureModel,
+    NodeFault,
     RuntimeModel,
     run_simulated,
 )
@@ -162,7 +163,7 @@ def test_criterion_2_throughput_substitutes():
 def test_criterion_3_fault_tolerance_reproduction():
     platform = get_profile("frontier-sim")
     wf = single_stage("members", [exaconstit_task(f"m{i:03d}") for i in range(48)])
-    fault = FailureModel.persistent_node(2, 700.0)
+    fault = FailureModel(node_faults=(NodeFault(2, 700.0, persistent=True),))
     model = RuntimeModel(default=CALIBRATED, seed=3)
     runner = simulated_attempts(platform, model, fault)
     logs, unresolved = retry_loop(
@@ -212,9 +213,9 @@ def test_criterion_3_fault_tolerance_reproduction():
         spec = WorkflowSpec(name=f"chain{seed}", stages=tuple(stages))
         nodes = rng.randint(2, 4)
         fault_models = (
-            FailureModel.persistent_node(
-                rng.randrange(nodes), rng.uniform(1.0, 400.0)
-            ),
+            FailureModel(node_faults=(NodeFault(
+                rng.randrange(nodes), rng.uniform(1.0, 400.0), persistent=True
+            ),)),
         )
         runner = simulated_attempts(
             platform_for(nodes),
@@ -440,7 +441,7 @@ def test_criterion_8_determinism(tmp_path):
     platform = get_profile("frontier-sim")
     wf = single_stage("members", [exaconstit_task(f"m{i:03d}") for i in range(64)])
     model = RuntimeModel(default=CALIBRATED, seed=17)
-    fault = FailureModel.persistent_node(5, 900.0)
+    fault = FailureModel(node_faults=(NodeFault(5, 900.0, persistent=True),))
 
     log_bytes = []
     export_bytes = []

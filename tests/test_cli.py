@@ -23,9 +23,9 @@ from ensemblekit.cli import main
 from ensemblekit.engine import DurationSpec, RuntimeModel, run_simulated
 from ensemblekit.events import EventLog, scheduled_detail
 from ensemblekit.metrics import compute_utilization
-from ensemblekit.platform import get_profile, save_platform_config, usable_cores
+from ensemblekit.platform import get_profile, usable_cores
 from ensemblekit.pst import Stage, TaskDescription, WorkflowSpec, validate_workflow
-from conftest import make_task, single_stage, small_platform
+from conftest import make_task, save_platform, single_stage, small_platform
 
 
 def run_cli(*argv):
@@ -36,7 +36,7 @@ def run_cli(*argv):
 def small_platform_file(tmp_path):
     # a mini Frontier: 8 nodes of 64 cores (8 reserved) and 8 GPUs
     path = tmp_path / "small.json"
-    save_platform_config(
+    save_platform(
         small_platform(cores=64, reserved=8, gpus=8, nodes=8,
                        max_walltime=50000.0),
         path,
@@ -577,6 +577,43 @@ class TestReport:
         records.append({"ts": 10, "kind": ev.JOB_END})
         log = tmp_path / "bad.jsonl"
         log.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert run_cli("report", "--log", str(log)) == 1
+        err = capsys.readouterr().err
+        assert "error: MalformedLog:" in err
+        assert match in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("bad_*"))
+
+    @pytest.mark.parametrize(
+        "records,match",
+        [
+            # the task runs after the job ended: busy past capacity
+            ([(0, ev.BOOTSTRAP_DONE), (1, ev.JOB_END),
+              (1, ev.TASK_SCHEDULED), (1, ev.TASK_LAUNCHED),
+              (100, ev.TASK_DONE)],
+             "TASK_SCHEDULED event after JOB_END"),
+            # the task runs during the bootstrap: counted as ovh and busy
+            ([(0, ev.TASK_SCHEDULED), (0, ev.TASK_LAUNCHED),
+              (10, ev.TASK_DONE), (10, ev.BOOTSTRAP_DONE), (10, ev.JOB_END)],
+             "scheduled at 0.0, before BOOTSTRAP_DONE at 10.0"),
+        ],
+        ids=["after-job-end", "before-bootstrap"],
+    )
+    def test_task_outside_the_job_exit_1(self, tmp_path, capsys, records,
+                                         match):
+        # 1 node of 8 cores and one 8-core task
+        meta = dict(_SMALL_META, allocation_nodes=1, cores_total=8,
+                    cores_reserved=0, gpus_per_node=0)
+        lines = [{"ts": 0, "kind": ev.JOB_START, "detail": json.dumps(meta)}]
+        for ts, kind in records:
+            rec = {"ts": ts, "kind": kind}
+            if kind.startswith("TASK_"):
+                rec.update(task_uid="a", node_ids=[0])
+            if kind == ev.TASK_SCHEDULED:
+                rec["detail"] = scheduled_detail(8, 0, [1])
+            lines.append(rec)
+        log = tmp_path / "bad.jsonl"
+        log.write_text("".join(json.dumps(r) + "\n" for r in lines))
         assert run_cli("report", "--log", str(log)) == 1
         err = capsys.readouterr().err
         assert "error: MalformedLog:" in err

@@ -6,6 +6,7 @@ from ensemblekit import events as ev
 from ensemblekit.engine import (
     DurationSpec,
     FailureModel,
+    NodeFault,
     RuntimeModel,
     SimState,
     TaskFault,
@@ -149,7 +150,7 @@ class TestFaults:
         wf = single_stage("s", [make_task(f"t{i}", procs=8) for i in range(4)])
         log = run_simulated(
             wf, platform, 4, 1000.0, FIXED_100,
-            FailureModel.persistent_node(2, 10.0),
+            FailureModel(node_faults=(NodeFault(2, 10.0, persistent=True),)),
         )
         failed = {e.task_uid for e in log if e.kind == ev.TASK_FAILED}
         held_node2 = {
@@ -168,7 +169,7 @@ class TestFaults:
         wf = single_stage("s", [make_task(f"t{i:02d}", procs=8) for i in range(12)])
         log = run_simulated(
             wf, platform, 4, 10000.0, FIXED_100,
-            FailureModel.persistent_node(1, 50.0),
+            FailureModel(node_faults=(NodeFault(1, 50.0, persistent=True),)),
         )
         failed = {e.task_uid for e in log if e.kind == ev.TASK_FAILED}
         ever_held = {
@@ -187,7 +188,7 @@ class TestFaults:
         wf = single_stage("s", [make_task(f"t{i}", procs=8) for i in range(4)])
         log = run_simulated(
             wf, platform, 2, 10000.0, FIXED_100,
-            FailureModel.transient_node(0, 10.0),
+            FailureModel(node_faults=(NodeFault(0, 10.0, persistent=False),)),
         )
         failed = [e.task_uid for e in log if e.kind == ev.TASK_FAILED]
         assert failed == ["t0"]
@@ -208,7 +209,8 @@ class TestFaults:
         wf = single_stage("s", tasks)
         log = run_simulated(
             wf, platform, 1, 1000.0, RuntimeModel(),
-            FailureModel.transient_node(0, 17.0), launch_delay_s=5.0,
+            FailureModel(node_faults=(NodeFault(0, 17.0, persistent=False),)),
+            launch_delay_s=5.0,
         )
         late = events_by_task(log)["late"]
         assert late[ev.TASK_SCHEDULED].ts == 15.0
@@ -223,7 +225,8 @@ class TestFaults:
         platform = small_platform()
         wf = single_stage("s", [make_task("t")])
         log = run_simulated(
-            wf, platform, 1, 1000.0, FIXED_100, FailureModel.task_fault("t", 1.0)
+            wf, platform, 1, 1000.0, FIXED_100,
+            FailureModel(task_faults=(TaskFault("t", 1.0),)),
         )
         fail_event = next(e for e in log if e.kind == ev.TASK_FAILED)
         assert fail_event.ts == 100.0  # launched at 0, failed at full runtime
@@ -233,7 +236,8 @@ class TestFaults:
         platform = small_platform()
         wf = single_stage("s", [make_task("t")])
         log = run_simulated(
-            wf, platform, 1, 1000.0, FIXED_100, FailureModel.task_fault("t", 0.25)
+            wf, platform, 1, 1000.0, FIXED_100,
+            FailureModel(task_faults=(TaskFault("t", 0.25),)),
         )
         assert next(e for e in log if e.kind == ev.TASK_FAILED).ts == 25.0
 
@@ -249,7 +253,9 @@ class TestFaults:
         with pytest.raises(ConfigError):
             run_simulated(
                 wf, platform, 1, 500.0, FIXED_100,
-                FailureModel.persistent_node(0, 600.0),
+                FailureModel(
+                    node_faults=(NodeFault(0, 600.0, persistent=True),)
+                ),
             )
 
 
@@ -355,7 +361,7 @@ class TestDeterminism:
             "members", [exaconstit_task(f"m{i:03d}") for i in range(40)]
         )
         model = RuntimeModel(default=DurationSpec.uniform(600.0, 1500.0), seed=9)
-        fm = FailureModel.persistent_node(3, 700.0)
+        fm = FailureModel(node_faults=(NodeFault(3, 700.0, persistent=True),))
         paths = []
         for i in range(2):
             log = run_simulated(wf, platform, 64, 7200.0, model, fm)
@@ -374,33 +380,49 @@ class TestDeterminism:
         assert end_a != end_b
 
 
+class TurnState(SimState):
+    """A SimState that notes the log's length and the table's free cores at
+    each advance, so each turn of the pilot's drive loop (one step plus the
+    placement after it) can be read back with the free cores it left."""
+
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        self.marks = []
+
+    def advance(self):
+        self.marks.append((len(self.log), list(self.pilot.table.free_cores)))
+        super().advance()
+
+    def turn_after(self, kind, uid):
+        """Drive the job; the turn after the one that logged ``kind`` for
+        ``uid``, as its events and the free cores it left."""
+        self.pilot.drive(self)
+        marks = [*self.marks, (len(self.log), self.pilot.table.free_cores)]
+        turns = [
+            (self.log[a:b], free)
+            for (a, _), (b, free) in zip(marks, marks[1:])
+        ]
+        for i, (events, _) in enumerate(turns):
+            if any(e.kind == kind and e.task_uid == uid for e in events):
+                return turns[i + 1]
+        raise AssertionError(f"never saw {kind}")
+
+
 class TestStep:
     def make_state(self, n_tasks=2, nodes=1, **kw):
         platform = small_platform(nodes=nodes)
         wf = single_stage(
             "s", [make_task(f"t{i}", procs=8) for i in range(n_tasks)]
         )
-        return SimState(
+        return TurnState(
             [wf], platform, nodes, 100000.0, FIXED_100, None, **kw
         )
 
-    def drive_until(self, state, kind, uid=None):
-        while not state.ended and state.heap:
-            before = len(state.log)
-            step(state)
-            for event in state.log[before:]:
-                if event.kind == kind and (uid is None or event.task_uid == uid):
-                    return state
-        raise AssertionError(f"never saw {kind}")
-
     def test_completion_refills_queue_at_same_ts(self):
         state = self.make_state(n_tasks=2, nodes=1)
-        self.drive_until(state, ev.TASK_LAUNCHED, "t0")
-        # next pending event is t0's completion; one step must both finish t0
-        # and schedule t1 at the identical timestamp
-        before = len(state.log)
-        step(state)
-        new = state.log[before:]
+        # the next pending event after t0's launch is its completion; one
+        # turn must both finish t0 and schedule t1 at the identical timestamp
+        new, _ = state.turn_after(ev.TASK_LAUNCHED, "t0")
         kinds = [(e.kind, e.task_uid) for e in new]
         assert (ev.TASK_DONE, "t0") in kinds
         assert (ev.TASK_SCHEDULED, "t1") in kinds
@@ -410,13 +432,35 @@ class TestStep:
 
     def test_completion_with_empty_queue_only_releases(self):
         state = self.make_state(n_tasks=1, nodes=1)
-        self.drive_until(state, ev.TASK_LAUNCHED, "t0")
-        before = len(state.log)
-        step(state)
-        new = [(e.kind, e.task_uid) for e in state.log[before:]]
+        turn, free_cores = state.turn_after(ev.TASK_LAUNCHED, "t0")
+        new = [(e.kind, e.task_uid) for e in turn]
         assert (ev.TASK_DONE, "t0") in new
         assert not any(k == ev.TASK_SCHEDULED for k, _ in new)
-        assert state.pilot.table.free_cores[0] == 8
+        assert free_cores[0] == 8
+
+    def test_step_applies_one_heap_event(self):
+        state = self.make_state(n_tasks=2, nodes=1)
+        pending = len(state.heap)
+        assert step(state) is state
+        # the bootstrap boots the job; placing its first stage is the loop's
+        assert len(state.heap) == pending - 1
+        assert [e.kind for e in state.log] == [ev.JOB_START, ev.BOOTSTRAP_DONE]
+        assert [run.desc.uid for run in state.pilot.queue] == ["t0", "t1"]
+
+    def test_drive_raises_on_a_stall(self):
+        from ensemblekit.engine import _PRIO_COMPLETE
+
+        state = self.make_state(n_tasks=1, nodes=1)
+        state.heap.clear()
+        with pytest.raises(RuntimeError, match="ran out of events"):
+            state.pilot.drive(state)
+        # stale completions of t0 pop before its launch, more of them than
+        # the step limit of a one-task job (200 + 10,000)
+        state = self.make_state(n_tasks=1, nodes=1)
+        for _ in range(10_201):
+            state._push(0.0, _PRIO_COMPLETE, "t0", "complete", None)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            state.pilot.drive(state)
 
     def test_simultaneous_events_total_order(self):
         """All 3-event permutations at one timestamp pop as completions,
@@ -454,7 +498,7 @@ class TestStep:
             3,
             100000.0,
             FIXED_100,
-            FailureModel.task_fault("t1", 0.5),
+            FailureModel(task_faults=(TaskFault("t1", 0.5),)),
             launch_rate_cap=0.02,
         )
         at_100 = [

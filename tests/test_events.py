@@ -116,6 +116,38 @@ def test_append_rejects_an_unknown_kind():
     assert log.events == []
 
 
+def test_append_rejects_an_event_after_job_end():
+    log = EventLog()
+    log.append(Event(0.0, ev.JOB_START))
+    log.append(Event(1.0, ev.JOB_END))
+    for event in (Event(1.0, ev.TASK_SCHEDULED, "a"), Event(1.0, ev.JOB_END)):
+        with pytest.raises(MalformedLog, match="after JOB_END"):
+            log.append(event)
+    assert [e.kind for e in log] == [ev.JOB_START, ev.JOB_END]
+    assert log.complete and log.job_end_ts() == 1.0
+
+
+@pytest.mark.parametrize(
+    "event,match",
+    [
+        (Event(0.0, ev.JOB_START, None, (True,)), "node_ids"),
+        (Event(0.0, ev.JOB_START, None, [0]), "node_ids"),
+        (Event(0.0, ev.JOB_START, None, (0, -1)), "node_ids"),
+        (Event(0.0, ev.JOB_START, None, (0.0,)), "node_ids"),
+        (Event(0.0, ev.JOB_START, None, "01"), "node_ids"),
+        (Event(0.0, ev.TASK_SCHEDULED, 5), "task_uid"),
+        (Event(0.0, ev.TASK_SCHEDULED, ("a",)), "task_uid"),
+        (Event(0.0, ev.JOB_START, detail=5), "detail"),
+        (Event(0.0, ev.JOB_START, detail=None), "detail"),
+    ],
+)
+def test_append_rejects_a_field_of_the_wrong_type(event, match):
+    log = EventLog()
+    with pytest.raises(MalformedLog, match=match):
+        log.append(event)
+    assert log.events == []
+
+
 # all of Unicode, lone surrogates included, and the characters JSON escapes;
 # but no high surrogate just before a low one: JSON writes that pair as the
 # escapes of the one non-BMP character it reads them back as

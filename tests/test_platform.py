@@ -19,11 +19,10 @@ from ensemblekit.platform import (
     load_platform_config,
     max_walltime_for,
     platform_from_json,
-    save_platform_config,
     task_footprint,
     usable_cores,
 )
-from conftest import exaconstit_task, make_task
+from conftest import exaconstit_task, make_task, platform_doc, save_platform
 
 
 class TestNodeSpec:
@@ -132,11 +131,11 @@ class TestLoadSave:
     def test_round_trip(self, tmp_path):
         config = get_profile("frontier-sim")
         path = tmp_path / "p.json"
-        save_platform_config(config, path)
+        save_platform(config, path)
         assert load_platform_config(path) == config
 
     def test_degenerate_reservation_rejected(self, tmp_path):
-        doc = get_profile("frontier-sim").to_json()
+        doc = platform_doc(get_profile("frontier-sim"))
         doc["node"]["cores_reserved"] = doc["node"]["cores_total"]
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))

@@ -5,7 +5,9 @@ from ensemblekit import resilience
 from ensemblekit.engine import (
     DurationSpec,
     FailureModel,
+    NodeFault,
     RuntimeModel,
+    TaskFault,
     run_simulated,
 )
 from ensemblekit.errors import EmptyPlan, IncompleteLog
@@ -36,7 +38,9 @@ def run_with_fault(n_tasks=4, fault=None, nodes=4, walltime=10000.0):
 
 class TestCollectFailures:
     def test_counts_failed_tasks(self):
-        wf, log = run_with_fault(fault=FailureModel.persistent_node(2, 10.0))
+        wf, log = run_with_fault(fault=FailureModel(
+            node_faults=(NodeFault(2, 10.0, persistent=True),)
+        ))
         assert collect_failures(log, wf) == ["t2"]
 
     def test_all_done_yields_nothing(self):
@@ -44,7 +48,9 @@ class TestCollectFailures:
         assert collect_failures(log, wf) == []
 
     def test_task_fault_kind(self):
-        wf, log = run_with_fault(fault=FailureModel.task_fault("t1", 0.5))
+        wf, log = run_with_fault(
+            fault=FailureModel(task_faults=(TaskFault("t1", 0.5),))
+        )
         assert collect_failures(log, wf) == ["t1"]
         # why it failed stays in the log, in the terminal event's detail
         assert [e.detail for e in log if e.kind == ev.TASK_FAILED] == [
@@ -69,7 +75,9 @@ class TestCollectFailures:
 
     def test_done_in_later_log_not_collected(self):
         # per-log semantics: collecting from the retry log sees only its events
-        wf, log1 = run_with_fault(fault=FailureModel.task_fault("t1", 1.0))
+        wf, log1 = run_with_fault(
+            fault=FailureModel(task_faults=(TaskFault("t1", 1.0),))
+        )
         retry = single_stage("s", [make_task("t1", procs=8)], workflow_name="r")
         platform = small_platform()
         log2 = run_simulated(retry, platform, 4, 10000.0, FIXED)
@@ -86,7 +94,7 @@ class TestPlanResubmission:
                 RuntimeModel(default=DurationSpec.fixed(100.0)),
                 FailureModel(
                     task_faults=tuple(
-                        FailureModel.task_fault(f"m{i}", 1.0).task_faults[0]
+                        TaskFault(f"m{i}", 1.0)
                         for i in range(8)
                     )
                 ),
@@ -102,7 +110,7 @@ class TestPlanResubmission:
         wf = single_stage("members", [exaconstit_task(f"m{i}") for i in range(8)])
         fm = FailureModel(
             task_faults=tuple(
-                FailureModel.task_fault(f"m{i}", 1.0).task_faults[0]
+                TaskFault(f"m{i}", 1.0)
                 for i in range(8)
             )
         )
@@ -126,8 +134,8 @@ class TestPlanResubmission:
         )
         fm = FailureModel(
             task_faults=(
-                FailureModel.task_fault("x", 1.0).task_faults[0],
-                FailureModel.task_fault("y", 1.0).task_faults[0],
+                TaskFault("x", 1.0),
+                TaskFault("y", 1.0),
             )
         )
         log = run_simulated(wf, platform, 4, 10000.0, FIXED, fm)
@@ -140,7 +148,8 @@ class TestPlanResubmission:
         platform = small_platform()
         wf = single_stage("s", [make_task("only")])
         log = run_simulated(
-            wf, platform, 4, 10000.0, FIXED, FailureModel.task_fault("only", 1.0)
+            wf, platform, 4, 10000.0, FIXED,
+            FailureModel(task_faults=(TaskFault("only", 1.0),)),
         )
         plan = plan_resubmission(collect_failures(log, wf), wf, platform, 4)
         assert plan.nodes == 1
@@ -155,7 +164,8 @@ class TestPlanResubmission:
         platform = small_platform()
         wf = single_stage("s", [make_task(f"t{i}", procs=8) for i in range(3)])
         log = run_simulated(
-            wf, platform, 4, 10000.0, FIXED, FailureModel.task_fault("t1", 1.0)
+            wf, platform, 4, 10000.0, FIXED,
+            FailureModel(task_faults=(TaskFault("t1", 1.0),)),
         )
         plan = plan_resubmission(collect_failures(log, wf), wf, platform, 4)
         path = tmp_path / "plan.json"
@@ -175,7 +185,8 @@ class TestRetryLoop:
         platform = small_platform(nodes=4)
         wf = single_stage("s", [make_task(f"t{i}", procs=8) for i in range(8)])
         runner = simulated_attempts(
-            platform, FIXED, FailureModel.persistent_node(1, 10.0)
+            platform, FIXED,
+            FailureModel(node_faults=(NodeFault(1, 10.0, persistent=True),)),
         )
         logs, unresolved = retry_loop(
             wf, platform, runner, 4, 10000.0, max_attempts=2
@@ -196,7 +207,7 @@ class TestRetryLoop:
         monkeypatch.setattr(resilience, "collect_failures", counting)
         platform = small_platform()
         wf = single_stage("s", [make_task("t", procs=8), make_task("u", procs=8)])
-        fm = FailureModel.task_fault("t", 1.0)
+        fm = FailureModel(task_faults=(TaskFault("t", 1.0),))
         runner = simulated_attempts(platform, FIXED, fm, fm, fm)
         logs, unresolved = retry_loop(
             wf, platform, runner, 4, 10000.0, max_attempts=3
@@ -222,7 +233,8 @@ class TestRetryLoop:
         platform = small_platform(nodes=4)
         wf = single_stage("s", [make_task(f"t{i}", procs=8) for i in range(6)])
         runner = simulated_attempts(
-            platform, FIXED, FailureModel.persistent_node(0, 10.0)
+            platform, FIXED,
+            FailureModel(node_faults=(NodeFault(0, 10.0, persistent=True),)),
         )
         logs, unresolved = retry_loop(
             wf, platform, runner, 4, 10000.0, max_attempts=3
