@@ -278,8 +278,8 @@ def step(state: SimState) -> SimState:
     """Pop the earliest pending event, apply it, enqueue consequents.
 
     Simultaneous events process in (ts, kind-priority, uid) order with
-    completions before failures before launches. Placing the tasks an
-    event lets fit is the pilot's loop's part, not this one's.
+    completions before failures before launches. The pilot's drive loop,
+    not this step, places the tasks the event lets fit.
     """
     ts, prio, key, _seq, action, data = heapq.heappop(state.heap)
     state.ts = ts

@@ -78,11 +78,7 @@ _FOLLOWS: dict[Optional[str], frozenset[str]] = {
 _parse = json.JSONDecoder().raw_decode
 
 
-# the one type a node id may have: not bool, which JSON true/false load as
-_INT = {int}
-
-
-def _all_at_least(values: list, least: int) -> bool:
+def _all_at_least(values, least: int) -> bool:
     """Every value is an int >= least. type(), not isinstance(): a JSON
     true/false loads as bool, an int."""
     for v in values:
@@ -136,12 +132,11 @@ class EventLog:
 
     def append(self, event: Event) -> None:
         """Raises MalformedLog, leaving the log as it was, for an event
-        after JOB_END; of unknown kind; with a ts that is not a finite
-        number or is earlier than the last one; with a ``task_uid`` other
-        than None or a str, ``node_ids`` other than None or a tuple of ints
-        >= 0, or a ``detail`` that is not a str; a TASK_* event that does
-        not follow an edge of its task's lifecycle or names no task; or any
-        other kind that names a task."""
+        after JOB_END, of unknown kind, with a ts that is not a finite
+        number or is earlier than the last one, a uid or detail not a str
+        (a uid may be None), or node ids not None or a tuple of ints >= 0;
+        and for a TASK_* event off its task's lifecycle or naming no task,
+        or another kind naming a task."""
         ts, kind, uid, node_ids, detail = event
         events = self.events
         if events and events[-1].kind == JOB_END:
@@ -153,9 +148,7 @@ class EventLog:
         if not (uid is None or isinstance(uid, str)):
             raise MalformedLog(f"event task_uid {uid!r} is not a string")
         if node_ids is not None and not (
-            type(node_ids) is tuple
-            and set(map(type, node_ids)) <= _INT
-            and min(node_ids, default=0) >= 0
+            type(node_ids) is tuple and _all_at_least(node_ids, 0)
         ):
             raise MalformedLog(
                 f"event node_ids {node_ids!r} is not a tuple of ints >= 0"

@@ -5,9 +5,9 @@ with wall-clock time, through the same drive loop as the simulator, on one
 node shaped like the platform's, with ``max_parallel`` as an extra cap on
 running tasks; this module only spawns tasks, waits on their exits and
 reaps them. The wait blocks on one pidfd per child (Linux >= 5.3), so a
-slot is refilled the moment any task ends. Each task's
-pre_exec lines and executable run under one shell, in a session of their
-own, with stdout/stderr captured per task under the output directory.
+slot is refilled the moment any task ends. Each task's pre_exec lines and
+executable run under one shell, in a session of their own, with
+stdout/stderr captured per task under the output directory.
 Emits the same event-log schema as the simulator, with wall-clock
 timestamps relative to job start.
 """
@@ -33,9 +33,6 @@ from ensemblekit.scheduler import Pilot
 # how long an interrupted task's process group gets to exit after SIGTERM
 # before its leader is sent SIGKILL
 _TERM_GRACE_S = 2.0
-
-# uid -> (the task's shell, the pidfd that turns readable when it exits)
-_Running = dict[str, tuple[subprocess.Popen, int]]
 
 
 def _compose_command(desc: TaskDescription) -> str:
@@ -63,7 +60,8 @@ class _Processes:
         self.log_dir.mkdir(parents=True, exist_ok=True)
         self.max_parallel = max_parallel
         self.selector = selectors.DefaultSelector()
-        self.running: _Running = {}
+        # uid -> (the task's shell, the pidfd that turns readable at its exit)
+        self.running: dict[str, tuple[subprocess.Popen, int]] = {}
         self.t0 = time.monotonic()
 
     def now(self) -> float:
@@ -103,16 +101,12 @@ class _Processes:
         """Wait until tasks exit and finish each by its exit code; with no
         task running (the last one failed to spawn) there is nothing to
         wait for."""
-        if not self.running:
-            return
-        for key, _ in self.selector.select():
-            uid = key.data
-            rc = self._reap(uid)
-            if rc == 0:
-                self.pilot.finish(uid, ev.TASK_DONE, self.now())
+        for key, _ in self.selector.select() if self.running else ():
+            if (rc := self._reap(key.data)) == 0:
+                self.pilot.finish(key.data, ev.TASK_DONE, self.now())
             else:
                 self.pilot.finish(
-                    uid, ev.TASK_FAILED, self.now(), f"exit_code={rc}"
+                    key.data, ev.TASK_FAILED, self.now(), f"exit_code={rc}"
                 )
 
     def _reap(self, uid: str) -> int:

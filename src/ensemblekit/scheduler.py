@@ -195,10 +195,9 @@ class Pilot:
     Both backends run a job through :meth:`drive` and these methods, which
     keep the task states, the slots and the log in step; a backend adds
     only how and when tasks start and end. JOB_START is logged at ts 0 on
-    creation.
-    Its metadata lists the platform and allocation, then ``backend``,
-    ``bootstrap_s`` and ``walltime_s`` (given in ``meta``, or null, 0 and
-    null), then any further ``meta`` keys in the order given.
+    creation. Its metadata lists the platform and allocation, then
+    ``backend``, ``bootstrap_s`` and ``walltime_s`` (given in ``meta``, or
+    null, 0 and null), then any further ``meta`` keys in the order given.
     """
 
     def __init__(
@@ -292,14 +291,10 @@ class Pilot:
         self.emit(ts, ev.JOB_END, detail=self.job.tally)
 
     def drive(self, backend) -> None:
-        """Run the job to JOB_END: the one loop of both backends.
-
-        Each turn places queue-head tasks while they fit and the backend
-        can take one, hands each to ``backend.start(run)``, then has
-        ``backend.advance()`` apply the backend's next event through these
-        methods. Once every task is terminal, JOB_END is logged at
-        ``backend.now()``.
-        """
+        """Run the job to JOB_END, the one loop of both backends: place
+        queue-head tasks while they fit and ``backend.ready()``, hand each
+        to ``backend.start(run)``, then ``backend.advance()`` to apply the
+        next event; once every task is terminal, end at ``backend.now()``."""
         while True:
             while backend.ready() and (
                 (run := self.place(backend.now())) is not None

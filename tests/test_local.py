@@ -279,3 +279,23 @@ def test_interrupt_cancels_the_rest_and_keeps_a_complete_log(
                 if e.kind == ev.TASK_CANCELED]
     assert canceled == [(uid, "interrupted")
                         for uid in ("killer", "waiting", "later")]
+
+
+def test_interrupt_after_job_end_keeps_the_complete_log(
+    tmp_path, monkeypatch
+):
+    # the interrupt lands after the drive loop logged JOB_END: nothing is
+    # canceled and no second JOB_END is appended
+    class InterruptedAtEnd(Pilot):
+        def end(self, ts):
+            super().end(ts)
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(local_backend, "Pilot", InterruptedAtEnd)
+    host = small_platform(cores=8, nodes=1)
+    wf = single_stage("s", [sh_task("a", "true"), sh_task("b", "true")])
+    with pytest.raises(Interrupted) as caught:
+        run_local(wf, host, 2, tmp_path)
+    log = caught.value.log
+    assert [e.kind for e in log].count(ev.JOB_END) == 1
+    assert log[-1].detail == "done=2 failed=0 canceled=0"
