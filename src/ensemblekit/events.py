@@ -203,8 +203,11 @@ class EventLog:
         raise IncompleteLog("log has no BOOTSTRAP_DONE event")
 
     def save_jsonl(self, path: str | Path) -> None:
+        # the text of each distinct node-id tuple, by value: a task's
+        # scheduled, launched and terminal events share one tuple
+        ids: dict[tuple[int, ...], str] = {}
         with open(path, "w") as f:
-            f.writelines(map(_line, self.events))
+            f.writelines(_line(event, ids) for event in self.events)
 
     @classmethod
     def load_jsonl(cls, path: str | Path) -> "EventLog":
@@ -233,11 +236,18 @@ class EventLog:
         return log
 
 
-def _line(event: Event) -> str:
+def _line(event: Event, ids: dict[tuple[int, ...], str]) -> str:
     """One log line: ``json.dumps`` of the event's fields as a record, for
     every event :meth:`EventLog.append` accepts (a known kind, a finite int
-    or float ts, str uid and detail, int node ids)."""
+    or float ts, str uid and detail, int node ids). ``ids`` caches the text
+    of the node-id tuples seen so far."""
     ts, kind, uid, node_ids, detail = event
+    if node_ids is None:
+        nodes = "null"
+    else:
+        nodes = ids.get(node_ids)
+        if nodes is None:
+            nodes = ids[node_ids] = "[%s]" % ", ".join(map(str, node_ids))
     return (
         '{"ts": %r, "kind": "%s", "task_uid": %s, "node_ids": %s, '
         '"detail": %s}\n'
@@ -245,7 +255,7 @@ def _line(event: Event) -> str:
         ts,
         kind,
         "null" if uid is None else _quote(uid),
-        "null" if node_ids is None else "[%s]" % ", ".join(map(str, node_ids)),
+        nodes,
         _quote(detail),
     )
 

@@ -14,8 +14,9 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from ensemblekit.errors import (
     ConfigError,
@@ -190,6 +191,8 @@ class WorkflowSpec:
         }
 
     def to_json(self) -> dict:
+        """The workflow JSON document: the reference :meth:`save` matches
+        byte for byte, as ``json.dumps`` of it with ``indent=2``."""
         return {
             "name": self.name,
             "stages": [
@@ -241,7 +244,11 @@ class WorkflowSpec:
         return cls(name=doc["name"], stages=stages)
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), indent=2) + "\n")
+        """Write ``json.dumps(self.to_json(), indent=2)`` and a newline,
+        byte for byte, one task at a time. A value JSON cannot encode raises
+        TypeError as ``json.dumps`` does, after the tasks before it."""
+        with open(path, "w") as f:
+            f.writelines(_document(self))
 
     @classmethod
     def load(cls, path: str | Path) -> "WorkflowSpec":
@@ -254,6 +261,87 @@ class WorkflowSpec:
         # KeyError, TypeError: a key missing or a section of the wrong type
         except (OSError, ValueError, RecursionError, KeyError, TypeError) as e:
             raise ParseError(f"{path}: {e}") from e
+
+
+def _value(v: object, depth: int) -> str:
+    """``json.dumps(v, indent=2)`` as it reads ``depth`` levels deep in an
+    indented document: the fixed schema's values directly, anything else
+    through ``json.dumps`` with its inner lines indented. ``ensure_ascii``
+    leaves no raw newline inside a string, so that indentation is exact."""
+    t = type(v)
+    if t is str:
+        return _quote(v)
+    if t is int:  # not bool, which json writes as true/false
+        return int.__repr__(v)
+    if t is float and math.isfinite(v):
+        return float.__repr__(v)
+    if v is None:
+        return "null"
+    if t is list:
+        if not v:
+            return "[]"
+        if all(type(x) is str for x in v):
+            pad = "\n" + "  " * depth
+            return "[%s  %s%s]" % (
+                pad, (",%s  " % pad).join(map(_quote, v)), pad
+            )
+    elif t is dict:
+        if not v:
+            return "{}"
+        if all(type(k) is str and type(x) is str for k, x in v.items()):
+            pad = "\n" + "  " * depth
+            return "{%s  %s%s}" % (
+                pad,
+                (",%s  " % pad).join(
+                    "%s: %s" % (_quote(k), _quote(x)) for k, x in v.items()
+                ),
+                pad,
+            )
+    return json.dumps(v, indent=2).replace("\n", "\n" + "  " * depth)
+
+
+# one task of the document, its fields at depth 5 in to_json's order
+_TASK = (
+    "        {\n"
+    '          "uid": %s,\n'
+    '          "executable": %s,\n'
+    '          "arguments": %s,\n'
+    '          "pre_exec": %s,\n'
+    '          "cpu_processes": %s,\n'
+    '          "cpu_threads_per_process": %s,\n'
+    '          "gpus_per_process": %s,\n'
+    '          "expected_runtime_s": %s,\n'
+    '          "tags": %s\n'
+    "        }"
+)
+
+
+def _document(spec: WorkflowSpec) -> Iterator[str]:
+    """The text :meth:`WorkflowSpec.save` writes, one task per chunk, with
+    the conversions of :meth:`WorkflowSpec.to_json`."""
+    yield '{\n  "name": %s,\n  "stages": [' % _value(spec.name, 1)
+    sep = "\n"
+    for s in spec.stages:
+        yield '%s    {\n      "name": %s,\n      "tasks": [' % (
+            sep, _value(s.name, 3)
+        )
+        tsep = "\n"
+        for t in s.tasks:
+            yield tsep + _TASK % (
+                _value(t.uid, 5),
+                _value(t.executable, 5),
+                _value(list(t.arguments), 5),
+                _value(list(t.pre_exec), 5),
+                _value(t.cpu_processes, 5),
+                _value(t.cpu_threads_per_process, 5),
+                _value(t.gpus_per_process, 5),
+                _value(t.expected_runtime_s, 5),
+                _value(dict(t.tags), 5),
+            )
+            tsep = ",\n"
+        yield "]\n    }" if tsep == "\n" else "\n      ]\n    }"
+        sep = ",\n"
+    yield "]\n}\n" if sep == "\n" else "\n  ]\n}\n"
 
 
 def validate_workflow(spec: WorkflowSpec) -> list[str]:

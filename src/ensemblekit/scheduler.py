@@ -89,6 +89,8 @@ class SlotTable:
         self._active: dict[str, Placement] = {}
         self._avail = list(range(node_count))  # already a heap: sorted
         self._queued = [True] * node_count
+        # bumped by every release: only a release makes room
+        self.releases = 0
 
     def _offer(self, node_id: int) -> None:
         if not self._queued[node_id] and self.free_cores[node_id] > 0:
@@ -181,6 +183,7 @@ def release(table: SlotTable, placement: Placement) -> None:
             f"placement for task {placement.task_uid} is not active"
         )
     del table._active[placement.task_uid]
+    table.releases += 1
     for node_id, procs in placement.assignments:
         table.free_cores[node_id] += placement.cores_on(procs)
         table.free_gpus[node_id] += placement.gpus_on(procs)
@@ -213,6 +216,8 @@ class Pilot:
             self.table, (run.desc for run in self.job.runs.values())
         )
         self.queue: deque[TaskRun] = deque()
+        # the queue head that last failed to place, and table.releases then
+        self._blocked: tuple[Optional[TaskRun], int] = (None, 0)
         self.log = EventLog()
         start = {
             "backend": None,
@@ -239,13 +244,19 @@ class Pilot:
         """Place the queue's head task: pop it, mark it SCHEDULED on its nodes
         and log TASK_SCHEDULED with the placed chunks. Returns None, leaving
         queue and table unchanged, when the queue is empty or its head does
-        not fit now."""
+        not fit now. A head that failed to place is not tried again before a
+        release: a failed try_place leaves the table as it was, and only a
+        release makes room."""
         if not self.queue:
             return None
         run = self.queue[0]
+        blocked, releases = self._blocked
+        if run is blocked and releases == self.table.releases:
+            return None
         desc = run.desc
         placement = try_place(self.table, desc, self.footprints[desc.uid])
         if placement is None:
+            self._blocked = (run, self.table.releases)
             return None
         self.queue.popleft()
         transition_task(run, TaskState.SCHEDULED)

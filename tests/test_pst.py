@@ -1,13 +1,16 @@
+import hashlib
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ensemblekit.cli import main
 from ensemblekit.errors import IllegalTransition
 from ensemblekit.pst import (
     JobRun,
     Stage,
+    TaskDescription,
     TaskState,
     WorkflowSpec,
     transition_task,
@@ -333,3 +336,76 @@ def test_json_round_trip_field_names():
     }
     restored = WorkflowSpec.from_json(json.loads(json.dumps(doc)))
     assert restored == spec
+
+
+# JSON-typed values, NaN, infinities and control characters included
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (
+        st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=3), inner, max_size=3)
+    ),
+    max_leaves=5,
+)
+# json.dumps writes these keys as strings
+json_keys = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
+strings = st.lists(st.text(), max_size=3)
+sequences = strings | st.lists(json_values, max_size=3) | st.text(max_size=3)
+tasks = st.builds(
+    TaskDescription,
+    uid=st.text() | json_values,
+    executable=st.text() | json_values,
+    arguments=sequences,
+    pre_exec=sequences,
+    cpu_processes=st.integers() | json_values,
+    cpu_threads_per_process=st.integers() | json_values,
+    gpus_per_process=st.integers() | json_values,
+    expected_runtime_s=st.none() | st.floats() | json_values,
+    tags=(
+        st.dictionaries(st.text(), st.text(), max_size=3)
+        | st.dictionaries(json_keys, json_values, max_size=3)
+    ),
+)
+stages = st.builds(
+    Stage, name=st.text() | json_values,
+    tasks=st.lists(tasks, max_size=3).map(tuple),
+)
+specs = st.builds(
+    WorkflowSpec, name=st.text() | json_values,
+    stages=st.lists(stages, max_size=3),
+)
+
+
+@given(spec=specs)
+@settings(max_examples=60, deadline=None)
+def test_save_writes_json_dumps_of_to_json(spec, tmp_path_factory):
+    """save writes json.dumps(to_json(), indent=2) byte for byte, also for
+    values validate_workflow rejects: no stages, an empty stage, bool
+    counts, a NaN runtime, str arguments, nested and non-str-keyed tags."""
+    path = tmp_path_factory.getbasetemp() / "saved.json"
+    spec.save(path)
+    assert path.read_bytes() == (
+        json.dumps(spec.to_json(), indent=2) + "\n"
+    ).encode("ascii")
+
+
+@pytest.mark.parametrize(
+    "argv, sha256",
+    [
+        (
+            ["--example", "exaconstit", "--tasks", "7875", "--no-optimizer",
+             "--seed", "1"],
+            "66c4b5e27f2ee89d1e0cbbccdc2215ad9ad6b3e1b62a743794feef132c2aeddd",
+        ),
+        (
+            ["--example", "uq-stage1", "--desk", "--cases", "40",
+             "--uq-params", "10", "--sleep", "0", "--seed", "0"],
+            "8768b0ade45d48faa60d4ae697a9f59a513af735fc5d1519f5debd8a4242e139",
+        ),
+    ],
+    ids=["headline", "local-desk"],
+)
+def test_example_files_keep_their_bytes(argv, sha256, tmp_path, capsys):
+    out = tmp_path / "wf.json"
+    assert main(["example", *argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256

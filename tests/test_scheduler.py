@@ -179,6 +179,57 @@ class TestDrainQueue:
         assert run_once() == run_once()
 
 
+class ScriptedBackend:
+    """A drive-loop backend whose k-th advance runs ``steps[k](started)``;
+    it records the try_place calls made before each advance."""
+
+    def __init__(self, steps, calls):
+        self.steps, self.calls = list(steps), calls
+        self.started, self.calls_before = [], []
+
+    def now(self):
+        return 0.0
+
+    def ready(self):
+        return True
+
+    def start(self, run):
+        self.started.append(run)
+
+    def advance(self):
+        self.calls_before.append(len(self.calls))
+        self.steps.pop(0)(self.started)
+
+
+def test_blocked_head_waits_for_a_release(monkeypatch):
+    """A drive turn that releases nothing does not try the blocked head
+    again; the turn after a release tries it once."""
+    calls = []
+    real = scheduler.try_place
+
+    def counting(table, desc, footprint):
+        calls.append(desc.uid)
+        return real(table, desc, footprint)
+
+    monkeypatch.setattr(scheduler, "try_place", counting)
+    whole = dict(procs=8, threads=7, gpus=1)  # one FRONTIER_NODE
+    pilot = queued([make_task("a", **whole), make_task("b", **whole)], 1)
+    backend = ScriptedBackend(
+        [
+            lambda started: pilot.launch(started[0], 0.0),
+            lambda started: pilot.finish("a", ev.TASK_DONE, 0.0),
+            lambda started: pilot.launch(started[1], 0.0),
+            lambda started: pilot.finish("b", ev.TASK_DONE, 0.0),
+        ],
+        calls,
+    )
+    pilot.drive(backend)
+    # a placed, b blocked; a's launch frees nothing; a's end frees its node
+    assert backend.calls_before == [2, 2, 3, 3]
+    assert calls == ["a", "b", "b"]
+    assert pilot.log[-1].kind == ev.JOB_END
+
+
 class TestHeapWork:
     def test_core_full_gpu_free_nodes_leave_the_heap(self, monkeypatch):
         # 1-core tasks fill the cores of nodes 0 and 1; their GPUs stay free
