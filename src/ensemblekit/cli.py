@@ -6,11 +6,11 @@ machine from ``--platform FILE`` or, without it, the built-in profile
 ``--profile NAME``.
 
 Exit codes are a function of outcome class only: 0 success, 1 execution
-failure or malformed input log, 2 configuration error (any
-:class:`~ensemblekit.errors.ConfigError`, or an ``OSError`` from a path that
-cannot be read or written: missing, a directory where a file is wanted, or
-the other way round). :func:`main` maps every error a subcommand raises to
-its code in one place.
+failure, malformed input log or interrupt (Ctrl-C), 2 configuration error
+(any :class:`~ensemblekit.errors.ConfigError`, or an ``OSError`` from a path
+that cannot be read or written: missing, a directory where a file is wanted,
+or the other way round). :func:`main` maps every error a subcommand raises
+to its code in one place.
 """
 
 from __future__ import annotations
@@ -376,6 +376,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (*_CONFIG_ERRORS, EnsembleKitError) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2 if isinstance(e, _CONFIG_ERRORS) else 1
+    except KeyboardInterrupt:
+        # Ctrl-C stops the command, which then writes nothing more; a local
+        # run turns it into Interrupted itself, after logging the run
+        print("error: KeyboardInterrupt: interrupted", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

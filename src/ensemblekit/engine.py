@@ -70,18 +70,23 @@ class RuntimeModel:
     """One duration distribution for every task, plus the seed.
 
     Draws are keyed by (seed, task uid) so a task's duration does not depend
-    on scheduling order.
+    on scheduling order: each draw reseeds the model's one generator, which
+    draws what ``random.Random(f"{seed}/{uid}")`` would.
     """
 
     default: DurationSpec = field(default_factory=DurationSpec.expected)
     seed: int = 0
+    _rng: random.Random = field(
+        default_factory=random.Random, init=False, repr=False, compare=False
+    )
 
     def duration_for(self, desc: TaskDescription) -> float:
         spec = self.default
         if spec.kind == "fixed":
             return spec.lo_s
         if spec.kind == "uniform":
-            rng = random.Random(f"{self.seed}/{desc.uid}")
+            rng = self._rng
+            rng.seed(f"{self.seed}/{desc.uid}")
             return rng.uniform(spec.lo_s, spec.hi_s)
         if desc.expected_runtime_s is None:
             raise ConfigError(
@@ -236,7 +241,8 @@ class SimState:
             return  # stale: task was canceled or failed before launching
         self.pilot.launch(run, ts)
         duration = self.runtime_model.duration_for(run.desc)
-        bad = sorted(set(run.node_ids) & self.persistent_failed)
+        failed = self.persistent_failed  # empty until a persistent fault
+        bad = sorted(failed.intersection(run.node_ids)) if failed else ()
         if bad:
             # node is accepting launches but every run on it is doomed;
             # the crash surfaces at the task's natural end

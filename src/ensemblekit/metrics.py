@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -23,7 +23,7 @@ from ensemblekit.errors import (EnsembleKitError, InsufficientData,
                                 InvalidNodeSpec, MalformedLog)
 from ensemblekit.events import EventLog, scheduled_slots
 from ensemblekit.platform import NodeSpec, usable_cores
-from ensemblekit.pst import count_violation
+from ensemblekit.pst import _value, count_violation
 
 # the share of a unit's capacity by which float rounding may push busy past
 # what capacity leaves after overhead
@@ -306,12 +306,70 @@ def throughput(log: EventLog, series: ConcurrencySeries) -> RateSummary:
 _UNIT_FIELDS = ["capacity_s", "ovh_s", "busy_s", "idle_s", "utilization_fraction"]
 
 
+# one point of a series' JSON export, its fields at depth 3
+_POINT = (
+    "    {\n"
+    '      "ts": %s,\n'
+    '      "n_scheduled_pending_launch": %s,\n'
+    '      "n_running": %s\n'
+    "    }"
+)
+
+
+def _object(items, depth: int) -> str:
+    """The JSON object of ``(key, value text)`` pairs as ``json.dumps`` with
+    ``indent=2`` writes it ``depth`` levels deep."""
+    pad = "\n" + "  " * depth
+    return "{%s  %s%s}" % (
+        pad, (",%s  " % pad).join('"%s": %s' % item for item in items), pad
+    )
+
+
+def _json(obj) -> str:
+    """``json.dumps(asdict(obj), indent=2)`` for a stack, series or rate
+    summary, written field by field; a value off the fields' types goes
+    through ``json.dumps`` (:func:`pst._value`)."""
+    if isinstance(obj, UtilizationStack):
+        return _object(
+            [
+                (unit, _object(
+                    [(f, _value(getattr(usage, f), 2)) for f in _UNIT_FIELDS],
+                    1,
+                ))
+                for unit, usage in (
+                    ("nodes", obj.nodes), ("cores", obj.cores),
+                    ("gpus", obj.gpus),
+                )
+            ],
+            0,
+        )
+    if isinstance(obj, ConcurrencySeries):
+        if not obj.points:
+            return '{\n  "points": []\n}'
+        return '{\n  "points": [\n%s\n  ]\n}' % ",\n".join(
+            _POINT % (
+                _value(p.ts, 3),
+                _value(p.n_scheduled_pending_launch, 3),
+                _value(p.n_running, 3),
+            )
+            for p in obj.points
+        )
+    if isinstance(obj, RateSummary):
+        return _object(
+            [(f.name, _value(getattr(obj, f.name), 1)) for f in fields(obj)],
+            0,
+        )
+    raise EnsembleKitError(f"cannot export {type(obj).__name__}")
+
+
 def export(obj, format: str, path: str | Path) -> Path:
     """Write a stack, series or rate summary as CSV (with header row) or
-    JSON mirroring the type fields. Output is bit-stable."""
+    JSON mirroring the type fields, byte-equal to
+    ``json.dumps(asdict(obj), indent=2)`` and a newline. Output is
+    bit-stable."""
     path = Path(path)
     if format == "json":
-        path.write_text(json.dumps(asdict(obj), indent=2) + "\n")
+        path.write_text(_json(obj) + "\n")
         return path
     if format != "csv":
         raise EnsembleKitError(f"unknown export format {format!r}")

@@ -34,6 +34,11 @@ class TaskState(Enum):
     FAILED = "FAILED"
     CANCELED = "CANCELED"
 
+    # members are singletons that compare by identity: hash them by
+    # identity in C, not by Enum's Python-level hash of the name, which
+    # every lifecycle check's dict and set lookups would call
+    __hash__ = object.__hash__
+
     @property
     def terminal(self) -> bool:
         return self in _TERMINAL

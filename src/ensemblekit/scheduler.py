@@ -23,8 +23,7 @@ from __future__ import annotations
 import heapq
 import json
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from ensemblekit import events as ev
 from ensemblekit.errors import DoubleRelease, EnsembleKitError, Unplaceable
@@ -45,25 +44,16 @@ from ensemblekit.pst import (
 )
 
 
-@dataclass(frozen=True)
-class Placement:
-    """Reserved slots for one task: (node_id, ranks on that node) pairs plus
-    the per-rank core/GPU widths needed to undo the reservation."""
+class Placement(NamedTuple):
+    """Reserved slots for one task: ``chunks[i]`` ranks on node
+    ``node_ids[i]``, plus the per-rank core/GPU widths needed to undo the
+    reservation."""
 
     task_uid: str
-    assignments: tuple[tuple[int, int], ...]
+    node_ids: tuple[int, ...]
+    chunks: tuple[int, ...]
     cpu_threads_per_process: int
     gpus_per_process: int
-
-    @property
-    def node_ids(self) -> tuple[int, ...]:
-        return tuple(n for n, _ in self.assignments)
-
-    def cores_on(self, procs: int) -> int:
-        return procs * self.cpu_threads_per_process
-
-    def gpus_on(self, procs: int) -> int:
-        return procs * self.gpus_per_process
 
 
 class SlotTable:
@@ -92,11 +82,6 @@ class SlotTable:
         # bumped by every release: only a release makes room
         self.releases = 0
 
-    def _offer(self, node_id: int) -> None:
-        if not self._queued[node_id] and self.free_cores[node_id] > 0:
-            heapq.heappush(self._avail, node_id)
-            self._queued[node_id] = True
-
     def active_placements(self) -> dict[str, Placement]:
         """A copy of every active placement by task uid; O(active), so the
         engine's per-event paths use ``placement_of`` and ``holders``."""
@@ -109,19 +94,30 @@ class SlotTable:
 def task_footprints(
     table: SlotTable, descs: Iterable[TaskDescription]
 ) -> dict[str, tuple[int, int]]:
-    """Footprint of every task on the table's node shape, by uid.
+    """Footprint of every task on the table's node shape, by uid, computed
+    once per distinct (procs, threads, GPUs) shape.
 
-    Raises Unplaceable for a task that could never fit the table, so a job
-    is rejected before anything of it runs.
+    Raises Unplaceable for a task that could never fit the table, naming
+    the first task of its shape, so a job is rejected before anything of it
+    runs.
     """
     out: dict[str, tuple[int, int]] = {}
+    by_shape: dict[tuple[int, int, int], tuple[int, int]] = {}
     for desc in descs:
-        fp = task_footprint(desc, table.node)
-        if fp[0] > table.node_count:
-            raise Unplaceable(
-                f"task {desc.uid} needs {fp[0]} nodes; allocation "
-                f"has {table.node_count}"
-            )
+        shape = (
+            desc.cpu_processes,
+            desc.cpu_threads_per_process,
+            desc.gpus_per_process,
+        )
+        fp = by_shape.get(shape)
+        if fp is None:
+            fp = task_footprint(desc, table.node)
+            if fp[0] > table.node_count:
+                raise Unplaceable(
+                    f"task {desc.uid} needs {fp[0]} nodes; allocation "
+                    f"has {table.node_count}"
+                )
+            by_shape[shape] = fp
         out[desc.uid] = fp
     return out
 
@@ -134,61 +130,68 @@ def try_place(
     Scans nodes in ascending id order. All chunks are ``procs_per_node``
     ranks except the last, which carries the remainder.
     """
-    if desc.uid in table._active:
-        raise EnsembleKitError(f"task {desc.uid} already placed")
+    uid = desc.uid
+    if uid in table._active:
+        raise EnsembleKitError(f"task {uid} already placed")
     nodes_needed, procs_per_node = footprint
     threads = desc.cpu_threads_per_process
     gpus_pp = desc.gpus_per_process
     remainder = desc.cpu_processes - procs_per_node * (nodes_needed - 1)
-    chunks = [procs_per_node] * (nodes_needed - 1) + [remainder]
+    free_cores, free_gpus = table.free_cores, table.free_gpus
+    avail, queued = table._avail, table._queued
 
-    chosen: list[tuple[int, int]] = []
+    chosen: list[int] = []
     popped: list[int] = []
-    while table._avail and len(chosen) < nodes_needed:
-        node_id = heapq.heappop(table._avail)
-        table._queued[node_id] = False
+    # the cores and GPUs of the next chunk: every chunk but the last is
+    # full, and the last carries the remainder
+    chunk = procs_per_node if nodes_needed > 1 else remainder
+    cores, gpus = chunk * threads, chunk * gpus_pp
+    while avail and len(chosen) < nodes_needed:
+        node_id = heapq.heappop(avail)
+        queued[node_id] = False
         popped.append(node_id)
-        chunk = chunks[len(chosen)]
-        if (
-            table.free_cores[node_id] >= chunk * threads
-            and table.free_gpus[node_id] >= chunk * gpus_pp
-        ):
-            chosen.append((node_id, chunk))
+        if free_cores[node_id] >= cores and free_gpus[node_id] >= gpus:
+            chosen.append(node_id)
+            if len(chosen) == nodes_needed - 1:
+                cores, gpus = remainder * threads, remainder * gpus_pp
 
-    if len(chosen) < nodes_needed:
-        for node_id in popped:
-            table._offer(node_id)
-        return None
-
-    placement = Placement(
-        task_uid=desc.uid,
-        assignments=tuple(chosen),
-        cpu_threads_per_process=threads,
-        gpus_per_process=gpus_pp,
-    )
-    for node_id, procs in chosen:
-        table.free_cores[node_id] -= procs * threads
-        table.free_gpus[node_id] -= procs * gpus_pp
-        table.holders[node_id].add(desc.uid)
+    placement = None
+    if len(chosen) == nodes_needed:
+        chunks = (procs_per_node,) * (nodes_needed - 1) + (remainder,)
+        for node_id, procs in zip(chosen, chunks):
+            free_cores[node_id] -= procs * threads
+            free_gpus[node_id] -= procs * gpus_pp
+            table.holders[node_id].add(uid)
+        placement = Placement(uid, tuple(chosen), chunks, threads, gpus_pp)
+        table._active[uid] = placement
+    # a popped node without a free core stays out until a release frees one
     for node_id in popped:
-        table._offer(node_id)
-    table._active[desc.uid] = placement
+        if free_cores[node_id] > 0:
+            heapq.heappush(avail, node_id)
+            queued[node_id] = True
     return placement
 
 
 def release(table: SlotTable, placement: Placement) -> None:
     """Return all reserved cores and GPUs of a placement to their nodes."""
-    if table._active.get(placement.task_uid) is not placement:
-        raise DoubleRelease(
-            f"placement for task {placement.task_uid} is not active"
-        )
-    del table._active[placement.task_uid]
+    uid = placement.task_uid
+    if table._active.get(uid) is not placement:
+        raise DoubleRelease(f"placement for task {uid} is not active")
+    del table._active[uid]
     table.releases += 1
-    for node_id, procs in placement.assignments:
-        table.free_cores[node_id] += placement.cores_on(procs)
-        table.free_gpus[node_id] += placement.gpus_on(procs)
-        table.holders[node_id].remove(placement.task_uid)
-        table._offer(node_id)
+    threads = placement.cpu_threads_per_process
+    gpus_pp = placement.gpus_per_process
+    free_cores, free_gpus, holders = (
+        table.free_cores, table.free_gpus, table.holders
+    )
+    avail, queued = table._avail, table._queued
+    for node_id, procs in zip(placement.node_ids, placement.chunks):
+        free_cores[node_id] += procs * threads
+        free_gpus[node_id] += procs * gpus_pp
+        holders[node_id].remove(uid)
+        if not queued[node_id] and free_cores[node_id] > 0:
+            heapq.heappush(avail, node_id)
+            queued[node_id] = True
 
 
 class Pilot:
@@ -218,6 +221,8 @@ class Pilot:
         self.queue: deque[TaskRun] = deque()
         # the queue head that last failed to place, and table.releases then
         self._blocked: tuple[Optional[TaskRun], int] = (None, 0)
+        # the TASK_SCHEDULED detail of each reservation shape placed so far
+        self._details: dict[tuple[tuple[int, ...], int, int], str] = {}
         self.log = EventLog()
         start = {
             "backend": None,
@@ -260,18 +265,16 @@ class Pilot:
             return None
         self.queue.popleft()
         transition_task(run, TaskState.SCHEDULED)
-        run.node_ids = placement.node_ids
-        self.emit(
-            ts,
-            ev.TASK_SCHEDULED,
-            desc.uid,
-            placement.node_ids,
-            ev.scheduled_detail(
-                desc.cpu_threads_per_process,
-                desc.gpus_per_process,
-                [procs for _, procs in placement.assignments],
-            ),
-        )
+        run.node_ids = node_ids = placement.node_ids
+        # one text per (chunks, threads, GPUs) reservation shape
+        shape = (placement.chunks, placement.cpu_threads_per_process,
+                 placement.gpus_per_process)
+        detail = self._details.get(shape)
+        if detail is None:
+            detail = self._details[shape] = ev.scheduled_detail(
+                shape[1], shape[2], list(shape[0])
+            )
+        self.emit(ts, ev.TASK_SCHEDULED, desc.uid, node_ids, detail)
         return run
 
     def launch(self, run: TaskRun, ts: float) -> None:
@@ -306,12 +309,14 @@ class Pilot:
         queue-head tasks while they fit and ``backend.ready()``, hand each
         to ``backend.start(run)``, then ``backend.advance()`` to apply the
         next event; once every task is terminal, end at ``backend.now()``."""
+        ready, now, start, advance = (
+            backend.ready, backend.now, backend.start, backend.advance
+        )
+        place, queue, job = self.place, self.queue, self.job
         while True:
-            while backend.ready() and (
-                (run := self.place(backend.now())) is not None
-            ):
-                backend.start(run)
-            backend.advance()
-            if self.job.all_terminal:
+            while queue and ready() and (run := place(now())) is not None:
+                start(run)
+            advance()
+            if job.all_terminal:
                 break
-        self.end(backend.now())
+        self.end(now())

@@ -13,8 +13,8 @@ from __future__ import annotations
 import random
 from typing import Mapping, Optional
 
-from ensemblekit.errors import UnknownShape
-from ensemblekit.pst import Stage, TaskDescription, WorkflowSpec
+from ensemblekit.errors import ConfigError, UnknownShape
+from ensemblekit.pst import Stage, TaskDescription, WorkflowSpec, is_number
 
 SHAPES = ("additivefoam", "exaca", "exaconstit", "uq-stage1", "toy")
 
@@ -216,6 +216,11 @@ def generate_example(
     (additivefoam chained into exaca), toy.
     """
     params = dict(params or {})
+    sleep_s = params.get("sleep_s", 0.05)
+    if not (is_number(sleep_s) and sleep_s >= 0):
+        raise ConfigError(
+            f"sleep_s must be a finite number >= 0, not {sleep_s!r}"
+        )
     if shape == "additivefoam":
         return WorkflowSpec(
             name="additivefoam", stages=tuple(_additivefoam_stages(params))

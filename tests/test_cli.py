@@ -68,6 +68,15 @@ class TestExample:
     def test_missing_shape_is_config_error(self, tmp_path):
         assert run_cli("example", "--out", str(tmp_path / "x.json")) == 2
 
+    @pytest.mark.parametrize("sleep", ["nan", "inf", "-1"])
+    def test_bad_sleep_is_config_error(self, tmp_path, capsys, sleep):
+        # each would go into every task's command: `sleep inf` never ends
+        out = tmp_path / "wf.json"
+        assert run_cli("example", "--example", "uq-stage1", "--desk",
+                       "--sleep", sleep, "--out", str(out)) == 2
+        assert "error: ConfigError: sleep_s" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_small_ensemble_end_to_end(self, tmp_path, small_platform_file, capsys):
@@ -335,6 +344,62 @@ class TestSimulate:
             "17568c224f2fe9a3e9e426d2d33988773e42329096574f551f11e6ff70015505",
             "e20314269f032a68c5937436b17a68cdcb1bba7828e1e966b25eb907ffa72c50",
             "468d554dc425d441d854b09d1d0915f2eebef28bd617593107d798b4a746bdfa",
+        ]
+
+    def test_mixed_shape_fault_logs_match_golden_hash(self, tmp_path):
+        # three stages, each interleaving 224-rank tasks (4 nodes: 64, 64,
+        # 64 and 32 ranks), 1-node GPU tasks (8 ranks of 7 cores + 1 GPU,
+        # 8 cores left) and 1-core tasks, which fill the partly used nodes
+        # beside the wider chunks and block the next wide task behind them.
+        # A persistent and a transient fault fail tasks of every shape.
+        # Hashes recorded before the placement record carried its node ids.
+        stages = []
+        for s in range(3):
+            tasks = []
+            for i in range(8):
+                tasks += [
+                    make_task(f"s{s}-wide-{i}", procs=224, expected=3600.0),
+                    make_task(f"s{s}-gpu-{i}", procs=8, threads=7, gpus=1,
+                              expected=1800.0),
+                    *(make_task(f"s{s}-one-{i}-{k}", expected=120.0)
+                      for k in range(5)),
+                ]
+            stages.append(Stage(name=f"mixed-{s}", tasks=tuple(tasks)))
+        wf, platform = tmp_path / "wf.json", tmp_path / "platform.json"
+        WorkflowSpec(name="mixed", stages=tuple(stages)).save(wf)
+        save_platform(
+            small_platform(cores=64, reserved=0, gpus=8, nodes=24,
+                           max_walltime=50000.0),
+            platform,
+        )
+        log = tmp_path / "run.jsonl"
+        assert run_cli(
+            "simulate", "--workflow", str(wf), "--platform", str(platform),
+            "--nodes", "24", "--walltime", "40000", "--seed", "3",
+            "--runtime", "uniform:600,1244",
+            "--fail-node", "5@900:persistent", "--fail-node", "13@2000:transient",
+            "--max-attempts", "2", "--out", str(log),
+        ) == 0
+        digests = []
+        for path in (log, tmp_path / "run.attempt2.jsonl"):
+            prefix = path.with_suffix("")
+            assert run_cli("report", "--log", str(path)) == 0
+            digests += [
+                hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in [path] + [
+                    Path(f"{prefix}_{name}.csv")
+                    for name in ("utilization", "concurrency", "rates")
+                ]
+            ]
+        assert digests == [
+            "137d478ddbb0daf45a4879380bf931cc88df9ddf5035932438f9255857d7904c",
+            "7c8ddc161f9417a1e42e0c6b3d220f442ac21c68cfdb75013ca59f2fea76aa1e",
+            "3d673d6070ee084300cab459dbaa19f9779bab5f264c7208546b29e5731b89b4",
+            "47993158513e9bf358b753cb2ea22ede3723cf49f7ec42218c572c8cf79abb88",
+            "c193a77cea6c2b402d24dbab4b7c7758ab13912a3cfcb843f031c27b6862d0dd",
+            "0be29610ec58042be5c4533b03ece4f09f644d5e44979e216692a7d7162785ff",
+            "4b27ec67b579bdbb1f75f0ac84eb8d1fee4d66b85d830152476b3e887966527a",
+            "d373a7c45a4d8231e5fe9ac043dcae5ff773006089267af6f8b77895c3b7ed38",
         ]
 
     def test_seeded_runs_reproduce_logs(self, tmp_path, small_platform_file):
@@ -1223,6 +1288,25 @@ def _alive(pid: int) -> bool:
 
 
 class TestInterruptedRun:
+    def test_ctrl_c_in_simulate_exits_1_without_traceback(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "run_simulated", interrupted)
+        wf = tmp_path / "wf.json"
+        run_cli("example", "--example", "toy", "--out", str(wf))
+        capsys.readouterr()
+        log = tmp_path / "run.jsonl"
+        assert run_cli(
+            "simulate", "--workflow", str(wf), "--profile", "frontier-sim",
+            "--nodes", "4", "--out", str(log),
+        ) == 1
+        err = capsys.readouterr().err
+        assert err == "error: KeyboardInterrupt: interrupted\n"
+        assert not log.exists()
+
     def test_sigint_leaves_a_complete_log_resubmit_accepts(
         self, tmp_path, capsys, sigint_raises
     ):

@@ -23,7 +23,9 @@ from ensemblekit.errors import (
 )
 from ensemblekit.events import Event, EventLog, scheduled_detail
 from ensemblekit.metrics import (
+    ConcurrencyPoint,
     ConcurrencySeries,
+    RateSummary,
     compute_utilization,
     concurrency_series,
     export,
@@ -286,6 +288,49 @@ class TestExport:
         assert json.loads((tmp_path / "rates.json").read_text()) == {
             f: getattr(rates, f) for f in fields
         }
+
+    def test_json_export_matches_json_dumps(self, tmp_path):
+        # the reference is json.dumps of asdict; None rates, an empty
+        # series, and non-finite or off-schema field values go through
+        # json.dumps as written
+        def reference(obj):
+            return json.dumps(dataclasses.asdict(obj), indent=2) + "\n"
+
+        objs = [ConcurrencySeries(points=())]
+        rng = random.Random(5)
+        for _ in range(30):
+            log, *_ = random_complete_log(rng)
+            series = concurrency_series(log)
+            objs += [compute_utilization(log), series]
+            try:
+                objs.append(throughput(log, series))
+            except InsufficientData:
+                pass
+        stack, series = objs[1], objs[2]
+        rates = next(o for o in objs if isinstance(o, RateSummary))
+        objs += [
+            dataclasses.replace(rates, ramp_end_ts=None, sched_count=True),
+            dataclasses.replace(
+                rates, scheduling_rate_tasks_per_s=float("inf"),
+                launch_first_ts="xé", launch_count=[1, "a"],
+            ),
+            dataclasses.replace(
+                stack,
+                nodes=dataclasses.replace(
+                    stack.nodes, busy_s=float("nan"), idle_s=-float("inf"),
+                    ovh_s={"a": [1.5]}, capacity_s=2**70,
+                ),
+            ),
+            ConcurrencySeries(points=series.points + (
+                ConcurrencyPoint(float("nan"), None, 1.5),
+            )),
+        ]
+        assert any(r.scheduling_rate_tasks_per_s is None for r in objs
+                   if isinstance(r, RateSummary))
+        path = tmp_path / "out.json"
+        for obj in objs:
+            export(obj, "json", path)
+            assert path.read_text() == reference(obj)
 
     def test_empty_series_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"

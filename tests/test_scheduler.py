@@ -84,7 +84,7 @@ class TestPlaceRelease:
         desc = make_task("exaca", procs=8, threads=7, gpus=1)
         placement = place(table, desc)
         assert placement is not None
-        assert placement.assignments == ((0, 8),)
+        assert (placement.node_ids, placement.chunks) == ((0,), (8,))
         assert table.free_cores[0] == 0
         assert table.free_gpus[0] == 0
 
@@ -132,7 +132,7 @@ class TestPlaceRelease:
     def test_remainder_chunk_on_last_node(self):
         table = SlotTable(NodeSpec(8, 0, 0), 2)
         placement = place(table, make_task("t", procs=10))
-        assert placement.assignments == ((0, 8), (1, 2))
+        assert (placement.node_ids, placement.chunks) == ((0, 1), (8, 2))
         assert table.free_cores == [0, 6]
 
 
@@ -172,8 +172,7 @@ class TestDrainQueue:
             table, log = pilot.table, pilot.log
             placed = drain(pilot)
             return [
-                (run.desc.uid, table.placement_of(run.desc.uid).assignments)
-                for run in placed
+                table.placement_of(run.desc.uid) for run in placed
             ], [e._asdict() for e in log]
 
         assert run_once() == run_once()
@@ -313,7 +312,9 @@ class TestConservation:
                 except Unplaceable:
                     continue
                 placement = place(table, desc)
-                got = None if placement is None else placement.assignments
+                got = None if placement is None else tuple(
+                    zip(placement.node_ids, placement.chunks)
+                )
                 assert got == expected
                 if placement is not None:
                     active[desc.uid] = placement
