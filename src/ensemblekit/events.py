@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from ensemblekit.errors import IncompleteLog, MalformedLog
 from ensemblekit.pst import _EDGES, MAX_SLOTS, TaskState, is_number
@@ -260,7 +260,7 @@ def _line(event: Event, ids: dict[tuple[int, ...], str]) -> str:
     )
 
 
-def scheduled_detail(threads: int, gpus_pp: int, chunks: list[int]) -> str:
+def scheduled_detail(threads: int, gpus_pp: int, chunks: Sequence[int]) -> str:
     """Reservation widths carried on TASK_SCHEDULED so metrics can account
     core/GPU slot-seconds from the log alone: compact JSON, as
     ``json.dumps(..., separators=(",", ":"))`` writes it for ints."""

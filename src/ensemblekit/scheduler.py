@@ -222,7 +222,7 @@ class Pilot:
         # the queue head that last failed to place, and table.releases then
         self._blocked: tuple[Optional[TaskRun], int] = (None, 0)
         # the TASK_SCHEDULED detail of each reservation shape placed so far
-        self._details: dict[tuple[tuple[int, ...], int, int], str] = {}
+        self._details: dict[tuple[int, int, tuple[int, ...]], str] = {}
         self.log = EventLog()
         start = {
             "backend": None,
@@ -265,16 +265,14 @@ class Pilot:
             return None
         self.queue.popleft()
         transition_task(run, TaskState.SCHEDULED)
-        run.node_ids = node_ids = placement.node_ids
-        # one text per (chunks, threads, GPUs) reservation shape
-        shape = (placement.chunks, placement.cpu_threads_per_process,
-                 placement.gpus_per_process)
-        detail = self._details.get(shape)
+        run.node_ids = placement.node_ids
+        # one detail text per (threads, GPUs, chunks) reservation shape
+        key = (placement.cpu_threads_per_process, placement.gpus_per_process,
+               placement.chunks)
+        detail = self._details.get(key)
         if detail is None:
-            detail = self._details[shape] = ev.scheduled_detail(
-                shape[1], shape[2], list(shape[0])
-            )
-        self.emit(ts, ev.TASK_SCHEDULED, desc.uid, node_ids, detail)
+            detail = self._details[key] = ev.scheduled_detail(*key)
+        self.emit(ts, ev.TASK_SCHEDULED, desc.uid, run.node_ids, detail)
         return run
 
     def launch(self, run: TaskRun, ts: float) -> None:
