@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import errno
 import os
+import re
 import signal
 import stat
 import sys
@@ -111,16 +112,22 @@ def _attempt_path(base: Path, attempt: int) -> Path:
     return base.with_name(f"{base.stem}.attempt{attempt}{base.suffix}")
 
 
-def _check_writable(path: Path) -> None:
-    """Raise, creating nothing, the OSError that opening ``path`` for
-    writing would raise because its parent is missing or not a directory,
-    or it is a directory."""
+def _check_writable(path: Path, attempts: int) -> None:
+    """Raise, creating nothing, the OSError that opening the path of an
+    attempt up to ``attempts`` for writing would raise because its parent
+    is missing or not a directory, or it is a directory."""
     # os.stat raises FileNotFoundError or NotADirectoryError itself, and
     # OSError(errno, ...) makes the subclass of that errno
     if not stat.S_ISDIR(os.stat(path.parent).st_mode):
         raise OSError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(path))
-    if path.is_dir():
-        raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    # one listing finds the retries' paths: attempts may outnumber names
+    retry = re.compile(rf"{re.escape(path.stem)}\.attempt([1-9][0-9]*)"
+                       + re.escape(path.suffix))
+    names = os.listdir(path.parent) if attempts > 1 else []
+    for p in [path, *(path.parent / name for name in names)]:
+        n = retry.fullmatch(p.name)
+        if (p is path or n and 1 < int(n[1]) <= attempts) and p.is_dir():
+            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), str(p))
 
 
 def _summarize(log: EventLog) -> str:
@@ -172,7 +179,7 @@ def cmd_simulate(args) -> int:
         )
 
     out = Path(args.out)
-    _check_writable(out)  # fail before the run, not after it
+    _check_writable(out, args.max_attempts)  # fail before the run
     logs, unresolved = retry_loop(
         spec, platform, run_attempt, nodes, walltime, args.max_attempts,
         args.retry_canceled,

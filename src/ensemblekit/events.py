@@ -94,25 +94,6 @@ class Event(NamedTuple):
     node_ids: Optional[tuple[int, ...]] = None
     detail: str = ""
 
-    @classmethod
-    def from_record(cls, rec: object) -> "Event":
-        """The event of a JSON record, for :meth:`EventLog.append` to check:
-        an int ts reads as a float (OverflowError beyond the float range)
-        and a list of node ids as a tuple. Raises MalformedLog for anything
-        but a JSON object with ``ts`` and ``kind``."""
-        if not isinstance(rec, dict):
-            raise MalformedLog(f"event is not a JSON object: {rec!r}")
-        if "ts" not in rec or "kind" not in rec:
-            raise MalformedLog(f"event lacks ts or kind: {rec!r}")
-        ts, node_ids = rec["ts"], rec.get("node_ids")
-        return cls(
-            float(ts) if type(ts) is int else ts,
-            rec["kind"],
-            rec.get("task_uid"),
-            tuple(node_ids) if type(node_ids) is list else node_ids,
-            rec.get("detail", ""),
-        )
-
 
 @dataclass
 class EventLog:
@@ -212,18 +193,40 @@ class EventLog:
     @classmethod
     def load_jsonl(cls, path: str | Path) -> "EventLog":
         """Raises MalformedLog naming ``path:lineno`` for the first line
-        that is not UTF-8 JSON or that :meth:`Event.from_record` or
-        :meth:`append` rejects."""
+        that is not UTF-8 JSON, not a JSON object with ``ts`` and ``kind``,
+        or that :meth:`append` rejects; reads an int ts as a float and
+        node ids as a tuple. Keeps one object per distinct kind (the module
+        constant), uid, node-id tuple and detail."""
         log = cls()
+        share = {kind: kind for kind in KINDS}.setdefault  # value -> itself
         with open(path, "rb") as f:
             for lineno, raw in enumerate(f, start=1):
                 try:
                     line = raw.decode("utf-8").strip()
-                    if line:
-                        rec, end = _parse(line)
-                        if end != len(line):
-                            raise json.JSONDecodeError("Extra data", line, end)
-                        log.append(Event.from_record(rec))
+                    if not line:
+                        continue
+                    rec, end = _parse(line)
+                    if end != len(line):
+                        raise json.JSONDecodeError("Extra data", line, end)
+                    if not isinstance(rec, dict):
+                        raise MalformedLog(f"event is not a JSON object: {rec!r}")
+                    if "ts" not in rec or "kind" not in rec:
+                        raise MalformedLog(f"event lacks ts or kind: {rec!r}")
+                    ts, kind, uid = rec["ts"], rec["kind"], rec.get("task_uid")
+                    node_ids, detail = rec.get("node_ids"), rec.get("detail", "")
+                    try:
+                        kind, uid = share(kind, kind), share(uid, uid)
+                        detail = share(detail, detail)
+                    except TypeError:  # unhashable, which append rejects
+                        pass
+                    if type(node_ids) is list:
+                        node_ids = tuple(node_ids)
+                        # share only ids append accepts: (True,) == (1,)
+                        if _all_at_least(node_ids, 0):
+                            node_ids = share(node_ids, node_ids)
+                    if type(ts) is int:
+                        ts = float(ts)
+                    log.append(Event(ts, kind, uid, node_ids, detail))
                 except MalformedLog as e:
                     raise MalformedLog(f"{path}:{lineno}: {e}") from e
                 # ValueError covers bad JSON, bad UTF-8 and an int past

@@ -490,6 +490,11 @@ class TestReport:
             '{"ts":0,"kind":"TASK_SCHEDULED","task_uid":"a","node_ids":[true]}',
             '{"ts":0,"kind":"TASK_SCHEDULED","task_uid":"a","node_ids":[-1]}',
             '{"ts":0,"kind":"JOB_START","detail":5}',
+            # unhashable fields, which the reader cannot share
+            '{"ts":0,"kind":["TASK_DONE"]}',
+            '{"ts":0,"kind":"TASK_SCHEDULED","task_uid":{"a":1}}',
+            '{"ts":0,"kind":"JOB_START","node_ids":[[1]]}',
+            '{"ts":0,"kind":"JOB_START","detail":{"a":1}}',
             pytest.param('{"ts":1' + "0" * 400 + ',"kind":"JOB_START"}',
                          id="ts-int-beyond-float-range"),
             pytest.param('{"ts":1' + "0" * 5000 + ',"kind":"JOB_START"}',
@@ -946,6 +951,17 @@ def test_simulate_on_one_broken_platform_field(field, value):
              "--out", "{file}/run.jsonl"),
             id="simulate-file-parent",
         ),
+        # a retry's log path is a directory, and its attempt may run
+        pytest.param(
+            ("simulate", "--workflow", "{wf}", "--nodes", "4",
+             "--max-attempts", "2", "--out", "{dir}/run.jsonl"),
+            id="simulate-retry-path",
+        ),
+        pytest.param(
+            ("simulate", "--workflow", "{wf}", "--nodes", "4",
+             "--max-attempts", str(10**30), "--out", "{dir}/run.jsonl"),
+            id="simulate-retry-path-of-many-attempts",
+        ),
     ],
     ids=lambda argv: argv[0],
 )
@@ -955,7 +971,7 @@ def test_path_of_the_wrong_kind_exits_2(tmp_path, capsys, monkeypatch, argv):
     run_cli("example", "--example", "toy", "--out", str(wf))
     run_cli("simulate", "--workflow", str(wf), "--nodes", "4",
             "--fail-task", "toy-s0-t0@0.5", "--out", str(log))
-    (tmp_path / "d").mkdir()
+    (tmp_path / "d" / "run.attempt2.jsonl").mkdir(parents=True)
     (tmp_path / "f").write_text("")
     before = sorted(tmp_path.rglob("*"))
     capsys.readouterr()
@@ -974,11 +990,32 @@ def test_path_of_the_wrong_kind_exits_2(tmp_path, capsys, monkeypatch, argv):
         assert err.startswith(f"error: {_OPEN_ERROR[argv[-1]]}: ")
 
 
+@pytest.mark.parametrize(
+    "directory",
+    ["run.attempt1.jsonl", "run.attempt3.jsonl", "run.attempt02.jsonl",
+     "run.attempt2.json"],
+)
+def test_directory_no_attempt_writes_to_leaves_simulate_alone(tmp_path,
+                                                              directory):
+    wf = tmp_path / "wf.json"
+    run_cli("example", "--example", "exaconstit", "--tasks", "4",
+            "--no-optimizer", "--out", str(wf))
+    (tmp_path / directory).mkdir()
+    # the fault fails one member, so attempt 2 runs
+    assert run_cli(
+        "simulate", "--workflow", str(wf), "--profile", "frontier-sim",
+        "--nodes", "16", "--runtime", "fixed:1000", "--fail-node", "2@700",
+        "--max-attempts", "2", "--out", str(tmp_path / "run.jsonl"),
+    ) == 0
+    assert (tmp_path / "run.attempt2.jsonl").is_file()
+
+
 # the OSError that opening each wrong --out path for writing raises
 _OPEN_ERROR = {
     "{dir}": "IsADirectoryError",
     "{dir}/gone/run.jsonl": "FileNotFoundError",
     "{file}/run.jsonl": "NotADirectoryError",
+    "{dir}/run.jsonl": "IsADirectoryError",
 }
 
 

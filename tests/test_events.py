@@ -4,6 +4,7 @@ log writer and reader."""
 import json
 import math
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ensemblekit import events as ev
+from ensemblekit.engine import DurationSpec, RuntimeModel, run_simulated
 from ensemblekit.errors import IllegalTransition, MalformedLog
 from ensemblekit.events import (
     MAX_SLOTS,
@@ -20,7 +22,9 @@ from ensemblekit.events import (
     scheduled_detail,
     scheduled_slots,
 )
+from ensemblekit.platform import get_profile, max_walltime_for
 from ensemblekit.pst import TaskRun, TaskState, transition_task
+from ensemblekit.workloads import generate_example
 from conftest import make_task
 
 # written out here, not taken from the events module, so the property
@@ -185,3 +189,69 @@ def test_saved_lines_are_json_dumps_of_the_records(ts, uid, node_ids, detail):
         assert EventLog.load_jsonl(path).events == [
             e._replace(ts=float(e.ts)) for e in log
         ]
+
+
+def _seeded_run(tasks, nodes):
+    """The in-memory log of a seeded run of exaconstit members on
+    frontier-sim, each member on 8 nodes."""
+    spec = generate_example("exaconstit",
+                            {"tasks": tasks, "optimizer": False, "seed": 1})
+    model = RuntimeModel(DurationSpec.uniform(600.0, 1244.0), seed=1)
+    platform = get_profile("frontier-sim")
+    walltime = max_walltime_for(platform.policy, nodes)
+    return run_simulated(spec, platform, nodes, walltime, model)
+
+
+def _deep_size(log):
+    """sys.getsizeof summed over the distinct objects a log's event list
+    reaches: the list, its events and their fields, node ids included."""
+    seen, total, todo = set(), 0, [log.events]
+    while todo:
+        obj = todo.pop()
+        if id(obj) not in seen:
+            seen.add(id(obj))
+            total += sys.getsizeof(obj)
+            if isinstance(obj, tuple | list):
+                todo.extend(obj)
+    return total
+
+
+def test_loaded_log_keeps_each_distinct_value_once(tmp_path):
+    path = tmp_path / "run.jsonl"
+    _seeded_run(12, 64).save_jsonl(path)
+    log = EventLog.load_jsonl(path)
+    by_task = {}
+    for event in log:
+        assert event.kind is getattr(ev, event.kind)
+        if event.task_uid is not None:
+            by_task.setdefault(event.task_uid, []).append(event)
+    assert len(by_task) == 12
+    for scheduled, *rest in by_task.values():
+        assert [e.kind for e in rest] == [ev.TASK_LAUNCHED, ev.TASK_DONE]
+        for event in rest:
+            assert event.task_uid is scheduled.task_uid
+            assert event.node_ids is scheduled.node_ids
+    # every member reserves the same widths
+    details = {id(e.detail) for e in log if e.kind == ev.TASK_SCHEDULED}
+    assert len(details) == 1
+
+
+def test_loaded_log_is_no_larger_than_the_engine_log(tmp_path):
+    engine_log = _seeded_run(500, 800)
+    path = tmp_path / "run.jsonl"
+    engine_log.save_jsonl(path)
+    assert _deep_size(EventLog.load_jsonl(path)) <= _deep_size(engine_log)
+
+
+@pytest.mark.parametrize("ids", ["[true]", "[1.0]", "[1, false]"])
+def test_load_rejects_node_ids_equal_to_an_accepted_tuple(tmp_path, ids):
+    # (True,) and (1.0,) equal (1,), which the first line makes shareable
+    path = tmp_path / "run.jsonl"
+    path.write_text(
+        '{"ts": 0, "kind": "JOB_START", "node_ids": [1]}\n'
+        '{"ts": 0, "kind": "JOB_START", "node_ids": [1, 0]}\n'
+        f'{{"ts": 0, "kind": "BOOTSTRAP_DONE", "node_ids": {ids}}}\n'
+    )
+    with pytest.raises(MalformedLog,
+                       match=f"^{re.escape(str(path))}:3: event node_ids"):
+        EventLog.load_jsonl(path)
