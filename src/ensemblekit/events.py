@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -73,9 +74,14 @@ _FOLLOWS: dict[Optional[str], frozenset[str]] = {
 }
 
 
-# the JSON parser without json.loads' wrapper: a stripped line leaves that
-# wrapper no whitespace to skip, only the check for data after the value
-_parse = json.JSONDecoder().raw_decode
+# the JSON parser without json.loads' and raw_decode's Python wrappers: a
+# stripped line leaves them no whitespace to skip, only the check for data
+# after the value and the error for no value at all
+_scan = json.JSONDecoder().scan_once
+# tuple's own constructor: Event(...) runs NamedTuple's __new__ in Python
+_new = tuple.__new__
+# a line's fields in Event order
+_fields = itemgetter("ts", "kind", "task_uid", "node_ids", "detail")
 
 
 def _all_at_least(values, least: int) -> bool:
@@ -101,8 +107,9 @@ class EventLog:
     ``events``, goes through :meth:`append`'s checks."""
 
     events: list[Event] = field(default_factory=list)
-    # each task's last event kind, for the lifecycle check
-    _last_kind: dict[str, str] = field(
+    # each task's last event: its kind for the lifecycle check, its node
+    # ids for the check the task's next event may skip
+    _last: dict[str, Event] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -117,19 +124,30 @@ class EventLog:
         number or is earlier than the last one, a uid or detail not a str
         (a uid may be None), or node ids not None or a tuple of ints >= 0;
         and for a TASK_* event off its task's lifecycle or naming no task,
-        or another kind naming a task."""
+        or another kind naming a task.
+
+        Node ids that are the very tuple object the task's previous event
+        carries passed this check with it and are not checked again; an
+        equal tuple is, since ``(True,) == (1.0,) == (1,)``."""
         ts, kind, uid, node_ids, detail = event
         events = self.events
-        if events and events[-1].kind == JOB_END:
+        prev = events[-1] if events else None
+        if prev is not None and prev[1] == JOB_END:
             raise MalformedLog(f"{kind} event after JOB_END")
         if not isinstance(kind, str) or kind not in KINDS:
             raise MalformedLog(f"unknown event kind {kind!r}")
-        if not is_number(ts):
+        # ts - ts is 0.0 for a finite float, nan for inf and nan
+        if not (type(ts) is float and ts - ts == 0.0 or is_number(ts)):
             raise MalformedLog(f"event ts {ts!r} is not a finite number")
-        if not (uid is None or isinstance(uid, str)):
+        if uid is None:
+            last = None
+        elif isinstance(uid, str):
+            last = self._last.get(uid)
+        else:
             raise MalformedLog(f"event task_uid {uid!r} is not a string")
         if node_ids is not None and not (
-            type(node_ids) is tuple and _all_at_least(node_ids, 0)
+            last is not None and node_ids is last[3]
+            or type(node_ids) is tuple and _all_at_least(node_ids, 0)
         ):
             raise MalformedLog(
                 f"event node_ids {node_ids!r} is not a tuple of ints >= 0"
@@ -138,9 +156,9 @@ class EventLog:
             raise MalformedLog(f"event detail {detail!r} is not a string")
         # a difference: the float last - 1e-12 can round a large int last up
         # past an equal ts
-        if events and events[-1].ts - ts > 1e-12:
+        if prev is not None and prev[0] - ts > 1e-12:
             raise MalformedLog(
-                f"timestamps must be non-decreasing: {ts} after {events[-1].ts}"
+                f"timestamps must be non-decreasing: {ts} after {prev[0]}"
             )
         if uid is None:
             if kind in STATE_OF_KIND:
@@ -148,14 +166,14 @@ class EventLog:
         else:
             # _FOLLOWS holds task kinds only, so this also rejects another
             # kind that names a task
-            last = self._last_kind.get(uid)
-            if kind not in _FOLLOWS[last]:
+            last_kind = None if last is None else last[1]
+            if kind not in _FOLLOWS[last_kind]:
                 raise MalformedLog(
-                    f"task {uid}: {kind} after {last or 'no event'}"
+                    f"task {uid}: {kind} after {last_kind or 'no event'}"
                     if kind in STATE_OF_KIND
                     else f"{kind} event names task {uid!r}"
                 )
-            self._last_kind[uid] = kind
+            self._last[uid] = event
         events.append(event)
 
     def __iter__(self) -> Iterator[Event]:
@@ -166,6 +184,11 @@ class EventLog:
 
     def __getitem__(self, i):
         return self.events[i]
+
+    def last_kind(self, uid: str) -> Optional[str]:
+        """The kind of task ``uid``'s last event; None if no event names it."""
+        last = self._last.get(uid)
+        return None if last is None else last[1]
 
     @property
     def complete(self) -> bool:
@@ -196,7 +219,10 @@ class EventLog:
         that is not UTF-8 JSON, not a JSON object with ``ts`` and ``kind``,
         or that :meth:`append` rejects; reads an int ts as a float and
         node ids as a tuple. Keeps one object per distinct kind (the module
-        constant), uid, node-id tuple and detail."""
+        constant), uid, node-id tuple and detail. Each line's node ids are
+        checked once, before they are shared: equal tuples are not trusted
+        by value, and a task's later events carry its first event's tuple,
+        which :meth:`append` does not check again."""
         log = cls()
         share = {kind: kind for kind in KINDS}.setdefault  # value -> itself
         with open(path, "rb") as f:
@@ -205,18 +231,22 @@ class EventLog:
                     line = raw.decode("utf-8").strip()
                     if not line:
                         continue
-                    rec, end = _parse(line)
+                    try:
+                        rec, end = _scan(line, 0)
+                    except StopIteration as e:
+                        raise json.JSONDecodeError(
+                            "Expecting value", line, e.value
+                        ) from None
                     if end != len(line):
                         raise json.JSONDecodeError("Extra data", line, end)
-                    if not isinstance(rec, dict):
-                        raise MalformedLog(f"event is not a JSON object: {rec!r}")
-                    if "ts" not in rec or "kind" not in rec:
-                        raise MalformedLog(f"event lacks ts or kind: {rec!r}")
-                    ts, kind, uid = rec["ts"], rec["kind"], rec.get("task_uid")
-                    node_ids, detail = rec.get("node_ids"), rec.get("detail", "")
+                    try:  # every line the writer writes has all five
+                        ts, kind, uid, node_ids, detail = _fields(rec)
+                    except (KeyError, TypeError):
+                        ts, kind, uid, node_ids, detail = _record(rec)
                     try:
                         kind, uid = share(kind, kind), share(uid, uid)
-                        detail = share(detail, detail)
+                        if detail:  # "" is one object already
+                            detail = share(detail, detail)
                     except TypeError:  # unhashable, which append rejects
                         pass
                     if type(node_ids) is list:
@@ -226,7 +256,7 @@ class EventLog:
                             node_ids = share(node_ids, node_ids)
                     if type(ts) is int:
                         ts = float(ts)
-                    log.append(Event(ts, kind, uid, node_ids, detail))
+                    log.append(_new(Event, (ts, kind, uid, node_ids, detail)))
                 except MalformedLog as e:
                     raise MalformedLog(f"{path}:{lineno}: {e}") from e
                 # ValueError covers bad JSON, bad UTF-8 and an int past
@@ -237,6 +267,17 @@ class EventLog:
                         f"{path}:{lineno}: not a JSON event line: {e}"
                     ) from e
         return log
+
+
+def _record(rec) -> tuple:
+    """The fields of a decoded line that lacks some, the missing ones at
+    their defaults; MalformedLog if it is not an object with ts and kind."""
+    if not isinstance(rec, dict):
+        raise MalformedLog(f"event is not a JSON object: {rec!r}")
+    if "ts" not in rec or "kind" not in rec:
+        raise MalformedLog(f"event lacks ts or kind: {rec!r}")
+    return (rec["ts"], rec["kind"], rec.get("task_uid"), rec.get("node_ids"),
+            rec.get("detail", ""))
 
 
 def _line(event: Event, ids: dict[tuple[int, ...], str]) -> str:

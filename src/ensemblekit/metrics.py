@@ -127,11 +127,19 @@ def compute_utilization(log: EventLog) -> UtilizationStack:
     spans: dict[int, list[float]] = {}
     # detail -> (cores, GPUs, cores per chunk, GPUs per chunk), parsed once
     shapes: dict[str, tuple[int, int, list[int], list[int]]] = {}
-    # uid -> [shape, node places, launch ts, terminal ts], by schedule
-    tasks: dict[str, list] = {}
+    # node-id tuple -> its nodes' places, found once: append checked every
+    # tuple, so equal tuples name the same nodes
+    places: dict[tuple[int, ...], list[int]] = {}
+    # uid -> [shape, node places, launch ts] until its terminal event, then
+    # its seconds from launch to terminal (None if it never ran); and each
+    # task's shape, both by schedule
+    tasks: dict[str, Optional[list | float]] = {}
+    task_shapes: list[tuple[int, int, list[int], list[int]]] = []
     open_tasks = 0
+    scheduled, launched = ev.TASK_SCHEDULED, ev.TASK_LAUNCHED
+    terminal = ev.TERMINAL_KINDS
     for ts, kind, uid, node_ids, detail in log:
-        if kind == ev.TASK_SCHEDULED:
+        if kind == scheduled:
             if ts < boot_ts:
                 raise MalformedLog(f"task {uid}: scheduled at {ts}, before "
                                    f"BOOTSTRAP_DONE at {boot_ts}")
@@ -145,47 +153,58 @@ def compute_utilization(log: EventLog) -> UtilizationStack:
             if len(node_ids) != len(shape[2]):
                 raise MalformedLog(f"task {uid}: {len(shape[2])} chunks on "
                                    f"{len(node_ids)} nodes")
-            nodes = []
-            for node_id, cores, gpus in zip(node_ids, shape[2], shape[3]):
-                i = index.get(node_id)
-                if i is None:
-                    if node_id >= allocation_nodes:
-                        raise MalformedLog(f"task {uid}: node {node_id} is "
-                                           f"outside the allocation")
-                    i = index[node_id] = len(holders)
-                    free_cores.append(cores_per_node)
-                    free_gpus.append(gpus_per_node)
-                    holders.append(0)
-                    span_end.append(None)
+            nodes = places.get(node_ids)
+            if nodes is None:
+                nodes = []
+                for node_id in node_ids:
+                    i = index.get(node_id)
+                    if i is None:
+                        if node_id >= allocation_nodes:
+                            break  # raised once the nodes before it are taken
+                        i = index[node_id] = len(holders)
+                        free_cores.append(cores_per_node)
+                        free_gpus.append(gpus_per_node)
+                        holders.append(0)
+                        span_end.append(None)
+                    nodes.append(i)
+                else:
+                    places[node_ids] = nodes
+            for i, cores, gpus in zip(nodes, shape[2], shape[3]):
                 cores, gpus = free_cores[i] - cores, free_gpus[i] - gpus
                 if cores < 0 or gpus < 0:
+                    node_id = node_ids[nodes.index(i)]
                     raise MalformedLog(f"task {uid}: takes more cores or GPUs "
                                        f"of node {node_id} than are free")
                 free_cores[i], free_gpus[i] = cores, gpus
-                nodes.append(i)
-            tasks[uid] = [shape, nodes, None, None]
+            if len(nodes) < len(node_ids):
+                raise MalformedLog(f"task {uid}: node {node_ids[len(nodes)]} "
+                                   f"is outside the allocation")
+            tasks[uid] = [shape, nodes, None]
+            task_shapes.append(shape)
             open_tasks += 1
-        elif kind == ev.TASK_LAUNCHED:
-            tasks[uid][2] = ts
-            for i in tasks[uid][1]:
-                holders[i] += 1
-                if holders[i] == 1:
+        elif kind == launched:
+            task = tasks[uid]
+            task[2] = ts
+            for i in task[1]:
+                n = holders[i]
+                holders[i] = n + 1
+                if not n:
                     end = span_end[i]
                     if end is None:
                         spans[i] = [ts]
                     elif ts > end:
                         spans[i] += end, ts
-        elif kind in ev.TERMINAL_KINDS and uid in tasks:  # was scheduled
-            shape, nodes, launch_ts, _ = task = tasks[uid]
-            task[3] = ts
+        elif kind in terminal and uid in tasks:  # was scheduled
+            shape, nodes, launch_ts = tasks[uid]
+            tasks[uid] = None if launch_ts is None else ts - launch_ts
             open_tasks -= 1
             for i, cores, gpus in zip(nodes, shape[2], shape[3]):
                 free_cores[i] += cores
                 free_gpus[i] += gpus
-            if launch_ts is not None:
-                for i in nodes:
-                    holders[i] -= 1
-                    if not holders[i]:
+                if launch_ts is not None:
+                    n = holders[i] - 1
+                    holders[i] = n
+                    if not n:
                         span_end[i] = ts
     if open_tasks:
         raise MalformedLog(f"{open_tasks} tasks still scheduled or running "
@@ -196,9 +215,8 @@ def compute_utilization(log: EventLog) -> UtilizationStack:
         span.append(span_end[i])
         for k in range(0, len(span), 2):
             busy_nodes += span[k + 1] - span[k]
-    for (cores, gpus, _, _), _, launch_ts, terminal_ts in tasks.values():
-        if launch_ts is not None:
-            span = terminal_ts - launch_ts
+    for (cores, gpus, _, _), span in zip(task_shapes, tasks.values()):
+        if span is not None:
             busy_cores += cores * span
             busy_gpus += gpus * span
 
@@ -238,19 +256,19 @@ def concurrency_series(log: EventLog) -> ConcurrencySeries:
     Events sharing a timestamp coalesce into one point.
     """
     phase: dict[str, str] = {}  # each task's last event kind
+    counts = _PHASE_COUNTS.get
     pending = running = 0
     points: list[ConcurrencyPoint] = []
     current_ts: Optional[float] = None
-    for event in log:
-        uid = event.task_uid
+    for ts, kind, uid, _, _ in log:
         if uid is None:  # only TASK_* events name a task
             continue
-        was_p, was_r = _PHASE_COUNTS.get(phase.get(uid), (0, 0))
-        now_p, now_r = _PHASE_COUNTS.get(event.kind, (0, 0))
-        phase[uid] = event.kind
-        if current_ts is not None and event.ts != current_ts:
+        was_p, was_r = counts(phase.get(uid), (0, 0))
+        now_p, now_r = counts(kind, (0, 0))
+        phase[uid] = kind
+        if current_ts is not None and ts != current_ts:
             points.append(ConcurrencyPoint(current_ts, pending, running))
-        current_ts = event.ts
+        current_ts = ts
         pending += now_p - was_p
         running += now_r - was_r
     if current_ts is not None:
@@ -385,9 +403,12 @@ def export(obj, format: str, path: str | Path) -> Path:
         elif isinstance(obj, ConcurrencySeries):
             writer.writerow(["ts", "n_scheduled_pending_launch", "n_running"])
             for p in obj.points:
-                writer.writerow(
-                    [repr(p.ts), p.n_scheduled_pending_launch, p.n_running]
-                )
+                row = p.ts, p.n_scheduled_pending_launch, p.n_running
+                if (type(row[0]) is float and type(row[1]) is int
+                        and type(row[2]) is int):
+                    f.write("%r,%d,%d\r\n" % row)  # as the writer writes it
+                else:
+                    writer.writerow([repr(row[0]), row[1], row[2]])
         elif isinstance(obj, RateSummary):
             writer.writerow(["field", "value"])
             for key, value in asdict(obj).items():

@@ -36,9 +36,19 @@ def collect_failures(
     TASK_FAILED (or TASK_CANCELED when retry_canceled), in log order. DONE
     tasks never appear; tasks from other pipelines in the same log are
     ignored. A log holds at most one terminal event per task
-    (:meth:`EventLog.append` checks it)."""
+    (:meth:`EventLog.append` checks it). MalformedLog, naming them, when
+    tasks of the spec have no terminal event in the log."""
     if not log.complete:
         raise IncompleteLog("cannot collect failures from a log without JOB_END")
+    missing = [
+        t.uid for t in spec.tasks()
+        if log.last_kind(t.uid) not in ev.TERMINAL_KINDS
+    ]
+    if missing:
+        raise MalformedLog(
+            f"{len(missing)} tasks of workflow {spec.name} have no terminal "
+            f"event in the log: {' '.join(missing)}"
+        )
     uids = {t.uid for t in spec.tasks()}
     retried = {ev.TASK_FAILED}
     if retry_canceled:

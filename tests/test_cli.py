@@ -655,6 +655,50 @@ class TestReport:
         assert not list(tmp_path.glob("bad_*"))
 
     @pytest.mark.parametrize(
+        "tasks,message",
+        [
+            # (1, 2) first takes 4 cores of node 1 and all 8 of node 2; its
+            # second use wants 4 more of each
+            ([("a", [1, 2], [1, 2]), ("b", [1, 2], [1, 1])],
+             "task b: takes more cores or GPUs of node 2 than are free"),
+            # (1, 1) takes node 1 whole; so does its second use
+            ([("a", [1, 1], [1, 1]), ("b", [1, 1], [1, 1])],
+             "task b: takes more cores or GPUs of node 1 than are free"),
+            # the first use of (1, 5) names node 5 of 4
+            ([("a", [0], [2]), ("b", [1, 5], [1, 1])],
+             "task b: node 5 is outside the allocation"),
+            # node 0 is full before the first use of (0, 9) names node 9
+            ([("a", [0], [2]), ("b", [0, 9], [1, 1])],
+             "task b: takes more cores or GPUs of node 0 than are free"),
+        ],
+        ids=["second-use-over-reserves", "repeated-node-over-reserves",
+             "first-use-outside", "full-node-before-outside"],
+    )
+    def test_node_ids_used_again_are_checked_again_exit_1(self, tmp_path,
+                                                          capsys, tasks,
+                                                          message):
+        # 4 nodes of 8 cores; each task is (uid, node_ids, chunks) of 4
+        # threads per rank, scheduled at ts 0 and canceled at JOB_END
+        meta = dict(_SMALL_META, allocation_nodes=4, cores_total=8,
+                    cores_reserved=0, gpus_per_node=0)
+        records = [
+            {"ts": 0, "kind": ev.JOB_START, "detail": json.dumps(meta)},
+            {"ts": 0, "kind": ev.BOOTSTRAP_DONE},
+        ]
+        for uid, node_ids, chunks in tasks:
+            records.append({"ts": 0, "kind": ev.TASK_SCHEDULED,
+                            "task_uid": uid, "node_ids": node_ids,
+                            "detail": scheduled_detail(4, 0, chunks)})
+        records += [{"ts": 10, "kind": ev.TASK_CANCELED, "task_uid": uid}
+                    for uid, _, _ in tasks]
+        records.append({"ts": 10, "kind": ev.JOB_END})
+        log = tmp_path / "bad.jsonl"
+        log.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert run_cli("report", "--log", str(log)) == 1
+        assert capsys.readouterr().err == f"error: MalformedLog: {message}\n"
+        assert not list(tmp_path.glob("bad_*"))
+
+    @pytest.mark.parametrize(
         "records,match",
         [
             # the task runs after the job ended: busy past capacity
@@ -1170,6 +1214,63 @@ class TestResubmitComposition:
         assert "nothing to resubmit" in capsys.readouterr().out
         assert not (tmp_path / "plan.json").exists()
 
+
+    def fault_log(self, tmp_path, platform_file):
+        """A 12-member log in which a persistent node fault fails 11."""
+        wf, log = tmp_path / "wf.json", tmp_path / "run.jsonl"
+        run_cli("example", "--example", "exaconstit", "--tasks", "12",
+                "--no-optimizer", "--out", str(wf))
+        assert run_cli(
+            "simulate", "--workflow", str(wf),
+            "--platform", str(platform_file),
+            "--nodes", "8", "--walltime", "20000",
+            "--runtime", "fixed:500", "--fail-node", "2@600",
+            "--out", str(log),
+        ) == 1
+        return wf, log
+
+    def test_task_with_no_terminal_event_exits_1(self, tmp_path,
+                                                 small_platform_file, capsys):
+        # one TASK_FAILED line deleted: the task is open at JOB_END, so
+        # resubmit, like report, rejects the log instead of dropping it
+        wf, log = self.fault_log(tmp_path, small_platform_file)
+        lines = log.read_text().splitlines(keepends=True)
+        cut = next(i for i, line in enumerate(lines) if "TASK_FAILED" in line)
+        uid = json.loads(lines[cut])["task_uid"]
+        log.write_text("".join(lines[:cut] + lines[cut + 1:]))
+        plan = tmp_path / "plan.json"
+        capsys.readouterr()
+        assert run_cli("report", "--log", str(log)) == 1
+        assert run_cli(
+            "resubmit", "--log", str(log), "--workflow", str(wf),
+            "--platform", str(small_platform_file), "--out", str(plan),
+        ) == 1
+        err = capsys.readouterr().err
+        assert (
+            "error: MalformedLog: 1 tasks of workflow exaconstit have no "
+            f"terminal event in the log: {uid}\n"
+        ) in err
+        assert "Traceback" not in err
+        assert not plan.exists()
+
+    def test_workflow_foreign_to_the_log_exits_1(self, tmp_path,
+                                                 small_platform_file, capsys):
+        # none of the toy workflow's tasks ran in this log
+        _, log = self.fault_log(tmp_path, small_platform_file)
+        toy, plan = tmp_path / "toy.json", tmp_path / "plan.json"
+        run_cli("example", "--example", "toy", "--out", str(toy))
+        capsys.readouterr()
+        assert run_cli(
+            "resubmit", "--log", str(log), "--workflow", str(toy),
+            "--platform", str(small_platform_file), "--out", str(plan),
+        ) == 1
+        out, err = capsys.readouterr()
+        assert err == (
+            "error: MalformedLog: 4 tasks of workflow toy have no terminal "
+            "event in the log: toy-s0-t0 toy-s0-t1 toy-s1-t0 toy-s1-t1\n"
+        )
+        assert "nothing to resubmit" not in out
+        assert not plan.exists()
 
     @pytest.mark.parametrize("allocation", [0, None], ids=["zero", "absent"])
     def test_log_allocation_below_one_is_malformed_log(

@@ -1,6 +1,7 @@
 """EventLog.append: the one place a log's task lifecycle is checked; the
 log writer and reader."""
 
+import functools
 import json
 import math
 import re
@@ -25,7 +26,7 @@ from ensemblekit.events import (
 from ensemblekit.platform import get_profile, max_walltime_for
 from ensemblekit.pst import TaskRun, TaskState, transition_task
 from ensemblekit.workloads import generate_example
-from conftest import make_task
+from conftest import make_task, single_stage, small_platform
 
 # written out here, not taken from the events module, so the property
 # below checks the module's table against the state machine
@@ -255,3 +256,114 @@ def test_load_rejects_node_ids_equal_to_an_accepted_tuple(tmp_path, ids):
     with pytest.raises(MalformedLog,
                        match=f"^{re.escape(str(path))}:3: event node_ids"):
         EventLog.load_jsonl(path)
+
+
+@pytest.mark.parametrize("ids", [(True,), (1.0,), (1, False)], ids=repr)
+def test_append_rejects_node_ids_equal_to_an_accepted_tuple(ids):
+    # the log holds (1,) and (1, 0), each equal to one of ids; only the very
+    # tuple a task's previous event carries skips the check
+    accepted = (1,) if len(ids) == 1 else (1, 0)
+    log = EventLog()
+    log.append(Event(0.0, ev.JOB_START, None, (1,)))
+    log.append(Event(0.0, ev.JOB_START, None, (1, 0)))
+    log.append(Event(0.0, ev.TASK_SCHEDULED, "t", accepted,
+                     scheduled_detail(1, 0, [1] * len(accepted))))
+    for event in (Event(1.0, ev.NODE_FAILED, None, ids),
+                  Event(1.0, ev.TASK_LAUNCHED, "t", ids)):
+        with pytest.raises(MalformedLog, match=re.escape(
+                f"event node_ids {ids!r} is not a tuple of ints >= 0")):
+            log.append(event)
+        assert len(log) == 3
+    log.append(Event(1.0, ev.TASK_LAUNCHED, "t", accepted))
+    assert log.last_kind("t") == ev.TASK_LAUNCHED
+
+
+@functools.cache
+def _small_log_lines() -> tuple[str, ...]:
+    """A log of six whole-node tasks on nodes 0 and 1, so that an edited
+    node id often equals the one it replaces."""
+    spec = single_stage("s", [make_task(f"t{i}", procs=8) for i in range(6)])
+    log = run_simulated(spec, small_platform(nodes=2), 2, 10000.0,
+                        RuntimeModel(DurationSpec.uniform(10.0, 20.0), seed=1))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.jsonl"
+        log.save_jsonl(path)
+        return tuple(path.read_text().splitlines())
+
+
+# the values an edit writes, as JSON text; "int" is the line's ts as an int
+_LITERALS = ["true", "1.0", "-0.0", "int", "1e400"]
+
+
+@st.composite
+def _mutated_lines(draw):
+    """The small seeded log with 1 to 3 lines deleted, duplicated, swapped
+    or with one value (ts, kind, uid, detail or a node id) edited."""
+    lines = list(_small_log_lines())
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["delete", "duplicate", "swap", "edit"]))
+        i = draw(st.integers(0, len(lines) - 1))
+        if op == "delete" and len(lines) > 1:
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == "edit":
+            rec = json.loads(lines[i])
+            literal = draw(st.sampled_from(_LITERALS))
+            if literal == "int":
+                literal = str(int(rec["ts"]))
+            where = draw(st.sampled_from(
+                ["ts", "kind", "task_uid", "detail"]
+                + list(range(len(rec["node_ids"] or ())))
+            ))
+            if isinstance(where, int):
+                rec["node_ids"][where] = "\0"
+            else:
+                rec[where] = "\0"
+            lines[i] = json.dumps(rec).replace('"\\u0000"', literal)
+    return lines
+
+
+def _append_records(lines) -> EventLog:
+    """Each line's record, appended one by one: an int ts as a float and
+    node ids as a tuple, as the loader documents."""
+    log = EventLog()
+    for line in lines:
+        rec = json.loads(line)
+        ts, ids = rec["ts"], rec.get("node_ids")
+        log.append(Event(
+            float(ts) if type(ts) is int else ts, rec["kind"],
+            rec.get("task_uid"), tuple(ids) if type(ids) is list else ids,
+            rec.get("detail", ""),
+        ))
+    return log
+
+
+@given(lines=_mutated_lines())
+@settings(max_examples=300, deadline=None)
+def test_load_is_append_of_the_parsed_records(lines):
+    try:
+        expected = _append_records(lines)
+    except MalformedLog:
+        expected = None
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.jsonl"
+        path.write_text("".join(line + "\n" for line in lines))
+        try:
+            loaded = EventLog.load_jsonl(path)
+        except MalformedLog:
+            assert expected is None
+            return
+    assert expected is not None
+    assert loaded.events == expected.events
+    # the same types too: (True,) == (1,) and -0.0 == 0.0, but their reprs
+    # differ
+    assert [repr(e) for e in loaded] == [repr(e) for e in expected]
+    for got, want in zip(loaded, expected):
+        assert list(map(type, got)) == list(map(type, want))
+        assert list(map(type, got.node_ids or ())) == list(
+            map(type, want.node_ids or ())
+        )

@@ -332,6 +332,35 @@ class TestExport:
             export(obj, "json", path)
             assert path.read_text() == reference(obj)
 
+    def test_series_csv_matches_the_csv_writer(self, tmp_path):
+        # the reference writes every row through csv.writer, so a bool, an
+        # int ts, None or a string that needs quoting reads as it does there
+        def reference(series):
+            with open(tmp_path / "ref.csv", "w", newline="") as f:
+                writer = csv.writer(f)
+                writer.writerow(
+                    ["ts", "n_scheduled_pending_launch", "n_running"]
+                )
+                for p in series.points:
+                    writer.writerow(
+                        [repr(p.ts), p.n_scheduled_pending_launch, p.n_running]
+                    )
+            return (tmp_path / "ref.csv").read_bytes()
+
+        rng = random.Random(7)
+        series = [concurrency_series(random_complete_log(rng)[0])
+                  for _ in range(10)]
+        series.append(ConcurrencySeries(points=series[0].points + tuple(
+            ConcurrencyPoint(*fields) for fields in (
+                (float("nan"), True, 2), (3, 1, 0), (1.5, None, 1.5),
+                ("a,b", 1, 2), (-0.0, 0, 0), (float("inf"), 2**70, -1),
+            )
+        )))
+        path = tmp_path / "out.csv"
+        for obj in series:
+            export(obj, "csv", path)
+            assert path.read_bytes() == reference(obj)
+
     def test_empty_series_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
         export(ConcurrencySeries(points=()), "csv", path)

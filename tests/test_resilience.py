@@ -10,7 +10,7 @@ from ensemblekit.engine import (
     TaskFault,
     run_simulated,
 )
-from ensemblekit.errors import EmptyPlan, IncompleteLog
+from ensemblekit.errors import EmptyPlan, IncompleteLog, MalformedLog
 from ensemblekit.events import EventLog
 from ensemblekit.pst import Stage, WorkflowSpec, validate_workflow
 from ensemblekit.resilience import (
@@ -81,7 +81,24 @@ class TestCollectFailures:
         retry = single_stage("s", [make_task("t1", procs=8)], workflow_name="r")
         platform = small_platform()
         log2 = run_simulated(retry, platform, 4, 10000.0, FIXED)
-        assert collect_failures(log2, wf) == []
+        assert collect_failures(log2, retry) == []
+        # the retry log does not account for the first job's other tasks
+        with pytest.raises(MalformedLog, match=r"3 tasks of workflow s have "
+                           r"no terminal event in the log: t0 t2 t3$"):
+            collect_failures(log2, wf)
+
+    def test_task_without_terminal_event_rejected(self):
+        # a task open at JOB_END or absent from the log is named; tasks of
+        # another pipeline in the same log are ignored
+        wf, log = run_with_fault(fault=FailureModel(
+            node_faults=(NodeFault(2, 10.0, persistent=True),)
+        ))
+        failed = next(e for e in log if e.kind == ev.TASK_FAILED)
+        cut = EventLog(events=[e for e in log if e is not failed])
+        with pytest.raises(MalformedLog, match=r": t2$"):
+            collect_failures(cut, wf)
+        other = single_stage("s", [make_task("t0", procs=8)])
+        assert collect_failures(log, other) == []
 
 
 class TestPlanResubmission:
