@@ -165,9 +165,12 @@ def cmd_simulate(args) -> int:
         task_faults=tuple(_parse_fail_task(t) for t in args.fail_task),
     )
 
+    out = Path(args.out)
+    _check_writable(out, args.max_attempts)  # fail before the run
+
     def run_attempt(specs, attempt, nodes, walltime_s):
         # injected faults hit attempt 1 only; retries run clean
-        return run_simulated(
+        log = run_simulated(
             specs,
             platform,
             nodes,
@@ -177,17 +180,17 @@ def cmd_simulate(args) -> int:
             launch_delay_s=args.launch_delay,
             launch_rate_cap=args.launch_rate_cap,
         )
+        # written as the attempt ends, so an error or Ctrl-C in a retry
+        # keeps the logs of the attempts before it
+        path = _attempt_path(out, attempt)
+        log.save_jsonl(path)
+        print(f"attempt {attempt}: {path} {_summarize(log)}")
+        return log
 
-    out = Path(args.out)
-    _check_writable(out, args.max_attempts)  # fail before the run
-    logs, unresolved = retry_loop(
+    _, unresolved = retry_loop(
         spec, platform, run_attempt, nodes, walltime, args.max_attempts,
         args.retry_canceled,
     )
-    for i, log in enumerate(logs, start=1):
-        path = _attempt_path(out, i)
-        log.save_jsonl(path)
-        print(f"attempt {i}: {path} {_summarize(log)}")
     return _unresolved_exit(unresolved)
 
 
@@ -253,6 +256,9 @@ def cmd_resubmit(args) -> int:
     platform = _load_platform(args)
     nodes = metrics.allocation(log)[1] if args.nodes is None else args.nodes
     failed = collect_failures(log, spec, retry_canceled=args.retry_canceled)
+    # plan only from a log report accepts; after collect_failures, whose
+    # message names the tasks left open
+    metrics.compute_utilization(log)
     if not failed:
         print("no failed tasks; nothing to resubmit")
         return 0

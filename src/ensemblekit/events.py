@@ -103,20 +103,15 @@ class Event(NamedTuple):
 
 @dataclass
 class EventLog:
-    """Events in append order. Every event, including those passed as
-    ``events``, goes through :meth:`append`'s checks."""
+    """Events in append order. Every event goes through :meth:`append`'s
+    checks."""
 
-    events: list[Event] = field(default_factory=list)
+    events: list[Event] = field(default_factory=list, init=False)
     # each task's last event: its kind for the lifecycle check, its node
     # ids for the check the task's next event may skip
     _last: dict[str, Event] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-
-    def __post_init__(self) -> None:
-        events, self.events = self.events, []
-        for event in events:
-            self.append(event)
 
     def append(self, event: Event) -> None:
         """Raises MalformedLog, leaving the log as it was, for an event

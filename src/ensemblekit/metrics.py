@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -334,63 +334,32 @@ _POINT = (
 )
 
 
-def _object(items, depth: int) -> str:
-    """The JSON object of ``(key, value text)`` pairs as ``json.dumps`` with
-    ``indent=2`` writes it ``depth`` levels deep."""
-    pad = "\n" + "  " * depth
-    return "{%s  %s%s}" % (
-        pad, (",%s  " % pad).join('"%s": %s' % item for item in items), pad
-    )
-
-
-def _json(obj) -> str:
-    """``json.dumps(asdict(obj), indent=2)`` for a stack, series or rate
-    summary, written field by field; a value off the fields' types goes
-    through ``json.dumps`` (:func:`pst._value`)."""
-    if isinstance(obj, UtilizationStack):
-        return _object(
-            [
-                (unit, _object(
-                    [(f, _value(getattr(usage, f), 2)) for f in _UNIT_FIELDS],
-                    1,
-                ))
-                for unit, usage in (
-                    ("nodes", obj.nodes), ("cores", obj.cores),
-                    ("gpus", obj.gpus),
-                )
-            ],
-            0,
-        )
-    if isinstance(obj, ConcurrencySeries):
-        if not obj.points:
-            return '{\n  "points": []\n}'
-        return '{\n  "points": [\n%s\n  ]\n}' % ",\n".join(
-            _POINT % (
-                _value(p.ts, 3),
-                _value(p.n_scheduled_pending_launch, 3),
-                _value(p.n_running, 3),
-            )
-            for p in obj.points
-        )
-    if isinstance(obj, RateSummary):
-        return _object(
-            [(f.name, _value(getattr(obj, f.name), 1)) for f in fields(obj)],
-            0,
-        )
-    raise EnsembleKitError(f"cannot export {type(obj).__name__}")
-
-
 def export(obj, format: str, path: str | Path) -> Path:
     """Write a stack, series or rate summary as CSV (with header row) or
     JSON mirroring the type fields, byte-equal to
     ``json.dumps(asdict(obj), indent=2)`` and a newline. Output is
     bit-stable."""
     path = Path(path)
-    if format == "json":
-        path.write_text(_json(obj) + "\n")
-        return path
-    if format != "csv":
+    if format not in ("csv", "json"):
         raise EnsembleKitError(f"unknown export format {format!r}")
+    if not isinstance(obj, (UtilizationStack, ConcurrencySeries, RateSummary)):
+        raise EnsembleKitError(f"cannot export {type(obj).__name__}")
+    if format == "json":
+        if not isinstance(obj, ConcurrencySeries):
+            text = json.dumps(asdict(obj), indent=2)
+        elif not obj.points:
+            text = '{\n  "points": []\n}'
+        else:  # the one export that grows with the log: point by point
+            text = '{\n  "points": [\n%s\n  ]\n}' % ",\n".join(
+                _POINT % (
+                    _value(p.ts, 3),
+                    _value(p.n_scheduled_pending_launch, 3),
+                    _value(p.n_running, 3),
+                )
+                for p in obj.points
+            )
+        path.write_text(text + "\n")
+        return path
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         if isinstance(obj, UtilizationStack):
@@ -409,10 +378,8 @@ def export(obj, format: str, path: str | Path) -> Path:
                     f.write("%r,%d,%d\r\n" % row)  # as the writer writes it
                 else:
                     writer.writerow([repr(row[0]), row[1], row[2]])
-        elif isinstance(obj, RateSummary):
+        else:
             writer.writerow(["field", "value"])
             for key, value in asdict(obj).items():
                 writer.writerow([key, "" if value is None else repr(value)])
-        else:
-            raise EnsembleKitError(f"cannot export {type(obj).__name__}")
     return path

@@ -189,12 +189,6 @@ class WorkflowSpec:
     def task_count(self) -> int:
         return sum(len(s.tasks) for s in self.stages)
 
-    def stage_index(self) -> dict[str, int]:
-        """Map task uid to the index of its stage."""
-        return {
-            t.uid: i for i, stage in enumerate(self.stages) for t in stage.tasks
-        }
-
     def to_json(self) -> dict:
         """The workflow JSON document: the reference :meth:`save` matches
         byte for byte, as ``json.dumps`` of it with ``indent=2``."""

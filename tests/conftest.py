@@ -115,6 +115,14 @@ def frontier():
 # -- synthetic logs and independent oracles -----------------------------------
 
 
+def log_of(events):
+    """An EventLog of ``events``, each appended through its checks."""
+    log = EventLog()
+    for event in events:
+        log.append(event)
+    return log
+
+
 def build_log(task_events, boot_ts=0.0, end_ts=None, allocation_nodes=8):
     """Assemble a complete, ts-sorted log from per-task event tuples.
 
@@ -163,13 +171,12 @@ def build_log(task_events, boot_ts=0.0, end_ts=None, allocation_nodes=8):
             "walltime_s": 100000.0,
         }
     )
-    log = EventLog()
-    log.append(Event(ts=0.0, kind=ev.JOB_START, detail=meta))
-    log.append(Event(ts=boot_ts, kind=ev.BOOTSTRAP_DONE))
-    for row in rows:
-        log.append(row)
-    log.append(Event(ts=end_ts if end_ts is not None else last, kind=ev.JOB_END))
-    return log
+    return log_of([
+        Event(ts=0.0, kind=ev.JOB_START, detail=meta),
+        Event(ts=boot_ts, kind=ev.BOOTSTRAP_DONE),
+        *rows,
+        Event(ts=end_ts if end_ts is not None else last, kind=ev.JOB_END),
+    ])
 
 
 def random_complete_log(rng: random.Random, max_tasks=25, node_pool=6):

@@ -68,7 +68,8 @@ def frontier_ensemble(n=7875):
     )
 
 
-# sha256 of the log criterion 1 simulates, and of report's csv exports of it
+# sha256 of the log criterion 1 simulates, and of report's csv and json
+# exports of it
 HEADLINE_SHA256 = {
     "run.jsonl":
         "32ad9d7514ee0354c6b9a2fbfd96b0e51bb2df9deb8fb8db4d1bb32ae36a5de0",
@@ -78,6 +79,12 @@ HEADLINE_SHA256 = {
         "98541d485151d01d950a3321939c55f7bedf5be0c373b403ae2fcd9ffe3fd410",
     "report_rates.csv":
         "8c1d95edae13ab7e207316e701e61fa2aea384383d702a39203ec3fad5c410ce",
+    "report_utilization.json":
+        "ac66e03bbfd6f8f084d5d57344caedc05633d3c4b8bf95ea897ee117a86c2b19",
+    "report_concurrency.json":
+        "9546817d466e8b765db87362529dc0719039b119e8f50fd3bd948adbd4b1a8bd",
+    "report_rates.json":
+        "db7ff27a4d81e71e03e43b15a3a26aaefb3bc8dbd36441b07f0898a687983917",
 }
 
 
@@ -112,8 +119,10 @@ def test_criterion_1_frontier_scale_reproduction(tmp_path):
     check("1e simulation wall-clock <= 60 s", wall <= 60.0, f"wall={wall:.1f}s")
 
     log.save_jsonl(tmp_path / "run.jsonl")
-    assert cli_main(["report", "--log", str(tmp_path / "run.jsonl"),
-                     "--out", str(tmp_path / "report")]) == 0
+    for fmt in ("csv", "json"):
+        assert cli_main(["report", "--log", str(tmp_path / "run.jsonl"),
+                         "--out", str(tmp_path / "report"),
+                         "--format", fmt]) == 0
     changed = [name for name, sha in HEADLINE_SHA256.items()
                if hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                != sha]
@@ -360,7 +369,6 @@ def test_criterion_6_pst_semantics():
             RuntimeModel(default=DurationSpec.uniform(5.0, 50.0), seed=seed),
         )
         tasks = events_by_task(log)
-        stage_of = spec.stage_index()
         for k in range(len(stages) - 1):
             this_stage_end = max(
                 terminal_ts(tasks[t.uid]) for t in stages[k].tasks

@@ -20,7 +20,13 @@ import ensemblekit
 from ensemblekit import cli
 from ensemblekit import events as ev
 from ensemblekit.cli import main
-from ensemblekit.engine import DurationSpec, RuntimeModel, run_simulated
+from ensemblekit.engine import (
+    DurationSpec,
+    FailureModel,
+    NodeFault,
+    RuntimeModel,
+    run_simulated,
+)
 from ensemblekit.events import EventLog, scheduled_detail
 from ensemblekit.metrics import compute_utilization
 from ensemblekit.platform import get_profile, usable_cores
@@ -1253,6 +1259,31 @@ class TestResubmitComposition:
         assert "Traceback" not in err
         assert not plan.exists()
 
+    def test_over_reserved_node_exits_1(self, tmp_path, small_platform_file,
+                                        capsys):
+        # the first reservation widened to 9 ranks of 7 threads per node,
+        # past the 56 usable cores: resubmit, like report, rejects the log
+        wf, log = self.fault_log(tmp_path, small_platform_file)
+        lines = log.read_text().splitlines(keepends=True)
+        i = next(i for i, line in enumerate(lines)
+                 if f'"{ev.TASK_SCHEDULED}"' in line)
+        rec = json.loads(lines[i])
+        rec["detail"] = scheduled_detail(7, 1, [9] * len(rec["node_ids"]))
+        lines[i] = json.dumps(rec) + "\n"
+        log.write_text("".join(lines))
+        plan = tmp_path / "plan.json"
+        capsys.readouterr()
+        for argv in (("report", "--log", str(log)),
+                     ("resubmit", "--log", str(log), "--workflow", str(wf),
+                      "--platform", str(small_platform_file),
+                      "--out", str(plan))):
+            assert run_cli(*argv) == 1
+            err = capsys.readouterr().err
+            assert re.search(r"error: MalformedLog: task \S+: takes more "
+                             r"cores or GPUs of node \d+ than are free", err)
+            assert "Traceback" not in err
+        assert not plan.exists()
+
     def test_workflow_foreign_to_the_log_exits_1(self, tmp_path,
                                                  small_platform_file, capsys):
         # none of the toy workflow's tasks ran in this log
@@ -1330,6 +1361,90 @@ class TestResubmitComposition:
         assert "error: Unplaceable:" in err
         assert "Traceback" not in err
         assert not plan.exists()
+
+
+def _small_fault_log():
+    """A platform, a workflow and the records of its simulated log: 8 tasks
+    share 3 nodes of 4 cores and 2 GPUs, a persistent fault on node 1 fails
+    2 of them and the walltime cancels 2."""
+    rng = random.Random(0)
+    spec = single_stage("s", [
+        make_task(f"t{i}", procs=rng.randint(1, 3), threads=rng.randint(1, 2),
+                  gpus=rng.randint(0, 1))
+        for i in range(8)
+    ])
+    platform = small_platform(cores=4, gpus=2, nodes=3, bootstrap=1.0)
+    log = run_simulated(
+        spec, platform, 3, 18.0,
+        RuntimeModel(DurationSpec.uniform(1.0, 10.0), seed=0),
+        FailureModel(node_faults=(NodeFault(1, 5.0, persistent=True),)),
+    )
+    return platform, spec, [event._asdict() for event in log]
+
+
+_FAULT_PLATFORM, _FAULT_SPEC, _FAULT_LOG = _small_fault_log()
+# each field's distinct values in the log, for edits
+_FAULT_VALUES = {
+    field: list({json.dumps(r[field]): r[field] for r in _FAULT_LOG}.values())
+    for field in _FAULT_LOG[0]
+}
+
+
+@st.composite
+def mutated_fault_logs(draw):
+    """The fault log's records after 1-3 deletions, duplications, swaps or
+    edits of one field to a value another line has there."""
+    records = json.loads(json.dumps(_FAULT_LOG))
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["delete", "duplicate", "swap", "edit"]))
+        i = draw(st.integers(0, len(records) - 1))
+        if op == "delete":
+            del records[i]
+        elif op == "duplicate":
+            records.insert(draw(st.integers(0, len(records))), records[i])
+        elif op == "swap":
+            j = draw(st.integers(0, len(records) - 1))
+            records[i], records[j] = records[j], records[i]
+        else:
+            field = draw(st.sampled_from(sorted(_FAULT_VALUES)))
+            value = draw(st.sampled_from(_FAULT_VALUES[field]))
+            records[i] = dict(records[i], **{field: value})
+    return records
+
+
+@given(records=mutated_fault_logs(), retry_canceled=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_resubmit_accepts_only_logs_report_accepts(records, retry_canceled):
+    # a log resubmit plans from is one report accepts, and the plan holds
+    # exactly its failed (and, with the flag, canceled) tasks. Not the
+    # converse: resubmit alone rejects a workflow task the log never names.
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        wf, plat = tmp / "wf.json", tmp / "p.json"
+        log, plan = tmp / "run.jsonl", tmp / "plan.json"
+        _FAULT_SPEC.save(wf)
+        save_platform(_FAULT_PLATFORM, plat)
+        log.write_text("".join(json.dumps(r) + "\n" for r in records))
+        flags = ["--retry-canceled"] if retry_canceled else []
+        codes = []
+        for argv in (["resubmit", "--log", str(log), "--workflow", str(wf),
+                      "--platform", str(plat), *flags, "--out", str(plan)],
+                     ["report", "--log", str(log), "--out", str(tmp / "r")]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                codes.append(main(argv))
+            if codes[0] != 0:
+                return
+        assert codes == [0, 0], err.getvalue()
+        retried = {ev.TASK_FAILED}
+        if retry_canceled:
+            retried.add(ev.TASK_CANCELED)
+        expected = sorted(e.task_uid for e in EventLog.load_jsonl(log)
+                          if e.kind in retried)
+        planned = (sorted(t.uid for t in WorkflowSpec.load(plan).tasks())
+                   if plan.exists() else [])
+    assert planned == expected
 
 
 class TestRunLocal:
@@ -1444,6 +1559,42 @@ class TestInterruptedRun:
         err = capsys.readouterr().err
         assert err == "error: KeyboardInterrupt: interrupted\n"
         assert not log.exists()
+
+    def test_ctrl_c_in_a_retry_keeps_the_earlier_logs(
+        self, tmp_path, small_platform_file, capsys, monkeypatch
+    ):
+        wf = tmp_path / "wf.json"
+        run_cli("example", "--example", "exaconstit", "--tasks", "6",
+                "--no-optimizer", "--out", str(wf))
+
+        def simulate(out):
+            return run_cli(
+                "simulate", "--workflow", str(wf),
+                "--platform", str(small_platform_file),
+                "--nodes", "8", "--walltime", "20000",
+                "--runtime", "fixed:500", "--fail-node", "0@600",
+                "--max-attempts", "2", "--out", str(out),
+            )
+
+        clean = tmp_path / "clean.jsonl"
+        assert simulate(clean) == 0
+        capsys.readouterr()
+        attempts = []
+
+        def interrupted_retry(*args, **kwargs):
+            attempts.append(args)
+            if len(attempts) == 2:
+                raise KeyboardInterrupt
+            return run_simulated(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_simulated", interrupted_retry)
+        log = tmp_path / "run.jsonl"
+        assert simulate(log) == 1
+        out, err = capsys.readouterr()
+        assert err == "error: KeyboardInterrupt: interrupted\n"
+        assert out.startswith(f"attempt 1: {log} ")
+        assert log.read_bytes() == clean.read_bytes()
+        assert not (tmp_path / "run.attempt2.jsonl").exists()
 
     def test_sigint_leaves_a_complete_log_resubmit_accepts(
         self, tmp_path, capsys, sigint_raises

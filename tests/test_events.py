@@ -26,7 +26,7 @@ from ensemblekit.events import (
 from ensemblekit.platform import get_profile, max_walltime_for
 from ensemblekit.pst import TaskRun, TaskState, transition_task
 from ensemblekit.workloads import generate_example
-from conftest import make_task, single_stage, small_platform
+from conftest import log_of, make_task, single_stage, small_platform
 
 # written out here, not taken from the events module, so the property
 # below checks the module's table against the state machine
@@ -76,18 +76,6 @@ def test_tasks_are_checked_independently():
         log.append(task_event(4.0, ev.TASK_SCHEDULED, "b"))
 
 
-def test_constructor_replays_events_through_append():
-    good = [task_event(1.0, ev.TASK_SCHEDULED), task_event(2.0, ev.TASK_LAUNCHED)]
-    assert EventLog(events=list(good)).events == good
-    with pytest.raises(MalformedLog):
-        EventLog(events=good + [task_event(3.0, ev.TASK_SCHEDULED)])
-    # the replayed state carries on into later appends
-    log = EventLog(events=list(good))
-    log.append(task_event(3.0, ev.TASK_DONE))
-    with pytest.raises(MalformedLog):
-        log.append(task_event(4.0, ev.TASK_FAILED))
-
-
 def test_slots_up_to_the_float_exact_limit():
     assert scheduled_slots(scheduled_detail(2, 1, [3, 4])) == (2, 1, [3, 4])
     assert scheduled_slots(scheduled_detail(1, 0, [MAX_SLOTS])) == (
@@ -105,7 +93,7 @@ def test_slots_up_to_the_float_exact_limit():
 @pytest.mark.parametrize("ts", [math.inf, -math.inf, math.nan, True, "1"],
                          ids=repr)
 def test_append_rejects_a_ts_that_is_not_a_finite_number(ts):
-    log = EventLog(events=[Event(0.0, ev.JOB_START)])
+    log = log_of([Event(0.0, ev.JOB_START)])
     with pytest.raises(MalformedLog, match="not a finite number"):
         log.append(task_event(ts, ev.TASK_SCHEDULED))
     assert log.events == [Event(0.0, ev.JOB_START)]

@@ -17,6 +17,7 @@ from ensemblekit.engine import (
     run_simulated,
 )
 from ensemblekit.errors import (
+    EnsembleKitError,
     IncompleteLog,
     InsufficientData,
     MalformedLog,
@@ -36,6 +37,7 @@ from ensemblekit.resilience import retry_loop
 from conftest import (
     build_log,
     exaconstit_task,
+    log_of,
     make_task,
     oracle_counts_at,
     oracle_usage,
@@ -87,7 +89,7 @@ class TestUtilization:
 
     def test_incomplete_log_rejected(self):
         log = build_log(simple_task_events(), end_ts=100.0)
-        truncated = EventLog(events=[e for e in log if e.kind != ev.JOB_END])
+        truncated = log_of(e for e in log if e.kind != ev.JOB_END)
         with pytest.raises(IncompleteLog):
             compute_utilization(truncated)
 
@@ -380,6 +382,15 @@ class TestExport:
                     float(row["ovh_s"]) + float(row["busy_s"]) + float(row["idle_s"])
                 )
                 assert total == pytest.approx(float(row["capacity_s"]), rel=1e-9)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_unknown_object_or_format_writes_nothing(self, tmp_path, fmt):
+        path = tmp_path / f"out.{fmt}"
+        with pytest.raises(EnsembleKitError, match="cannot export dict"):
+            export({"points": []}, fmt, path)
+        with pytest.raises(EnsembleKitError, match="unknown export format"):
+            export(ConcurrencySeries(points=()), fmt + "x", path)
+        assert not path.exists()
 
     def test_exports_bit_stable(self, tmp_path):
         log = build_log(simple_task_events(), end_ts=100.0, allocation_nodes=2)

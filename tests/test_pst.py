@@ -271,8 +271,8 @@ def test_random_traces_respect_stage_order(shapes, data):
     terminal took exactly that path."""
     specs = [build_workflow(shape, f"p{i}") for i, shape in enumerate(shapes)]
     job = JobRun(specs)
-    stage_of = {uid: (spec.name, i) for spec in specs
-                for uid, i in spec.stage_index().items()}
+    stage_of = {t.uid: (spec.name, i) for spec in specs
+                for i, stage in enumerate(spec.stages) for t in stage.tasks}
     eligible = uids(job.first_stages())
     schedule_order: list[str] = []
     in_flight: list[str] = []

@@ -11,7 +11,6 @@ from ensemblekit.engine import (
     run_simulated,
 )
 from ensemblekit.errors import EmptyPlan, IncompleteLog, MalformedLog
-from ensemblekit.events import EventLog
 from ensemblekit.pst import Stage, WorkflowSpec, validate_workflow
 from ensemblekit.resilience import (
     collect_failures,
@@ -20,6 +19,7 @@ from ensemblekit.resilience import (
 )
 from conftest import (
     exaconstit_task,
+    log_of,
     make_task,
     simulated_attempts,
     single_stage,
@@ -69,7 +69,7 @@ class TestCollectFailures:
 
     def test_incomplete_log_rejected(self):
         wf, log = run_with_fault()
-        truncated = EventLog(events=[e for e in log if e.kind != ev.JOB_END])
+        truncated = log_of(e for e in log if e.kind != ev.JOB_END)
         with pytest.raises(IncompleteLog):
             collect_failures(truncated, wf)
 
@@ -94,7 +94,7 @@ class TestCollectFailures:
             node_faults=(NodeFault(2, 10.0, persistent=True),)
         ))
         failed = next(e for e in log if e.kind == ev.TASK_FAILED)
-        cut = EventLog(events=[e for e in log if e is not failed])
+        cut = log_of(e for e in log if e is not failed)
         with pytest.raises(MalformedLog, match=r": t2$"):
             collect_failures(cut, wf)
         other = single_stage("s", [make_task("t0", procs=8)])
