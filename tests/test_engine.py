@@ -1,4 +1,7 @@
+import collections
+import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -378,6 +381,82 @@ class TestDeterminism:
         end_a = run_simulated(wf, platform, 1, 1000.0, model_a).job_end_ts()
         end_b = run_simulated(wf, platform, 1, 1000.0, model_b).job_end_ts()
         assert end_a != end_b
+
+    def test_random_jobs_match_golden_hash(self, tmp_path):
+        # small seeded jobs of 1-3 pipelines, with multi-node, GPU and
+        # remainder-chunk shapes, node and task faults, a launch delay, a
+        # rate cap and walltimes that cancel tasks in every open state.
+        # Hash recorded before the log became the one holder of task state.
+        digest = hashlib.sha256()
+        canceled_after: collections.Counter = collections.Counter()
+        pipelines = set()
+        path = tmp_path / "run.jsonl"
+        for seed in range(100):
+            args, launch = random_job(seed)
+            log = run_simulated(*args, **launch)
+            log.save_jsonl(path)
+            digest.update(path.read_bytes())
+            last = {}
+            for e in log:
+                if e.kind == ev.TASK_CANCELED:
+                    canceled_after[last.get(e.task_uid)] += 1
+                last[e.task_uid] = e.kind
+            pipelines.add(len({uid[:2] for uid in last if uid}))
+        # every path the hash is meant to guard was taken
+        assert set(canceled_after) == {
+            None, ev.TASK_SCHEDULED, ev.TASK_LAUNCHED
+        }
+        assert pipelines == {1, 2, 3}
+        assert digest.hexdigest() == GOLDEN_RANDOM_JOBS
+
+
+def random_job(seed):
+    """The run_simulated arguments of one small job drawn from ``seed``:
+    the positional ones, and the launch delay and rate cap by keyword."""
+    rng = random.Random(seed)
+    nodes = rng.randint(2, 5)
+    cores, gpus = rng.choice((4, 6, 8)), rng.choice((0, 2, 4))
+    platform = small_platform(cores=cores + 1, reserved=1, gpus=gpus,
+                              nodes=nodes, bootstrap=rng.choice((0.0, 5.0)))
+    specs = []
+    for p in range(rng.randint(1, 3)):
+        stages = []
+        for s in range(rng.randint(1, 4)):
+            tasks = []
+            for t in range(rng.randint(1, 6)):
+                threads = rng.randint(1, 2)
+                gpus_pp = rng.randint(0, 1) if gpus else 0
+                per_node = cores // threads
+                if gpus_pp:
+                    per_node = min(per_node, gpus // gpus_pp)
+                # up to every node, the last chunk often a remainder
+                procs = rng.randint(1, per_node * rng.choice((1, 1, 2, nodes)))
+                tasks.append(make_task(f"p{p}s{s}t{t}", procs=procs,
+                                       threads=threads, gpus=gpus_pp))
+            stages.append(Stage(name=f"s{s}", tasks=tuple(tasks)))
+        specs.append(WorkflowSpec(name=f"p{p}", stages=tuple(stages)))
+    walltime = rng.choice((60.0, 150.0, 400.0, 5000.0))
+    uids = [t.uid for spec in specs for t in spec.tasks()]
+    faults = FailureModel(
+        node_faults=tuple(
+            NodeFault(rng.randrange(nodes), rng.uniform(0.0, walltime),
+                      persistent=rng.random() < 0.5)
+            for _ in range(rng.randint(0, 2))
+        ),
+        task_faults=tuple(
+            TaskFault(uid, rng.uniform(0.1, 1.0))
+            for uid in rng.sample(uids, rng.randint(0, min(3, len(uids))))
+        ),
+    )
+    model = RuntimeModel(default=DurationSpec.uniform(10.0, 100.0), seed=seed)
+    launch = {"launch_delay_s": rng.choice((0.0, 0.5, 3.0)),
+              "launch_rate_cap": rng.choice((None, 0.05, 0.2, 2.0))}
+    return (specs, platform, nodes, walltime, model, faults), launch
+
+
+GOLDEN_RANDOM_JOBS = (
+    "4164f21ab5bfbf84494b52d0b5943ed03b75943f314291855956c8a10bf8722a"
+)
 
 
 class TurnState(SimState):
