@@ -1,15 +1,16 @@
 """ensemblekit: pipeline-stage-task workflows on simulated or local backends.
 
 The package splits along the life of a batch job: ``pst`` holds the workflow
-model, lifecycle rules and the stage progression of a job (``JobRun``),
-``platform`` the machine shape and walltime policy, ``scheduler`` the
-slot-table placement and the ``Pilot`` that keeps one job's tasks, slots and
-event log and runs its one drive loop, ``engine``/``local`` the two
-execution backends that loop drives (each adds only how tasks start and
-end; the simulator's ``step`` applies one heap event), ``resilience`` the
-failure-resubmission protocol over a caller's attempt runner, and
-``metrics`` the utilization/concurrency/throughput accounting over event
-logs.
+model and the stage progression of a job (``JobRun``), ``platform`` the
+machine shape and walltime policy, ``events`` the append-only event log,
+which holds each task's lifecycle state and checks every event against it,
+``scheduler`` the slot-table placement and the ``Pilot`` that keeps one
+job's stages, slots and event log and runs its one drive loop,
+``engine``/``local`` the two execution backends that loop drives (each adds
+only how tasks start and end; the simulator's ``step`` applies one heap
+event), ``resilience`` the failure-resubmission protocol over a caller's
+attempt runner, and ``metrics`` the utilization/concurrency/throughput
+accounting over event logs.
 """
 
 from ensemblekit.engine import (
@@ -39,7 +40,6 @@ from ensemblekit.pst import (
     JobRun,
     Stage,
     TaskDescription,
-    TaskState,
     WorkflowSpec,
     validate_workflow,
 )
@@ -65,7 +65,6 @@ __all__ = [
     "RuntimeModel",
     "Stage",
     "TaskDescription",
-    "TaskState",
     "WalltimePolicy",
     "WorkflowSpec",
     "collect_failures",

@@ -28,7 +28,7 @@ from ensemblekit import events as ev
 from ensemblekit.errors import ConfigError, PolicyViolation
 from ensemblekit.events import EventLog
 from ensemblekit.platform import PlatformConfig, max_walltime_for, usable_cores
-from ensemblekit.pst import TaskDescription, TaskRun, TaskState, WorkflowSpec
+from ensemblekit.pst import TaskDescription, WorkflowSpec
 from ensemblekit.scheduler import Pilot
 
 
@@ -198,11 +198,11 @@ class SimState:
 
     def _running_holders(self, node_id: int) -> list[str]:
         # sorted: set order of strings depends on PYTHONHASHSEED
-        runs = self.pilot.job.runs
+        last_kind = self.log.last_kind
         return sorted(
             uid
             for uid in self.pilot.table.holders[node_id]
-            if runs[uid].state is TaskState.RUNNING
+            if last_kind(uid) == ev.TASK_LAUNCHED
         )
 
     # -- the backend the pilot drives ---------------------------------------
@@ -213,14 +213,14 @@ class SimState:
     def ready(self) -> bool:
         return True
 
-    def start(self, run: TaskRun) -> None:
+    def start(self, desc: TaskDescription) -> None:
         """Schedule a placed task's launch after the launch delay, and no
         sooner than the launch rate cap allows."""
         launch_ts = self.ts + self.launch_delay_s
         if self.launch_rate_cap is not None:
             launch_ts = max(launch_ts, self.next_launch_ts)
             self.next_launch_ts = launch_ts + 1.0 / self.launch_rate_cap
-        self._push(launch_ts, _PRIO_LAUNCH, run.desc.uid, "launch", None)
+        self._push(launch_ts, _PRIO_LAUNCH, desc.uid, "launch", None)
 
     def advance(self) -> None:
         """Apply the next heap event through :func:`step`. RuntimeError if
@@ -236,13 +236,16 @@ class SimState:
     # -- handlers -----------------------------------------------------------
 
     def _handle_launch(self, ts: float, uid: str) -> None:
-        run = self.pilot.job.runs[uid]
-        if run.state is not TaskState.SCHEDULED:
+        if self.log.last_kind(uid) != ev.TASK_SCHEDULED:
             return  # stale: task was canceled or failed before launching
-        self.pilot.launch(run, ts)
-        duration = self.runtime_model.duration_for(run.desc)
+        self.pilot.launch(uid, ts)
+        duration = self.runtime_model.duration_for(self.pilot.job.runs[uid])
         failed = self.persistent_failed  # empty until a persistent fault
-        bad = sorted(failed.intersection(run.node_ids)) if failed else ()
+        if failed:
+            nodes = self.pilot.table.placement_of(uid).node_ids
+            bad = sorted(failed.intersection(nodes))
+        else:
+            bad = ()
         if bad:
             # node is accepting launches but every run on it is doomed;
             # the crash surfaces at the task's natural end
@@ -259,9 +262,9 @@ class SimState:
     def _handle_end_of_run(
         self, ts: float, uid: str, kind: str, detail: str
     ) -> None:
-        # a task runs once per job, so an end whose task is no longer
-        # RUNNING is stale: a node fault or the walltime finished it first
-        if self.pilot.job.runs[uid].state is not TaskState.RUNNING:
+        # a task runs once per job, so an end whose task's last event is not
+        # its launch is stale: a node fault or the walltime finished it first
+        if self.log.last_kind(uid) != ev.TASK_LAUNCHED:
             return
         self.pilot.finish(uid, kind, ts, detail)
 

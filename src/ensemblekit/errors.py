@@ -10,10 +10,6 @@ class ConfigError(EnsembleKitError):
     configuration error derives from it; the CLI exits 2 for any of them."""
 
 
-class IllegalTransition(EnsembleKitError):
-    """Task state machine edge is not allowed."""
-
-
 class InvalidNodeSpec(EnsembleKitError):
     """Node shape is degenerate (e.g. all cores reserved)."""
 

@@ -5,14 +5,16 @@ Persisted as JSON lines, one event per line, with fields exactly
 from job start and non-decreasing within one log. The writer emits one
 fixed layout, byte-equal to ``json.dumps`` of the event's record.
 
-Every log follows the task lifecycle of :mod:`ensemblekit.pst`: a
-``TASK_*`` event names its task and moves it along one edge of the state
-machine (a task starts NEW, with no event; ``TASK_SCHEDULED`` makes it
-SCHEDULED, ``TASK_LAUNCHED`` RUNNING, and ``TASK_DONE`` / ``TASK_FAILED`` /
-``TASK_CANCELED`` terminal, after which nothing follows), and no other kind
-names a task. Nothing follows JOB_END. :meth:`EventLog.append` checks these
-rules beside the timestamp order and each field's type, so readers of a log
-fold it without checking again.
+The log is the one holder of each task's state: its last event. A task
+with no event is new, and every ``TASK_*`` event names its task and follows
+its last one as :data:`_FOLLOWS` allows: ``TASK_SCHEDULED``, then
+``TASK_LAUNCHED``, then one of ``TASK_DONE`` / ``TASK_FAILED``, with
+``TASK_CANCELED`` allowed from each of those open states; nothing follows a
+terminal event. No other kind names a task, and nothing follows JOB_END.
+:meth:`EventLog.append` checks these rules beside the timestamp order and
+each field's type, so readers of a log fold it without checking again, and
+the pilot and engine ask it for a task's state through
+:meth:`EventLog.last_kind`.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from pathlib import Path
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from ensemblekit.errors import IncompleteLog, MalformedLog
-from ensemblekit.pst import _EDGES, MAX_SLOTS, TaskState, is_number
+from ensemblekit.pst import MAX_SLOTS, is_number
 
 JOB_START = "JOB_START"
 BOOTSTRAP_DONE = "BOOTSTRAP_DONE"
@@ -51,26 +53,20 @@ KINDS = frozenset(
     }
 )
 
-# the state each task event moves its task to
-STATE_OF_KIND: dict[str, TaskState] = {
-    TASK_SCHEDULED: TaskState.SCHEDULED,
-    TASK_LAUNCHED: TaskState.RUNNING,
-    TASK_DONE: TaskState.DONE,
-    TASK_FAILED: TaskState.FAILED,
-    TASK_CANCELED: TaskState.CANCELED,
-}
-_KIND_OF_STATE = {state: kind for kind, state in STATE_OF_KIND.items()}
-
-TERMINAL_KINDS = frozenset(
-    kind for kind, state in STATE_OF_KIND.items() if state.terminal
+TERMINAL_KINDS = frozenset({TASK_DONE, TASK_FAILED, TASK_CANCELED})
+_TASK_KINDS = frozenset(
+    {TASK_SCHEDULED, TASK_LAUNCHED, TASK_DONE, TASK_FAILED, TASK_CANCELED}
 )
 
-# a task's last event (None before its first: NEW) -> the task events that
-# may follow it. Keyed by kind, not TaskState, to keep append's lookups on
-# str hashes.
+# the task lifecycle: a task's last event (None before its first: the task
+# is new) -> the task events that may follow it
 _FOLLOWS: dict[Optional[str], frozenset[str]] = {
-    _KIND_OF_STATE.get(state): frozenset(_KIND_OF_STATE[to] for to in targets)
-    for state, targets in _EDGES.items()
+    None: frozenset({TASK_SCHEDULED, TASK_CANCELED}),
+    TASK_SCHEDULED: frozenset({TASK_LAUNCHED, TASK_CANCELED}),
+    TASK_LAUNCHED: frozenset({TASK_DONE, TASK_FAILED, TASK_CANCELED}),
+    TASK_DONE: frozenset(),
+    TASK_FAILED: frozenset(),
+    TASK_CANCELED: frozenset(),
 }
 
 
@@ -156,7 +152,7 @@ class EventLog:
                 f"timestamps must be non-decreasing: {ts} after {prev[0]}"
             )
         if uid is None:
-            if kind in STATE_OF_KIND:
+            if kind in _TASK_KINDS:
                 raise MalformedLog(f"{kind} event names no task")
         else:
             # _FOLLOWS holds task kinds only, so this also rejects another
@@ -165,7 +161,7 @@ class EventLog:
             if kind not in _FOLLOWS[last_kind]:
                 raise MalformedLog(
                     f"task {uid}: {kind} after {last_kind or 'no event'}"
-                    if kind in STATE_OF_KIND
+                    if kind in _TASK_KINDS
                     else f"{kind} event names task {uid!r}"
                 )
             self._last[uid] = event

@@ -27,7 +27,7 @@ from ensemblekit import events as ev
 from ensemblekit.errors import ConfigError, Interrupted
 from ensemblekit.events import EventLog
 from ensemblekit.platform import PlatformConfig
-from ensemblekit.pst import TaskDescription, TaskRun, WorkflowSpec
+from ensemblekit.pst import TaskDescription, WorkflowSpec
 from ensemblekit.scheduler import Pilot
 
 # how long an interrupted task's process group gets to exit after SIGTERM
@@ -70,10 +70,9 @@ class _Processes:
     def ready(self) -> bool:
         return len(self.running) < self.max_parallel
 
-    def start(self, run: TaskRun) -> None:
+    def start(self, desc: TaskDescription) -> None:
         """Spawn a placed task and log its launch; a spawn that fails
         launches and fails the task."""
-        desc = run.desc
         try:
             # the child holds its own copies of the log files' descriptors
             with open(self.log_dir / f"{desc.uid}.out", "wb") as stdout, open(
@@ -87,12 +86,12 @@ class _Processes:
                     start_new_session=True,
                 )
         except OSError as e:
-            self.pilot.launch(run, self.now())
+            self.pilot.launch(desc.uid, self.now())
             self.pilot.finish(
                 desc.uid, ev.TASK_FAILED, self.now(), f"spawn_error: {e}"
             )
             return
-        self.pilot.launch(run, self.now())
+        self.pilot.launch(desc.uid, self.now())
         pidfd = os.pidfd_open(proc.pid)
         self.running[desc.uid] = (proc, pidfd)
         self.selector.register(pidfd, selectors.EVENT_READ, desc.uid)
@@ -178,5 +177,5 @@ def run_local(
         if not pilot.log.complete:  # else the interrupt came after JOB_END
             pilot.cancel_all(processes.now(), "interrupted")
             pilot.end(processes.now())
-        raise Interrupted(f"run interrupted: {pilot.job.tally}", pilot.log)
+        raise Interrupted(f"run interrupted: {pilot.tally}", pilot.log)
     return pilot.log

@@ -3,9 +3,10 @@
 A pipeline is an ordered sequence of stages; a stage is a set of independent
 tasks. Stages run sequentially within a pipeline, tasks concurrently within a
 stage, and pipelines concurrently with each other. This module holds the
-static workflow description, its JSON form, the task lifecycle state machine,
-and :class:`JobRun`, the one model of stage progression that both backends
-drive.
+static workflow description, its JSON form, and :class:`JobRun`, the one
+model of stage progression that both backends drive. A task's lifecycle
+state is not kept here: the job's event log (:mod:`ensemblekit.events`)
+holds it.
 """
 
 from __future__ import annotations
@@ -13,51 +14,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from ensemblekit.errors import (
-    ConfigError,
-    IllegalTransition,
-    ParseError,
-    ValidationError,
-)
-
-
-class TaskState(Enum):
-    NEW = "NEW"
-    SCHEDULED = "SCHEDULED"
-    RUNNING = "RUNNING"
-    DONE = "DONE"
-    FAILED = "FAILED"
-    CANCELED = "CANCELED"
-
-    # members are singletons that compare by identity: hash them by
-    # identity in C, not by Enum's Python-level hash of the name, which
-    # every lifecycle check's dict and set lookups would call
-    __hash__ = object.__hash__
-
-    @property
-    def terminal(self) -> bool:
-        return self in _TERMINAL
-
-
-_TERMINAL = frozenset({TaskState.DONE, TaskState.FAILED, TaskState.CANCELED})
-
-# Allowed edges. CANCELED is additionally reachable from any non-terminal
-# state (walltime expiry); terminal states absorb.
-_EDGES: dict[TaskState, frozenset[TaskState]] = {
-    TaskState.NEW: frozenset({TaskState.SCHEDULED, TaskState.CANCELED}),
-    TaskState.SCHEDULED: frozenset({TaskState.RUNNING, TaskState.CANCELED}),
-    TaskState.RUNNING: frozenset(
-        {TaskState.DONE, TaskState.FAILED, TaskState.CANCELED}
-    ),
-    TaskState.DONE: frozenset(),
-    TaskState.FAILED: frozenset(),
-    TaskState.CANCELED: frozenset(),
-}
+from ensemblekit.errors import ConfigError, ParseError, ValidationError
 
 
 # the most slots one task may reserve, and the most cores or GPUs of a
@@ -376,47 +337,24 @@ def check_workflow(spec: WorkflowSpec) -> None:
         raise ValidationError("; ".join(violations))
 
 
-@dataclass
-class TaskRun:
-    """Runtime state of one task: its state and assigned nodes. When each
-    transition happened is recorded only in the job's event log."""
-
-    desc: TaskDescription
-    state: TaskState = TaskState.NEW
-    node_ids: tuple[int, ...] = ()
-
-
-def transition_task(run: TaskRun, to: TaskState) -> TaskRun:
-    """Advance a task along a legal edge.
-
-    Raises IllegalTransition naming both states for any other edge; terminal
-    states absorb.
-    """
-    if to not in _EDGES[run.state]:
-        raise IllegalTransition(
-            f"task {run.desc.uid}: illegal transition "
-            f"{run.state.value} -> {to.value}"
-        )
-    run.state = to
-    return run
-
-
 class JobRun:
-    """The mutable state of every task of one job's pipelines.
+    """The stage progression of one job's pipelines.
 
     Both backends drive a job through it: :meth:`first_stages` gives the
-    tasks eligible at the start, and :meth:`finish` records a terminal state
-    and returns the tasks of the stage it opened. ``runs`` holds every
-    :class:`TaskRun` keyed by uid, in pipeline, stage, task order. Only the
-    pilot's drive loop mutates a job; all mutation happens on one thread.
+    tasks eligible at the start, and :meth:`finish` records that a task
+    ended and returns the tasks of the stage it opened. ``runs`` holds every
+    :class:`TaskDescription` keyed by uid, in pipeline, stage, task order.
+    Each task's state is its last event in the job's log, which checks that
+    a task ends once; only the pilot's drive loop mutates a job, on one
+    thread.
     """
 
     def __init__(self, specs: Sequence[WorkflowSpec]):
-        self.runs: dict[str, TaskRun] = {}
-        # per pipeline and stage: its runs (_stages) and how many of them are
-        # not terminal yet (_left); _current[p] is pipeline p's earliest
+        self.runs: dict[str, TaskDescription] = {}
+        # per pipeline and stage: its tasks (_stages) and how many of them
+        # have not ended yet (_left); _current[p] is pipeline p's earliest
         # stage with work left
-        self._stages: list[list[tuple[TaskRun, ...]]] = []
+        self._stages: list[list[tuple[TaskDescription, ...]]] = []
         self._where: dict[str, tuple[int, int]] = {}
         for p, spec in enumerate(specs):
             check_workflow(spec)
@@ -427,31 +365,22 @@ class JobRun:
                             f"task uid {desc.uid} appears in more than one "
                             f"pipeline of this job"
                         )
-                    self.runs[desc.uid] = TaskRun(desc=desc)
+                    self.runs[desc.uid] = desc
                     self._where[desc.uid] = (p, s)
-            self._stages.append(
-                [tuple(self.runs[t.uid] for t in st.tasks) for st in spec.stages]
-            )
+            self._stages.append([tuple(st.tasks) for st in spec.stages])
         self._left = [[len(st) for st in stages] for stages in self._stages]
         self._current = [0] * len(self._stages)
         self._unfinished = len(self.runs)
-        self._tally = dict.fromkeys(_TERMINAL, 0)
 
-    def first_stages(self) -> tuple[TaskRun, ...]:
+    def first_stages(self) -> tuple[TaskDescription, ...]:
         """The tasks of every pipeline's first stage, in pipeline order."""
-        return tuple(run for stages in self._stages for run in stages[0])
+        return tuple(desc for stages in self._stages for desc in stages[0])
 
-    def finish(self, uid: str, state: TaskState) -> tuple[TaskRun, ...]:
-        """Move a task to a terminal state. When that leaves its pipeline's
-        current stage fully terminal, the pipeline moves on to its next
-        stage with work left, whose NEW tasks are returned; otherwise ()."""
-        if not state.terminal:
-            raise IllegalTransition(
-                f"task {uid}: {state.value} is not a terminal state"
-            )
-        transition_task(self.runs[uid], state)
+    def finish(self, uid: str) -> tuple[TaskDescription, ...]:
+        """Record that a task ended. When that leaves its pipeline's current
+        stage with no task left, the pipeline moves on to its next stage
+        with work left, whose tasks are returned; otherwise ()."""
         self._unfinished -= 1
-        self._tally[state] += 1
         p, s = self._where[uid]
         left = self._left[p]
         left[s] -= 1
@@ -461,19 +390,8 @@ class JobRun:
         self._current[p] = stage
         if stage == before or stage == len(left):
             return ()
-        return tuple(
-            r for r in self._stages[p][stage] if r.state is TaskState.NEW
-        )
+        return self._stages[p][stage]
 
     @property
     def all_terminal(self) -> bool:
         return self._unfinished == 0
-
-    @property
-    def tally(self) -> str:
-        """Terminal-state counts as the JOB_END detail reports them."""
-        n = self._tally
-        return (
-            f"done={n[TaskState.DONE]} failed={n[TaskState.FAILED]} "
-            f"canceled={n[TaskState.CANCELED]}"
-        )

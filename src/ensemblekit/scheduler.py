@@ -26,7 +26,12 @@ from collections import deque
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from ensemblekit import events as ev
-from ensemblekit.errors import DoubleRelease, EnsembleKitError, Unplaceable
+from ensemblekit.errors import (
+    DoubleRelease,
+    EnsembleKitError,
+    MalformedLog,
+    Unplaceable,
+)
 from ensemblekit.events import Event, EventLog
 from ensemblekit.platform import (
     NodeSpec,
@@ -34,14 +39,7 @@ from ensemblekit.platform import (
     task_footprint,
     usable_cores,
 )
-from ensemblekit.pst import (
-    JobRun,
-    TaskDescription,
-    TaskRun,
-    TaskState,
-    WorkflowSpec,
-    transition_task,
-)
+from ensemblekit.pst import JobRun, TaskDescription, WorkflowSpec
 
 
 class Placement(NamedTuple):
@@ -195,15 +193,16 @@ def release(table: SlotTable, placement: Placement) -> None:
 
 
 class Pilot:
-    """The agent of one job: its tasks (a :class:`JobRun`), its slot table,
-    the FIFO queue of tasks eligible to place, and its event log.
+    """The agent of one job: its stage progression (a :class:`JobRun`), its
+    slot table, the FIFO queue of tasks eligible to place, and its event
+    log, whose last event of each task is that task's state.
 
     Both backends run a job through :meth:`drive` and these methods, which
-    keep the task states, the slots and the log in step; a backend adds
-    only how and when tasks start and end. JOB_START is logged at ts 0 on
-    creation. Its metadata lists the platform and allocation, then
-    ``backend``, ``bootstrap_s`` and ``walltime_s`` (given in ``meta``, or
-    null, 0 and null), then any further ``meta`` keys in the order given.
+    keep the stages, the slots and the log in step; a backend adds only how
+    and when tasks start and end. JOB_START is logged at ts 0 on creation.
+    Its metadata lists the platform and allocation, then ``backend``,
+    ``bootstrap_s`` and ``walltime_s`` (given in ``meta``, or null, 0 and
+    null), then any further ``meta`` keys in the order given.
     """
 
     def __init__(
@@ -215,14 +214,14 @@ class Pilot:
     ):
         self.job = JobRun(specs)
         self.table = SlotTable(platform.node, nodes)
-        self.footprints = task_footprints(
-            self.table, (run.desc for run in self.job.runs.values())
-        )
-        self.queue: deque[TaskRun] = deque()
+        self.footprints = task_footprints(self.table, self.job.runs.values())
+        self.queue: deque[TaskDescription] = deque()
         # the queue head that last failed to place, and table.releases then
-        self._blocked: tuple[Optional[TaskRun], int] = (None, 0)
+        self._blocked: tuple[Optional[TaskDescription], int] = (None, 0)
         # the TASK_SCHEDULED detail of each reservation shape placed so far
         self._details: dict[tuple[int, int, tuple[int, ...]], str] = {}
+        # the terminal events logged so far, by kind
+        self._ends = dict.fromkeys(ev.TERMINAL_KINDS, 0)
         self.log = EventLog()
         start = {
             "backend": None,
@@ -245,75 +244,90 @@ class Pilot:
         self.emit(ts, ev.BOOTSTRAP_DONE)
         self.queue.extend(self.job.first_stages())
 
-    def place(self, ts: float) -> Optional[TaskRun]:
-        """Place the queue's head task: pop it, mark it SCHEDULED on its nodes
-        and log TASK_SCHEDULED with the placed chunks. Returns None, leaving
-        queue and table unchanged, when the queue is empty or its head does
-        not fit now. A head that failed to place is not tried again before a
+    def place(self, ts: float) -> Optional[TaskDescription]:
+        """Place the queue's head task: pop it, reserve its slots and log
+        TASK_SCHEDULED with the placed chunks. Returns None, leaving queue
+        and table unchanged, when the queue is empty or its head does not
+        fit now. A head that failed to place is not tried again before a
         release: a failed try_place leaves the table as it was, and only a
         release makes room."""
         if not self.queue:
             return None
-        run = self.queue[0]
+        desc = self.queue[0]
         blocked, releases = self._blocked
-        if run is blocked and releases == self.table.releases:
+        if desc is blocked and releases == self.table.releases:
             return None
-        desc = run.desc
         placement = try_place(self.table, desc, self.footprints[desc.uid])
         if placement is None:
-            self._blocked = (run, self.table.releases)
+            self._blocked = (desc, self.table.releases)
             return None
         self.queue.popleft()
-        transition_task(run, TaskState.SCHEDULED)
-        run.node_ids = placement.node_ids
         # one detail text per (threads, GPUs, chunks) reservation shape
         key = (placement.cpu_threads_per_process, placement.gpus_per_process,
                placement.chunks)
         detail = self._details.get(key)
         if detail is None:
             detail = self._details[key] = ev.scheduled_detail(*key)
-        self.emit(ts, ev.TASK_SCHEDULED, desc.uid, run.node_ids, detail)
-        return run
+        self.emit(ts, ev.TASK_SCHEDULED, desc.uid, placement.node_ids, detail)
+        return desc
 
-    def launch(self, run: TaskRun, ts: float) -> None:
-        """Mark a placed task RUNNING and log TASK_LAUNCHED."""
-        transition_task(run, TaskState.RUNNING)
-        self.emit(ts, ev.TASK_LAUNCHED, run.desc.uid, run.node_ids)
+    def launch(self, uid: str, ts: float) -> None:
+        """Log TASK_LAUNCHED for a placed task, on its placement's nodes."""
+        placement = self.table.placement_of(uid)
+        node_ids = None if placement is None else placement.node_ids
+        self.emit(ts, ev.TASK_LAUNCHED, uid, node_ids)
 
     def finish(self, uid: str, kind: str, ts: float, detail: str = "") -> None:
-        """Apply a terminal event: the task's state, the log, the release of
-        its slots, and the queueing of the stage it opened."""
-        opened = self.job.finish(uid, ev.STATE_OF_KIND[kind])
-        self.emit(ts, kind, uid, self.job.runs[uid].node_ids or None, detail)
+        """Apply a terminal event: the log, the release of the task's slots,
+        and the queueing of the new tasks of the stage it opened.
+        MalformedLog, changing nothing, for a kind that is not terminal."""
+        if kind not in ev.TERMINAL_KINDS:
+            raise MalformedLog(f"task {uid}: {kind} is not a terminal event")
         placement = self.table.placement_of(uid)
+        node_ids = None if placement is None else placement.node_ids
+        self.emit(ts, kind, uid, node_ids, detail)
+        self._ends[kind] += 1
         if placement is not None:
             release(self.table, placement)
-        self.queue.extend(opened)
+        opened = self.job.finish(uid)
+        if opened:
+            last_kind = self.log.last_kind
+            self.queue.extend(d for d in opened if last_kind(d.uid) is None)
 
     def cancel_all(self, ts: float, detail: str) -> None:
         """Finish every task not yet terminal TASK_CANCELED, in job order,
         and empty the queue."""
-        for uid, run in self.job.runs.items():
-            if not run.state.terminal:
+        last_kind = self.log.last_kind
+        for uid in self.job.runs:
+            if last_kind(uid) not in ev.TERMINAL_KINDS:
                 self.finish(uid, ev.TASK_CANCELED, ts, detail)
         self.queue.clear()
 
+    @property
+    def tally(self) -> str:
+        """Terminal-event counts as the JOB_END detail reports them."""
+        n = self._ends
+        return (
+            f"done={n[ev.TASK_DONE]} failed={n[ev.TASK_FAILED]} "
+            f"canceled={n[ev.TASK_CANCELED]}"
+        )
+
     def end(self, ts: float) -> None:
-        """Log JOB_END with the terminal-state tally."""
-        self.emit(ts, ev.JOB_END, detail=self.job.tally)
+        """Log JOB_END with the terminal-event tally."""
+        self.emit(ts, ev.JOB_END, detail=self.tally)
 
     def drive(self, backend) -> None:
         """Run the job to JOB_END, the one loop of both backends: place
         queue-head tasks while they fit and ``backend.ready()``, hand each
-        to ``backend.start(run)``, then ``backend.advance()`` to apply the
+        to ``backend.start(desc)``, then ``backend.advance()`` to apply the
         next event; once every task is terminal, end at ``backend.now()``."""
         ready, now, start, advance = (
             backend.ready, backend.now, backend.start, backend.advance
         )
         place, queue, job = self.place, self.queue, self.job
         while True:
-            while queue and ready() and (run := place(now())) is not None:
-                start(run)
+            while queue and ready() and (desc := place(now())) is not None:
+                start(desc)
             advance()
             if job.all_terminal:
                 break

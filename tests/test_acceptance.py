@@ -156,8 +156,8 @@ def test_criterion_2_throughput_substitutes():
     placed = 0
     while pilot.queue:
         wave = []
-        while (run := pilot.place(0.0)) is not None:
-            wave.append(run.desc.uid)
+        while (desc := pilot.place(0.0)) is not None:
+            wave.append(desc.uid)
         placed += len(wave)
         for uid in wave:
             release(table, table.placement_of(uid))

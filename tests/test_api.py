@@ -12,7 +12,6 @@ PUBLIC = [
     "RuntimeModel",
     "Stage",
     "TaskDescription",
-    "TaskState",
     "WalltimePolicy",
     "WorkflowSpec",
     "collect_failures",

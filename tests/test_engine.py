@@ -524,7 +524,7 @@ class TestStep:
         # the bootstrap boots the job; placing its first stage is the loop's
         assert len(state.heap) == pending - 1
         assert [e.kind for e in state.log] == [ev.JOB_START, ev.BOOTSTRAP_DONE]
-        assert [run.desc.uid for run in state.pilot.queue] == ["t0", "t1"]
+        assert [desc.uid for desc in state.pilot.queue] == ["t0", "t1"]
 
     def test_drive_raises_on_a_stall(self):
         from ensemblekit.engine import _PRIO_COMPLETE

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from ensemblekit import events as ev
 from ensemblekit.engine import DurationSpec, RuntimeModel, run_simulated
-from ensemblekit.errors import IllegalTransition, MalformedLog
+from ensemblekit.errors import MalformedLog
 from ensemblekit.events import (
     MAX_SLOTS,
     Event,
@@ -24,18 +24,19 @@ from ensemblekit.events import (
     scheduled_slots,
 )
 from ensemblekit.platform import get_profile, max_walltime_for
-from ensemblekit.pst import TaskRun, TaskState, transition_task
 from ensemblekit.workloads import generate_example
 from conftest import log_of, make_task, single_stage, small_platform
 
-# written out here, not taken from the events module, so the property
-# below checks the module's table against the state machine
-STATE_OF = {
-    ev.TASK_SCHEDULED: TaskState.SCHEDULED,
-    ev.TASK_LAUNCHED: TaskState.RUNNING,
-    ev.TASK_DONE: TaskState.DONE,
-    ev.TASK_FAILED: TaskState.FAILED,
-    ev.TASK_CANCELED: TaskState.CANCELED,
+# the task lifecycle, written out here, not taken from the events module,
+# so the property below checks the module's table against it: a task's
+# last event (None before its first) -> the task events that may follow
+FOLLOWS = {
+    None: {ev.TASK_SCHEDULED, ev.TASK_CANCELED},
+    ev.TASK_SCHEDULED: {ev.TASK_LAUNCHED, ev.TASK_CANCELED},
+    ev.TASK_LAUNCHED: {ev.TASK_DONE, ev.TASK_FAILED, ev.TASK_CANCELED},
+    ev.TASK_DONE: set(),
+    ev.TASK_FAILED: set(),
+    ev.TASK_CANCELED: set(),
 }
 
 
@@ -44,27 +45,26 @@ def task_event(ts, kind, uid="t"):
     return Event(ts=ts, kind=kind, task_uid=uid, node_ids=(0,), detail=detail)
 
 
-@given(walk=st.lists(st.sampled_from(sorted(STATE_OF)), max_size=6))
+@given(walk=st.lists(st.sampled_from(sorted(FOLLOWS.keys() - {None})),
+                     max_size=6))
 @settings(max_examples=300, deadline=None)
 def test_append_accepts_exactly_the_legal_walks(walk):
     log = EventLog()
     log.append(Event(ts=0.0, kind=ev.JOB_START))
-    run = TaskRun(desc=make_task("t"))
+    last = None
     for i, kind in enumerate(walk, start=1):
-        try:
-            transition_task(run, STATE_OF[kind])
-            legal = True
-        except IllegalTransition:
-            legal = False
         before = len(log)
         try:
             log.append(task_event(float(i), kind))
             accepted = True
         except MalformedLog:
             accepted = False
-        assert accepted == legal, (walk[:i], run.state)
-        # a rejected event leaves the log as it was
+        assert accepted == (kind in FOLLOWS[last]), (walk[:i], last)
+        # a rejected event leaves the log and the task's state as they were
         assert len(log) == before + accepted
+        if accepted:
+            last = kind
+        assert log.last_kind("t") == last
 
 
 def test_tasks_are_checked_independently():
@@ -302,6 +302,8 @@ def _mutated_lines(draw):
             rec = json.loads(lines[i])
             literal = draw(st.sampled_from(_LITERALS))
             if literal == "int":
+                if not math.isfinite(rec["ts"]):  # an earlier 1e400 edit
+                    continue
                 literal = str(int(rec["ts"]))
             where = draw(st.sampled_from(
                 ["ts", "kind", "task_uid", "detail"]

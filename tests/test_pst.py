@@ -5,18 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ensemblekit import events as ev
 from ensemblekit.cli import main
-from ensemblekit.errors import IllegalTransition
+from ensemblekit.errors import MalformedLog
+from ensemblekit.events import Event, EventLog
 from ensemblekit.pst import (
     JobRun,
     Stage,
     TaskDescription,
-    TaskState,
     WorkflowSpec,
-    transition_task,
     validate_workflow,
 )
-from conftest import exaconstit_task, make_task, single_stage
+from ensemblekit.scheduler import Pilot
+from conftest import exaconstit_task, make_task, single_stage, small_platform
 
 
 def two_stage(first, second, name="wf"):
@@ -68,105 +69,126 @@ class TestValidation:
         assert len(violations) == 3
 
 
+TASK_KINDS = (ev.TASK_SCHEDULED, ev.TASK_LAUNCHED, ev.TASK_DONE,
+              ev.TASK_FAILED, ev.TASK_CANCELED)
+
+
+def walk(*kinds):
+    """An event log of task t's events of ``kinds``, in order."""
+    log = EventLog()
+    for kind in kinds:
+        log.append(Event(0.0, kind, "t", (0,)))
+    return log
+
+
 class TestTransitions:
+    """The task lifecycle, as the event log that holds it checks it."""
+
     def test_new_to_scheduled(self):
-        run = JobRun([single_stage("s0", [make_task("a")])])
-        task = run.runs["a"]
-        transition_task(task, TaskState.SCHEDULED)
-        assert task.state is TaskState.SCHEDULED
+        assert walk().last_kind("t") is None
+        assert walk(ev.TASK_SCHEDULED).last_kind("t") == ev.TASK_SCHEDULED
 
     def test_terminal_absorbs(self):
-        run = JobRun([single_stage("s0", [make_task("a")])])
-        task = run.runs["a"]
-        for state in (TaskState.SCHEDULED, TaskState.RUNNING, TaskState.DONE):
-            transition_task(task, state)
-        with pytest.raises(IllegalTransition) as err:
-            transition_task(task, TaskState.RUNNING)
-        assert "DONE" in str(err.value) and "RUNNING" in str(err.value)
+        log = walk(ev.TASK_SCHEDULED, ev.TASK_LAUNCHED, ev.TASK_DONE)
+        for kind in TASK_KINDS:
+            with pytest.raises(MalformedLog) as err:
+                log.append(Event(0.0, kind, "t", (0,)))
+            assert str(err.value) == f"task t: {kind} after TASK_DONE"
+        assert len(log) == 3 and log.last_kind("t") == ev.TASK_DONE
 
     def test_running_to_failed(self):
-        run = JobRun([single_stage("s0", [make_task("a")])])
-        task = run.runs["a"]
-        transition_task(task, TaskState.SCHEDULED)
-        transition_task(task, TaskState.RUNNING)
-        transition_task(task, TaskState.FAILED)
-        assert task.state is TaskState.FAILED
+        log = walk(ev.TASK_SCHEDULED, ev.TASK_LAUNCHED, ev.TASK_FAILED)
+        assert log.last_kind("t") == ev.TASK_FAILED
 
     @pytest.mark.parametrize(
-        "start", [TaskState.NEW, TaskState.SCHEDULED, TaskState.RUNNING]
+        "last", [None, ev.TASK_SCHEDULED, ev.TASK_LAUNCHED]
     )
-    def test_cancel_from_any_nonterminal(self, start):
-        run = JobRun([single_stage("s0", [make_task("a")])])
-        task = run.runs["a"]
+    def test_cancel_from_any_nonterminal(self, last):
         path = {
-            TaskState.NEW: [],
-            TaskState.SCHEDULED: [TaskState.SCHEDULED],
-            TaskState.RUNNING: [TaskState.SCHEDULED, TaskState.RUNNING],
-        }[start]
-        for state in path:
-            transition_task(task, state)
-        transition_task(task, TaskState.CANCELED)
-        assert task.state is TaskState.CANCELED
+            None: [],
+            ev.TASK_SCHEDULED: [ev.TASK_SCHEDULED],
+            ev.TASK_LAUNCHED: [ev.TASK_SCHEDULED, ev.TASK_LAUNCHED],
+        }[last]
+        log = walk(*path)
+        assert log.last_kind("t") == last
+        log.append(Event(0.0, ev.TASK_CANCELED, "t", (0,)))
+        assert log.last_kind("t") == ev.TASK_CANCELED
 
     def test_skipping_scheduled_is_illegal(self):
-        run = JobRun([single_stage("s0", [make_task("a")])])
-        with pytest.raises(IllegalTransition):
-            transition_task(run.runs["a"], TaskState.RUNNING)
+        for kind in (ev.TASK_LAUNCHED, ev.TASK_DONE, ev.TASK_FAILED):
+            log = walk()
+            with pytest.raises(MalformedLog, match="after no event"):
+                log.append(Event(0.0, kind, "t", (0,)))
+            assert len(log) == 0
 
 
-def finish_ok(job, uid, outcome=TaskState.DONE):
-    """Run a task through SCHEDULED and RUNNING, then finish it."""
-    transition_task(job.runs[uid], TaskState.SCHEDULED)
-    transition_task(job.runs[uid], TaskState.RUNNING)
-    return uids(job.finish(uid, outcome))
+def booted(*specs):
+    """A Pilot of ``specs`` on 4 nodes of 8 cores, booted at ts 0."""
+    pilot = Pilot(list(specs), small_platform(), 4)
+    pilot.boot(0.0)
+    return pilot
 
 
-def uids(runs):
-    return [r.desc.uid for r in runs]
+def run_to_end(pilot, uid, kind=ev.TASK_DONE):
+    """Place every queued task that fits, launch ``uid`` and end it with
+    ``kind``; the uids queued after, which are the new tasks of the stage
+    it opened."""
+    while pilot.place(0.0) is not None:
+        pass
+    pilot.launch(uid, 0.0)
+    pilot.finish(uid, kind, 0.0)
+    return uids(pilot.queue)
+
+
+def uids(descs):
+    return [desc.uid for desc in descs]
 
 
 class TestFrontier:
     def test_first_stage_all_new(self):
-        job = JobRun([two_stage([make_task("a"), make_task("b")], [make_task("c")])])
-        assert uids(job.first_stages()) == ["a", "b"]
-        assert all(r.state is TaskState.NEW for r in job.first_stages())
+        spec = two_stage([make_task("a"), make_task("b")], [make_task("c")])
+        assert JobRun([spec]).first_stages() == spec.stages[0].tasks
+        pilot = booted(spec)
+        assert uids(pilot.queue) == ["a", "b"]
+        assert all(pilot.log.last_kind(u) is None for u in "abc")
 
     def test_stage_not_fully_terminal_blocks_next(self):
         job = JobRun([two_stage([make_task("a"), make_task("b")], [make_task("c")])])
-        assert finish_ok(job, "a") == []
-        transition_task(job.runs["b"], TaskState.SCHEDULED)
-        transition_task(job.runs["b"], TaskState.RUNNING)
-        assert job.runs["c"].state is TaskState.NEW
+        assert uids(job.finish("a")) == []
         assert not job.all_terminal
 
     def test_next_stage_opens_when_previous_terminal(self):
         # hand enumeration: a DONE, b FAILED (both terminal) -> stage 2 eligible
-        job = JobRun(
-            [two_stage([make_task("a"), make_task("b")], [make_task("c"), make_task("d")])]
+        pilot = booted(
+            two_stage([make_task("a"), make_task("b")], [make_task("c"), make_task("d")])
         )
-        assert finish_ok(job, "a") == []
-        assert finish_ok(job, "b", TaskState.FAILED) == ["c", "d"]
+        assert run_to_end(pilot, "a") == []
+        assert run_to_end(pilot, "b", ev.TASK_FAILED) == ["c", "d"]
 
     def test_complete_pipeline_has_empty_frontier(self):
-        job = JobRun([single_stage("s0", [make_task("a")])])
-        assert finish_ok(job, "a") == []
-        assert job.all_terminal
-        assert job.tally == "done=1 failed=0 canceled=0"
+        pilot = booted(single_stage("s0", [make_task("a")]))
+        assert run_to_end(pilot, "a") == []
+        assert pilot.job.all_terminal
+        assert pilot.tally == "done=1 failed=0 canceled=0"
 
     def test_frontier_idempotent(self):
         job = JobRun([two_stage([make_task("a")], [make_task("b")])])
         assert uids(job.first_stages()) == uids(job.first_stages()) == ["a"]
-        assert all(r.state is TaskState.NEW for r in job.runs.values())
+        assert not job.all_terminal
 
     def test_finish_rejects_a_nonterminal_state(self):
-        job = JobRun([single_stage("s0", [make_task("a")])])
-        with pytest.raises(IllegalTransition):
-            job.finish("a", TaskState.SCHEDULED)
-        assert job.runs["a"].state is TaskState.NEW
+        pilot = booted(single_stage("s0", [make_task("a")]))
+        for kind in (ev.TASK_SCHEDULED, ev.TASK_LAUNCHED):
+            with pytest.raises(MalformedLog, match="not a terminal event"):
+                pilot.finish("a", kind, 0.0)
+        assert len(pilot.log) == 2 and pilot.log.last_kind("a") is None
+        assert pilot.tally == "done=0 failed=0 canceled=0"
+        assert uids(pilot.queue) == ["a"] and not pilot.job.all_terminal
 
     def test_cancel_of_a_later_stage_is_not_reopened(self):
         # walltime cancels tasks in any stage; a stage opened afterwards
-        # offers only its NEW tasks, and a fully canceled one is skipped
+        # queues only its tasks with no event yet, and a fully canceled one
+        # is skipped
         spec = WorkflowSpec(
             name="wf",
             stages=tuple(
@@ -174,14 +196,15 @@ class TestFrontier:
                 for i, names in enumerate([["a"], ["b", "c"], ["d"], ["e"]])
             ),
         )
-        job = JobRun([spec])
-        assert job.finish("b", TaskState.CANCELED) == ()
-        assert job.finish("d", TaskState.CANCELED) == ()
-        assert finish_ok(job, "a") == ["c"]
-        assert finish_ok(job, "c") == ["e"]
-        assert finish_ok(job, "e") == []
-        assert job.all_terminal
-        assert job.tally == "done=3 failed=0 canceled=2"
+        pilot = booted(spec)
+        pilot.finish("b", ev.TASK_CANCELED, 0.0)
+        pilot.finish("d", ev.TASK_CANCELED, 0.0)
+        assert uids(pilot.queue) == ["a"]
+        assert run_to_end(pilot, "a") == ["c"]
+        assert run_to_end(pilot, "c") == ["e"]
+        assert run_to_end(pilot, "e") == []
+        assert pilot.job.all_terminal
+        assert pilot.tally == "done=3 failed=0 canceled=2"
 
 
 class TestPipelinesFrontier:
@@ -197,8 +220,8 @@ class TestPipelinesFrontier:
             single_stage("s0", [make_task("a")], workflow_name="p1"),
             two_stage([make_task("x")], [make_task("y")], name="p2"),
         ])
-        assert finish_ok(job, "a") == []
-        assert finish_ok(job, "x") == ["y"]
+        assert uids(job.finish("a")) == []
+        assert uids(job.finish("x")) == ["y"]
         assert not job.all_terminal
 
     def test_mixed_stages_equal_per_pipeline_oracle(self):
@@ -210,24 +233,29 @@ class TestPipelinesFrontier:
             )
             for i in range(3)
         ]
-        combined = JobRun(specs)
-        alone = {spec.name: JobRun([spec]) for spec in specs}
+        combined = booted(*specs)
+        alone = {spec.name: booted(spec) for spec in specs}
         # advance each pipeline differently, interleaved across pipelines
         for uid, outcome in [
-            ("p1a", TaskState.DONE),
-            ("p2a", TaskState.FAILED),
-            ("p1b", TaskState.DONE),
-            ("p1c", TaskState.DONE),
+            ("p1a", ev.TASK_DONE),
+            ("p2a", ev.TASK_FAILED),
+            ("p1b", ev.TASK_DONE),
+            ("p1c", ev.TASK_DONE),
         ]:
             oracle = alone[uid[:2]]
-            assert finish_ok(combined, uid, outcome) == finish_ok(
+            assert run_to_end(combined, uid, outcome) == run_to_end(
                 oracle, uid, outcome
             )
+        def ends(pilot, name):
+            return [(e.task_uid, e.kind) for e in pilot.log
+                    if e.kind in ev.TERMINAL_KINDS
+                    and e.task_uid.startswith(name)]
+
         for name, oracle in alone.items():
-            for uid, run in oracle.runs.items():
-                assert combined.runs[uid].state is run.state
-        assert uids(combined.first_stages()) == [
-            u for spec in specs for u in uids(alone[spec.name].first_stages())
+            assert ends(combined, name) == ends(oracle, name)
+        assert uids(combined.job.first_stages()) == [
+            u for spec in specs
+            for u in uids(alone[spec.name].job.first_stages())
         ]
 
     def test_runs_keyed_in_pipeline_stage_task_order(self):
@@ -265,15 +293,22 @@ def build_workflow(shape, name="wf"):
 @settings(max_examples=100, deadline=None)
 def test_random_traces_respect_stage_order(shapes, data):
     """Driving tasks only through first_stages/finish can never start stage
-    k+1 of a pipeline before its stage k is fully terminal. The test drives
-    each task NEW -> SCHEDULED -> RUNNING -> DONE|FAILED itself, and
-    transition_task raises on any other edge, so every task that ends
-    terminal took exactly that path."""
+    k+1 of a pipeline before its stage k is fully terminal. The test keeps
+    each task's state itself and drives it new -> running -> DONE|FAILED,
+    so every task the job offers is offered once, while new."""
     specs = [build_workflow(shape, f"p{i}") for i, shape in enumerate(shapes)]
     job = JobRun(specs)
     stage_of = {t.uid: (spec.name, i) for spec in specs
                 for i, stage in enumerate(spec.stages) for t in stage.tasks}
-    eligible = uids(job.first_stages())
+    state = dict.fromkeys(stage_of, "new")
+    eligible: list[str] = []
+
+    def offer(descs):
+        for uid in uids(descs):
+            assert state[uid] == "new" and uid not in eligible
+            eligible.append(uid)
+
+    offer(job.first_stages())
     schedule_order: list[str] = []
     in_flight: list[str] = []
     while True:
@@ -288,17 +323,14 @@ def test_random_traces_respect_stage_order(shapes, data):
         if move == "schedule":
             uid = data.draw(st.sampled_from(sorted(eligible)))
             eligible.remove(uid)
-            transition_task(job.runs[uid], TaskState.SCHEDULED)
-            transition_task(job.runs[uid], TaskState.RUNNING)
+            state[uid] = "running"
             schedule_order.append(uid)
             in_flight.append(uid)
         else:
             uid = data.draw(st.sampled_from(sorted(in_flight)))
-            outcome = data.draw(
-                st.sampled_from([TaskState.DONE, TaskState.FAILED])
-            )
             in_flight.remove(uid)
-            eligible.extend(uids(job.finish(uid, outcome)))
+            state[uid] = data.draw(st.sampled_from(["DONE", "FAILED"]))
+            offer(job.finish(uid))
     assert job.all_terminal
     assert len(schedule_order) == len(job.runs)
     # within a pipeline, a stage-k+1 task only starts after every stage-k
@@ -308,12 +340,7 @@ def test_random_traces_respect_stage_order(shapes, data):
         for other, (other_pipeline, other_stage) in stage_of.items():
             if other_pipeline == pipeline and other_stage < stage:
                 assert first_seen[other] < first_seen[uid]
-    for task in job.runs.values():
-        assert task.state in (TaskState.DONE, TaskState.FAILED)
-    done = sum(r.state is TaskState.DONE for r in job.runs.values())
-    assert job.tally == (
-        f"done={done} failed={len(job.runs) - done} canceled=0"
-    )
+    assert set(state.values()) <= {"DONE", "FAILED"}
 
 
 def test_json_round_trip_field_names():

@@ -40,10 +40,10 @@ def queued(descs, nodes):
 
 def drain(pilot):
     """Place through Pilot.place until the queue empties or its head
-    blocks; returns the placed runs in order."""
+    blocks; returns the placed tasks in order."""
     placed = []
-    while (run := pilot.place(0.0)) is not None:
-        placed.append(run)
+    while (desc := pilot.place(0.0)) is not None:
+        placed.append(desc)
     return placed
 
 
@@ -51,8 +51,8 @@ def scheduled(pilot):
     return [e for e in pilot.log if e.kind == ev.TASK_SCHEDULED]
 
 
-def uids(runs):
-    return [run.desc.uid for run in runs]
+def uids(descs):
+    return [desc.uid for desc in descs]
 
 
 def free_slots(table):
@@ -172,7 +172,7 @@ class TestDrainQueue:
             table, log = pilot.table, pilot.log
             placed = drain(pilot)
             return [
-                table.placement_of(run.desc.uid) for run in placed
+                table.placement_of(desc.uid) for desc in placed
             ], [e._asdict() for e in log]
 
         assert run_once() == run_once()
@@ -192,8 +192,8 @@ class ScriptedBackend:
     def ready(self):
         return True
 
-    def start(self, run):
-        self.started.append(run)
+    def start(self, desc):
+        self.started.append(desc.uid)
 
     def advance(self):
         self.calls_before.append(len(self.calls))
