@@ -344,16 +344,15 @@ class JobRun:
     tasks eligible at the start, and :meth:`finish` records that a task
     ended and returns the tasks of the stage it opened. ``runs`` holds every
     :class:`TaskDescription` keyed by uid, in pipeline, stage, task order.
-    Each task's state is its last event in the job's log, which checks that
-    a task ends once; only the pilot's drive loop mutates a job, on one
-    thread.
+    Each task's state is its last event in the job's log. Only the pilot's
+    drive loop mutates a job, on one thread.
     """
 
     def __init__(self, specs: Sequence[WorkflowSpec]):
         self.runs: dict[str, TaskDescription] = {}
         # per pipeline and stage: its tasks (_stages) and how many of them
         # have not ended yet (_left); _current[p] is pipeline p's earliest
-        # stage with work left
+        # stage with work left; _where holds the tasks not ended yet
         self._stages: list[list[tuple[TaskDescription, ...]]] = []
         self._where: dict[str, tuple[int, int]] = {}
         for p, spec in enumerate(specs):
@@ -379,9 +378,10 @@ class JobRun:
     def finish(self, uid: str) -> tuple[TaskDescription, ...]:
         """Record that a task ended. When that leaves its pipeline's current
         stage with no task left, the pipeline moves on to its next stage
-        with work left, whose tasks are returned; otherwise ()."""
+        with work left, whose tasks are returned; otherwise (). KeyError,
+        changing nothing, for a uid that is not a task or ended already."""
+        p, s = self._where.pop(uid)
         self._unfinished -= 1
-        p, s = self._where[uid]
         left = self._left[p]
         left[s] -= 1
         before = stage = self._current[p]

@@ -273,8 +273,7 @@ class Pilot:
 
     def launch(self, uid: str, ts: float) -> None:
         """Log TASK_LAUNCHED for a placed task, on its placement's nodes."""
-        placement = self.table.placement_of(uid)
-        node_ids = None if placement is None else placement.node_ids
+        node_ids = self.table.placement_of(uid).node_ids
         self.emit(ts, ev.TASK_LAUNCHED, uid, node_ids)
 
     def finish(self, uid: str, kind: str, ts: float, detail: str = "") -> None:

@@ -171,6 +171,15 @@ class TestFrontier:
         assert pilot.job.all_terminal
         assert pilot.tally == "done=1 failed=0 canceled=0"
 
+    def test_a_task_finishes_once(self):
+        job = JobRun([two_stage([make_task("a"), make_task("b")], [make_task("c")])])
+        assert uids(job.finish("a")) == []
+        for uid in ("a", "nosuch"):
+            with pytest.raises(KeyError):
+                job.finish(uid)
+        assert not job.all_terminal
+        assert uids(job.finish("b")) == ["c"]
+
     def test_frontier_idempotent(self):
         job = JobRun([two_stage([make_task("a")], [make_task("b")])])
         assert uids(job.first_stages()) == uids(job.first_stages()) == ["a"]
