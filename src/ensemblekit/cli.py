@@ -248,13 +248,15 @@ def cmd_report(args) -> int:
 
 
 def cmd_resubmit(args) -> int:
+    if args.attempt < 2:
+        raise ConfigError(f"--attempt must be >= 2, not {args.attempt}")
     log_path = Path(args.log)
     # no job runs here to validate the workflow, so check it before use
     spec = WorkflowSpec.load(args.workflow)
     check_workflow(spec)
     log = EventLog.load_jsonl(log_path)
     platform = _load_platform(args)
-    nodes = metrics.allocation(log)[1] if args.nodes is None else args.nodes
+    nodes = metrics.allocation(log)[1]
     failed = collect_failures(log, spec, retry_canceled=args.retry_canceled)
     # plan only from a log report accepts; after collect_failures, whose
     # message names the tasks left open
@@ -275,12 +277,12 @@ def cmd_resubmit(args) -> int:
 def cmd_example(args) -> int:
     if not args.example:
         raise ConfigError("--example SHAPE is required")
-    params = {"seed": args.seed, "desk": args.desk,
-              "optimizer": not args.no_optimizer}
-    for key, value in (("tasks", args.tasks), ("cases", args.cases),
-                       ("uq_params", args.uq_params), ("sleep_s", args.sleep)):
-        if value is not None:
-            params[key] = value
+    # only the flags given, so that the shape can reject one it does not read
+    params = {key: value for key, value in (
+        ("tasks", args.tasks), ("cases", args.cases),
+        ("uq_params", args.uq_params), ("sleep_s", args.sleep),
+        ("seed", args.seed), ("desk", args.desk), ("optimizer", args.optimizer),
+    ) if value is not None}
     spec = generate_example(args.example, params)
     spec.save(args.out)
     print(f"{args.out}: {spec.task_count()} tasks in {len(spec.stages)} stages")
@@ -353,8 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("resubmit", help="plan a retry job from a log")
     _add_inputs(p, "frontier-sim")
     p.add_argument("--log", required=True)
-    p.add_argument("--nodes", type=int, help="original allocation nodes")
-    p.add_argument("--attempt", type=int, default=2)
+    p.add_argument("--attempt", type=int, default=2, help="at least 2")
     p.add_argument("--retry-canceled", action="store_true")
     p.add_argument("--out", required=True, help="plan workflow JSON path")
     p.set_defaults(func=cmd_resubmit)
@@ -366,16 +367,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tasks", type=int, help="ensemble size")
     p.add_argument("--cases", type=int, help="melt-pool cases")
     p.add_argument("--uq-params", type=int, help="UQ parameters")
-    p.add_argument(
-        "--desk", action="store_true", help="single-core task shapes"
-    )
+    p.add_argument("--desk", action="store_true", default=None,
+                   help="single-core task shapes")
     p.add_argument("--sleep", type=float, help="mock payload sleep seconds")
-    p.add_argument(
-        "--no-optimizer",
-        action="store_true",
-        help="drop the trailing optimization task",
-    )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--no-optimizer", action="store_false", default=None,
+                   dest="optimizer", help="drop the trailing optimization task")
+    p.add_argument("--seed", type=int, help="runtime-hint seed (default 0)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_example)
 

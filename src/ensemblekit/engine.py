@@ -283,6 +283,8 @@ class SimState:
             )
 
 
+# kept a module function taking and returning the state: perfbench/tracer.py
+# reads state.heap[0][4] and len(state.log) around each call
 def step(state: SimState) -> SimState:
     """Pop the earliest pending event, apply it, enqueue consequents.
 

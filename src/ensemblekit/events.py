@@ -1,9 +1,11 @@
 """Append-only event log: the contract between engine, resilience and metrics.
 
 Persisted as JSON lines, one event per line, with fields exactly
-``ts, kind, task_uid, node_ids, detail``. Timestamps are finite seconds
-from job start and non-decreasing within one log. The writer emits one
-fixed layout, byte-equal to ``json.dumps`` of the event's record.
+:class:`Event`'s ``ts, kind, task_uid, node_ids, detail``: a line with
+another field is rejected, and a missing optional one takes its default.
+Timestamps are finite seconds from job start and non-decreasing within one
+log. The writer emits one fixed layout, byte-equal to ``json.dumps`` of
+the event's record.
 
 The log is the one holder of each task's state: its last event. A task
 with no event is new, and every ``TASK_*`` event names its task and follows
@@ -207,13 +209,14 @@ class EventLog:
     @classmethod
     def load_jsonl(cls, path: str | Path) -> "EventLog":
         """Raises MalformedLog naming ``path:lineno`` for the first line
-        that is not UTF-8 JSON, not a JSON object with ``ts`` and ``kind``,
-        or that :meth:`append` rejects; reads an int ts as a float and
-        node ids as a tuple. Keeps one object per distinct kind (the module
-        constant), uid, node-id tuple and detail. Each line's node ids are
-        checked once, before they are shared: equal tuples are not trusted
-        by value, and a task's later events carry its first event's tuple,
-        which :meth:`append` does not check again."""
+        that is not UTF-8 JSON, not a JSON object of :class:`Event`'s
+        fields with ``ts`` and ``kind``, or that :meth:`append` rejects;
+        reads an int ts as a float and node ids as a tuple. Keeps one
+        object per distinct kind (the module constant), uid, node-id tuple
+        and detail. Each line's node ids are checked once, before they are
+        shared: equal tuples are not trusted by value, and a task's later
+        events carry its first event's tuple, which :meth:`append` does not
+        check again."""
         log = cls()
         share = {kind: kind for kind in KINDS}.setdefault  # value -> itself
         with open(path, "rb") as f:
@@ -230,8 +233,10 @@ class EventLog:
                         ) from None
                     if end != len(line):
                         raise json.JSONDecodeError("Extra data", line, end)
-                    try:  # every line the writer writes has all five
-                        ts, kind, uid, node_ids, detail = _fields(rec)
+                    try:  # every line the writer writes has just the five
+                        ts, kind, uid, node_ids, detail = (
+                            _fields(rec) if len(rec) == 5 else _record(rec)
+                        )
                     except (KeyError, TypeError):
                         ts, kind, uid, node_ids, detail = _record(rec)
                     try:
@@ -260,15 +265,14 @@ class EventLog:
         return log
 
 
-def _record(rec) -> tuple:
-    """The fields of a decoded line that lacks some, the missing ones at
-    their defaults; MalformedLog if it is not an object with ts and kind."""
-    if not isinstance(rec, dict):
-        raise MalformedLog(f"event is not a JSON object: {rec!r}")
-    if "ts" not in rec or "kind" not in rec:
-        raise MalformedLog(f"event lacks ts or kind: {rec!r}")
-    return (rec["ts"], rec["kind"], rec.get("task_uid"), rec.get("node_ids"),
-            rec.get("detail", ""))
+def _record(rec) -> Event:
+    """The event of a decoded line that is not just the five fields, the
+    missing ones at their defaults; MalformedLog if it is not an object of
+    Event's fields with ts and kind."""
+    try:
+        return Event(**rec)
+    except TypeError as e:  # not an object, a field missing or unknown
+        raise MalformedLog(f"not an event: {e}: {rec!r}") from e
 
 
 def _line(event: Event, ids: dict[tuple[int, ...], str]) -> str:

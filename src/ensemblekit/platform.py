@@ -190,7 +190,7 @@ def get_profile(name: str) -> PlatformConfig:
 def load_platform_config(path: str | Path) -> PlatformConfig:
     """Load and validate a platform config JSON file: ParseError for a
     file that cannot be read or is not JSON, ValidationError for a field
-    that is missing or of the wrong type or range."""
+    that is missing, unknown, or of the wrong type or range."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
@@ -203,20 +203,17 @@ def load_platform_config(path: str | Path) -> PlatformConfig:
 
 
 def platform_from_json(doc: dict) -> PlatformConfig:
+    """The machine of a platform JSON document, read by the records' own
+    fields: a missing optional field takes its default, and a key that is
+    not a field is a ValidationError naming it."""
     try:
-        node_doc = doc["node"]
-        return PlatformConfig(
-            name=doc["name"],
-            node=NodeSpec(
-                cores_total=node_doc["cores_total"],
-                cores_reserved=node_doc.get("cores_reserved", 0),
-                gpus=node_doc.get("gpus", 0),
-            ),
-            node_count=doc["node_count"],
-            policy=WalltimePolicy(tiers=doc["policy"]["tiers"]),
-            bootstrap_overhead_s=doc.get("bootstrap_overhead_s", 0.0),
-        )
-    # KeyError, TypeError: a key missing or a section of the wrong type
+        return PlatformConfig(**{
+            **doc,
+            "node": NodeSpec(**doc["node"]),
+            "policy": WalltimePolicy(**doc["policy"]),
+        })
+    # KeyError, TypeError: a key missing or unknown, or a section of the
+    # wrong type
     except (KeyError, TypeError) as e:
         raise ValidationError(f"malformed platform config: {e}") from e
     except InvalidNodeSpec as e:

@@ -179,29 +179,15 @@ class WorkflowSpec:
 
     @classmethod
     def from_json(cls, doc: Mapping) -> "WorkflowSpec":
-        stages = tuple(
-            Stage(
-                name=s["name"],
-                tasks=tuple(
-                    TaskDescription(
-                        uid=t["uid"],
-                        executable=t["executable"],
-                        arguments=t.get("arguments", ()),
-                        pre_exec=t.get("pre_exec", ()),
-                        cpu_processes=t.get("cpu_processes", 1),
-                        cpu_threads_per_process=t.get(
-                            "cpu_threads_per_process", 1
-                        ),
-                        gpus_per_process=t.get("gpus_per_process", 0),
-                        expected_runtime_s=t.get("expected_runtime_s"),
-                        tags=t.get("tags", {}),
-                    )
-                    for t in s.get("tasks", ())
-                ),
-            )
+        """The workflow of a JSON document, read by the records' own
+        fields: a missing optional field takes its default, and a key that
+        is not a field raises TypeError naming it."""
+        return cls(**{**doc, "stages": tuple(
+            Stage(**{**s, "tasks": tuple(
+                TaskDescription(**t) for t in s.get("tasks", ())
+            )})
             for s in doc["stages"]
-        )
-        return cls(name=doc["name"], stages=stages)
+        )})
 
     def save(self, path: str | Path) -> None:
         """Write ``json.dumps(self.to_json(), indent=2)`` and a newline,
@@ -213,12 +199,13 @@ class WorkflowSpec:
     @classmethod
     def load(cls, path: str | Path) -> "WorkflowSpec":
         """Raises ParseError naming the path for a file that cannot be
-        read, is not JSON, or lacks the workflow's keys; field values are
-        left for :func:`validate_workflow`."""
+        read, is not JSON, lacks a required field or has a key that is not
+        a field; field values are left for :func:`validate_workflow`."""
         try:
             return cls.from_json(json.loads(Path(path).read_text()))
         # ValueError: bad JSON or UTF-8; RecursionError: deep nesting;
-        # KeyError, TypeError: a key missing or a section of the wrong type
+        # KeyError, TypeError: a key missing or unknown, or a section of the
+        # wrong type
         except (OSError, ValueError, RecursionError, KeyError, TypeError) as e:
             raise ParseError(f"{path}: {e}") from e
 
@@ -369,7 +356,6 @@ class JobRun:
             self._stages.append([tuple(st.tasks) for st in spec.stages])
         self._left = [[len(st) for st in stages] for stages in self._stages]
         self._current = [0] * len(self._stages)
-        self._unfinished = len(self.runs)
 
     def first_stages(self) -> tuple[TaskDescription, ...]:
         """The tasks of every pipeline's first stage, in pipeline order."""
@@ -381,7 +367,6 @@ class JobRun:
         with work left, whose tasks are returned; otherwise (). KeyError,
         changing nothing, for a uid that is not a task or ended already."""
         p, s = self._where.pop(uid)
-        self._unfinished -= 1
         left = self._left[p]
         left[s] -= 1
         before = stage = self._current[p]
@@ -394,4 +379,4 @@ class JobRun:
 
     @property
     def all_terminal(self) -> bool:
-        return self._unfinished == 0
+        return not self._where

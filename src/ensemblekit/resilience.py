@@ -129,6 +129,7 @@ RunAttempt = Callable[
 ]
 
 
+# returns (logs, unresolved): perfbench/tracer.py reads the logs from r[0]
 def retry_loop(
     specs: Sequence[WorkflowSpec] | WorkflowSpec,
     platform: PlatformConfig,

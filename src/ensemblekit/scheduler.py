@@ -80,6 +80,8 @@ class SlotTable:
         # bumped by every release: only a release makes room
         self.releases = 0
 
+    # kept though nothing in the package calls it: perfbench/tracer.py
+    # wraps it by name and reads the length of the copy it returns
     def active_placements(self) -> dict[str, Placement]:
         """A copy of every active placement by task uid; O(active), so the
         engine's per-event paths use ``placement_of`` and ``holders``."""
@@ -278,7 +280,7 @@ class Pilot:
 
     def finish(self, uid: str, kind: str, ts: float, detail: str = "") -> None:
         """Apply a terminal event: the log, the release of the task's slots,
-        and the queueing of the new tasks of the stage it opened.
+        and the queueing of the tasks of the stage it opened.
         MalformedLog, changing nothing, for a kind that is not terminal."""
         if kind not in ev.TERMINAL_KINDS:
             raise MalformedLog(f"task {uid}: {kind} is not a terminal event")
@@ -288,10 +290,7 @@ class Pilot:
         self._ends[kind] += 1
         if placement is not None:
             release(self.table, placement)
-        opened = self.job.finish(uid)
-        if opened:
-            last_kind = self.log.last_kind
-            self.queue.extend(d for d in opened if last_kind(d.uid) is None)
+        self.queue.extend(self.job.finish(uid))
 
     def cancel_all(self, ts: float, detail: str) -> None:
         """Finish every task not yet terminal TASK_CANCELED, in job order,

@@ -16,8 +16,6 @@ from typing import Mapping, Optional
 from ensemblekit.errors import ConfigError, UnknownShape
 from ensemblekit.pst import Stage, TaskDescription, WorkflowSpec, is_number
 
-SHAPES = ("additivefoam", "exaca", "exaconstit", "uq-stage1", "toy")
-
 # (cpu_processes, cpu_threads_per_process, gpus_per_process)
 _SHAPE_AF_RUN = (224, 1, 0)
 _SHAPE_EXACA = (8, 7, 1)
@@ -205,6 +203,25 @@ def _toy_stages(params: Mapping) -> list[Stage]:
     ]
 
 
+def _uq_stage1_stages(params: Mapping) -> list[Stage]:
+    # one case count for both: the ExaCA grid runs over AdditiveFOAM's cases
+    params = {"cases": 5, **params}
+    return (_additivefoam_stages(params)
+            + _exaca_stages(params, requires=["af-post"]))
+
+
+# each shape's stages and the params it reads beside seed and sleep_s, which
+# every shape takes
+_SHAPES = {
+    "additivefoam": (_additivefoam_stages, {"cases", "desk"}),
+    "exaca": (_exaca_stages, {"cases", "uq_params", "desk"}),
+    "exaconstit": (_exaconstit_stages, {"tasks", "desk", "optimizer"}),
+    "uq-stage1": (_uq_stage1_stages, {"cases", "uq_params", "desk"}),
+    "toy": (_toy_stages, {"stages", "tasks"}),
+}
+SHAPES = tuple(_SHAPES)
+
+
 def generate_example(
     shape: str, params: Optional[Mapping] = None
 ) -> WorkflowSpec:
@@ -213,28 +230,22 @@ def generate_example(
     Shapes: additivefoam (pre / even runs / odd runs / post), exaca
     (melt-pool cases x UQ parameters fan-out plus analysis), exaconstit
     (N ensemble members plus a trailing optimization task), uq-stage1
-    (additivefoam chained into exaca), toy.
+    (additivefoam chained into exaca), toy. ConfigError for a param the
+    shape does not read.
     """
+    if shape not in _SHAPES:
+        raise UnknownShape(f"unknown example shape {shape!r}; know {SHAPES}")
+    stages, reads = _SHAPES[shape]
     params = dict(params or {})
+    unread = params.keys() - reads - {"seed", "sleep_s"}
+    if unread:
+        raise ConfigError(
+            f"example shape {shape} does not read "
+            f"{', '.join(sorted(map(repr, unread)))}"
+        )
     sleep_s = params.get("sleep_s", 0.05)
     if not (is_number(sleep_s) and sleep_s >= 0):
         raise ConfigError(
             f"sleep_s must be a finite number >= 0, not {sleep_s!r}"
         )
-    if shape == "additivefoam":
-        return WorkflowSpec(
-            name="additivefoam", stages=tuple(_additivefoam_stages(params))
-        )
-    if shape == "exaca":
-        return WorkflowSpec(name="exaca", stages=tuple(_exaca_stages(params)))
-    if shape == "exaconstit":
-        return WorkflowSpec(
-            name="exaconstit", stages=tuple(_exaconstit_stages(params))
-        )
-    if shape == "uq-stage1":
-        af = _additivefoam_stages(params)
-        exaca = _exaca_stages(params, requires=["af-post"])
-        return WorkflowSpec(name="uq-stage1", stages=tuple(af + exaca))
-    if shape == "toy":
-        return WorkflowSpec(name="toy", stages=tuple(_toy_stages(params)))
-    raise UnknownShape(f"unknown example shape {shape!r}; know {SHAPES}")
+    return WorkflowSpec(name=shape, stages=tuple(stages(params)))

@@ -83,6 +83,27 @@ class TestExample:
         assert "error: ConfigError: sleep_s" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, unread",
+        [
+            (("--example", "uq-stage1", "--tasks", "5"), "'tasks'"),
+            (("--example", "toy", "--cases", "3", "--uq-params", "9",
+              "--desk", "--no-optimizer"),
+             "'cases', 'desk', 'optimizer', 'uq_params'"),
+        ],
+        ids=["uq-stage1", "toy"],
+    )
+    def test_a_flag_the_shape_does_not_read_is_config_error(
+        self, tmp_path, capsys, argv, unread
+    ):
+        out = tmp_path / "wf.json"
+        assert run_cli("example", *argv, "--seed", "1", "--sleep", "0",
+                       "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"error: ConfigError: example shape {argv[1]} does not " \
+            f"read {unread}\n" in err
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_small_ensemble_end_to_end(self, tmp_path, small_platform_file, capsys):
@@ -983,6 +1004,78 @@ def test_simulate_on_one_broken_platform_field(field, value):
     _simulate_then_report(_WORKFLOW, doc, "--nodes", "2")
 
 
+def _rename(doc, path, new_key):
+    """A copy of ``doc`` with the key at ``path`` renamed ``new_key``."""
+    doc = json.loads(json.dumps(doc))
+    section = doc
+    for key in path[:-1]:
+        section = section[key]
+    section[new_key] = section.pop(path[-1])
+    return doc
+
+
+def _simulate_rejects(workflow, platform, capsys, tmp_path) -> str:
+    """simulate's stderr on the two documents, which it rejects with exit 2
+    and no log."""
+    wf, plat, log = (tmp_path / "wf.json", tmp_path / "p.json",
+                     tmp_path / "run.jsonl")
+    wf.write_text(json.dumps(workflow))
+    plat.write_text(json.dumps(platform))
+    assert run_cli("simulate", "--workflow", str(wf), "--platform", str(plat),
+                   "--nodes", "2", "--walltime", "3600",
+                   "--out", str(log)) == 2
+    assert not log.exists()
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "path, typo",
+    [
+        (_TASK + ("cpu_processes",), "cpu_proceses"),
+        (("stages", 0, "tasks"), "taks"),
+        (("name",), "nmae"),
+    ],
+    ids=["task", "stage", "workflow"],
+)
+def test_a_misspelled_workflow_field_exits_2_naming_it(path, typo, capsys,
+                                                       tmp_path):
+    err = _simulate_rejects(_rename(_WORKFLOW, path, typo), _PLATFORM,
+                            capsys, tmp_path)
+    assert "error: ParseError:" in err and repr(typo) in err
+
+
+@pytest.mark.parametrize(
+    "path, typo",
+    [
+        (("node", "cores_reserved"), "cores_reserverd"),
+        (("policy", "tiers"), "tier"),
+        (("bootstrap_overhead_s",), "bootstrap_overhead"),
+    ],
+    ids=["node", "policy", "platform"],
+)
+def test_a_misspelled_platform_field_exits_2_naming_it(path, typo, capsys,
+                                                       tmp_path):
+    err = _simulate_rejects(_WORKFLOW, _rename(_PLATFORM, path, typo),
+                            capsys, tmp_path)
+    assert "error: ValidationError:" in err and repr(typo) in err
+
+
+@pytest.mark.parametrize("line", range(len(_VALID_LOG)))
+@pytest.mark.parametrize("drop", [None, "detail"], ids=["full", "no-detail"])
+def test_report_on_a_line_with_an_extra_key_exits_1(line, drop, capsys,
+                                                    tmp_path):
+    records = json.loads(json.dumps(_VALID_LOG))
+    records[line]["extra"] = 0
+    records[line].pop(drop, None)
+    log = tmp_path / "run.jsonl"
+    log.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert run_cli("report", "--log", str(log)) == 1
+    err = capsys.readouterr().err
+    assert f"error: MalformedLog: {log}:{line + 1}: " in err
+    assert "'extra'" in err
+    assert not list(tmp_path.glob("run_*"))
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -1093,10 +1186,10 @@ _ARGV = {
     "report": ["report", "--log", "{log}", "--out", "{out}", "--format", "csv"],
     "resubmit": [
         "resubmit", "--workflow", "{wf}", "--platform", "{platform}",
-        "--log", "{log}", "--nodes", "2", "--attempt", "2", "--out", "{out}",
+        "--log", "{log}", "--attempt", "2", "--out", "{out}",
     ],
     "example": [
-        "example", "--example", "uq-stage1", "--tasks", "2", "--cases", "2",
+        "example", "--example", "uq-stage1", "--cases", "2",
         "--uq-params", "2", "--sleep", "0", "--seed", "0", "--out", "{out}",
     ],
 }
@@ -1164,6 +1257,34 @@ def test_one_replaced_flag_value_exits_0_1_or_2(argv_inputs, command, data,
                 code = e.code
     assert code in (0, 1, 2), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [("--attempt", "1"), ("--attempt", "0"), ("--attempt", "-3"),
+     ("--nodes", "100000")],
+    ids=["attempt-1", "attempt-0", "attempt-negative", "nodes"],
+)
+def test_resubmit_rejects_an_early_attempt_and_a_nodes_flag(argv_inputs,
+                                                            flags, tmp_path,
+                                                            capsys):
+    # the allocation comes from the log's JOB_START alone, and attempt 1
+    # is the run that wrote the log
+    for name, content in argv_inputs.items():
+        (tmp_path / name).write_bytes(content)
+    plan = tmp_path / "plan.json"
+    argv = ["resubmit", "--workflow", str(tmp_path / "wf"), "--platform",
+            str(tmp_path / "platform"), "--log", str(tmp_path / "log"),
+            *flags, "--out", str(plan)]
+    try:
+        code = run_cli(*argv)
+    except SystemExit as e:  # argparse rejects an unknown flag
+        code = e.code
+    assert code == 2
+    if flags[0] == "--attempt":
+        assert (f"error: ConfigError: --attempt must be >= 2, not "
+                f"{flags[1]}") in capsys.readouterr().err
+    assert not plan.exists()
 
 
 class TestResubmitComposition:

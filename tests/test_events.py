@@ -285,11 +285,15 @@ _LITERALS = ["true", "1.0", "-0.0", "int", "1e400"]
 
 @st.composite
 def _mutated_lines(draw):
-    """The small seeded log with 1 to 3 lines deleted, duplicated, swapped
-    or with one value (ts, kind, uid, detail or a node id) edited."""
+    """The small seeded log with 1 to 3 lines deleted, duplicated, swapped,
+    with one value (ts, kind, uid, detail or a node id) edited, or with a
+    key that is not a field added, in place of an optional field or
+    beside it."""
     lines = list(_small_log_lines())
     for _ in range(draw(st.integers(1, 3))):
-        op = draw(st.sampled_from(["delete", "duplicate", "swap", "edit"]))
+        op = draw(st.sampled_from(
+            ["delete", "duplicate", "swap", "edit", "extra key"]
+        ))
         i = draw(st.integers(0, len(lines) - 1))
         if op == "delete" and len(lines) > 1:
             del lines[i]
@@ -307,22 +311,33 @@ def _mutated_lines(draw):
                 literal = str(int(rec["ts"]))
             where = draw(st.sampled_from(
                 ["ts", "kind", "task_uid", "detail"]
-                + list(range(len(rec["node_ids"] or ())))
+                + list(range(len(rec.get("node_ids") or ())))
             ))
             if isinstance(where, int):
                 rec["node_ids"][where] = "\0"
             else:
                 rec[where] = "\0"
             lines[i] = json.dumps(rec).replace('"\\u0000"', literal)
+        elif op == "extra key":
+            rec = json.loads(lines[i])
+            rec[draw(st.sampled_from(["extra", "Detail", "node_id"]))] = 0
+            dropped = draw(st.sampled_from(
+                [None, "task_uid", "node_ids", "detail"]
+            ))
+            rec.pop(dropped, None)
+            lines[i] = json.dumps(rec)
     return lines
 
 
 def _append_records(lines) -> EventLog:
     """Each line's record, appended one by one: an int ts as a float and
-    node ids as a tuple, as the loader documents."""
+    node ids as a tuple, as the loader documents; MalformedLog for a record
+    with a key that is not an Event field."""
     log = EventLog()
     for line in lines:
         rec = json.loads(line)
+        if rec.keys() - set(Event._fields):
+            raise MalformedLog(f"not an event: {rec!r}")
         ts, ids = rec["ts"], rec.get("node_ids")
         log.append(Event(
             float(ts) if type(ts) is int else ts, rec["kind"],

@@ -195,9 +195,9 @@ class TestFrontier:
         assert uids(pilot.queue) == ["a"] and not pilot.job.all_terminal
 
     def test_cancel_of_a_later_stage_is_not_reopened(self):
-        # walltime cancels tasks in any stage; a stage opened afterwards
-        # queues only its tasks with no event yet, and a fully canceled one
-        # is skipped
+        # walltime cancels mid-stage: every open task, placed or not yet
+        # queued, ends canceled once, in job order, and the stages its
+        # cancels open leave nothing queued
         spec = WorkflowSpec(
             name="wf",
             stages=tuple(
@@ -206,14 +206,16 @@ class TestFrontier:
             ),
         )
         pilot = booted(spec)
-        pilot.finish("b", ev.TASK_CANCELED, 0.0)
-        pilot.finish("d", ev.TASK_CANCELED, 0.0)
-        assert uids(pilot.queue) == ["a"]
-        assert run_to_end(pilot, "a") == ["c"]
-        assert run_to_end(pilot, "c") == ["e"]
-        assert run_to_end(pilot, "e") == []
+        assert run_to_end(pilot, "a") == ["b", "c"]
+        assert run_to_end(pilot, "b") == []
+        assert pilot.log.last_kind("c") == ev.TASK_SCHEDULED
+        pilot.cancel_all(1.0, "walltime")
+        canceled = [e.task_uid for e in pilot.log if e.kind == ev.TASK_CANCELED]
+        assert canceled == ["c", "d", "e"]
+        assert all(pilot.log.last_kind(u) == ev.TASK_CANCELED for u in "cde")
+        assert len(pilot.queue) == 0
         assert pilot.job.all_terminal
-        assert pilot.tally == "done=3 failed=0 canceled=2"
+        assert pilot.tally == "done=2 failed=0 canceled=3"
 
 
 class TestPipelinesFrontier:

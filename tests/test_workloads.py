@@ -1,6 +1,6 @@
 import pytest
 
-from ensemblekit.errors import UnknownShape
+from ensemblekit.errors import ConfigError, UnknownShape
 from ensemblekit.platform import NodeSpec, task_footprint
 from ensemblekit.pst import validate_workflow
 from ensemblekit.workloads import MAX_EXAMPLE_TASKS, SHAPES, generate_example
@@ -123,3 +123,25 @@ def test_mock_payloads_are_plain_shell():
     task = spec.stages[0].tasks[0]
     assert task.executable == "/bin/sh"
     assert task.arguments[0] == "-c"
+
+
+@pytest.mark.parametrize(
+    "shape, unread",
+    [("additivefoam", "tasks"), ("exaca", "tasks"), ("exaconstit", "cases"),
+     ("uq-stage1", "tasks"), ("toy", "desk")],
+)
+def test_every_shape_takes_seed_and_sleep_but_no_param_it_does_not_read(
+    shape, unread
+):
+    params = {"seed": 3, "sleep_s": 0}
+    assert validate_workflow(generate_example(shape, params)) == []
+    with pytest.raises(ConfigError, match=f"does not read '{unread}'$"):
+        generate_example(shape, {**params, unread: 2})
+
+
+def test_uq_stage1_grid_runs_over_the_additivefoam_cases():
+    # one case count by default: each AdditiveFOAM run is one ExaCA case
+    stages = {s.name: s.tasks for s in generate_example("uq-stage1").stages}
+    runs = len(stages["af-even"]) + len(stages["af-odd"])
+    cases = {t.tags["case"] for t in stages["exaca-microstructure"]}
+    assert cases == {str(c) for c in range(runs)}
