@@ -208,20 +208,21 @@ def cmd_run(args) -> int:
             e.log.save_jsonl(attempt_dir / "events.jsonl")
             raise
         log.save_jsonl(attempt_dir / "events.jsonl")
+        # printed as the attempt ends, so a Ctrl-C in a retry keeps the
+        # lines of the attempts before it
+        print(f"attempt {attempt}: {_summarize(log)}")
         return log
 
     # SIGTERM stops the run the way SIGINT does, through KeyboardInterrupt
     previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         # one node and no walltime: the local backend runs on this machine
-        logs, unresolved = retry_loop(
+        _, unresolved = retry_loop(
             spec, platform, run_attempt, 1, None, args.max_attempts,
             args.retry_canceled,
         )
     finally:
         signal.signal(signal.SIGTERM, previous)
-    for i, log in enumerate(logs, start=1):
-        print(f"attempt {i}: {_summarize(log)}")
     return _unresolved_exit(unresolved)
 
 

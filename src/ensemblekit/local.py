@@ -5,9 +5,17 @@ with wall-clock time, through the same drive loop as the simulator, on one
 node shaped like the platform's, with ``max_parallel`` as an extra cap on
 running tasks; this module only spawns tasks, waits on their exits and
 reaps them. The wait blocks on one pidfd per child (Linux >= 5.3), so a
-slot is refilled the moment any task ends. Each task's pre_exec lines and
-executable run under one shell, in a session of their own, with
-stdout/stderr captured per task under the output directory.
+slot is refilled the moment any task ends.
+
+A task without pre_exec lines is exec'd directly as ``[executable,
+*arguments]``, with no shell in between; a task with them runs ``/bin/sh
+-c "pre && ... && <quoted command>"``. Either way the task runs in a
+session of its own, in the output directory, with the runner's environment
+except that ``PWD`` names that directory's real path, and with
+stdout/stderr captured per task under the output directory. An executable
+that cannot be exec'd (missing, not executable, a script without ``#!``)
+fails the task with detail ``spawn_error: <OSError>``; a task killed by
+signal N fails with ``exit_code=-N``.
 Emits the same event-log schema as the simulator, with wall-clock
 timestamps relative to job start.
 """
@@ -35,10 +43,14 @@ from ensemblekit.scheduler import Pilot
 _TERM_GRACE_S = 2.0
 
 
-def _compose_command(desc: TaskDescription) -> str:
-    parts = list(desc.pre_exec)
-    parts.append(shlex.join([desc.executable, *desc.arguments]))
-    return " && ".join(parts)
+def _argv(desc: TaskDescription) -> list[str]:
+    """The task's command itself, or, with pre_exec lines, one shell that
+    runs them and then the command."""
+    command = [desc.executable, *desc.arguments]
+    if not desc.pre_exec:
+        return command
+    line = " && ".join([*desc.pre_exec, shlex.join(command)])
+    return ["/bin/sh", "-c", line]
 
 
 def _signal_group(proc: subprocess.Popen, sig: int) -> None:
@@ -59,8 +71,13 @@ class _Processes:
         self.log_dir = out_dir / "task-logs"
         self.log_dir.mkdir(parents=True, exist_ok=True)
         self.max_parallel = max_parallel
+        # the runner's environment with the PWD that a shell started in the
+        # output directory would export; bytes, so that Popen's encoding of
+        # every variable for every task has nothing to convert
+        pwd = os.fsencode(os.path.realpath(out_dir))
+        self.env = {**os.environb, b"PWD": pwd}
         self.selector = selectors.DefaultSelector()
-        # uid -> (the task's shell, the pidfd that turns readable at its exit)
+        # uid -> (the task's process, the pidfd that turns readable at its exit)
         self.running: dict[str, tuple[subprocess.Popen, int]] = {}
         self.t0 = time.monotonic()
 
@@ -71,20 +88,22 @@ class _Processes:
         return len(self.running) < self.max_parallel
 
     def start(self, desc: TaskDescription) -> None:
-        """Spawn a placed task and log its launch; a spawn that fails
-        launches and fails the task."""
+        """Spawn a placed task and log its launch; a spawn that fails, or a
+        child that cannot be waited on, launches and fails the task."""
         try:
             # the child holds its own copies of the log files' descriptors
             with open(self.log_dir / f"{desc.uid}.out", "wb") as stdout, open(
                 self.log_dir / f"{desc.uid}.err", "wb"
             ) as stderr:
                 proc = subprocess.Popen(
-                    ["/bin/sh", "-c", _compose_command(desc)],
+                    _argv(desc),
                     stdout=stdout,
                     stderr=stderr,
                     cwd=self.out_dir,
+                    env=self.env,
                     start_new_session=True,
                 )
+            self._watch(desc.uid, proc)
         except OSError as e:
             self.pilot.launch(desc.uid, self.now())
             self.pilot.finish(
@@ -92,9 +111,21 @@ class _Processes:
             )
             return
         self.pilot.launch(desc.uid, self.now())
-        pidfd = os.pidfd_open(proc.pid)
-        self.running[desc.uid] = (proc, pidfd)
-        self.selector.register(pidfd, selectors.EVENT_READ, desc.uid)
+
+    def _watch(self, uid: str, proc: subprocess.Popen) -> None:
+        """Wait on a new child through its pidfd; if that cannot be set up,
+        kill the child's process group, reap the child and re-raise."""
+        pidfd = -1
+        try:
+            pidfd = os.pidfd_open(proc.pid)
+            self.selector.register(pidfd, selectors.EVENT_READ, uid)
+        except BaseException:
+            if pidfd >= 0:
+                os.close(pidfd)
+            _signal_group(proc, signal.SIGKILL)
+            proc.wait()
+            raise
+        self.running[uid] = (proc, pidfd)
 
     def advance(self) -> None:
         """Wait until tasks exit and finish each by its exit code; with no
@@ -109,15 +140,15 @@ class _Processes:
                 )
 
     def _reap(self, uid: str) -> int:
-        """Forget a task's pidfd and wait for its shell; its exit code."""
+        """Forget a task's pidfd and reap its process; its exit code."""
         proc, pidfd = self.running.pop(uid)
         self.selector.unregister(pidfd)
         os.close(pidfd)
         return proc.wait()
 
     def stop(self) -> None:
-        """Terminate every running task's process group and reap its shell,
-        killing a shell still alive after :data:`_TERM_GRACE_S`; then close
+        """Terminate every running task's process group and reap its leader,
+        killing a leader still alive after :data:`_TERM_GRACE_S`; then close
         the selector."""
         running = self.running
         for proc, _ in running.values():
@@ -142,10 +173,11 @@ def run_local(
     never more than fit the cores and GPUs of one platform node.
 
     A task wider than that node raises Unplaceable before anything spawns.
-    A nonzero exit becomes TASK_FAILED (with the exit code in the detail) and
-    the pipeline still runs to JOB_END; a spawn failure is recorded the same
-    way. Tasks run with the output directory as working directory, so
-    relative paths hand files between stages.
+    A nonzero exit becomes TASK_FAILED (detail ``exit_code=N``, negative for
+    a signal) and the pipeline still runs to JOB_END; a spawn failure is
+    recorded the same way, with detail ``spawn_error: <OSError>``. Tasks run
+    with the output directory as working directory, so relative paths hand
+    files between stages.
 
     A KeyboardInterrupt (SIGINT) terminates and reaps the running tasks,
     cancels every task not yet terminal with detail ``interrupted``, logs

@@ -27,6 +27,7 @@ from ensemblekit.engine import (
     RuntimeModel,
     run_simulated,
 )
+from ensemblekit.errors import Interrupted
 from ensemblekit.events import EventLog, scheduled_detail
 from ensemblekit.metrics import compute_utilization
 from ensemblekit.platform import get_profile, usable_cores
@@ -1716,6 +1717,37 @@ class TestInterruptedRun:
         assert out.startswith(f"attempt 1: {log} ")
         assert log.read_bytes() == clean.read_bytes()
         assert not (tmp_path / "run.attempt2.jsonl").exists()
+
+    def test_ctrl_c_in_a_run_retry_keeps_the_earlier_lines(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        spec = single_stage("s", [TaskDescription(
+            uid="doomed", executable="/bin/sh", arguments=("-c", "exit 3"),
+        )])
+        wf = tmp_path / "wf.json"
+        spec.save(wf)
+        real_run_local = cli.run_local
+        calls = []
+
+        def interrupted_retry(specs, platform, max_parallel, out_dir):
+            calls.append(out_dir)
+            log = real_run_local(specs, platform, max_parallel, out_dir)
+            if len(calls) == 2:
+                raise Interrupted("run interrupted", log)
+            return log
+
+        monkeypatch.setattr(cli, "run_local", interrupted_retry)
+        out_dir = tmp_path / "out"
+        assert run_cli("run", "--workflow", str(wf), "--out", str(out_dir),
+                       "--max-attempts", "3") == 1
+        out, err = capsys.readouterr()
+        assert err == "error: Interrupted: run interrupted\n"
+        assert re.fullmatch(
+            r"attempt 1: done=0 failed=1 canceled=0 makespan=\d+\.\ds "
+            r"node_utilization=\d\.\d{3}\n", out,
+        )
+        assert len(calls) == 2
+        assert (out_dir / "attempt-2" / "events.jsonl").exists()
 
     def test_sigint_leaves_a_complete_log_resubmit_accepts(
         self, tmp_path, capsys, sigint_raises

@@ -1,6 +1,10 @@
+import errno
 import json
 import os
+import selectors
+import signal
 import subprocess
+import sys
 import time
 
 import pytest
@@ -74,7 +78,90 @@ def test_missing_executable_recorded_as_failure(local, tmp_path):
     log = run_local(wf, local, 1, tmp_path)
     fail = next(e for e in log if e.kind == ev.TASK_FAILED)
     assert fail.task_uid == "ghost"
-    assert "exit_code=127" in fail.detail
+    assert fail.detail == (
+        f"spawn_error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: "
+        "'/no/such/binary'"
+    )
+
+
+def py_task(uid, code, *args, **kw):
+    return TaskDescription(
+        uid=uid, executable=sys.executable, arguments=("-c", code, *args), **kw
+    )
+
+
+def _stdout(out_dir, uid):
+    return (out_dir / "task-logs" / f"{uid}.out").read_text()
+
+
+def test_a_task_without_pre_exec_is_a_child_of_the_runner(local, tmp_path):
+    wf = single_stage("s", [
+        py_task("direct", "import os; print(os.getppid())"),
+        sh_task("sh", "echo $PPID"),
+    ])
+    log = run_local(wf, local, 2, tmp_path)
+    assert log[-1].detail == "done=2 failed=0 canceled=0"
+    for uid in ("direct", "sh"):
+        assert _stdout(tmp_path, uid) == f"{os.getpid()}\n"
+
+
+@pytest.mark.parametrize("pre_exec", [(), ("true",)])
+def test_arguments_arrive_verbatim(local, tmp_path, pre_exec):
+    args = ("two words", "it's", '"quoted"', "$HOME", "*", "")
+    wf = single_stage("s", [py_task(
+        "argv", "import json, sys; print(json.dumps(sys.argv[1:]))", *args,
+        pre_exec=pre_exec,
+    )])
+    log = run_local(wf, local, 1, tmp_path)
+    assert log[-1].detail == "done=1 failed=0 canceled=0"
+    assert json.loads(_stdout(tmp_path, "argv")) == list(args)
+
+
+@pytest.mark.parametrize("pre_exec", [(), ("true",)])
+def test_pwd_is_the_real_path_of_the_output_directory(
+    local, tmp_path, pre_exec
+):
+    real = tmp_path / "real"
+    real.mkdir()
+    link = tmp_path / "link"
+    link.symlink_to(real)
+    wf = single_stage("s", [py_task(
+        "pwd", "import os; print(os.environ['PWD'], os.getcwd())",
+        pre_exec=pre_exec,
+    )])
+    run_local(wf, local, 1, link)
+    expected = os.path.realpath(real)
+    assert _stdout(real, "pwd") == f"{expected} {expected}\n"
+
+
+def test_a_script_without_a_shebang_is_a_spawn_error(local, tmp_path):
+    script = tmp_path / "no-shebang"
+    script.write_text("true\n")
+    script.chmod(0o755)
+    wf = single_stage("s", [make_task("script", executable=str(script))])
+    log = run_local(wf, local, 1, tmp_path)
+    assert [e.kind for e in log if e.task_uid == "script"] == [
+        ev.TASK_SCHEDULED, ev.TASK_LAUNCHED, ev.TASK_FAILED
+    ]
+    assert log[-2].detail.startswith(f"spawn_error: [Errno {errno.ENOEXEC}] ")
+
+
+def test_missing_executable_after_pre_exec_is_the_shells_127(local, tmp_path):
+    wf = single_stage("s", [make_task(
+        "ghost", executable="/no/such/binary", pre_exec=("true",)
+    )])
+    log = run_local(wf, local, 1, tmp_path)
+    assert log[-2].kind == ev.TASK_FAILED
+    assert log[-2].detail == "exit_code=127"
+
+
+def test_a_task_killed_by_a_signal_records_its_negative(local, tmp_path):
+    wf = single_stage("s", [py_task(
+        "killed", "import os, signal; os.kill(os.getpid(), signal.SIGKILL)"
+    )])
+    log = run_local(wf, local, 1, tmp_path)
+    assert log[-2].kind == ev.TASK_FAILED
+    assert log[-2].detail == f"exit_code=-{signal.SIGKILL}"
 
 
 def test_spawn_failure_fails_the_task_and_frees_its_slots(
@@ -122,6 +209,62 @@ def test_spawn_failure_fails_the_task_and_frees_its_slots(
         "cores_reserved", "gpus_per_node", "bootstrap_s", "walltime_s",
         "max_parallel",
     ]
+
+
+class _UnwatchableSelector(selectors.DefaultSelector):
+    def register(self, fileobj, events, data=None):
+        if data == "sleeper":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return super().register(fileobj, events, data)
+
+
+@pytest.mark.parametrize("fails", ["pidfd_open", "register"])
+def test_a_child_that_cannot_be_watched_is_killed_and_failed(
+    tmp_path, monkeypatch, fails
+):
+    # the second task spawns, but its pidfd cannot be opened or watched:
+    # its child is killed and reaped, and the run goes on to a full log
+    host = small_platform(cores=8, nodes=1)
+    real_popen, real_pidfd_open = subprocess.Popen, os.pidfd_open
+    children = {}
+
+    def popen(argv, **kw):
+        proc = real_popen(argv, **kw)
+        children[argv[0]] = proc
+        return proc
+
+    def pidfd_open(pid, *args):
+        if "sleep" in children and children["sleep"].pid == pid:
+            raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+        return real_pidfd_open(pid, *args)
+
+    monkeypatch.setattr(local_backend.subprocess, "Popen", popen)
+    if fails == "pidfd_open":
+        monkeypatch.setattr(local_backend.os, "pidfd_open", pidfd_open)
+    else:
+        monkeypatch.setattr(
+            local_backend.selectors, "DefaultSelector", _UnwatchableSelector
+        )
+    wf = single_stage("s", [
+        make_task("a", executable="/bin/true"),
+        make_task("sleeper", executable="sleep", arguments=("30",)),
+        make_task("b", executable="/bin/true"),
+    ])
+    before = _open_fds()
+    start = time.monotonic()
+    log = run_local(wf, host, 2, tmp_path)
+    assert time.monotonic() - start < 10
+    assert _open_fds() == before
+    sleeper = [e for e in log if e.task_uid == "sleeper"]
+    assert [e.kind for e in sleeper] == [
+        ev.TASK_SCHEDULED, ev.TASK_LAUNCHED, ev.TASK_FAILED
+    ]
+    code = errno.EMFILE if fails == "pidfd_open" else errno.ENOSPC
+    assert sleeper[-1].detail.startswith(f"spawn_error: [Errno {code}] ")
+    # the child was killed and reaped, not left running
+    assert children["sleep"].returncode == -signal.SIGKILL
+    assert log[-1].kind == ev.JOB_END
+    assert log[-1].detail == "done=2 failed=1 canceled=0"
 
 
 def test_concurrency_never_exceeds_max_parallel(local, tmp_path):
