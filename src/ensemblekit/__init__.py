@@ -13,12 +13,7 @@ attempt runner, and ``metrics`` the utilization/concurrency/throughput
 accounting over event logs.
 """
 
-from ensemblekit.engine import (
-    DurationSpec,
-    FailureModel,
-    RuntimeModel,
-    run_simulated,
-)
+from ensemblekit.engine import RuntimeModel, run_simulated
 from ensemblekit.events import Event, EventLog
 from ensemblekit.local import run_local
 from ensemblekit.metrics import (
@@ -54,10 +49,8 @@ from ensemblekit.workloads import generate_example
 __version__ = "0.1.0"
 
 __all__ = [
-    "DurationSpec",
     "Event",
     "EventLog",
-    "FailureModel",
     "JobRun",
     "NodeSpec",
     "PlatformConfig",

@@ -33,8 +33,6 @@ from ensemblekit.errors import (
     Interrupted,
 )
 from ensemblekit.engine import (
-    DurationSpec,
-    FailureModel,
     NodeFault,
     RuntimeModel,
     TaskFault,
@@ -59,17 +57,17 @@ from ensemblekit.workloads import SHAPES, generate_example
 _CONFIG_ERRORS = (ConfigError, OSError)
 
 
-def _parse_runtime(text: str) -> DurationSpec:
+def _parse_runtime(text: str, seed: int) -> RuntimeModel:
     usage = f"bad --runtime {text!r}; use expected, fixed:S or uniform:LO,HI"
     if text == "expected":
-        return DurationSpec.expected()
+        return RuntimeModel(seed=seed)
     kind, _, args = text.partition(":")
     try:
         if kind == "fixed":
-            return DurationSpec.fixed(float(args))
+            return RuntimeModel("fixed", float(args), seed=seed)
         if kind == "uniform":
             lo, hi = args.split(",")
-            return DurationSpec.uniform(float(lo), float(hi))
+            return RuntimeModel("uniform", float(lo), float(hi), seed)
     except ValueError as e:
         raise ConfigError(usage) from e
     raise ConfigError(usage)
@@ -106,28 +104,40 @@ def _load_platform(args) -> PlatformConfig:
     return get_profile(args.profile)
 
 
-def _attempt_path(base: Path, attempt: int) -> Path:
+def _attempt_path(first: Path, retry: tuple[str, str], attempt: int) -> Path:
+    """The log path of an attempt: ``first`` for attempt 1, and for attempt
+    K the path ``retry[0] + K + retry[1]`` relative to first's parent."""
     if attempt == 1:
-        return base
-    return base.with_name(f"{base.stem}.attempt{attempt}{base.suffix}")
+        return first
+    return first.parent / f"{retry[0]}{attempt}{retry[1]}"
 
 
-def _check_writable(path: Path, attempts: int) -> None:
-    """Raise, creating nothing, the OSError that opening the path of an
-    attempt up to ``attempts`` for writing would raise because its parent
-    is missing or not a directory, or it is a directory."""
+def _check_writable(
+    first: Path, retry: tuple[str, str], attempts: int
+) -> None:
+    """Raise, creating nothing, the OSError that writing the log of an
+    attempt up to ``attempts`` (at :func:`_attempt_path`) would raise
+    because first's parent is missing or not a directory, a directory on a
+    retry's path is a file, or the log is a directory."""
     # os.stat raises FileNotFoundError or NotADirectoryError itself, and
     # OSError(errno, ...) makes the subclass of that errno
-    if not stat.S_ISDIR(os.stat(path.parent).st_mode):
-        raise OSError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(path))
+    if not stat.S_ISDIR(os.stat(first.parent).st_mode):
+        raise OSError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(first))
     # one listing finds the retries' paths: attempts may outnumber names
-    retry = re.compile(rf"{re.escape(path.stem)}\.attempt([1-9][0-9]*)"
-                       + re.escape(path.suffix))
-    names = os.listdir(path.parent) if attempts > 1 else []
-    for p in [path, *(path.parent / name for name in names)]:
-        n = retry.fullmatch(p.name)
-        if (p is path or n and 1 < int(n[1]) <= attempts) and p.is_dir():
-            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), str(p))
+    head, _, tail = retry[1].partition("/")
+    name = re.compile(re.escape(retry[0]) + "([1-9][0-9]*)" + re.escape(head))
+    paths = [first]
+    for entry in os.listdir(first.parent) if attempts > 1 else []:
+        n = name.fullmatch(entry)
+        if n and 1 < int(n[1]) <= attempts:
+            paths.append(first.parent / entry / tail)
+    for path in paths:
+        try:
+            mode = os.stat(path).st_mode
+        except FileNotFoundError:
+            continue  # the attempt makes it
+        if stat.S_ISDIR(mode):
+            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
 
 
 def _summarize(log: EventLog) -> str:
@@ -157,16 +167,13 @@ def cmd_simulate(args) -> int:
     walltime = args.walltime
     if walltime is None:
         walltime = max_walltime_for(platform.policy, nodes)
-    runtime_model = RuntimeModel(
-        default=_parse_runtime(args.runtime), seed=args.seed
-    )
-    failure_model = FailureModel(
-        node_faults=tuple(_parse_fail_node(t) for t in args.fail_node),
-        task_faults=tuple(_parse_fail_task(t) for t in args.fail_task),
-    )
+    runtime_model = _parse_runtime(args.runtime, args.seed)
+    node_faults = [_parse_fail_node(t) for t in args.fail_node]
+    task_faults = [_parse_fail_task(t) for t in args.fail_task]
 
     out = Path(args.out)
-    _check_writable(out, args.max_attempts)  # fail before the run
+    retry = (f"{out.stem}.attempt", out.suffix)
+    _check_writable(out, retry, args.max_attempts)  # fail before the run
 
     def run_attempt(specs, attempt, nodes, walltime_s):
         # injected faults hit attempt 1 only; retries run clean
@@ -176,13 +183,14 @@ def cmd_simulate(args) -> int:
             nodes,
             walltime_s,
             runtime_model,
-            failure_model if attempt == 1 else None,
+            node_faults=node_faults if attempt == 1 else (),
+            task_faults=task_faults if attempt == 1 else (),
             launch_delay_s=args.launch_delay,
             launch_rate_cap=args.launch_rate_cap,
         )
         # written as the attempt ends, so an error or Ctrl-C in a retry
         # keeps the logs of the attempts before it
-        path = _attempt_path(out, attempt)
+        path = _attempt_path(out, retry, attempt)
         log.save_jsonl(path)
         print(f"attempt {attempt}: {path} {_summarize(log)}")
         return log
@@ -197,17 +205,21 @@ def cmd_simulate(args) -> int:
 def cmd_run(args) -> int:
     platform = _load_platform(args)
     spec = WorkflowSpec.load(args.workflow)
-    out_dir = Path(args.out)
+    first = Path(args.out) / "events.jsonl"
+    retry = ("attempt-", "/events.jsonl")
+    # fail before the run; a missing --out holds nothing in the way
+    if first.parent.exists():
+        _check_writable(first, retry, args.max_attempts)
 
     def run_attempt(specs, attempt, nodes, walltime_s):
+        path = _attempt_path(first, retry, attempt)
         # run_local makes the attempt's directory
-        attempt_dir = out_dir if attempt == 1 else out_dir / f"attempt-{attempt}"
         try:
-            log = run_local(specs, platform, args.max_parallel, attempt_dir)
+            log = run_local(specs, platform, args.max_parallel, path.parent)
         except Interrupted as e:
-            e.log.save_jsonl(attempt_dir / "events.jsonl")
+            e.log.save_jsonl(path)
             raise
-        log.save_jsonl(attempt_dir / "events.jsonl")
+        log.save_jsonl(path)
         # printed as the attempt ends, so a Ctrl-C in a retry keeps the
         # lines of the attempts before it
         print(f"attempt {attempt}: {_summarize(log)}")

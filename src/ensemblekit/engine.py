@@ -7,12 +7,15 @@ decides when each placed task launches and how it ends, and :func:`step`
 applies one heap event. Strictly single-threaded and deterministic:
 identical inputs and seeds yield byte-identical logs.
 
-Fault injection: a persistent node fault kills the task running on the node
-at fault time and every task launched onto it afterwards; the scheduler keeps
-placing work there because nothing diagnoses the node, which reproduces the
-cascade of sequential failures one bad node causes in a wave-structured run.
-A transient fault kills current holders only. Task faults fail one task at a
-fraction of its runtime.
+How long a task runs is one :class:`RuntimeModel` for the whole job.
+
+Fault injection: :func:`run_simulated` takes the job's :class:`NodeFault`
+and :class:`TaskFault` lists. A persistent node fault kills the task running
+on the node at fault time and every task launched onto it afterwards; the
+scheduler keeps placing work there because nothing diagnoses the node, which
+reproduces the cascade of sequential failures one bad node causes in a
+wave-structured run. A transient fault kills current holders only. Task
+faults fail one task at a fraction of its runtime.
 """
 
 from __future__ import annotations
@@ -33,13 +36,23 @@ from ensemblekit.scheduler import Pilot
 
 
 @dataclass(frozen=True)
-class DurationSpec:
-    """How long a task class runs: a fixed value, a uniform draw, or the
-    task's own expected_runtime_s hint."""
+class RuntimeModel:
+    """How long every task runs, plus the seed: a fixed ``lo_s``, a uniform
+    draw from [``lo_s``, ``hi_s``], or each task's own expected_runtime_s
+    hint (``kind`` "fixed", "uniform" or "expected").
 
-    kind: str  # "fixed" | "uniform" | "expected"
+    Draws are keyed by (seed, task uid) so a task's duration does not depend
+    on scheduling order: each draw reseeds the model's one generator, which
+    draws what ``random.Random(f"{seed}/{uid}")`` would.
+    """
+
+    kind: str = "expected"  # "fixed" | "uniform" | "expected"
     lo_s: float = 0.0
     hi_s: float = 0.0
+    seed: int = 0
+    _rng: random.Random = field(
+        default_factory=random.Random, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.kind not in ("fixed", "uniform", "expected"):
@@ -52,42 +65,13 @@ class DurationSpec:
             if self.lo_s <= 0 or self.hi_s < self.lo_s:
                 raise ConfigError("uniform duration needs 0 < lo <= hi")
 
-    @classmethod
-    def fixed(cls, seconds: float) -> "DurationSpec":
-        return cls(kind="fixed", lo_s=seconds, hi_s=seconds)
-
-    @classmethod
-    def uniform(cls, lo_s: float, hi_s: float) -> "DurationSpec":
-        return cls(kind="uniform", lo_s=lo_s, hi_s=hi_s)
-
-    @classmethod
-    def expected(cls) -> "DurationSpec":
-        return cls(kind="expected")
-
-
-@dataclass(frozen=True)
-class RuntimeModel:
-    """One duration distribution for every task, plus the seed.
-
-    Draws are keyed by (seed, task uid) so a task's duration does not depend
-    on scheduling order: each draw reseeds the model's one generator, which
-    draws what ``random.Random(f"{seed}/{uid}")`` would.
-    """
-
-    default: DurationSpec = field(default_factory=DurationSpec.expected)
-    seed: int = 0
-    _rng: random.Random = field(
-        default_factory=random.Random, init=False, repr=False, compare=False
-    )
-
     def duration_for(self, desc: TaskDescription) -> float:
-        spec = self.default
-        if spec.kind == "fixed":
-            return spec.lo_s
-        if spec.kind == "uniform":
+        if self.kind == "fixed":
+            return self.lo_s
+        if self.kind == "uniform":
             rng = self._rng
             rng.seed(f"{self.seed}/{desc.uid}")
-            return rng.uniform(spec.lo_s, spec.hi_s)
+            return rng.uniform(self.lo_s, self.hi_s)
         if desc.expected_runtime_s is None:
             raise ConfigError(
                 f"task {desc.uid} has no expected_runtime_s and the runtime "
@@ -113,12 +97,6 @@ class TaskFault:
             raise ConfigError("at_fraction must be in (0, 1]")
 
 
-@dataclass(frozen=True)
-class FailureModel:
-    node_faults: tuple[NodeFault, ...] = ()
-    task_faults: tuple[TaskFault, ...] = ()
-
-
 # Internal event priorities at equal timestamps: completions run before
 # failures, failures before launches, walltime expiry last.
 _PRIO_BOOTSTRAP = 0
@@ -132,8 +110,8 @@ class SimState:
     """Mutable state of a running simulation, and the backend its
     :class:`Pilot` drives: each :meth:`advance` applies one heap event
     through :func:`step`. The job's tasks, slots and log live in the pilot;
-    the state adds the pending-event heap, the runtime and fault models and
-    launch timing."""
+    the state adds the pending-event heap, the runtime model, the injected
+    node and task faults, and launch timing."""
 
     def __init__(
         self,
@@ -142,7 +120,8 @@ class SimState:
         allocation_nodes: int,
         walltime_s: float,
         runtime_model: RuntimeModel,
-        failure_model: Optional[FailureModel],
+        node_faults: Sequence[NodeFault] = (),
+        task_faults: Sequence[TaskFault] = (),
         launch_delay_s: float = 0.0,
         launch_rate_cap: Optional[float] = None,
     ):
@@ -156,9 +135,8 @@ class SimState:
         )
         self.log = self.pilot.log
         self.runtime_model = runtime_model
-        failure_model = failure_model or FailureModel()
         self.task_faults: dict[str, float] = {
-            f.uid: f.at_fraction for f in failure_model.task_faults
+            f.uid: f.at_fraction for f in task_faults
         }
         unknown = sorted(
             uid for uid in self.task_faults if uid not in self.pilot.job.runs
@@ -178,7 +156,7 @@ class SimState:
         self._push(
             platform.bootstrap_overhead_s, _PRIO_BOOTSTRAP, "", "bootstrap", None
         )
-        for fault in failure_model.node_faults:
+        for fault in node_faults:
             if not 0 <= fault.node_id < allocation_nodes:
                 raise ConfigError(
                     f"fault node {fault.node_id} outside allocation"
@@ -315,8 +293,9 @@ def run_simulated(
     allocation_nodes: int,
     walltime_s: float,
     runtime_model: RuntimeModel,
-    failure_model: Optional[FailureModel] = None,
     *,
+    node_faults: Sequence[NodeFault] = (),
+    task_faults: Sequence[TaskFault] = (),
     launch_delay_s: float = 0.0,
     launch_rate_cap: Optional[float] = None,
 ) -> EventLog:
@@ -325,6 +304,9 @@ def run_simulated(
     Deterministic given seeds. The log starts with JOB_START at ts 0 and
     BOOTSTRAP_DONE at the platform's bootstrap overhead; tasks still running
     at the walltime are canceled and the job ends exactly then.
+    ``node_faults`` and ``task_faults`` are injected into this job:
+    ConfigError for a fault on a node outside the allocation or at a time
+    outside [0, walltime_s], or on a task the job does not hold.
     """
     if isinstance(specs, WorkflowSpec):
         specs = [specs]
@@ -371,7 +353,8 @@ def run_simulated(
         allocation_nodes,
         walltime_s,
         runtime_model,
-        failure_model,
+        node_faults,
+        task_faults,
         launch_delay_s=launch_delay_s,
         launch_rate_cap=launch_rate_cap,
     )

@@ -61,8 +61,9 @@ class SlotTable:
     min-heap of node ids with a free core keeps first-fit scans cheap at the
     8000-node scale; the arrays stay authoritative. A node without a free
     core can host no chunk (every rank needs at least one core), so it
-    leaves the heap until a release frees one. ``holders[node_id]`` is the
-    set of task uids whose active placement covers that node.
+    leaves the heap until a release frees one: the heap holds each node
+    with a free core exactly once. ``holders[node_id]`` is the set of task
+    uids whose active placement covers that node.
     """
 
     def __init__(self, node: NodeSpec, node_count: int):
@@ -76,7 +77,6 @@ class SlotTable:
         self.holders: list[set[str]] = [set() for _ in range(node_count)]
         self._active: dict[str, Placement] = {}
         self._avail = list(range(node_count))  # already a heap: sorted
-        self._queued = [True] * node_count
         # bumped by every release: only a release makes room
         self.releases = 0
 
@@ -138,7 +138,7 @@ def try_place(
     gpus_pp = desc.gpus_per_process
     remainder = desc.cpu_processes - procs_per_node * (nodes_needed - 1)
     free_cores, free_gpus = table.free_cores, table.free_gpus
-    avail, queued = table._avail, table._queued
+    avail = table._avail
 
     chosen: list[int] = []
     popped: list[int] = []
@@ -148,7 +148,6 @@ def try_place(
     cores, gpus = chunk * threads, chunk * gpus_pp
     while avail and len(chosen) < nodes_needed:
         node_id = heapq.heappop(avail)
-        queued[node_id] = False
         popped.append(node_id)
         if free_cores[node_id] >= cores and free_gpus[node_id] >= gpus:
             chosen.append(node_id)
@@ -168,7 +167,6 @@ def try_place(
     for node_id in popped:
         if free_cores[node_id] > 0:
             heapq.heappush(avail, node_id)
-            queued[node_id] = True
     return placement
 
 
@@ -184,14 +182,15 @@ def release(table: SlotTable, placement: Placement) -> None:
     free_cores, free_gpus, holders = (
         table.free_cores, table.free_gpus, table.holders
     )
-    avail, queued = table._avail, table._queued
+    avail = table._avail
     for node_id, procs in zip(placement.node_ids, placement.chunks):
+        # a node is out of the heap exactly when it has no free core, and
+        # every chunk frees at least one
+        if not free_cores[node_id]:
+            heapq.heappush(avail, node_id)
         free_cores[node_id] += procs * threads
         free_gpus[node_id] += procs * gpus_pp
         holders[node_id].remove(uid)
-        if not queued[node_id] and free_cores[node_id] > 0:
-            heapq.heappush(avail, node_id)
-            queued[node_id] = True
 
 
 class Pilot:
@@ -222,8 +221,6 @@ class Pilot:
         self._blocked: tuple[Optional[TaskDescription], int] = (None, 0)
         # the TASK_SCHEDULED detail of each reservation shape placed so far
         self._details: dict[tuple[int, int, tuple[int, ...]], str] = {}
-        # the terminal events logged so far, by kind
-        self._ends = dict.fromkeys(ev.TERMINAL_KINDS, 0)
         self.log = EventLog()
         start = {
             "backend": None,
@@ -287,7 +284,6 @@ class Pilot:
         placement = self.table.placement_of(uid)
         node_ids = None if placement is None else placement.node_ids
         self.emit(ts, kind, uid, node_ids, detail)
-        self._ends[kind] += 1
         if placement is not None:
             release(self.table, placement)
         self.queue.extend(self.job.finish(uid))
@@ -303,11 +299,14 @@ class Pilot:
 
     @property
     def tally(self) -> str:
-        """Terminal-event counts as the JOB_END detail reports them."""
-        n = self._ends
+        """Terminal-event counts as the JOB_END detail reports them: a
+        task's last event is its one terminal event, if it has one."""
+        last_kind = self.log.last_kind
+        kinds = [last_kind(uid) for uid in self.job.runs]
         return (
-            f"done={n[ev.TASK_DONE]} failed={n[ev.TASK_FAILED]} "
-            f"canceled={n[ev.TASK_CANCELED]}"
+            f"done={kinds.count(ev.TASK_DONE)} "
+            f"failed={kinds.count(ev.TASK_FAILED)} "
+            f"canceled={kinds.count(ev.TASK_CANCELED)}"
         )
 
     def end(self, ts: float) -> None:

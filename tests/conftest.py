@@ -93,15 +93,15 @@ def save_platform(config, path):
     path.write_text(json.dumps(platform_doc(config), indent=2) + "\n")
 
 
-def simulated_attempts(platform, runtime_model, *failure_models):
+def simulated_attempts(platform, runtime_model, *faults):
     """A retry_loop attempt runner over run_simulated: attempt k runs with
-    ``failure_models[k-1]``, later attempts run clean."""
+    the ``node_faults``/``task_faults`` keywords ``faults[k-1]``, later
+    attempts run clean."""
 
     def run_attempt(specs, attempt, nodes, walltime_s):
-        faults = failure_models[attempt - 1:attempt]
+        kwargs = faults[attempt - 1] if attempt <= len(faults) else {}
         return run_simulated(
-            specs, platform, nodes, walltime_s, runtime_model,
-            faults[0] if faults else None,
+            specs, platform, nodes, walltime_s, runtime_model, **kwargs
         )
 
     return run_attempt

@@ -12,8 +12,6 @@ import time
 from ensemblekit import events as ev
 from ensemblekit.cli import main as cli_main
 from ensemblekit.engine import (
-    DurationSpec,
-    FailureModel,
     NodeFault,
     RuntimeModel,
     run_simulated,
@@ -54,7 +52,7 @@ from conftest import (
 # Calibrated member runtime: uniform with mean 922 s, the per-task average
 # implied by 90% utilization of 8000 nodes over an 8074 s job running
 # 7875 eight-node members.
-CALIBRATED = DurationSpec.uniform(600.0, 1244.0)
+CALIBRATED = ("uniform", 600.0, 1244.0)
 
 
 def check(criterion: str, ok: bool, detail: str = ""):
@@ -93,7 +91,7 @@ def test_criterion_1_frontier_scale_reproduction(tmp_path):
     wf = frontier_ensemble()
     t0 = time.monotonic()
     log = run_simulated(
-        wf, platform, 8000, 12000.0, RuntimeModel(default=CALIBRATED, seed=1)
+        wf, platform, 8000, 12000.0, RuntimeModel(*CALIBRATED, seed=1)
     )
     stack = compute_utilization(log)
     series = concurrency_series(log)
@@ -137,7 +135,7 @@ def test_criterion_2_throughput_substitutes():
     wf = frontier_ensemble(1500)
     log = run_simulated(
         wf, platform, 8000, 12000.0,
-        RuntimeModel(default=CALIBRATED, seed=2), launch_rate_cap=51.0,
+        RuntimeModel(*CALIBRATED, seed=2), launch_rate_cap=51.0,
     )
     rates = throughput(log, concurrency_series(log))
     measured = rates.launching_rate_tasks_per_s
@@ -172,9 +170,9 @@ def test_criterion_2_throughput_substitutes():
 def test_criterion_3_fault_tolerance_reproduction():
     platform = get_profile("frontier-sim")
     wf = single_stage("members", [exaconstit_task(f"m{i:03d}") for i in range(48)])
-    fault = FailureModel(node_faults=(NodeFault(2, 700.0, persistent=True),))
-    model = RuntimeModel(default=CALIBRATED, seed=3)
-    runner = simulated_attempts(platform, model, fault)
+    fault = NodeFault(2, 700.0, persistent=True)
+    model = RuntimeModel(*CALIBRATED, seed=3)
+    runner = simulated_attempts(platform, model, {"node_faults": (fault,)})
     logs, unresolved = retry_loop(
         wf, platform, runner, 64, 7200.0, max_attempts=2
     )
@@ -221,15 +219,13 @@ def test_criterion_3_fault_tolerance_reproduction():
             stages.append(Stage(name=f"s{s}", tasks=tuple(tasks)))
         spec = WorkflowSpec(name=f"chain{seed}", stages=tuple(stages))
         nodes = rng.randint(2, 4)
-        fault_models = (
-            FailureModel(node_faults=(NodeFault(
-                rng.randrange(nodes), rng.uniform(1.0, 400.0), persistent=True
-            ),)),
+        fault = NodeFault(
+            rng.randrange(nodes), rng.uniform(1.0, 400.0), persistent=True
         )
         runner = simulated_attempts(
             platform_for(nodes),
-            RuntimeModel(default=DurationSpec.uniform(10.0, 100.0), seed=seed),
-            *fault_models,
+            RuntimeModel("uniform", 10.0, 100.0, seed=seed),
+            {"node_faults": (fault,)},
         )
         logs, unresolved = retry_loop(
             spec, platform_for(nodes), runner, nodes, 50000.0,
@@ -366,7 +362,7 @@ def test_criterion_6_pst_semantics():
         spec = WorkflowSpec(name=f"wf{seed}", stages=tuple(stages))
         log = run_simulated(
             spec, platform, 4, 1e6,
-            RuntimeModel(default=DurationSpec.uniform(5.0, 50.0), seed=seed),
+            RuntimeModel("uniform", 5.0, 50.0, seed=seed),
         )
         tasks = events_by_task(log)
         for k in range(len(stages) - 1):
@@ -385,7 +381,7 @@ def test_criterion_6_pst_semantics():
     wf = single_stage("s", [make_task("a", procs=8, expected=100.0),
                             make_task("b", procs=8, expected=100.0)])
     log = run_simulated(wf, platform, 2, 1e6,
-                        RuntimeModel(default=DurationSpec.expected()))
+                        RuntimeModel())
     series = concurrency_series(log)
     check("6b same-stage tasks overlap when capacity allows",
           max(p.n_running for p in series.points) == 2)
@@ -401,7 +397,7 @@ def test_criterion_6_pst_semantics():
         ),
     )
     log = run_simulated([slow, fast], platform, 4, 1e6,
-                        RuntimeModel(default=DurationSpec.expected()))
+                        RuntimeModel())
     tasks = events_by_task(log)
     check(
         "6c pipelines progress independently",
@@ -448,14 +444,14 @@ def test_criterion_7_local_backend_end_to_end(tmp_path, capsys):
 def test_criterion_8_determinism(tmp_path):
     platform = get_profile("frontier-sim")
     wf = single_stage("members", [exaconstit_task(f"m{i:03d}") for i in range(64)])
-    model = RuntimeModel(default=CALIBRATED, seed=17)
-    fault = FailureModel(node_faults=(NodeFault(5, 900.0, persistent=True),))
+    model = RuntimeModel(*CALIBRATED, seed=17)
+    fault = NodeFault(5, 900.0, persistent=True)
 
     log_bytes = []
     export_bytes = []
     for i in range(2):
-        log = run_simulated(wf, platform, 128, 21600.0, model, fault,
-                            launch_rate_cap=200.0)
+        log = run_simulated(wf, platform, 128, 21600.0, model,
+                            node_faults=(fault,), launch_rate_cap=200.0)
         log_path = tmp_path / f"run{i}.jsonl"
         log.save_jsonl(log_path)
         log_bytes.append(log_path.read_bytes())

@@ -1,10 +1,8 @@
 import ensemblekit
 
 PUBLIC = [
-    "DurationSpec",
     "Event",
     "EventLog",
-    "FailureModel",
     "JobRun",
     "NodeSpec",
     "PlatformConfig",

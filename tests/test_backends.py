@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from ensemblekit import events as ev
 from ensemblekit.cli import main
 from ensemblekit.engine import (
-    DurationSpec,
-    FailureModel,
     RuntimeModel,
     TaskFault,
     run_simulated,
@@ -21,7 +19,7 @@ from ensemblekit.pst import Stage, WorkflowSpec
 from conftest import make_task, save_platform, small_platform
 
 ONE_CORE = small_platform(cores=1, nodes=1)
-ONE_SECOND = RuntimeModel(default=DurationSpec.fixed(1.0))
+ONE_SECOND = RuntimeModel("fixed", 1.0)
 
 
 def untimed(log):
@@ -82,6 +80,6 @@ def test_one_core_jobs_log_the_same_events_on_both_backends(
     ran = run_local(specs, ONE_CORE, 1, tmp_path_factory.mktemp("run"))
     simulated = run_simulated(
         specs, ONE_CORE, 1, 10000.0, ONE_SECOND,
-        FailureModel(task_faults=tuple(faults)),
+        task_faults=tuple(faults),
     )
     assert untimed(ran) == untimed(simulated)

@@ -21,8 +21,6 @@ from ensemblekit import cli
 from ensemblekit import events as ev
 from ensemblekit.cli import main
 from ensemblekit.engine import (
-    DurationSpec,
-    FailureModel,
     NodeFault,
     RuntimeModel,
     run_simulated,
@@ -881,7 +879,7 @@ def _shared_node_log() -> list[dict]:
     ]
     log = run_simulated(
         single_stage("s", tasks), small_platform(cores=4, gpus=2, nodes=3),
-        3, 1000.0, RuntimeModel(DurationSpec.uniform(1.0, 10.0), seed=0),
+        3, 1000.0, RuntimeModel("uniform", 1.0, 10.0, seed=0),
     )
     return [event._asdict() for event in log]
 
@@ -1498,8 +1496,8 @@ def _small_fault_log():
     platform = small_platform(cores=4, gpus=2, nodes=3, bootstrap=1.0)
     log = run_simulated(
         spec, platform, 3, 18.0,
-        RuntimeModel(DurationSpec.uniform(1.0, 10.0), seed=0),
-        FailureModel(node_faults=(NodeFault(1, 5.0, persistent=True),)),
+        RuntimeModel("uniform", 1.0, 10.0, seed=0),
+        node_faults=(NodeFault(1, 5.0, persistent=True),),
     )
     return platform, spec, [event._asdict() for event in log]
 
@@ -1624,6 +1622,52 @@ class TestRunLocal:
         assert run_cli("run", "--workflow", str(wf), "--out", str(out)) == 2
         assert "Unplaceable" in capsys.readouterr().err
         assert not (out / "events.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "entry, make, error",
+        [
+            ("events.jsonl", Path.mkdir, "IsADirectoryError"),
+            ("attempt-2", Path.touch, "NotADirectoryError"),
+            ("attempt-2/events.jsonl", Path.mkdir, "IsADirectoryError"),
+        ],
+        ids=["log-is-a-directory", "retry-directory-is-a-file",
+             "retry-log-is-a-directory"],
+    )
+    def test_log_path_of_every_attempt_is_checked_before_the_run(
+        self, tmp_path, capsys, entry, make, error
+    ):
+        # attempt 1 fails a task, so attempt 2 would run; the other task
+        # leaves a marker in the output directory
+        wf = tmp_path / "wf.json"
+        single_stage("s", [
+            TaskDescription(uid="doomed", executable="/bin/sh",
+                            arguments=("-c", "exit 3")),
+            TaskDescription(uid="fine", executable="/bin/sh",
+                            arguments=("-c", "touch fine.done")),
+        ]).save(wf)
+        out = tmp_path / "out"
+        (out / entry).parent.mkdir(parents=True, exist_ok=True)
+        make(out / entry)
+        assert run_cli("run", "--workflow", str(wf), "--out", str(out),
+                       "--max-attempts", "2") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {error}: ") and "Traceback" not in err
+        assert not list(out.rglob("task-logs"))
+        assert not list(out.rglob("*.done"))
+
+    def test_entries_no_attempt_writes_to_leave_run_alone(self, tmp_path):
+        wf = tmp_path / "wf.json"
+        single_stage("s", [
+            TaskDescription(uid="doomed", executable="/bin/sh",
+                            arguments=("-c", "exit 3")),
+        ]).save(wf)
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in ("attempt-1", "attempt-3", "attempt-02", "attempt-2x"):
+            (out / name).touch()
+        assert run_cli("run", "--workflow", str(wf), "--out", str(out),
+                       "--max-attempts", "2") == 1
+        assert (out / "attempt-2" / "events.jsonl").is_file()
 
     def test_transient_failure_recovers_on_retry(self, tmp_path, capsys):
         # fails once, then succeeds: the flag file survives between attempts

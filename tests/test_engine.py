@@ -1,14 +1,13 @@
 import collections
 import hashlib
 import itertools
+import math
 import random
 
 import pytest
 
 from ensemblekit import events as ev
 from ensemblekit.engine import (
-    DurationSpec,
-    FailureModel,
     NodeFault,
     RuntimeModel,
     SimState,
@@ -29,7 +28,7 @@ from conftest import (
     terminal_ts,
 )
 
-FIXED_100 = RuntimeModel(default=DurationSpec.fixed(100.0))
+FIXED_100 = RuntimeModel("fixed", 100.0)
 
 
 def kinds_for(log, uid):
@@ -60,7 +59,7 @@ class TestBasics:
             "s", [make_task(f"t{i}", procs=8, expected=50.0 + i) for i in range(6)]
         )
         log = run_simulated(
-            wf, platform, 2, 1000.0, RuntimeModel(default=DurationSpec.expected())
+            wf, platform, 2, 1000.0, RuntimeModel()
         )
         ts = [e.ts for e in log]
         assert ts == sorted(ts)
@@ -86,7 +85,7 @@ class TestBasics:
             platform,
             128,
             21600.0,
-            RuntimeModel(default=DurationSpec.uniform(600.0, 1500.0), seed=2),
+            RuntimeModel("uniform", 600.0, 1500.0, seed=2),
         )
         assert sum(1 for e in log if e.kind == ev.TASK_DONE) == 64
         series = concurrency_series(log)
@@ -138,7 +137,7 @@ class TestStageSequencing:
         )
         log = run_simulated(
             [slow, fast], platform, 4, 1000.0,
-            RuntimeModel(default=DurationSpec.expected()),
+            RuntimeModel(),
         )
         tasks = events_by_task(log)
         # fast pipeline's second stage starts long before the slow one ends
@@ -153,7 +152,7 @@ class TestFaults:
         wf = single_stage("s", [make_task(f"t{i}", procs=8) for i in range(4)])
         log = run_simulated(
             wf, platform, 4, 1000.0, FIXED_100,
-            FailureModel(node_faults=(NodeFault(2, 10.0, persistent=True),)),
+            node_faults=(NodeFault(2, 10.0, persistent=True),),
         )
         failed = {e.task_uid for e in log if e.kind == ev.TASK_FAILED}
         held_node2 = {
@@ -172,7 +171,7 @@ class TestFaults:
         wf = single_stage("s", [make_task(f"t{i:02d}", procs=8) for i in range(12)])
         log = run_simulated(
             wf, platform, 4, 10000.0, FIXED_100,
-            FailureModel(node_faults=(NodeFault(1, 50.0, persistent=True),)),
+            node_faults=(NodeFault(1, 50.0, persistent=True),),
         )
         failed = {e.task_uid for e in log if e.kind == ev.TASK_FAILED}
         ever_held = {
@@ -191,7 +190,7 @@ class TestFaults:
         wf = single_stage("s", [make_task(f"t{i}", procs=8) for i in range(4)])
         log = run_simulated(
             wf, platform, 2, 10000.0, FIXED_100,
-            FailureModel(node_faults=(NodeFault(0, 10.0, persistent=False),)),
+            node_faults=(NodeFault(0, 10.0, persistent=False),),
         )
         failed = [e.task_uid for e in log if e.kind == ev.TASK_FAILED]
         assert failed == ["t0"]
@@ -212,7 +211,7 @@ class TestFaults:
         wf = single_stage("s", tasks)
         log = run_simulated(
             wf, platform, 1, 1000.0, RuntimeModel(),
-            FailureModel(node_faults=(NodeFault(0, 17.0, persistent=False),)),
+            node_faults=(NodeFault(0, 17.0, persistent=False),),
             launch_delay_s=5.0,
         )
         late = events_by_task(log)["late"]
@@ -229,7 +228,7 @@ class TestFaults:
         wf = single_stage("s", [make_task("t")])
         log = run_simulated(
             wf, platform, 1, 1000.0, FIXED_100,
-            FailureModel(task_faults=(TaskFault("t", 1.0),)),
+            task_faults=(TaskFault("t", 1.0),),
         )
         fail_event = next(e for e in log if e.kind == ev.TASK_FAILED)
         assert fail_event.ts == 100.0  # launched at 0, failed at full runtime
@@ -240,7 +239,7 @@ class TestFaults:
         wf = single_stage("s", [make_task("t")])
         log = run_simulated(
             wf, platform, 1, 1000.0, FIXED_100,
-            FailureModel(task_faults=(TaskFault("t", 0.25),)),
+            task_faults=(TaskFault("t", 0.25),),
         )
         assert next(e for e in log if e.kind == ev.TASK_FAILED).ts == 25.0
 
@@ -256,9 +255,7 @@ class TestFaults:
         with pytest.raises(ConfigError):
             run_simulated(
                 wf, platform, 1, 500.0, FIXED_100,
-                FailureModel(
-                    node_faults=(NodeFault(0, 600.0, persistent=True),)
-                ),
+                node_faults=(NodeFault(0, 600.0, persistent=True),),
             )
 
 
@@ -269,7 +266,7 @@ class TestWalltime:
             "s", [make_task(f"t{i}", procs=8, expected=400.0) for i in range(3)]
         )
         log = run_simulated(
-            wf, platform, 1, 900.0, RuntimeModel(default=DurationSpec.expected())
+            wf, platform, 1, 900.0, RuntimeModel()
         )
         canceled = [e for e in log if e.kind == ev.TASK_CANCELED]
         assert {e.task_uid for e in canceled} == {"t2"}
@@ -283,7 +280,7 @@ class TestWalltime:
             "s", [make_task(f"t{i}", procs=8, expected=400.0) for i in range(4)]
         )
         log = run_simulated(
-            wf, platform, 1, 500.0, RuntimeModel(default=DurationSpec.expected())
+            wf, platform, 1, 500.0, RuntimeModel()
         )
         canceled = {e.task_uid for e in log if e.kind == ev.TASK_CANCELED}
         assert canceled == {"t1", "t2", "t3"}
@@ -325,8 +322,28 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             run_simulated(
                 wf, platform, 1, 100.0,
-                RuntimeModel(default=DurationSpec.expected()),
+                RuntimeModel(),
             )
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"kind": "normal"}, "unknown duration kind 'normal'"),
+            ({"kind": "uniform", "lo_s": 1.0, "hi_s": math.inf},
+             "duration bounds must be finite"),
+            ({"kind": "fixed", "lo_s": math.nan},
+             "duration bounds must be finite"),
+            ({"kind": "fixed", "lo_s": 0.0}, "fixed duration must be > 0"),
+            ({"kind": "uniform", "lo_s": 0.0, "hi_s": 1.0},
+             "uniform duration needs 0 < lo <= hi"),
+            ({"kind": "uniform", "lo_s": 2.0, "hi_s": 1.0},
+             "uniform duration needs 0 < lo <= hi"),
+        ],
+    )
+    def test_bad_runtime_model_rejected(self, kwargs, message):
+        with pytest.raises(ConfigError) as caught:
+            RuntimeModel(**kwargs)
+        assert str(caught.value) == message
 
     def test_duplicate_uid_across_pipelines(self):
         platform = small_platform()
@@ -363,11 +380,13 @@ class TestDeterminism:
         wf = single_stage(
             "members", [exaconstit_task(f"m{i:03d}") for i in range(40)]
         )
-        model = RuntimeModel(default=DurationSpec.uniform(600.0, 1500.0), seed=9)
-        fm = FailureModel(node_faults=(NodeFault(3, 700.0, persistent=True),))
+        model = RuntimeModel("uniform", 600.0, 1500.0, seed=9)
+        fault = NodeFault(3, 700.0, persistent=True)
         paths = []
         for i in range(2):
-            log = run_simulated(wf, platform, 64, 7200.0, model, fm)
+            log = run_simulated(
+                wf, platform, 64, 7200.0, model, node_faults=(fault,)
+            )
             path = tmp_path / f"run{i}.jsonl"
             log.save_jsonl(path)
             paths.append(path)
@@ -376,8 +395,8 @@ class TestDeterminism:
     def test_different_seed_changes_durations(self):
         platform = small_platform()
         wf = single_stage("s", [make_task("t")])
-        model_a = RuntimeModel(default=DurationSpec.uniform(10.0, 500.0), seed=1)
-        model_b = RuntimeModel(default=DurationSpec.uniform(10.0, 500.0), seed=2)
+        model_a = RuntimeModel("uniform", 10.0, 500.0, seed=1)
+        model_b = RuntimeModel("uniform", 10.0, 500.0, seed=2)
         end_a = run_simulated(wf, platform, 1, 1000.0, model_a).job_end_ts()
         end_b = run_simulated(wf, platform, 1, 1000.0, model_b).job_end_ts()
         assert end_a != end_b
@@ -392,8 +411,8 @@ class TestDeterminism:
         pipelines = set()
         path = tmp_path / "run.jsonl"
         for seed in range(100):
-            args, launch = random_job(seed)
-            log = run_simulated(*args, **launch)
+            args, kwargs = random_job(seed)
+            log = run_simulated(*args, **kwargs)
             log.save_jsonl(path)
             digest.update(path.read_bytes())
             last = {}
@@ -412,7 +431,8 @@ class TestDeterminism:
 
 def random_job(seed):
     """The run_simulated arguments of one small job drawn from ``seed``:
-    the positional ones, and the launch delay and rate cap by keyword."""
+    the positional ones, and the faults, launch delay and rate cap by
+    keyword."""
     rng = random.Random(seed)
     nodes = rng.randint(2, 5)
     cores, gpus = rng.choice((4, 6, 8)), rng.choice((0, 2, 4))
@@ -437,21 +457,21 @@ def random_job(seed):
         specs.append(WorkflowSpec(name=f"p{p}", stages=tuple(stages)))
     walltime = rng.choice((60.0, 150.0, 400.0, 5000.0))
     uids = [t.uid for spec in specs for t in spec.tasks()]
-    faults = FailureModel(
-        node_faults=tuple(
+    faults = {
+        "node_faults": tuple(
             NodeFault(rng.randrange(nodes), rng.uniform(0.0, walltime),
                       persistent=rng.random() < 0.5)
             for _ in range(rng.randint(0, 2))
         ),
-        task_faults=tuple(
+        "task_faults": tuple(
             TaskFault(uid, rng.uniform(0.1, 1.0))
             for uid in rng.sample(uids, rng.randint(0, min(3, len(uids))))
         ),
-    )
-    model = RuntimeModel(default=DurationSpec.uniform(10.0, 100.0), seed=seed)
+    }
+    model = RuntimeModel("uniform", 10.0, 100.0, seed=seed)
     launch = {"launch_delay_s": rng.choice((0.0, 0.5, 3.0)),
               "launch_rate_cap": rng.choice((None, 0.05, 0.2, 2.0))}
-    return (specs, platform, nodes, walltime, model, faults), launch
+    return (specs, platform, nodes, walltime, model), {**faults, **launch}
 
 
 GOLDEN_RANDOM_JOBS = (
@@ -494,7 +514,7 @@ class TestStep:
             "s", [make_task(f"t{i}", procs=8) for i in range(n_tasks)]
         )
         return TurnState(
-            [wf], platform, nodes, 100000.0, FIXED_100, None, **kw
+            [wf], platform, nodes, 100000.0, FIXED_100, **kw
         )
 
     def test_completion_refills_queue_at_same_ts(self):
@@ -577,7 +597,7 @@ class TestStep:
             3,
             100000.0,
             FIXED_100,
-            FailureModel(task_faults=(TaskFault("t1", 0.5),)),
+            task_faults=(TaskFault("t1", 0.5),),
             launch_rate_cap=0.02,
         )
         at_100 = [

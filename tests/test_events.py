@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ensemblekit import events as ev
-from ensemblekit.engine import DurationSpec, RuntimeModel, run_simulated
+from ensemblekit.engine import RuntimeModel, run_simulated
 from ensemblekit.errors import MalformedLog
 from ensemblekit.events import (
     MAX_SLOTS,
@@ -185,7 +185,7 @@ def _seeded_run(tasks, nodes):
     frontier-sim, each member on 8 nodes."""
     spec = generate_example("exaconstit",
                             {"tasks": tasks, "optimizer": False, "seed": 1})
-    model = RuntimeModel(DurationSpec.uniform(600.0, 1244.0), seed=1)
+    model = RuntimeModel("uniform", 600.0, 1244.0, seed=1)
     platform = get_profile("frontier-sim")
     walltime = max_walltime_for(platform.policy, nodes)
     return run_simulated(spec, platform, nodes, walltime, model)
@@ -272,7 +272,7 @@ def _small_log_lines() -> tuple[str, ...]:
     node id often equals the one it replaces."""
     spec = single_stage("s", [make_task(f"t{i}", procs=8) for i in range(6)])
     log = run_simulated(spec, small_platform(nodes=2), 2, 10000.0,
-                        RuntimeModel(DurationSpec.uniform(10.0, 20.0), seed=1))
+                        RuntimeModel("uniform", 10.0, 20.0, seed=1))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "run.jsonl"
         log.save_jsonl(path)

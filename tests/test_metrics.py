@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 
 from ensemblekit import events as ev
 from ensemblekit.engine import (
-    DurationSpec,
-    FailureModel,
     NodeFault,
     RuntimeModel,
     run_simulated,
@@ -206,7 +204,7 @@ class TestThroughput:
         )
         log = run_simulated(
             wf, frontier, 800, 43200.0,
-            RuntimeModel(default=DurationSpec.uniform(600.0, 1244.0), seed=4),
+            RuntimeModel("uniform", 600.0, 1244.0, seed=4),
             launch_rate_cap=51.0,
         )
         rates = throughput(log, concurrency_series(log))
@@ -428,11 +426,11 @@ def simulated_jobs(draw):
             ))
             uid += 1
         stages.append(Stage(name=f"s{s}", tasks=tuple(tasks)))
-    faults = FailureModel(node_faults=tuple(
+    faults = tuple(
         NodeFault(draw(st.integers(0, nodes - 1)),
                   draw(st.floats(0.0, walltime)), draw(st.booleans()))
         for _ in range(draw(st.integers(0, 3)))
-    ))
+    )
     launch = {
         "launch_delay_s": draw(st.floats(0.0, 5.0)),
         "launch_rate_cap": draw(st.none() | st.floats(0.01, 10.0)),
@@ -448,11 +446,12 @@ def test_simulated_attempts_keep_accounting_in_bounds(
     job, seed, max_attempts, retry_canceled
 ):
     platform, spec, nodes, walltime, faults, launch = job
-    model = RuntimeModel(default=DurationSpec.uniform(1.0, 100.0), seed=seed)
+    model = RuntimeModel("uniform", 1.0, 100.0, seed=seed)
 
     def run_attempt(specs, attempt, nodes, walltime_s):
         return run_simulated(specs, platform, nodes, walltime_s, model,
-                             faults if attempt == 1 else None, **launch)
+                             node_faults=faults if attempt == 1 else (),
+                             **launch)
 
     logs, _ = retry_loop(spec, platform, run_attempt, nodes, walltime,
                          max_attempts, retry_canceled)

@@ -3,8 +3,6 @@ import pytest
 from ensemblekit import events as ev
 from ensemblekit import resilience
 from ensemblekit.engine import (
-    DurationSpec,
-    FailureModel,
     NodeFault,
     RuntimeModel,
     TaskFault,
@@ -26,21 +24,21 @@ from conftest import (
     small_platform,
 )
 
-FIXED = RuntimeModel(default=DurationSpec.fixed(100.0))
+FIXED = RuntimeModel("fixed", 100.0)
 
 
-def run_with_fault(n_tasks=4, fault=None, nodes=4, walltime=10000.0):
+def run_with_fault(n_tasks=4, nodes=4, walltime=10000.0, **faults):
     platform = small_platform(nodes=nodes)
     wf = single_stage("s", [make_task(f"t{i}", procs=8) for i in range(n_tasks)])
-    log = run_simulated(wf, platform, nodes, walltime, FIXED, fault)
+    log = run_simulated(wf, platform, nodes, walltime, FIXED, **faults)
     return wf, log
 
 
 class TestCollectFailures:
     def test_counts_failed_tasks(self):
-        wf, log = run_with_fault(fault=FailureModel(
+        wf, log = run_with_fault(
             node_faults=(NodeFault(2, 10.0, persistent=True),)
-        ))
+        )
         assert collect_failures(log, wf) == ["t2"]
 
     def test_all_done_yields_nothing(self):
@@ -49,7 +47,7 @@ class TestCollectFailures:
 
     def test_task_fault_kind(self):
         wf, log = run_with_fault(
-            fault=FailureModel(task_faults=(TaskFault("t1", 0.5),))
+            task_faults=(TaskFault("t1", 0.5),)
         )
         assert collect_failures(log, wf) == ["t1"]
         # why it failed stays in the log, in the terminal event's detail
@@ -62,7 +60,7 @@ class TestCollectFailures:
         wf = single_stage("s", [make_task(f"t{i}", procs=8, expected=400.0)
                                 for i in range(3)])
         log = run_simulated(
-            wf, platform, 1, 500.0, RuntimeModel(default=DurationSpec.expected())
+            wf, platform, 1, 500.0, RuntimeModel()
         )
         assert collect_failures(log, wf) == []
         assert collect_failures(log, wf, retry_canceled=True) == ["t1", "t2"]
@@ -76,7 +74,7 @@ class TestCollectFailures:
     def test_done_in_later_log_not_collected(self):
         # per-log semantics: collecting from the retry log sees only its events
         wf, log1 = run_with_fault(
-            fault=FailureModel(task_faults=(TaskFault("t1", 1.0),))
+            task_faults=(TaskFault("t1", 1.0),)
         )
         retry = single_stage("s", [make_task("t1", procs=8)], workflow_name="r")
         platform = small_platform()
@@ -90,9 +88,9 @@ class TestCollectFailures:
     def test_task_without_terminal_event_rejected(self):
         # a task open at JOB_END or absent from the log is named; tasks of
         # another pipeline in the same log are ignored
-        wf, log = run_with_fault(fault=FailureModel(
+        wf, log = run_with_fault(
             node_faults=(NodeFault(2, 10.0, persistent=True),)
-        ))
+        )
         failed = next(e for e in log if e.kind == ev.TASK_FAILED)
         cut = log_of(e for e in log if e is not failed)
         with pytest.raises(MalformedLog, match=r": t2$"):
@@ -108,12 +106,10 @@ class TestPlanResubmission:
         failed = collect_failures(
             run_simulated(
                 wf, frontier, 64, 7200.0,
-                RuntimeModel(default=DurationSpec.fixed(100.0)),
-                FailureModel(
-                    task_faults=tuple(
-                        TaskFault(f"m{i}", 1.0)
-                        for i in range(8)
-                    )
+                RuntimeModel("fixed", 100.0),
+                task_faults=tuple(
+                    TaskFault(f"m{i}", 1.0)
+                    for i in range(8)
                 ),
             ),
             wf,
@@ -125,15 +121,13 @@ class TestPlanResubmission:
 
     def test_allocation_capped_by_original(self, frontier):
         wf = single_stage("members", [exaconstit_task(f"m{i}") for i in range(8)])
-        fm = FailureModel(
+        log = run_simulated(
+            wf, frontier, 16, 7200.0,
+            RuntimeModel("fixed", 100.0),
             task_faults=tuple(
                 TaskFault(f"m{i}", 1.0)
                 for i in range(8)
-            )
-        )
-        log = run_simulated(
-            wf, frontier, 16, 7200.0,
-            RuntimeModel(default=DurationSpec.fixed(100.0)), fm,
+            ),
         )
         failed = collect_failures(log, wf)
         plan = plan_resubmission(failed, wf, frontier, 16)
@@ -149,13 +143,13 @@ class TestPlanResubmission:
                 Stage(name="late", tasks=(make_task("x", procs=8),)),
             ),
         )
-        fm = FailureModel(
+        log = run_simulated(
+            wf, platform, 4, 10000.0, FIXED,
             task_faults=(
                 TaskFault("x", 1.0),
                 TaskFault("y", 1.0),
-            )
+            ),
         )
-        log = run_simulated(wf, platform, 4, 10000.0, FIXED, fm)
         failed = collect_failures(log, wf)
         plan = plan_resubmission(failed, wf, platform, 4)
         assert [s.name for s in plan.workflow.stages] == ["early", "late"]
@@ -166,7 +160,7 @@ class TestPlanResubmission:
         wf = single_stage("s", [make_task("only")])
         log = run_simulated(
             wf, platform, 4, 10000.0, FIXED,
-            FailureModel(task_faults=(TaskFault("only", 1.0),)),
+            task_faults=(TaskFault("only", 1.0),),
         )
         plan = plan_resubmission(collect_failures(log, wf), wf, platform, 4)
         assert plan.nodes == 1
@@ -182,7 +176,7 @@ class TestPlanResubmission:
         wf = single_stage("s", [make_task(f"t{i}", procs=8) for i in range(3)])
         log = run_simulated(
             wf, platform, 4, 10000.0, FIXED,
-            FailureModel(task_faults=(TaskFault("t1", 1.0),)),
+            task_faults=(TaskFault("t1", 1.0),),
         )
         plan = plan_resubmission(collect_failures(log, wf), wf, platform, 4)
         path = tmp_path / "plan.json"
@@ -203,7 +197,7 @@ class TestRetryLoop:
         wf = single_stage("s", [make_task(f"t{i}", procs=8) for i in range(8)])
         runner = simulated_attempts(
             platform, FIXED,
-            FailureModel(node_faults=(NodeFault(1, 10.0, persistent=True),)),
+            {"node_faults": (NodeFault(1, 10.0, persistent=True),)},
         )
         logs, unresolved = retry_loop(
             wf, platform, runner, 4, 10000.0, max_attempts=2
@@ -224,8 +218,8 @@ class TestRetryLoop:
         monkeypatch.setattr(resilience, "collect_failures", counting)
         platform = small_platform()
         wf = single_stage("s", [make_task("t", procs=8), make_task("u", procs=8)])
-        fm = FailureModel(task_faults=(TaskFault("t", 1.0),))
-        runner = simulated_attempts(platform, FIXED, fm, fm, fm)
+        faults = {"task_faults": (TaskFault("t", 1.0),)}
+        runner = simulated_attempts(platform, FIXED, faults, faults, faults)
         logs, unresolved = retry_loop(
             wf, platform, runner, 4, 10000.0, max_attempts=3
         )
@@ -251,7 +245,7 @@ class TestRetryLoop:
         wf = single_stage("s", [make_task(f"t{i}", procs=8) for i in range(6)])
         runner = simulated_attempts(
             platform, FIXED,
-            FailureModel(node_faults=(NodeFault(0, 10.0, persistent=True),)),
+            {"node_faults": (NodeFault(0, 10.0, persistent=True),)},
         )
         logs, unresolved = retry_loop(
             wf, platform, runner, 4, 10000.0, max_attempts=3

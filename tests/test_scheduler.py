@@ -325,6 +325,37 @@ class TestConservation:
                     uid for uid, p in active.items() if node_id in p.node_ids
                 }
 
+    def test_the_heap_holds_each_node_with_a_free_core_once(self):
+        # random place/release sequences on small nodes, which fill and
+        # free often; a full node must leave the heap, and a release must
+        # not push a node that is still in it
+        for seed in range(300):
+            rng = random.Random(seed)
+            cores = rng.randint(1, 8)
+            node = NodeSpec(cores, rng.randint(0, cores - 1), rng.randint(0, 4))
+            table = SlotTable(node, rng.randint(1, 6))
+            active = []
+            for i in range(200):
+                if active and rng.random() < 0.45:
+                    release(table, active.pop(rng.randrange(len(active))))
+                else:
+                    desc = make_task(
+                        f"t{i}",
+                        procs=rng.randint(1, 6),
+                        threads=rng.randint(1, 2),
+                        gpus=rng.choice([0, 0, 1]),
+                    )
+                    try:
+                        placement = place(table, desc)
+                    except Unplaceable:
+                        continue
+                    if placement is not None:
+                        active.append(placement)
+                assert len(table._avail) == len(set(table._avail))
+                assert set(table._avail) == {
+                    n for n, free in enumerate(table.free_cores) if free > 0
+                }
+
     def test_fifo_fairness_identical_footprints(self):
         pilot = queued([exaconstit_task(f"m{i}") for i in range(5)], 16)
         queue = pilot.queue
