@@ -118,7 +118,8 @@ def _check_writable(
     """Raise, creating nothing, the OSError that writing the log of an
     attempt up to ``attempts`` (at :func:`_attempt_path`) would raise
     because first's parent is missing or not a directory, a directory on a
-    retry's path is a file, or the log is a directory."""
+    retry's path is a file, the log is a directory, or, where each log has
+    a directory of its own (``run``), the task-logs beside it is not one."""
     # os.stat raises FileNotFoundError or NotADirectoryError itself, and
     # OSError(errno, ...) makes the subclass of that errno
     if not stat.S_ISDIR(os.stat(first.parent).st_mode):
@@ -132,6 +133,9 @@ def _check_writable(
         if n and 1 < int(n[1]) <= attempts:
             paths.append(first.parent / entry / tail)
     for path in paths:
+        logs = path.parent / "task-logs"  # where run_local makes it
+        if tail and os.path.lexists(logs) and not os.path.isdir(logs):
+            raise OSError(errno.EEXIST, os.strerror(errno.EEXIST), str(logs))
         try:
             mode = os.stat(path).st_mode
         except FileNotFoundError:

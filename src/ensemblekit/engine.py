@@ -7,6 +7,12 @@ decides when each placed task launches and how it ends, and :func:`step`
 applies one heap event. Strictly single-threaded and deterministic:
 identical inputs and seeds yield byte-identical logs.
 
+A job of T tasks and F node faults ends within 2 + F + 2T steps: each step
+pops one heap entry, and only the bootstrap, the walltime, the node faults,
+one launch per placed task and one end per launched task are pushed. A
+launch is never stale: only the walltime, which ends the job, finishes a
+task between its schedule and its launch.
+
 How long a task runs is one :class:`RuntimeModel` for the whole job.
 
 Fault injection: :func:`run_simulated` takes the job's :class:`NodeFault`
@@ -148,8 +154,6 @@ class SimState:
         self.launch_rate_cap = launch_rate_cap
         self.next_launch_ts = 0.0
         self.ts = 0.0
-        # no job of this size takes more steps: more means an internal stall
-        self._steps_left = 200 * max(len(self.pilot.job.runs), 1) + 10_000
         self._seq = itertools.count()
         self.heap: list[tuple[float, int, str, int, str, object]] = []
 
@@ -169,19 +173,8 @@ class SimState:
             )
         self._push(walltime_s, _PRIO_WALLTIME, "", "walltime", None)
 
-    # -- helpers ------------------------------------------------------------
-
     def _push(self, ts: float, prio: int, key: str, action: str, data) -> None:
         heapq.heappush(self.heap, (ts, prio, key, next(self._seq), action, data))
-
-    def _running_holders(self, node_id: int) -> list[str]:
-        # sorted: set order of strings depends on PYTHONHASHSEED
-        last_kind = self.log.last_kind
-        return sorted(
-            uid
-            for uid in self.pilot.table.holders[node_id]
-            if last_kind(uid) == ev.TASK_LAUNCHED
-        )
 
     # -- the backend the pilot drives ---------------------------------------
 
@@ -201,64 +194,8 @@ class SimState:
         self._push(launch_ts, _PRIO_LAUNCH, desc.uid, "launch", None)
 
     def advance(self) -> None:
-        """Apply the next heap event through :func:`step`. RuntimeError if
-        no event is left while tasks are open, or after more steps than a
-        job of this size takes."""
-        if not self.heap:
-            raise RuntimeError("simulation ran out of events with tasks open")
-        self._steps_left -= 1
-        if self._steps_left < 0:
-            raise RuntimeError("simulation did not converge (internal stall)")
+        """Apply the next heap event through :func:`step`."""
         step(self)
-
-    # -- handlers -----------------------------------------------------------
-
-    def _handle_launch(self, ts: float, uid: str) -> None:
-        if self.log.last_kind(uid) != ev.TASK_SCHEDULED:
-            return  # stale: task was canceled or failed before launching
-        self.pilot.launch(uid, ts)
-        duration = self.runtime_model.duration_for(self.pilot.job.runs[uid])
-        failed = self.persistent_failed  # empty until a persistent fault
-        if failed:
-            nodes = self.pilot.table.placement_of(uid).node_ids
-            bad = sorted(failed.intersection(nodes))
-        else:
-            bad = ()
-        if bad:
-            # node is accepting launches but every run on it is doomed;
-            # the crash surfaces at the task's natural end
-            self._push(
-                ts + duration, _PRIO_FAIL, uid, "task_fail",
-                f"node_failure node={bad[0]}",
-            )
-        elif uid in self.task_faults:
-            fail_ts = ts + self.task_faults[uid] * duration
-            self._push(fail_ts, _PRIO_FAIL, uid, "task_fail", "task_fault")
-        else:
-            self._push(ts + duration, _PRIO_COMPLETE, uid, "complete", None)
-
-    def _handle_end_of_run(
-        self, ts: float, uid: str, kind: str, detail: str
-    ) -> None:
-        # a task runs once per job, so an end whose task's last event is not
-        # its launch is stale: a node fault or the walltime finished it first
-        if self.log.last_kind(uid) != ev.TASK_LAUNCHED:
-            return
-        self.pilot.finish(uid, kind, ts, detail)
-
-    def _handle_node_fault(self, ts: float, fault: NodeFault) -> None:
-        self.pilot.emit(
-            ts,
-            ev.NODE_FAILED,
-            node_ids=(fault.node_id,),
-            detail="persistent" if fault.persistent else "transient",
-        )
-        if fault.persistent:
-            self.persistent_failed.add(fault.node_id)
-        for uid in self._running_holders(fault.node_id):
-            self.pilot.finish(
-                uid, ev.TASK_FAILED, ts, f"node_failure node={fault.node_id}"
-            )
 
 
 # kept a module function taking and returning the state: perfbench/tracer.py
@@ -268,22 +205,66 @@ def step(state: SimState) -> SimState:
 
     Simultaneous events process in (ts, kind-priority, uid) order with
     completions before failures before launches. The pilot's drive loop,
-    not this step, places the tasks the event lets fit.
+    not this step, places the tasks the event lets fit. A launch is never
+    stale, and an end is stale only when a node fault failed its task
+    first. A job of T tasks and F node faults takes at most 2 + F + 2T
+    steps, and the walltime entry keeps the heap from emptying while tasks
+    are open: its step makes every task terminal.
     """
     ts, prio, key, _seq, action, data = heapq.heappop(state.heap)
     state.ts = ts
+    pilot = state.pilot
     if action == "bootstrap":
-        state.pilot.boot(ts)
-    elif action == "complete":
-        state._handle_end_of_run(ts, key, ev.TASK_DONE, "")
-    elif action == "task_fail":
-        state._handle_end_of_run(ts, key, ev.TASK_FAILED, data)
+        pilot.boot(ts)
+    elif action == "complete" or action == "task_fail":
+        # a task runs once per job, so an end whose task's last event is not
+        # its launch is stale: a node fault finished it first
+        if state.log.last_kind(key) == ev.TASK_LAUNCHED:
+            kind = ev.TASK_DONE if action == "complete" else ev.TASK_FAILED
+            pilot.finish(key, kind, ts, data)
     elif action == "node_fault":
-        state._handle_node_fault(ts, data)
+        pilot.emit(
+            ts,
+            ev.NODE_FAILED,
+            node_ids=(data.node_id,),
+            detail="persistent" if data.persistent else "transient",
+        )
+        if data.persistent:
+            state.persistent_failed.add(data.node_id)
+        # sorted: set order of strings depends on PYTHONHASHSEED
+        last_kind = state.log.last_kind
+        running = sorted(
+            uid
+            for uid in pilot.table.holders[data.node_id]
+            if last_kind(uid) == ev.TASK_LAUNCHED
+        )
+        for uid in running:
+            pilot.finish(
+                uid, ev.TASK_FAILED, ts, f"node_failure node={data.node_id}"
+            )
     elif action == "launch":
-        state._handle_launch(ts, key)
+        pilot.launch(key, ts)
+        duration = state.runtime_model.duration_for(pilot.job.runs[key])
+        failed = state.persistent_failed  # empty until a persistent fault
+        if failed:
+            nodes = pilot.table.placement_of(key).node_ids
+            bad = sorted(failed.intersection(nodes))
+        else:
+            bad = ()
+        if bad:
+            # node is accepting launches but every run on it is doomed;
+            # the crash surfaces at the task's natural end
+            state._push(
+                ts + duration, _PRIO_FAIL, key, "task_fail",
+                f"node_failure node={bad[0]}",
+            )
+        elif key in state.task_faults:
+            fail_ts = ts + state.task_faults[key] * duration
+            state._push(fail_ts, _PRIO_FAIL, key, "task_fail", "task_fault")
+        else:
+            state._push(ts + duration, _PRIO_COMPLETE, key, "complete", "")
     elif action == "walltime":
-        state.pilot.cancel_all(ts, "walltime")
+        pilot.cancel_all(ts, "walltime")
     return state
 
 

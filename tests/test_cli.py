@@ -83,6 +83,18 @@ class TestExample:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "argv",
+        [("additivefoam", "--cases", "0"), ("exaca", "--uq-params", "0")],
+        ids=["additivefoam-no-case", "exaca-no-parameter"],
+    )
+    def test_an_empty_grid_is_config_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "wf.json"
+        assert run_cli("example", "--example", *argv, "--out", str(out)) == 2
+        assert f"error: UnknownShape: {argv[0]} needs" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "argv, unread",
         [
             (("--example", "uq-stage1", "--tasks", "5"), "'tasks'"),
@@ -170,6 +182,7 @@ class TestSimulate:
             ("expected_runtime_s", float("nan")),
             ("uid", 5),
             ("arguments", "abc"),
+            ("uid", ""),
         ],
     )
     def test_bad_workflow_field_is_config_error(self, tmp_path, capsys,
@@ -247,6 +260,32 @@ class TestSimulate:
         assert "error: ConfigError: " in err and "float range" in err
         assert not log.exists()
 
+    def test_task_beyond_the_slot_range_is_config_error(self, tmp_path,
+                                                        capsys):
+        # each count is in range; their product is not
+        doc = json.loads(json.dumps(_WORKFLOW))
+        _put(doc, _TASK + ("cpu_processes",), 2**30)
+        _put(doc, _TASK + ("cpu_threads_per_process",), 2**30)
+        err = _simulate_rejects(doc, _PLATFORM, capsys, tmp_path)
+        assert f"error: ValidationError: task t: reserves more than " \
+            f"{2**53} core or GPU slots" in err
+
+    @pytest.mark.parametrize(
+        "nodes, error",
+        [((), "ConfigError: --nodes is required"),
+         (("--nodes", "0"), "PolicyGap: nodes_requested must be >= 1")],
+        ids=["missing", "zero"],
+    )
+    def test_allocation_of_no_node_is_config_error(self, tmp_path, capsys,
+                                                   nodes, error):
+        # without --walltime, so that the policy is asked for a limit
+        wf, out = tmp_path / "wf.json", tmp_path / "x.jsonl"
+        run_cli("example", "--example", "toy", "--out", str(wf))
+        assert run_cli("simulate", "--workflow", str(wf), *nodes,
+                       "--out", str(out)) == 2
+        assert f"error: {error}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_walltime_above_policy(self, tmp_path, capsys):
         wf = tmp_path / "wf.json"
         run_cli("example", "--example", "toy", "--out", str(wf))
@@ -314,6 +353,10 @@ class TestSimulate:
             ("--launch-rate-cap", "0"),
             ("--max-attempts", "0"),
             ("--fail-task", "nosuch@0.5"),
+            pytest.param(("--fail-node", "9@100"),
+                         id="fault-node-outside-allocation"),
+            pytest.param(("--walltime", "80"),
+                         id="walltime-within-bootstrap"),
         ],
     )
     def test_bad_flag_value_is_config_error(self, tmp_path, capsys, flag):
@@ -784,6 +827,34 @@ class TestReport:
         err = capsys.readouterr().err
         assert f"error: MalformedLog: {log}:1: " in err
         assert "Traceback" not in err
+
+    def test_data_after_a_line_s_object_exit_1(self, tmp_path, capsys):
+        lines = [json.dumps(r) for r in _VALID_LOG]
+        lines[2] += " {}"
+        log = tmp_path / "run.jsonl"
+        log.write_text("".join(line + "\n" for line in lines))
+        assert run_cli("report", "--log", str(log)) == 1
+        err = capsys.readouterr().err
+        assert f"error: MalformedLog: {log}:3: not a JSON event line: " \
+            "Extra data" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("run_*"))
+
+    def test_blank_lines_are_skipped(self, tmp_path, small_platform_file):
+        log = self.make_log(tmp_path, small_platform_file)
+        lines = log.read_text().splitlines(keepends=True)
+        spaced = tmp_path / "spaced.jsonl"
+        spaced.write_text("\n" + "".join(lines[:3]) + " \t\n"
+                          + "".join(lines[3:]) + "\n")
+        exports = []
+        for path, prefix in ((log, "a"), (spaced, "b")):
+            assert run_cli("report", "--log", str(path),
+                           "--out", str(tmp_path / prefix)) == 0
+            exports.append([
+                (tmp_path / f"{prefix}_{name}.csv").read_bytes()
+                for name in ("utilization", "concurrency", "rates")
+            ])
+        assert exports[0] == exports[1]
 
     def test_negative_bootstrap_metadata_is_not_read(self, tmp_path,
                                                      small_platform_file):
@@ -1629,9 +1700,10 @@ class TestRunLocal:
             ("events.jsonl", Path.mkdir, "IsADirectoryError"),
             ("attempt-2", Path.touch, "NotADirectoryError"),
             ("attempt-2/events.jsonl", Path.mkdir, "IsADirectoryError"),
+            ("attempt-2/task-logs", Path.touch, "FileExistsError"),
         ],
         ids=["log-is-a-directory", "retry-directory-is-a-file",
-             "retry-log-is-a-directory"],
+             "retry-log-is-a-directory", "retry-task-logs-is-a-file"],
     )
     def test_log_path_of_every_attempt_is_checked_before_the_run(
         self, tmp_path, capsys, entry, make, error
@@ -1652,7 +1724,7 @@ class TestRunLocal:
                        "--max-attempts", "2") == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {error}: ") and "Traceback" not in err
-        assert not list(out.rglob("task-logs"))
+        assert not [path for path in out.rglob("task-logs") if path.is_dir()]
         assert not list(out.rglob("*.done"))
 
     def test_entries_no_attempt_writes_to_leave_run_alone(self, tmp_path):

@@ -6,7 +6,9 @@ import random
 
 import pytest
 
+from ensemblekit import engine
 from ensemblekit import events as ev
+from ensemblekit.cli import main
 from ensemblekit.engine import (
     NodeFault,
     RuntimeModel,
@@ -16,6 +18,7 @@ from ensemblekit.engine import (
     step,
 )
 from ensemblekit.errors import ConfigError, PolicyViolation, Unplaceable
+from ensemblekit.events import EventLog
 from ensemblekit.metrics import concurrency_series
 from ensemblekit.platform import get_profile
 from ensemblekit.pst import Stage, WorkflowSpec
@@ -546,20 +549,54 @@ class TestStep:
         assert [e.kind for e in state.log] == [ev.JOB_START, ev.BOOTSTRAP_DONE]
         assert [desc.uid for desc in state.pilot.queue] == ["t0", "t1"]
 
-    def test_drive_raises_on_a_stall(self):
-        from ensemblekit.engine import _PRIO_COMPLETE
+    def test_ten_thousand_node_faults_run_to_job_end(self, tmp_path,
+                                                     capsys):
+        # each node fault is a step of its own, so the steps of a job grow
+        # with its faults as well as its tasks: here past 200 per task plus
+        # 10,000. Node 1 holds no running task when its faults fire.
+        platform = small_platform(nodes=2)
+        wf = single_stage("s", [make_task("t0", procs=8)])
+        faults = [NodeFault(1, 50.0, persistent=False)] * 10_300
+        log = run_simulated(wf, platform, 2, 1000.0, FIXED_100,
+                            node_faults=faults)
+        assert log[-1].kind == ev.JOB_END
+        assert kinds_for(log, "t0")[-1] == ev.TASK_DONE
+        assert sum(e.kind == ev.NODE_FAILED for e in log) == 10_300
+        # a two-task toy workflow on two Frontier nodes, whose faults fire
+        # during the 85 s bootstrap
+        wf_path, out = tmp_path / "toy.json", tmp_path / "run.jsonl"
+        assert main(["example", "--example", "toy", "--tasks", "1",
+                     "--out", str(wf_path)]) == 0
+        flags = ["--fail-node", "1@10:transient"] * 10_500
+        assert main(["simulate", "--workflow", str(wf_path), "--nodes", "2",
+                     *flags, "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        log = EventLog.load_jsonl(out)
+        assert log[-1].kind == ev.JOB_END
+        assert log[-1].detail == "done=2 failed=0 canceled=0"
 
-        state = self.make_state(n_tasks=1, nodes=1)
-        state.heap.clear()
-        with pytest.raises(RuntimeError, match="ran out of events"):
-            state.pilot.drive(state)
-        # stale completions of t0 pop before its launch, more of them than
-        # the step limit of a one-task job (200 + 10,000)
-        state = self.make_state(n_tasks=1, nodes=1)
-        for _ in range(10_201):
-            state._push(0.0, _PRIO_COMPLETE, "t0", "complete", None)
-        with pytest.raises(RuntimeError, match="did not converge"):
-            state.pilot.drive(state)
+    def test_steps_stay_within_the_pushed_entries(self, monkeypatch):
+        # a step pops one entry, and a job pushes only the bootstrap, the
+        # walltime, its F node faults, one launch per placed task and one
+        # end per launched task: at most 2 + F + 2T steps for T tasks. The
+        # bootstrap, each launch and each node fault that fired took a step
+        # each.
+        steps = []
+
+        def counted(state):
+            steps.append(state)
+            return step(state)
+
+        monkeypatch.setattr(engine, "step", counted)
+        for seed in range(300):
+            args, kwargs = random_job(seed)
+            steps.clear()
+            log = run_simulated(*args, **kwargs)
+            tasks = sum(spec.task_count() for spec in args[0])
+            fired = sum(e.kind in (ev.TASK_LAUNCHED, ev.NODE_FAILED)
+                        for e in log)
+            bound = 2 + len(kwargs["node_faults"]) + 2 * tasks
+            assert 1 + fired <= len(steps) <= bound, seed
 
     def test_simultaneous_events_total_order(self):
         """All 3-event permutations at one timestamp pop as completions,
