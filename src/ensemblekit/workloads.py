@@ -11,7 +11,7 @@ everything to single-core tasks for laptop execution.
 from __future__ import annotations
 
 import random
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 from ensemblekit.errors import ConfigError, UnknownShape
 from ensemblekit.pst import Stage, TaskDescription, WorkflowSpec, is_number
@@ -25,22 +25,15 @@ _SHAPE_SERIAL = (1, 1, 0)
 # ExaConstit members draw their runtime hint uniformly from this range
 _EXACONSTIT_RUNTIME_S = (600.0, 1500.0)
 
-# the most tasks the parameters of one generator may ask for (uq-stage1
-# chains two); a larger request is rejected before anything is built,
-# rather than filling memory
+# the largest product of one shape's counts (exaconstit's tasks, exaca's
+# cases x uq_params, ...); a larger request is rejected before anything is
+# built, rather than filling memory
 MAX_EXAMPLE_TASKS = 1_000_000
-
-
-def _check_size(shape: str, n: int) -> None:
-    if n > MAX_EXAMPLE_TASKS:
-        raise UnknownShape(
-            f"{shape} asks for {n} tasks; at most {MAX_EXAMPLE_TASKS}"
-        )
 
 
 def _mock_task(
     uid: str,
-    requires: list[str],
+    requires: Sequence[str],
     sleep_s: float,
     shape: tuple[int, int, int],
     expected_runtime_s: Optional[float],
@@ -62,162 +55,101 @@ def _mock_task(
     )
 
 
-def _additivefoam_stages(params: Mapping, prefix: str = "af") -> list[Stage]:
-    cases = int(params.get("cases", 10))
-    sleep_s = params.get("sleep_s", 0.05)
-    desk = bool(params.get("desk", False))
-    if cases < 1:
-        raise UnknownShape("additivefoam needs at least 1 case")
-    _check_size("additivefoam", cases)
-    pre = _mock_task(
-        f"{prefix}-pre", [], sleep_s, _SHAPE_SERIAL, 60.0, desk
-    )
-    even = [
-        _mock_task(
-            f"{prefix}-even-{i}", [f"{prefix}-pre"], sleep_s,
-            _SHAPE_AF_RUN, 3600.0, desk,
+def _additivefoam_stages(
+    cases: int, sleep_s: float, desk: bool, **_
+) -> list[Stage]:
+    pre = _mock_task("af-pre", [], sleep_s, _SHAPE_SERIAL, 60.0, desk)
+    # the melt-pool runs, even cases then odd ones (none for a single case)
+    halves = {
+        half: tuple(
+            _mock_task(f"af-{half}-{i}", ["af-pre"], sleep_s, _SHAPE_AF_RUN,
+                       3600.0, desk)
+            for i in range(first, cases, 2)
         )
-        for i in range(0, cases, 2)
+        for half, first in (("even", 0), ("odd", 1))
+    }
+    runs = [t.uid for tasks in halves.values() for t in tasks]
+    post = _mock_task("af-post", runs, sleep_s, _SHAPE_SERIAL, 120.0, desk)
+    return [
+        Stage(name="af-preprocess", tasks=(pre,)),
+        *(Stage(name=f"af-{half}", tasks=tasks)
+          for half, tasks in halves.items() if tasks),
+        Stage(name="af-postprocess", tasks=(post,)),
     ]
-    odd = [
-        _mock_task(
-            f"{prefix}-odd-{i}", [f"{prefix}-pre"], sleep_s,
-            _SHAPE_AF_RUN, 3600.0, desk,
-        )
-        for i in range(1, cases, 2)
-    ]
-    gather = _mock_task(
-        f"{prefix}-post",
-        [t.uid for t in even + odd],
-        sleep_s,
-        _SHAPE_SERIAL,
-        120.0,
-        desk,
-    )
-    stages = [Stage(name=f"{prefix}-preprocess", tasks=(pre,))]
-    if even:
-        stages.append(Stage(name=f"{prefix}-even", tasks=tuple(even)))
-    if odd:
-        stages.append(Stage(name=f"{prefix}-odd", tasks=tuple(odd)))
-    stages.append(Stage(name=f"{prefix}-postprocess", tasks=(gather,)))
-    return stages
 
 
 def _exaca_stages(
-    params: Mapping, requires: Optional[list[str]] = None, prefix: str = "exaca"
+    cases: int, uq_params: int, sleep_s: float, desk: bool,
+    requires: Sequence[str] = (), **_
 ) -> list[Stage]:
-    cases = int(params.get("cases", 5))
-    uq_params = int(params.get("uq_params", 4))
-    sleep_s = params.get("sleep_s", 0.05)
-    desk = bool(params.get("desk", False))
-    if cases < 1 or uq_params < 1:
-        raise UnknownShape("exaca needs cases >= 1 and uq_params >= 1")
-    _check_size("exaca", cases * uq_params)
     # one microstructure task per (melt-pool case, UQ parameter) pair
     grid = [
-        _mock_task(
-            f"{prefix}-c{c}-p{p}",
-            list(requires or []),
-            sleep_s,
-            _SHAPE_EXACA,
-            1800.0,
-            desk,
-            tags={"case": str(c), "uq_param": str(p)},
-        )
+        _mock_task(f"exaca-c{c}-p{p}", requires, sleep_s, _SHAPE_EXACA, 1800.0,
+                   desk, tags={"case": str(c), "uq_param": str(p)})
         for c in range(cases)
         for p in range(uq_params)
     ]
     analysis = _mock_task(
-        f"{prefix}-analysis",
-        [t.uid for t in grid],
-        sleep_s,
-        _SHAPE_SERIAL,
-        120.0,
-        desk,
+        "exaca-analysis", [t.uid for t in grid], sleep_s, _SHAPE_SERIAL,
+        120.0, desk,
     )
     return [
-        Stage(name=f"{prefix}-microstructure", tasks=tuple(grid)),
-        Stage(name=f"{prefix}-analysis", tasks=(analysis,)),
+        Stage(name="exaca-microstructure", tasks=tuple(grid)),
+        Stage(name="exaca-analysis", tasks=(analysis,)),
     ]
 
 
-def _exaconstit_stages(params: Mapping) -> list[Stage]:
-    n = int(params.get("tasks", 16))
-    seed = params.get("seed", 0)
-    sleep_s = params.get("sleep_s", 0.05)
-    desk = bool(params.get("desk", False))
-    optimizer = bool(params.get("optimizer", True))
-    if n < 1:
-        raise UnknownShape("exaconstit needs tasks >= 1")
-    _check_size("exaconstit", n)
+def _exaconstit_stages(
+    tasks: int, seed: int, sleep_s: float, desk: bool, optimizer: bool
+) -> list[Stage]:
     rng = random.Random(seed)
     members = [
-        _mock_task(
-            f"exaconstit-{i:05d}",
-            [],
-            sleep_s,
-            _SHAPE_EXACONSTIT,
-            rng.uniform(*_EXACONSTIT_RUNTIME_S),
-            desk,
-        )
-        for i in range(n)
+        _mock_task(f"exaconstit-{i:05d}", [], sleep_s, _SHAPE_EXACONSTIT,
+                   rng.uniform(*_EXACONSTIT_RUNTIME_S), desk)
+        for i in range(tasks)
     ]
     stages = [Stage(name="exaconstit-ensemble", tasks=tuple(members))]
     if optimizer:
-        stages.append(
-            Stage(
-                name="exaconstit-optimize",
-                tasks=(
-                    _mock_task(
-                        "exaconstit-optimize",
-                        [members[0].uid, members[-1].uid],
-                        sleep_s,
-                        _SHAPE_SERIAL,
-                        60.0,
-                        desk,
-                    ),
-                ),
-            )
+        optimize = _mock_task(
+            "exaconstit-optimize", [members[0].uid, members[-1].uid], sleep_s,
+            _SHAPE_SERIAL, 60.0, desk,
         )
+        stages.append(Stage(name="exaconstit-optimize", tasks=(optimize,)))
     return stages
 
 
-def _toy_stages(params: Mapping) -> list[Stage]:
-    n_stages = int(params.get("stages", 2))
-    per_stage = int(params.get("tasks", 2))
-    sleep_s = params.get("sleep_s", 0.05)
-    if n_stages < 1 or per_stage < 1:
-        raise UnknownShape("toy needs stages >= 1 and tasks >= 1")
-    _check_size("toy", n_stages * per_stage)
+def _toy_stages(tasks: int, sleep_s: float, **_) -> list[Stage]:
     return [
-        Stage(
-            name=f"toy-stage{s}",
-            tasks=tuple(
-                _mock_task(
-                    f"toy-s{s}-t{t}", [], sleep_s, _SHAPE_SERIAL, 10.0, False
-                )
-                for t in range(per_stage)
-            ),
-        )
-        for s in range(n_stages)
+        Stage(name=f"toy-stage{s}", tasks=tuple(
+            _mock_task(f"toy-s{s}-t{t}", [], sleep_s, _SHAPE_SERIAL, 10.0,
+                       False)
+            for t in range(tasks)
+        ))
+        for s in range(2)
     ]
 
 
-def _uq_stage1_stages(params: Mapping) -> list[Stage]:
+def _uq_stage1_stages(
+    cases: int, uq_params: int, sleep_s: float, desk: bool, **_
+) -> list[Stage]:
     # one case count for both: the ExaCA grid runs over AdditiveFOAM's cases
-    params = {"cases": 5, **params}
-    return (_additivefoam_stages(params)
-            + _exaca_stages(params, requires=["af-post"]))
+    return _additivefoam_stages(cases, sleep_s, desk) + _exaca_stages(
+        cases, uq_params, sleep_s, desk, requires=["af-post"]
+    )
 
 
-# each shape's stages and the params it reads beside seed and sleep_s, which
-# every shape takes
+# each shape's builder and the params it reads beside seed and sleep_s,
+# which every shape reads, with their defaults; the int ones are its counts
 _SHAPES = {
-    "additivefoam": (_additivefoam_stages, {"cases", "desk"}),
-    "exaca": (_exaca_stages, {"cases", "uq_params", "desk"}),
-    "exaconstit": (_exaconstit_stages, {"tasks", "desk", "optimizer"}),
-    "uq-stage1": (_uq_stage1_stages, {"cases", "uq_params", "desk"}),
-    "toy": (_toy_stages, {"stages", "tasks"}),
+    "additivefoam": (_additivefoam_stages, {"cases": 10, "desk": False}),
+    "exaca": (_exaca_stages, {"cases": 5, "uq_params": 4, "desk": False}),
+    "exaconstit": (
+        _exaconstit_stages, {"tasks": 16, "desk": False, "optimizer": True}
+    ),
+    "uq-stage1": (
+        _uq_stage1_stages, {"cases": 5, "uq_params": 4, "desk": False}
+    ),
+    "toy": (_toy_stages, {"tasks": 2}),
 }
 SHAPES = tuple(_SHAPES)
 
@@ -230,22 +162,49 @@ def generate_example(
     Shapes: additivefoam (pre / even runs / odd runs / post), exaca
     (melt-pool cases x UQ parameters fan-out plus analysis), exaconstit
     (N ensemble members plus a trailing optimization task), uq-stage1
-    (additivefoam chained into exaca), toy. ConfigError for a param the
-    shape does not read.
+    (additivefoam chained into exaca), toy (two stages of ``tasks`` tasks).
+
+    Every shape reads ``seed`` (an int) and ``sleep_s`` (a finite number
+    >= 0); the rest of its params are in its ``_SHAPES`` row, and a value
+    given for one must have its default's type: counts are ints (not
+    bools), ``desk`` and ``optimizer`` bools. ConfigError for a param the
+    shape does not read or a value of the wrong type; UnknownShape for an
+    unknown shape, a count below 1, or counts whose product exceeds
+    MAX_EXAMPLE_TASKS.
     """
     if shape not in _SHAPES:
         raise UnknownShape(f"unknown example shape {shape!r}; know {SHAPES}")
-    stages, reads = _SHAPES[shape]
-    params = dict(params or {})
-    unread = params.keys() - reads - {"seed", "sleep_s"}
+    build, row = _SHAPES[shape]
+    given = dict(params or {})
+    unread = given.keys() - row.keys() - {"seed", "sleep_s"}
     if unread:
         raise ConfigError(
             f"example shape {shape} does not read "
             f"{', '.join(sorted(map(repr, unread)))}"
         )
-    sleep_s = params.get("sleep_s", 0.05)
+    sleep_s = given.pop("sleep_s", 0.05)
     if not (is_number(sleep_s) and sleep_s >= 0):
         raise ConfigError(
             f"sleep_s must be a finite number >= 0, not {sleep_s!r}"
         )
-    return WorkflowSpec(name=shape, stages=tuple(stages(params)))
+    typed = {"seed": 0, **row}
+    values = {**typed, **given}
+    counts, size = [], 1
+    for name, default in typed.items():
+        value = values[name]
+        if type(value) is not type(default):
+            raise ConfigError(
+                f"{name} must be {type(default).__name__}, not {value!r}"
+            )
+        if name in row and type(value) is int:
+            if value < 1:
+                raise UnknownShape(f"{shape} needs {name} >= 1")
+            counts.append(name)
+            size *= value
+    if size > MAX_EXAMPLE_TASKS:
+        raise UnknownShape(
+            f"{shape} asks for {' x '.join(counts)} = {size}; "
+            f"at most {MAX_EXAMPLE_TASKS}"
+        )
+    stages = build(sleep_s=sleep_s, **values)
+    return WorkflowSpec(name=shape, stages=tuple(stages))

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -183,6 +184,8 @@ class TestSimulate:
             ("uid", 5),
             ("arguments", "abc"),
             ("uid", ""),
+            pytest.param("expected_runtime_s", 10**400,
+                         id="expected_runtime_s-beyond-float-range"),
         ],
     )
     def test_bad_workflow_field_is_config_error(self, tmp_path, capsys,
@@ -213,10 +216,14 @@ class TestSimulate:
             (("node", "cores_total"), 10**400),
             (("node_count",), 1.5),
             (("node_count",), 2**53 + 1),
+            (("bootstrap_overhead_s",), 10**400),
+            (("policy", "tiers", 0), [4, 10**400]),
         ],
         ids=["bootstrap-nan", "bootstrap-string", "tier-string-nodes",
              "tier-three-elements", "cores-beyond-float-range",
-             "node-count-float", "node-count-beyond-slots"],
+             "node-count-float", "node-count-beyond-slots",
+             "bootstrap-beyond-float-range",
+             "tier-walltime-beyond-float-range"],
     )
     def test_bad_platform_field_is_validation_error(self, tmp_path, capsys,
                                                     path, value):
@@ -1693,6 +1700,30 @@ class TestRunLocal:
         assert run_cli("run", "--workflow", str(wf), "--out", str(out)) == 2
         assert "Unplaceable" in capsys.readouterr().err
         assert not (out / "events.jsonl").exists()
+
+    @pytest.mark.parametrize("broken", ["missing", "failing"])
+    def test_run_without_pidfd_open_is_config_error(
+        self, tmp_path, capsys, monkeypatch, broken
+    ):
+        # an older kernel (ENOSYS) or an interpreter built without it
+        def pidfd_open(pid, *args):
+            raise OSError(errno.ENOSYS, os.strerror(errno.ENOSYS))
+
+        wf = tmp_path / "wf.json"
+        single_stage("s", [TaskDescription(
+            uid="fine", executable="/bin/sh", arguments=("-c", "true"),
+        )]).save(wf)
+        if broken == "missing":
+            monkeypatch.delattr(os, "pidfd_open")
+        else:
+            monkeypatch.setattr(os, "pidfd_open", pidfd_open)
+        out = tmp_path / "out"
+        assert run_cli("run", "--workflow", str(wf), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError: the local backend needs "
+                              "os.pidfd_open")
+        assert "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "entry, make, error",

@@ -424,6 +424,32 @@ def test_interrupt_cancels_the_rest_and_keeps_a_complete_log(
                         for uid in ("killer", "waiting", "later")]
 
 
+def test_interrupt_kills_a_task_that_ignores_sigterm(
+    tmp_path, sigint_raises, monkeypatch
+):
+    # the task ignores SIGTERM, so stop must SIGKILL it after the grace
+    monkeypatch.setattr(local_backend, "_TERM_GRACE_S", 0.2)
+    host = small_platform(cores=8, nodes=1)
+    wf = single_stage("s", [sh_task(
+        "stubborn",
+        f"echo $$ > pid; trap '' TERM; kill -INT {os.getpid()}; "
+        "exec sleep 30",
+    )])
+    before = _open_fds()
+    start = time.monotonic()
+    with pytest.raises(Interrupted) as caught:
+        run_local(wf, host, 1, tmp_path)
+    assert time.monotonic() - start < 10
+    assert _open_fds() == before
+    log = caught.value.log
+    assert log.complete
+    assert log[-1].detail == "done=0 failed=0 canceled=1"
+    assert [(e.task_uid, e.detail) for e in log
+            if e.kind == ev.TASK_CANCELED] == [("stubborn", "interrupted")]
+    with pytest.raises(ProcessLookupError):
+        os.kill(int((tmp_path / "pid").read_text()), 0)
+
+
 def test_interrupt_after_job_end_keeps_the_complete_log(
     tmp_path, monkeypatch
 ):

@@ -171,6 +171,12 @@ class TestPlanResubmission:
         with pytest.raises(EmptyPlan):
             plan_resubmission([], wf, platform, 4)
 
+    def test_a_uid_not_in_the_spec_is_rejected(self):
+        platform = small_platform()
+        wf = single_stage("s", [make_task("t")])
+        with pytest.raises(MalformedLog, match=r"unknown tasks: \['ghost'\]"):
+            plan_resubmission(["t", "ghost"], wf, platform, 4)
+
     def test_plan_serializes_to_runnable_workflow(self, tmp_path):
         platform = small_platform()
         wf = single_stage("s", [make_task(f"t{i}", procs=8) for i in range(3)])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ensemblekit import events as ev
 from ensemblekit import scheduler
-from ensemblekit.errors import DoubleRelease, Unplaceable
+from ensemblekit.errors import DoubleRelease, EnsembleKitError, Unplaceable
 from ensemblekit.platform import NodeSpec, task_footprint, usable_cores
 from ensemblekit.scheduler import (
     Pilot,
@@ -101,6 +101,19 @@ class TestPlaceRelease:
         release(table, placement)
         with pytest.raises(DoubleRelease):
             release(table, placement)
+
+    def test_a_table_of_no_nodes_is_rejected(self):
+        with pytest.raises(EnsembleKitError, match="node_count must be >= 1"):
+            SlotTable(FRONTIER_NODE, 0)
+
+    def test_placing_a_placed_task_again_is_rejected(self):
+        table = SlotTable(FRONTIER_NODE, 2)
+        desc = make_task("t")
+        place(table, desc)
+        before = free_slots(table)
+        with pytest.raises(EnsembleKitError, match="task t already placed"):
+            place(table, desc)
+        assert free_slots(table) == before
 
     def test_insufficient_nodes_leaves_table_unchanged(self):
         table = SlotTable(FRONTIER_NODE, 2)

@@ -96,11 +96,33 @@ def test_desk_shapes_fit_a_laptop():
 
 def test_toy_degenerate_shapes_rejected():
     with pytest.raises(UnknownShape):
-        generate_example("toy", {"stages": 0})
+        generate_example("toy", {"tasks": 0})
     with pytest.raises(UnknownShape):
         generate_example("exaconstit", {"tasks": 0})
     with pytest.raises(UnknownShape):
         generate_example("no-such-shape")
+
+
+@pytest.mark.parametrize(
+    "shape, params",
+    [
+        ("exaconstit", {"tasks": 2.7}),
+        ("exaconstit", {"tasks": "3"}),
+        ("toy", {"tasks": True}),
+        ("exaconstit", {"tasks": float("nan")}),
+        ("toy", {"tasks": [1]}),
+        ("uq-stage1", {"desk": "no"}),
+        ("exaconstit", {"seed": None}),
+        ("toy", {"stages": 3}),
+    ],
+)
+def test_a_value_of_the_wrong_type_is_config_error(shape, params):
+    # none is truncated, read as true, seeded from the clock or let through
+    # as a bare ValueError or TypeError
+    [name] = params
+    with pytest.raises(ConfigError, match=name) as raised:
+        generate_example(shape, params)
+    assert type(raised.value) is ConfigError
 
 
 @pytest.mark.parametrize(
