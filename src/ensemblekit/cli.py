@@ -179,10 +179,10 @@ def cmd_simulate(args) -> int:
     retry = (f"{out.stem}.attempt", out.suffix)
     _check_writable(out, retry, args.max_attempts)  # fail before the run
 
-    def run_attempt(specs, attempt, nodes, walltime_s):
+    def run_attempt(spec, attempt, nodes, walltime_s):
         # injected faults hit attempt 1 only; retries run clean
         log = run_simulated(
-            specs,
+            spec,
             platform,
             nodes,
             walltime_s,
@@ -215,11 +215,11 @@ def cmd_run(args) -> int:
     if first.parent.exists():
         _check_writable(first, retry, args.max_attempts)
 
-    def run_attempt(specs, attempt, nodes, walltime_s):
+    def run_attempt(spec, attempt, nodes, walltime_s):
         path = _attempt_path(first, retry, attempt)
         # run_local makes the attempt's directory
         try:
-            log = run_local(specs, platform, args.max_parallel, path.parent)
+            log = run_local(spec, platform, args.max_parallel, path.parent)
         except Interrupted as e:
             e.log.save_jsonl(path)
             raise

@@ -10,10 +10,6 @@ class ConfigError(EnsembleKitError):
     configuration error derives from it; the CLI exits 2 for any of them."""
 
 
-class InvalidNodeSpec(EnsembleKitError):
-    """Node shape is degenerate (e.g. all cores reserved)."""
-
-
 class Unplaceable(ConfigError):
     """A single process of the task exceeds what one node offers, or the
     task can never fit the allocation."""

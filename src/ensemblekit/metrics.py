@@ -20,7 +20,7 @@ from typing import Optional
 
 from ensemblekit import events as ev
 from ensemblekit.errors import (EnsembleKitError, InsufficientData,
-                                InvalidNodeSpec, MalformedLog)
+                                MalformedLog, ValidationError)
 from ensemblekit.events import EventLog, scheduled_slots
 from ensemblekit.platform import NodeSpec, usable_cores
 from ensemblekit.pst import _value, count_violation
@@ -92,7 +92,7 @@ def allocation(log: EventLog) -> tuple[NodeSpec, int]:
         nodes = meta["allocation_nodes"]
     # ValueError: bad JSON or an int past the digit limit; TypeError: no dict
     except (ValueError, RecursionError, TypeError, KeyError,
-            InvalidNodeSpec) as e:
+            ValidationError) as e:
         raise MalformedLog(f"bad run metadata in JOB_START: {e!r}") from e
     reason = count_violation("allocation_nodes", nodes, 1)
     if reason:

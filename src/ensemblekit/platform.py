@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ensemblekit.errors import (
-    InvalidNodeSpec,
     ParseError,
     PolicyGap,
     Unplaceable,
@@ -30,7 +29,7 @@ class NodeSpec:
     """Shape of one compute node. ``cores_reserved`` go to system processes
     and are never schedulable. Every field is an int of at most
     :data:`~ensemblekit.pst.MAX_SLOTS`; an invalid shape raises one
-    InvalidNodeSpec that names every violation."""
+    ValidationError that names every violation."""
 
     cores_total: int
     cores_reserved: int = 0
@@ -49,7 +48,7 @@ class NodeSpec:
                 f"cores_total ({self.cores_total})"
             )
         if out:
-            raise InvalidNodeSpec("; ".join(out))
+            raise ValidationError("; ".join(out))
 
 
 def usable_cores(node: NodeSpec) -> int:
@@ -216,6 +215,3 @@ def platform_from_json(doc: dict) -> PlatformConfig:
     # wrong type
     except (KeyError, TypeError) as e:
         raise ValidationError(f"malformed platform config: {e}") from e
-    except InvalidNodeSpec as e:
-        # the CLI reports ValidationError as a configuration error
-        raise ValidationError(str(e)) from e

@@ -4,8 +4,8 @@ A failure is a task uid: the uids of a spec's tasks that a job's event log
 ends FAILED (or CANCELED) are regrouped by their original stage, in
 original stage order, into a fresh workflow with a right-sized allocation
 request: enough nodes for full concurrency of the widest failed stage,
-never more than the original job used. Why a task failed stays in the log,
-in its terminal event's detail. Retries run as fresh jobs on a fresh
+never more than the job it retries used. Why a task failed stays in the
+log, in its terminal event's detail. Retries run as fresh jobs on a fresh
 allocation, through an attempt runner the caller passes to
 :func:`retry_loop`, so one protocol serves both backends.
 """
@@ -68,19 +68,16 @@ class ResubmissionPlan:
     nodes: int
     walltime_s: float
 
-    def sidecar(self, attempt: int, parent_log: str) -> dict:
-        return {
+    def save(self, path: str | Path, attempt: int, parent_log: str) -> None:
+        path = Path(path)
+        self.workflow.save(path)
+        sidecar = {
             "attempt": attempt,
             "parent_log": parent_log,
             "allocation": {"nodes": self.nodes, "walltime_s": self.walltime_s},
         }
-
-    def save(self, path: str | Path, attempt: int, parent_log: str) -> None:
-        path = Path(path)
-        self.workflow.save(path)
-        sidecar_path = path.with_suffix(path.suffix + ".meta.json")
-        sidecar_path.write_text(
-            json.dumps(self.sidecar(attempt, parent_log), indent=2) + "\n"
+        path.with_suffix(path.suffix + ".meta.json").write_text(
+            json.dumps(sidecar, indent=2) + "\n"
         )
 
 
@@ -88,14 +85,14 @@ def plan_resubmission(
     failed: Sequence[str],
     spec: WorkflowSpec,
     platform: PlatformConfig,
-    original_allocation_nodes: int,
+    job_nodes: int,
 ) -> ResubmissionPlan:
     """Rebuild the tasks whose uids are ``failed`` into a smaller job
     preserving stage order.
 
     The allocation is sized for full concurrency of the widest failed stage
-    and capped by the original allocation; the walltime comes from the policy
-    table.
+    and capped by ``job_nodes``, the allocation of the job that failed them;
+    the walltime comes from the policy table.
     """
     if not failed:
         raise EmptyPlan("no failed tasks to plan from")
@@ -115,7 +112,7 @@ def plan_resubmission(
             sum(task_footprint(t, platform.node)[0] for t in tasks)
         )
 
-    nodes = min(original_allocation_nodes, max(widths))
+    nodes = min(job_nodes, max(widths))
     walltime_s = max_walltime_for(platform.policy, nodes)
     return ResubmissionPlan(
         workflow=WorkflowSpec(name=f"{spec.name}-retry", stages=tuple(stages)),
@@ -124,14 +121,12 @@ def plan_resubmission(
     )
 
 
-RunAttempt = Callable[
-    [Sequence[WorkflowSpec], int, int, Optional[float]], EventLog
-]
+RunAttempt = Callable[[WorkflowSpec, int, int, Optional[float]], EventLog]
 
 
 # returns (logs, unresolved): perfbench/tracer.py reads the logs from r[0]
 def retry_loop(
-    specs: Sequence[WorkflowSpec] | WorkflowSpec,
+    spec: WorkflowSpec,
     platform: PlatformConfig,
     run_attempt: RunAttempt,
     nodes: int,
@@ -139,41 +134,24 @@ def retry_loop(
     max_attempts: int,
     retry_canceled: bool = False,
 ) -> tuple[list[EventLog], list[str]]:
-    """Run a job, then re-submit failures as fresh smaller jobs until clean
-    or out of attempts. Returns all logs and the uids still failed.
+    """Run a job, then re-submit its failures as a fresh smaller job until
+    clean or out of attempts. Returns all logs and the uids still failed.
 
-    ``run_attempt(specs, attempt, nodes, walltime_s)`` runs attempt
+    ``run_attempt(spec, attempt, nodes, walltime_s)`` runs attempt
     ``attempt`` (from 1) as a fresh job on its own backend and returns its
     log. Attempt 1 gets ``nodes`` and ``walltime_s`` (None for a backend
-    without a walltime); a retry gets the nodes its plans need, never more
-    than ``nodes``, and the policy walltime for them.
+    without a walltime); a retry gets the nodes its plan needs, never more
+    than the job it retries, and the policy walltime for them.
     """
     if max_attempts < 1:
         raise ConfigError("max_attempts must be >= 1")
-    if isinstance(specs, WorkflowSpec):
-        specs = [specs]
-
     logs: list[EventLog] = []
-    current: list[WorkflowSpec] = list(specs)
-    allocation_nodes = nodes
-    unresolved: list[str] = []
-
     for attempt in range(1, max_attempts + 1):
-        log = run_attempt(current, attempt, nodes, walltime_s)
+        log = run_attempt(spec, attempt, nodes, walltime_s)
         logs.append(log)
-        per_spec = [
-            (spec, collect_failures(log, spec, retry_canceled))
-            for spec in current
-        ]
-        unresolved = [uid for _, failed in per_spec for uid in failed]
-        if not unresolved or attempt == max_attempts:
+        failed = collect_failures(log, spec, retry_canceled)
+        if not failed or attempt == max_attempts:
             break
-        plans = [
-            plan_resubmission(failed, spec, platform, allocation_nodes)
-            for spec, failed in per_spec
-            if failed
-        ]
-        current = [p.workflow for p in plans]
-        nodes = min(allocation_nodes, sum(p.nodes for p in plans))
-        walltime_s = max_walltime_for(platform.policy, nodes)
-    return logs, unresolved
+        plan = plan_resubmission(failed, spec, platform, nodes)
+        spec, nodes, walltime_s = plan.workflow, plan.nodes, plan.walltime_s
+    return logs, failed

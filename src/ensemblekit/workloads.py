@@ -164,13 +164,13 @@ def generate_example(
     (N ensemble members plus a trailing optimization task), uq-stage1
     (additivefoam chained into exaca), toy (two stages of ``tasks`` tasks).
 
-    Every shape reads ``seed`` (an int) and ``sleep_s`` (a finite number
-    >= 0); the rest of its params are in its ``_SHAPES`` row, and a value
-    given for one must have its default's type: counts are ints (not
+    Every shape reads ``seed`` (an int >= 0) and ``sleep_s`` (a finite
+    number >= 0); the rest of its params are in its ``_SHAPES`` row, and a
+    value given for one must have its default's type: counts are ints (not
     bools), ``desk`` and ``optimizer`` bools. ConfigError for a param the
-    shape does not read or a value of the wrong type; UnknownShape for an
-    unknown shape, a count below 1, or counts whose product exceeds
-    MAX_EXAMPLE_TASKS.
+    shape does not read, a value of the wrong type or a negative seed;
+    UnknownShape for an unknown shape, a count below 1, or counts whose
+    product exceeds MAX_EXAMPLE_TASKS.
     """
     if shape not in _SHAPES:
         raise UnknownShape(f"unknown example shape {shape!r}; know {SHAPES}")
@@ -201,6 +201,8 @@ def generate_example(
                 raise UnknownShape(f"{shape} needs {name} >= 1")
             counts.append(name)
             size *= value
+    if values["seed"] < 0:  # random.Random(seed) would use |seed|
+        raise ConfigError(f"seed must be >= 0, not {values['seed']}")
     if size > MAX_EXAMPLE_TASKS:
         raise UnknownShape(
             f"{shape} asks for {' x '.join(counts)} = {size}; "

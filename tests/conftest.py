@@ -98,10 +98,10 @@ def simulated_attempts(platform, runtime_model, *faults):
     the ``node_faults``/``task_faults`` keywords ``faults[k-1]``, later
     attempts run clean."""
 
-    def run_attempt(specs, attempt, nodes, walltime_s):
+    def run_attempt(spec, attempt, nodes, walltime_s):
         kwargs = faults[attempt - 1] if attempt <= len(faults) else {}
         return run_simulated(
-            specs, platform, nodes, walltime_s, runtime_model, **kwargs
+            spec, platform, nodes, walltime_s, runtime_model, **kwargs
         )
 
     return run_attempt

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -19,8 +20,8 @@ from ensemblekit.engine import (
 )
 from ensemblekit.errors import ConfigError, PolicyViolation, Unplaceable
 from ensemblekit.events import EventLog
-from ensemblekit.metrics import concurrency_series
-from ensemblekit.platform import get_profile
+from ensemblekit.metrics import compute_utilization, concurrency_series
+from ensemblekit.platform import WalltimePolicy, get_profile
 from ensemblekit.pst import Stage, WorkflowSpec
 from conftest import (
     events_by_task,
@@ -430,6 +431,43 @@ class TestDeterminism:
         }
         assert pipelines == {1, 2, 3}
         assert digest.hexdigest() == GOLDEN_RANDOM_JOBS
+
+    def test_doubling_every_time_doubles_every_timestamp(self):
+        # the engine has no time scale of its own: doubling every duration,
+        # delay and limit, and halving the launch rate, doubles each event's
+        # ts and leaves the rest of the log and the fractions as they were
+        for seed in range(200):
+            (specs, platform, nodes, walltime, model), kwargs = random_job(seed)
+            cap = kwargs["launch_rate_cap"]
+            slow = run_simulated(
+                specs,
+                dataclasses.replace(
+                    platform,
+                    bootstrap_overhead_s=2 * platform.bootstrap_overhead_s,
+                    policy=WalltimePolicy(tuple(
+                        (n, 2 * w) for n, w in platform.policy.tiers)),
+                ),
+                nodes,
+                2 * walltime,
+                RuntimeModel("uniform", 2 * model.lo_s, 2 * model.hi_s,
+                             model.seed),
+                node_faults=tuple(
+                    dataclasses.replace(f, at_ts=2 * f.at_ts)
+                    for f in kwargs["node_faults"]),
+                task_faults=kwargs["task_faults"],
+                launch_delay_s=2 * kwargs["launch_delay_s"],
+                launch_rate_cap=None if cap is None else cap / 2,
+            )
+            log = run_simulated(specs, platform, nodes, walltime, model,
+                                **kwargs)
+            assert len(slow) == len(log), seed
+            for e, s in zip(list(log)[1:], list(slow)[1:]):
+                assert s == e._replace(ts=2 * e.ts), seed
+            fractions = [
+                [u.utilization_fraction for u in (st.nodes, st.cores, st.gpus)]
+                for st in map(compute_utilization, (log, slow))
+            ]
+            assert fractions[0] == fractions[1], seed
 
 
 def random_job(seed):

@@ -448,8 +448,8 @@ def test_simulated_attempts_keep_accounting_in_bounds(
     platform, spec, nodes, walltime, faults, launch = job
     model = RuntimeModel("uniform", 1.0, 100.0, seed=seed)
 
-    def run_attempt(specs, attempt, nodes, walltime_s):
-        return run_simulated(specs, platform, nodes, walltime_s, model,
+    def run_attempt(spec, attempt, nodes, walltime_s):
+        return run_simulated(spec, platform, nodes, walltime_s, model,
                              node_faults=faults if attempt == 1 else (),
                              **launch)
 

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ensemblekit.errors import (
-    InvalidNodeSpec,
     ParseError,
     PolicyGap,
     Unplaceable,
@@ -33,13 +32,13 @@ class TestNodeSpec:
         assert usable_cores(NodeSpec(8, 0)) == 8
 
     def test_all_reserved_is_invalid(self):
-        with pytest.raises(InvalidNodeSpec):
+        with pytest.raises(ValidationError):
             NodeSpec(8, 8)
 
     def test_negative_fields_invalid(self):
-        with pytest.raises(InvalidNodeSpec):
+        with pytest.raises(ValidationError):
             NodeSpec(8, -1)
-        with pytest.raises(InvalidNodeSpec):
+        with pytest.raises(ValidationError):
             NodeSpec(8, 0, gpus=-2)
 
 

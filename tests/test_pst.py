@@ -59,6 +59,9 @@ class TestValidation:
         violations = validate_workflow(spec)
         assert any("empty" in v for v in violations)
         assert any("executable" in v for v in violations)
+        assert validate_workflow(WorkflowSpec(name="wf", stages=())) == [
+            "workflow has no stages"
+        ]
 
     def test_all_violations_returned_in_one_pass(self):
         spec = single_stage(

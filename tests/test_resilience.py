@@ -1,7 +1,9 @@
+import hashlib
+
 import pytest
 
 from ensemblekit import events as ev
-from ensemblekit import resilience
+from ensemblekit import metrics, resilience
 from ensemblekit.engine import (
     NodeFault,
     RuntimeModel,
@@ -231,7 +233,7 @@ class TestRetryLoop:
         )
         assert len(logs) == 3
         assert unresolved == ["t"]
-        # one harvest per spec per attempt, reused to plan the retry
+        # one harvest per attempt, reused to plan the retry
         assert calls == ["s", "s-retry", "s-retry-retry"]
         for log in logs[1:]:
             assert {e.task_uid for e in log if e.kind in ev.TERMINAL_KINDS} == {"t"}
@@ -279,3 +281,36 @@ class TestRetryLoop:
                     if e.kind in ev.TERMINAL_KINDS
                 }
                 assert next_planned == failed_k
+
+    def test_chain_allocations_and_logs_are_pinned(self, tmp_path):
+        # persistent node faults in each of four attempts: the failures
+        # shrink, the cap binds while the widest failed stage (9, then 5
+        # nodes) is wider than the job retried, then the retry narrows
+        platform = small_platform(nodes=8)
+        wf = WorkflowSpec(name="chain", stages=(
+            Stage(name="a", tasks=tuple(
+                make_task(f"a{i}", procs=8) for i in range(12))),
+            Stage(name="b", tasks=tuple(
+                make_task(f"b{i}", procs=16) for i in range(4))),
+        ))
+        runner = simulated_attempts(platform, FIXED, *(
+            {"node_faults": tuple(
+                NodeFault(n, 10.0, persistent=True) for n in nodes)}
+            for nodes in ((0, 1, 2), (0, 1), (0,), (0,))
+        ))
+        logs, unresolved = retry_loop(
+            wf, platform, runner, 4, 10000.0, max_attempts=4
+        )
+        assert [metrics.allocation(log)[1] for log in logs] == [4, 4, 4, 2]
+        digests = []
+        for k, log in enumerate(logs, 1):
+            path = tmp_path / f"attempt-{k}.jsonl"
+            log.save_jsonl(path)
+            digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+        assert digests == [
+            "5cd72d20f1a55f5962c03f918f862cb7ad8f53eb2db3a2be6772a5bad881dd9c",
+            "ed91639290bef4d33794b89f0fad842ec76eeba10cfd357eabb49b334378e494",
+            "dde898d6c21b0f6fc204a06a23ae642fd90f22f814e52eae5dfe16c8ea9517c8",
+            "03c35bbd0f42eeb0d2485d943a95417e51983293f40963a5e06c1abeb206752b",
+        ]
+        assert unresolved == ["a0", "b0"]

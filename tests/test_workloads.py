@@ -114,6 +114,7 @@ def test_toy_degenerate_shapes_rejected():
         ("uq-stage1", {"desk": "no"}),
         ("exaconstit", {"seed": None}),
         ("toy", {"stages": 3}),
+        ("exaconstit", {"seed": -5}),
     ],
 )
 def test_a_value_of_the_wrong_type_is_config_error(shape, params):
