@@ -12,7 +12,8 @@ with no event is new, and every ``TASK_*`` event names its task and follows
 its last one as :data:`_FOLLOWS` allows: ``TASK_SCHEDULED``, then
 ``TASK_LAUNCHED``, then one of ``TASK_DONE`` / ``TASK_FAILED``, with
 ``TASK_CANCELED`` allowed from each of those open states; nothing follows a
-terminal event. No other kind names a task, and nothing follows JOB_END.
+terminal event. A task's later events name no nodes or the nodes of its
+``TASK_SCHEDULED``. No other kind names a task, and nothing follows JOB_END.
 :meth:`EventLog.append` checks these rules beside the timestamp order and
 each field's type, so readers of a log fold it without checking again, and
 the pilot and engine ask it for a task's state through
@@ -105,8 +106,8 @@ class EventLog:
     checks."""
 
     events: list[Event] = field(default_factory=list, init=False)
-    # each task's last event: its kind for the lifecycle check, its node
-    # ids for the check the task's next event may skip
+    # each task's last event, carrying the node ids of its first: its kind
+    # for the lifecycle check, its node ids for the task's next event
     _last: dict[str, Event] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -117,10 +118,11 @@ class EventLog:
         number or is earlier than the last one, a uid or detail not a str
         (a uid may be None), or node ids not None or a tuple of ints >= 0;
         and for a TASK_* event off its task's lifecycle or naming no task,
-        or another kind naming a task.
+        or another kind naming a task, or a task's later event whose node
+        ids are neither None nor those of its TASK_SCHEDULED.
 
         Node ids that are the very tuple object the task's previous event
-        carries passed this check with it and are not checked again; an
+        carries passed these checks with it and are not checked again; an
         equal tuple is, since ``(True,) == (1.0,) == (1,)``."""
         ts, kind, uid, node_ids, detail = event
         events = self.events
@@ -166,7 +168,15 @@ class EventLog:
                     if kind in _TASK_KINDS
                     else f"{kind} event names task {uid!r}"
                 )
-            self._last[uid] = event
+            if last is None or node_ids is last[3] or node_ids == last[3]:
+                self._last[uid] = event
+            elif node_ids is None:  # the task keeps its scheduled nodes
+                self._last[uid] = _new(Event, (ts, kind, uid, last[3], detail))
+            else:
+                raise MalformedLog(
+                    f"task {uid}: {kind} names nodes {node_ids}, not the "
+                    f"nodes {last[3]} it was scheduled on"
+                )
         events.append(event)
 
     def __iter__(self) -> Iterator[Event]:

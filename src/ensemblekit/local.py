@@ -53,6 +53,29 @@ def _argv(desc: TaskDescription) -> list[str]:
     return ["/bin/sh", "-c", line]
 
 
+def _check_startable(desc: TaskDescription) -> None:
+    """ConfigError, naming the task and the field, unless the uid can name
+    the task's log files and each string of its command can reach exec: a
+    string that holds NUL or that :func:`os.fsencode` cannot encode, or a
+    uid that holds ``/``."""
+    fields = [("uid", desc.uid), ("executable", desc.executable)]
+    fields += [("argument", arg) for arg in desc.arguments]
+    fields += [("pre_exec line", line) for line in desc.pre_exec]
+    for name, text in fields:
+        try:
+            os.fsencode(text)
+        except UnicodeEncodeError as e:
+            reason = f"cannot be encoded: {e.reason}"
+        else:
+            if "\0" in text:
+                reason = "holds NUL"
+            elif name == "uid" and "/" in text:
+                reason = "holds '/', so it cannot name a log file"
+            else:
+                continue
+        raise ConfigError(f"task {desc.uid!r}: {name} {text!r} {reason}")
+
+
 def _signal_group(proc: subprocess.Popen, sig: int) -> None:
     try:
         os.killpg(proc.pid, sig)
@@ -172,7 +195,8 @@ def run_local(
     """Execute pipelines as subprocesses, at most max_parallel at a time and
     never more than fit the cores and GPUs of one platform node.
 
-    A task wider than that node raises Unplaceable before anything spawns.
+    A task wider than that node raises Unplaceable, and one that could not
+    start (:func:`_check_startable`) ConfigError, before anything spawns.
     A nonzero exit becomes TASK_FAILED (detail ``exit_code=N``, negative for
     a signal) and the pipeline still runs to JOB_END; a spawn failure is
     recorded the same way, with detail ``spawn_error: <OSError>``. Tasks run
@@ -195,6 +219,8 @@ def run_local(
             f"the local backend needs os.pidfd_open (Linux >= 5.3): {e}"
         ) from e
     pilot = Pilot(specs, platform, 1, backend="local", max_parallel=max_parallel)
+    for desc in pilot.job.runs.values():
+        _check_startable(desc)
     processes = _Processes(pilot, Path(out_dir), max_parallel)
     pilot.boot(processes.now())
     interrupted = False

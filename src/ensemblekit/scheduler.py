@@ -93,70 +93,72 @@ class SlotTable:
 
 def task_footprints(
     table: SlotTable, descs: Iterable[TaskDescription]
-) -> dict[str, tuple[int, int]]:
-    """Footprint of every task on the table's node shape, by uid, computed
-    once per distinct (procs, threads, GPUs) shape.
+) -> dict[str, tuple[tuple[int, ...], str]]:
+    """Each task's ``(chunks, detail)`` record on the table's node shape, by
+    uid: its ranks per node, ``procs_per_node`` on every node but the last,
+    which carries the rest, and its TASK_SCHEDULED detail. The tasks of one
+    (procs, threads, GPUs) shape share one record, built once.
 
     Raises Unplaceable for a task that could never fit the table, naming
     the first task of its shape, so a job is rejected before anything of it
     runs.
     """
-    out: dict[str, tuple[int, int]] = {}
-    by_shape: dict[tuple[int, int, int], tuple[int, int]] = {}
+    out: dict[str, tuple[tuple[int, ...], str]] = {}
+    by_shape: dict[tuple[int, int, int], tuple[tuple[int, ...], str]] = {}
     for desc in descs:
         shape = (
             desc.cpu_processes,
             desc.cpu_threads_per_process,
             desc.gpus_per_process,
         )
-        fp = by_shape.get(shape)
-        if fp is None:
-            fp = task_footprint(desc, table.node)
-            if fp[0] > table.node_count:
+        record = by_shape.get(shape)
+        if record is None:
+            nodes, ppn = task_footprint(desc, table.node)
+            if nodes > table.node_count:
                 raise Unplaceable(
-                    f"task {desc.uid} needs {fp[0]} nodes; allocation "
+                    f"task {desc.uid} needs {nodes} nodes; allocation "
                     f"has {table.node_count}"
                 )
-            by_shape[shape] = fp
-        out[desc.uid] = fp
+            rest = desc.cpu_processes - ppn * (nodes - 1)
+            chunks = (ppn,) * (nodes - 1) + (rest,)
+            record = by_shape[shape] = (
+                chunks, ev.scheduled_detail(shape[1], shape[2], chunks)
+            )
+        out[desc.uid] = record
     return out
 
 
 def try_place(
-    table: SlotTable, desc: TaskDescription, footprint: tuple[int, int]
+    table: SlotTable, desc: TaskDescription, chunks: tuple[int, ...]
 ) -> Optional[Placement]:
-    """Reserve slots for one task, or return None leaving the table unchanged.
-
-    Scans nodes in ascending id order. All chunks are ``procs_per_node``
-    ranks except the last, which carries the remainder.
-    """
+    """Reserve ``chunks[i]`` ranks of one task on the i-th node chosen, first
+    fit in ascending id order, or return None leaving the table unchanged.
+    Every chunk but the last is the first one's size, as in
+    :func:`task_footprints`; the placement carries ``chunks`` itself."""
     uid = desc.uid
     if uid in table._active:
         raise EnsembleKitError(f"task {uid} already placed")
-    nodes_needed, procs_per_node = footprint
+    nodes_needed = len(chunks)
     threads = desc.cpu_threads_per_process
     gpus_pp = desc.gpus_per_process
-    remainder = desc.cpu_processes - procs_per_node * (nodes_needed - 1)
     free_cores, free_gpus = table.free_cores, table.free_gpus
     avail = table._avail
 
     chosen: list[int] = []
     popped: list[int] = []
-    # the cores and GPUs of the next chunk: every chunk but the last is
-    # full, and the last carries the remainder
-    chunk = procs_per_node if nodes_needed > 1 else remainder
-    cores, gpus = chunk * threads, chunk * gpus_pp
+    # the cores and GPUs of the next chunk: the first chunk's size until
+    # all but the last node are chosen, then the last chunk's
+    cores, gpus = chunks[0] * threads, chunks[0] * gpus_pp
     while avail and len(chosen) < nodes_needed:
         node_id = heapq.heappop(avail)
         popped.append(node_id)
         if free_cores[node_id] >= cores and free_gpus[node_id] >= gpus:
             chosen.append(node_id)
             if len(chosen) == nodes_needed - 1:
-                cores, gpus = remainder * threads, remainder * gpus_pp
+                cores, gpus = chunks[-1] * threads, chunks[-1] * gpus_pp
 
     placement = None
     if len(chosen) == nodes_needed:
-        chunks = (procs_per_node,) * (nodes_needed - 1) + (remainder,)
         for node_id, procs in zip(chosen, chunks):
             free_cores[node_id] -= procs * threads
             free_gpus[node_id] -= procs * gpus_pp
@@ -219,8 +221,6 @@ class Pilot:
         self.queue: deque[TaskDescription] = deque()
         # the queue head that last failed to place, and table.releases then
         self._blocked: tuple[Optional[TaskDescription], int] = (None, 0)
-        # the TASK_SCHEDULED detail of each reservation shape placed so far
-        self._details: dict[tuple[int, int, tuple[int, ...]], str] = {}
         self.log = EventLog()
         start = {
             "backend": None,
@@ -244,29 +244,24 @@ class Pilot:
         self.queue.extend(self.job.first_stages())
 
     def place(self, ts: float) -> Optional[TaskDescription]:
-        """Place the queue's head task: pop it, reserve its slots and log
-        TASK_SCHEDULED with the placed chunks. Returns None, leaving queue
-        and table unchanged, when the queue is empty or its head does not
-        fit now. A head that failed to place is not tried again before a
-        release: a failed try_place leaves the table as it was, and only a
-        release makes room."""
+        """Place the queue's head task: pop it, reserve its shape's chunks
+        and log TASK_SCHEDULED with its shape's detail. Returns None,
+        leaving queue and table unchanged, when the queue is empty or its
+        head does not fit now. A head that failed to place is not tried
+        again before a release: a failed try_place leaves the table as it
+        was, and only a release makes room."""
         if not self.queue:
             return None
         desc = self.queue[0]
         blocked, releases = self._blocked
         if desc is blocked and releases == self.table.releases:
             return None
-        placement = try_place(self.table, desc, self.footprints[desc.uid])
+        chunks, detail = self.footprints[desc.uid]
+        placement = try_place(self.table, desc, chunks)
         if placement is None:
             self._blocked = (desc, self.table.releases)
             return None
         self.queue.popleft()
-        # one detail text per (threads, GPUs, chunks) reservation shape
-        key = (placement.cpu_threads_per_process, placement.gpus_per_process,
-               placement.chunks)
-        detail = self._details.get(key)
-        if detail is None:
-            detail = self._details[key] = ev.scheduled_detail(*key)
         self.emit(ts, ev.TASK_SCHEDULED, desc.uid, placement.node_ids, detail)
         return desc
 

@@ -16,6 +16,7 @@ from ensemblekit.platform import (
     PlatformConfig,
     WalltimePolicy,
     get_profile,
+    task_footprint,
 )
 from ensemblekit.pst import Stage, TaskDescription, WorkflowSpec
 
@@ -53,6 +54,14 @@ def make_task(
 def exaconstit_task(uid, expected=None):
     """8-node member: 64 ranks at 7 cores + 1 GPU each."""
     return make_task(uid, procs=64, threads=7, gpus=1, expected=expected)
+
+
+def chunks_of(desc, node):
+    """The ranks per node of desc on node's shape, from task_footprint
+    alone: full chunks, the rest last; unlike task_footprints, it does not
+    ask that the task fit an allocation."""
+    nodes, ppn = task_footprint(desc, node)
+    return (ppn,) * (nodes - 1) + (desc.cpu_processes - ppn * (nodes - 1),)
 
 
 def single_stage(name, tasks, workflow_name=None):

@@ -22,7 +22,7 @@ from ensemblekit.metrics import (
     concurrency_series,
     throughput,
 )
-from ensemblekit.platform import get_profile, task_footprint
+from ensemblekit.platform import get_profile
 from ensemblekit.pst import Stage, WorkflowSpec
 from ensemblekit.resilience import (
     collect_failures,
@@ -37,6 +37,7 @@ from ensemblekit.scheduler import (
 )
 from ensemblekit.workloads import generate_example
 from conftest import (
+    chunks_of,
     events_by_task,
     exaconstit_task,
     make_task,
@@ -312,12 +313,12 @@ def test_criterion_5_scheduler_safety():
                     gpus=rng.randint(0, 1) if gpus else 0,
                 )
                 try:
-                    footprint = task_footprint(desc, table.node)
+                    chunks = chunks_of(desc, table.node)
                 except Exception:
                     continue
-                if footprint[0] > n_nodes:
+                if len(chunks) > n_nodes:
                     continue
-                placement = try_place(table, desc, footprint)
+                placement = try_place(table, desc, chunks)
                 if placement is not None:
                     active[desc.uid] = placement
             else:

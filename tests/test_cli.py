@@ -549,6 +549,26 @@ class TestReport:
         assert run_cli("report", "--log", str(truncated)) == 1
         assert "IncompleteLog" in capsys.readouterr().err
 
+    def test_a_task_run_on_other_nodes_exit_1(self, tmp_path,
+                                              small_platform_file, capsys):
+        # the first task's launch and terminal event name a node it was
+        # not scheduled on
+        log = self.make_log(tmp_path, small_platform_file)
+        records = [json.loads(line) for line in log.read_text().splitlines()]
+        uid = next(r["task_uid"] for r in records
+                   if r["kind"] == ev.TASK_SCHEDULED)
+        for r in records:
+            if r["task_uid"] == uid and r["kind"] != ev.TASK_SCHEDULED:
+                r["node_ids"] = [n + 1 for n in r["node_ids"]]
+        moved = tmp_path / "moved.jsonl"
+        moved.write_text("".join(json.dumps(r) + "\n" for r in records))
+        capsys.readouterr()
+        assert run_cli("report", "--log", str(moved)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: MalformedLog: {moved}:")
+        assert "it was scheduled on" in err
+        assert not list(tmp_path.glob("moved_*"))
+
     def test_missing_log_exit_2(self, tmp_path):
         assert run_cli("report", "--log", str(tmp_path / "absent.jsonl")) == 2
 
@@ -1700,6 +1720,45 @@ class TestRunLocal:
         assert run_cli("run", "--workflow", str(wf), "--out", str(out)) == 2
         assert "Unplaceable" in capsys.readouterr().err
         assert not (out / "events.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("uid", "../escaped"),
+            ("uid", "x/y"),
+            ("uid", "a\x00b"),
+            ("uid", "a\ud800"),
+            ("executable", "/bin/tr\x00ue"),
+            ("executable", "/bin/\ud800"),
+            ("arguments", ("x\x00y",)),
+            ("arguments", ("x\ud800",)),
+            ("pre_exec", ("true\x00",)),
+            ("pre_exec", ("echo \ud800",)),
+        ],
+        ids=["uid-parent", "uid-slash", "uid-nul", "uid-surrogate",
+             "executable-nul", "executable-surrogate", "argument-nul",
+             "argument-surrogate", "pre_exec-nul", "pre_exec-surrogate"],
+    )
+    def test_a_task_run_cannot_start_is_config_error(
+        self, tmp_path, capsys, field, value
+    ):
+        # simulate runs no command and writes no task log, so it keeps
+        # accepting the workflow; run rejects it before the out directory
+        # or any task log exists
+        task = {"uid": "t", "executable": "/bin/true",
+                "expected_runtime_s": 1.0, field: value}
+        wf = tmp_path / "wf.json"
+        single_stage("s", [TaskDescription(**task)]).save(wf)
+        out = tmp_path / "out"
+        assert run_cli("run", "--workflow", str(wf), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ConfigError: task {task['uid']!r}: ")
+        assert field.removesuffix("s") in err
+        assert "Traceback" not in err
+        assert not out.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["wf.json"]
+        assert run_cli("simulate", "--workflow", str(wf), "--nodes", "1",
+                       "--out", str(tmp_path / "sim.jsonl")) == 0
 
     @pytest.mark.parametrize("broken", ["missing", "failing"])
     def test_run_without_pidfd_open_is_config_error(

@@ -2,10 +2,15 @@ import collections
 import dataclasses
 import hashlib
 import itertools
+import json
 import math
+import os
 import random
+import tempfile
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ensemblekit import engine
 from ensemblekit import events as ev
@@ -26,6 +31,7 @@ from ensemblekit.pst import Stage, WorkflowSpec
 from conftest import (
     events_by_task,
     exaconstit_task,
+    log_of,
     make_task,
     single_stage,
     small_platform,
@@ -464,10 +470,55 @@ class TestDeterminism:
             for e, s in zip(list(log)[1:], list(slow)[1:]):
                 assert s == e._replace(ts=2 * e.ts), seed
             fractions = [
-                [u.utilization_fraction for u in (st.nodes, st.cores, st.gpus)]
-                for st in map(compute_utilization, (log, slow))
+                [u.utilization_fraction for u in units(stack)]
+                for stack in map(compute_utilization, (log, slow))
             ]
             assert fractions[0] == fractions[1], seed
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_doubling_the_allocation_halves_every_fraction(self, seed):
+        # the nodes a job never reached add capacity and no busy time: with
+        # allocation_nodes doubled in JOB_START, every unit's busy seconds
+        # stay and its fraction is exactly half (scaling by 2 is exact)
+        args, kwargs = random_job(seed)
+        log = run_simulated(*args, **kwargs)
+        meta = json.loads(log[0].detail)
+        meta["allocation_nodes"] *= 2
+        wide = log_of([log[0]._replace(detail=json.dumps(meta)), *log[1:]])
+        for u, w in zip(*map(units, map(compute_utilization, (log, wide)))):
+            assert w.busy_s == u.busy_s
+            assert w.utilization_fraction == u.utilization_fraction / 2
+
+    @given(seed=st.integers(0, 2**32 - 1), node=st.integers(0, 4),
+           where=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           persistent=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_a_fault_after_job_end_changes_nothing(self, seed, node, where,
+                                                   persistent):
+        # a job that ended before its walltime logs the same bytes when a
+        # node fault is added between its JOB_END and its walltime
+        (specs, platform, nodes, walltime, model), kwargs = random_job(seed)
+        log = run_simulated(specs, platform, nodes, walltime, model, **kwargs)
+        end = log.job_end_ts()
+        at = end + where * (walltime - end)
+        assume(end < at < walltime)
+        fault = NodeFault(node % nodes, at, persistent)
+        kwargs["node_faults"] += (fault,)
+        late = run_simulated(specs, platform, nodes, walltime, model, **kwargs)
+        assert log_bytes(late) == log_bytes(log)
+
+
+def units(stack):
+    return stack.nodes, stack.cores, stack.gpus
+
+
+def log_bytes(log) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.jsonl")
+        log.save_jsonl(path)
+        with open(path, "rb") as f:
+            return f.read()
 
 
 def random_job(seed):

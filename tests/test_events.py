@@ -266,6 +266,44 @@ def test_append_rejects_node_ids_equal_to_an_accepted_tuple(ids):
     assert log.last_kind("t") == ev.TASK_LAUNCHED
 
 
+@pytest.mark.parametrize("ids", [(1,), (0, 1), (), (1, 0)], ids=repr)
+@pytest.mark.parametrize("kind", [ev.TASK_LAUNCHED, ev.TASK_DONE,
+                                  ev.TASK_FAILED, ev.TASK_CANCELED])
+def test_a_later_event_names_no_nodes_or_the_scheduled_ones(kind, ids):
+    # scheduled on (0,): a later event may name no nodes or (0,), even as
+    # an equal tuple of its own, and a launch without nodes leaves the
+    # terminal event checked against the scheduled nodes
+    log = log_of([
+        Event(0.0, ev.JOB_START),
+        Event(0.0, ev.TASK_SCHEDULED, "t", (0,), scheduled_detail(1, 0, [1])),
+    ])
+    if kind in (ev.TASK_DONE, ev.TASK_FAILED):
+        log.append(Event(1.0, ev.TASK_LAUNCHED, "t", None))
+    before = len(log)
+    with pytest.raises(MalformedLog, match=re.escape(
+            f"task t: {kind} names nodes {ids}, not the nodes (0,) it was "
+            f"scheduled on")):
+        log.append(Event(2.0, kind, "t", ids))
+    assert len(log) == before
+    log.append(Event(2.0, kind, "t", tuple([0])))
+    assert log.last_kind("t") == kind
+
+
+def test_load_rejects_a_launch_on_other_nodes(tmp_path):
+    path = tmp_path / "run.jsonl"
+    path.write_text(
+        '{"ts": 0, "kind": "JOB_START"}\n'
+        '{"ts": 1, "kind": "TASK_SCHEDULED", "task_uid": "t", '
+        '"node_ids": [0], "detail": "%s"}\n'
+        '{"ts": 2, "kind": "TASK_LAUNCHED", "task_uid": "t", '
+        '"node_ids": [1]}\n' % scheduled_detail(1, 0, [1]).replace('"', '\\"')
+    )
+    with pytest.raises(MalformedLog, match=re.escape(
+            f"{path}:3: task t: TASK_LAUNCHED names nodes (1,), not the "
+            f"nodes (0,) it was scheduled on")):
+        EventLog.load_jsonl(path)
+
+
 @functools.cache
 def _small_log_lines() -> tuple[str, ...]:
     """A log of six whole-node tasks on nodes 0 and 1, so that an edited

@@ -15,13 +15,19 @@ from ensemblekit.scheduler import (
     release,
     try_place,
 )
-from conftest import exaconstit_task, make_task, single_stage, small_platform
+from conftest import (
+    chunks_of,
+    exaconstit_task,
+    make_task,
+    single_stage,
+    small_platform,
+)
 
 FRONTIER_NODE = NodeSpec(64, 8, 8)
 
 
 def place(table, desc):
-    return try_place(table, desc, task_footprint(desc, table.node))
+    return try_place(table, desc, chunks_of(desc, table.node))
 
 
 def pilot_for(descs, nodes):
@@ -76,6 +82,53 @@ def reference_first_fit(table, desc):
         ):
             chosen.append((node_id, chunk))
     return tuple(chosen) if len(chosen) == nodes_needed else None
+
+
+class TestTaskFootprints:
+    @given(
+        shapes=st.lists(
+            st.tuples(st.integers(1, 300), st.integers(1, 8),
+                      st.integers(0, 2)),
+            min_size=1, max_size=6,
+        ),
+        copies=st.integers(1, 3),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_one_record_per_shape_of_full_chunks_and_its_detail(
+        self, shapes, copies
+    ):
+        # 300 ranks of 2 GPUs need 75 Frontier nodes, 4 ranks on each
+        table = SlotTable(FRONTIER_NODE, 75)
+        descs = [make_task(f"t{i}.{k}", procs=procs, threads=threads,
+                           gpus=gpus)
+                 for i, (procs, threads, gpus) in enumerate(shapes)
+                 for k in range(copies)]
+        records = scheduler.task_footprints(table, descs)
+        assert list(records) == uids(descs)
+        by_shape = {}
+        for desc in descs:
+            threads, gpus = desc.cpu_threads_per_process, desc.gpus_per_process
+            record = records[desc.uid]
+            shape = (desc.cpu_processes, threads, gpus)
+            assert by_shape.setdefault(shape, record) is record
+            chunks, detail = record
+            nodes_needed, per_node = task_footprint(desc, table.node)
+            assert sum(chunks) == desc.cpu_processes
+            assert len(chunks) == nodes_needed
+            assert chunks[:-1] == (per_node,) * (nodes_needed - 1)
+            assert 1 <= chunks[-1] <= per_node
+            assert detail == ev.scheduled_detail(threads, gpus, chunks)
+
+    def test_a_placement_carries_its_shapes_own_chunks(self):
+        # two 100-rank tasks: chunks (56, 44), one tuple for both
+        descs = [make_task(uid, procs=100) for uid in ("a", "b")]
+        pilot = queued(descs, 4)
+        assert uids(drain(pilot)) == ["a", "b"]
+        chunks, detail = pilot.footprints["a"]
+        assert chunks == (56, 44)
+        for uid in ("a", "b"):
+            assert pilot.table.placement_of(uid).chunks is chunks
+        assert [e.detail for e in scheduled(pilot)] == [detail, detail]
 
 
 class TestPlaceRelease:
