@@ -68,9 +68,8 @@ def free_slots(table):
 def reference_first_fit(table, desc):
     """Brute-force first fit: every node in ascending id, whatever its free
     capacity, each taking the next chunk if it fits."""
-    nodes_needed, per_node = task_footprint(desc, table.node)
-    chunks = [per_node] * (nodes_needed - 1)
-    chunks.append(desc.cpu_processes - per_node * (nodes_needed - 1))
+    chunks = chunks_of(desc, table.node)
+    nodes_needed = len(chunks)
     chosen = []
     for node_id in range(table.node_count):
         if len(chosen) == nodes_needed:
