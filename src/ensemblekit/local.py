@@ -22,11 +22,13 @@ timestamps relative to job start.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import selectors
 import shlex
 import signal
 import subprocess
+import threading
 import time
 from pathlib import Path
 from typing import Sequence
@@ -76,6 +78,25 @@ def _check_startable(desc: TaskDescription) -> None:
         raise ConfigError(f"task {desc.uid!r}: {name} {text!r} {reason}")
 
 
+@contextlib.contextmanager
+def _held(signals: list[int]):
+    """Run the block with each of signals recorded instead of handled; then
+    restore their handlers and raise the first one recorded again."""
+    caught: list[int] = []
+    previous = {}
+    try:
+        for sig in signals:
+            previous[sig] = signal.signal(
+                sig, lambda signum, frame: caught.append(signum)
+            )
+        yield
+    finally:
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)
+        if caught:
+            signal.raise_signal(caught[0])
+
+
 def _signal_group(proc: subprocess.Popen, sig: int) -> None:
     try:
         os.killpg(proc.pid, sig)
@@ -102,6 +123,13 @@ class _Processes:
         self.selector = selectors.DefaultSelector()
         # uid -> (the task's process, the pidfd that turns readable at its exit)
         self.running: dict[str, tuple[subprocess.Popen, int]] = {}
+        # the signals whose Python handlers (KeyboardInterrupt) start holds
+        # off; none off the main thread, where no handler runs
+        self.held = [
+            sig for sig in (signal.SIGINT, signal.SIGTERM)
+            if threading.current_thread() is threading.main_thread()
+            and callable(signal.getsignal(sig))
+        ]
         self.t0 = time.monotonic()
 
     def now(self) -> float:
@@ -112,28 +140,31 @@ class _Processes:
 
     def start(self, desc: TaskDescription) -> None:
         """Spawn a placed task and log its launch; a spawn that fails, or a
-        child that cannot be waited on, launches and fails the task."""
-        try:
-            # the child holds its own copies of the log files' descriptors
-            with open(self.log_dir / f"{desc.uid}.out", "wb") as stdout, open(
-                self.log_dir / f"{desc.uid}.err", "wb"
-            ) as stderr:
-                proc = subprocess.Popen(
-                    _argv(desc),
-                    stdout=stdout,
-                    stderr=stderr,
-                    cwd=self.out_dir,
-                    env=self.env,
-                    start_new_session=True,
+        child that cannot be waited on, launches and fails the task. A
+        signal in :attr:`held` is raised only once the child is in
+        :attr:`running`, so that :meth:`stop` kills every forked child."""
+        with _held(self.held):
+            try:
+                # the child holds its own copies of the log files' descriptors
+                out = self.log_dir / f"{desc.uid}.out"
+                err = self.log_dir / f"{desc.uid}.err"
+                with open(out, "wb") as stdout, open(err, "wb") as stderr:
+                    proc = subprocess.Popen(
+                        _argv(desc),
+                        stdout=stdout,
+                        stderr=stderr,
+                        cwd=self.out_dir,
+                        env=self.env,
+                        start_new_session=True,
+                    )
+                self._watch(desc.uid, proc)
+            except OSError as e:
+                self.pilot.launch(desc.uid, self.now())
+                self.pilot.finish(
+                    desc.uid, ev.TASK_FAILED, self.now(), f"spawn_error: {e}"
                 )
-            self._watch(desc.uid, proc)
-        except OSError as e:
+                return
             self.pilot.launch(desc.uid, self.now())
-            self.pilot.finish(
-                desc.uid, ev.TASK_FAILED, self.now(), f"spawn_error: {e}"
-            )
-            return
-        self.pilot.launch(desc.uid, self.now())
 
     def _watch(self, uid: str, proc: subprocess.Popen) -> None:
         """Wait on a new child through its pidfd; if that cannot be set up,

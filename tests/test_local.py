@@ -450,6 +450,43 @@ def test_interrupt_kills_a_task_that_ignores_sigterm(
         os.kill(int((tmp_path / "pid").read_text()), 0)
 
 
+def test_interrupt_while_spawning_kills_the_task(
+    tmp_path, sigint_raises, monkeypatch
+):
+    # SIGINT lands after the fork, before run_local has the child's pidfd:
+    # stop must still know and kill the task
+    spawned = []
+    real_popen = subprocess.Popen
+
+    def spawn_then_interrupt(*args, **kwargs):
+        proc = real_popen(*args, **kwargs)
+        spawned.append(proc)
+        os.kill(os.getpid(), signal.SIGINT)
+        return proc
+
+    monkeypatch.setattr(
+        local_backend.subprocess, "Popen", spawn_then_interrupt
+    )
+    host = small_platform(cores=8, nodes=1)
+    wf = single_stage("s", [sh_task("spawning", "exec sleep 30")])
+    before = _open_fds()
+    try:
+        with pytest.raises(Interrupted) as caught:
+            run_local(wf, host, 1, tmp_path)
+        [proc] = spawned
+        assert proc.returncode == -signal.SIGTERM
+    finally:
+        for proc in spawned:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+    assert _open_fds() == before
+    log = caught.value.log
+    assert log[-1].detail == "done=0 failed=0 canceled=1"
+    assert [(e.task_uid, e.detail) for e in log
+            if e.kind == ev.TASK_CANCELED] == [("spawning", "interrupted")]
+
+
 def test_interrupt_after_job_end_keeps_the_complete_log(
     tmp_path, monkeypatch
 ):
