@@ -334,19 +334,23 @@ def build_parser() -> argparse.ArgumentParser:
         default="expected",
         help="task runtime model: expected | fixed:S | uniform:LO,HI",
     )
+    # one flag takes a list of faults, parsed in one pass; repeating the
+    # flag appends to it
     p.add_argument(
         "--fail-node",
-        action="append",
+        nargs="+",
+        action="extend",
         default=[],
         metavar="NODE@TS[:transient]",
-        help="inject a node fault (attempt 1 only)",
+        help="inject node faults (attempt 1 only)",
     )
     p.add_argument(
         "--fail-task",
-        action="append",
+        nargs="+",
+        action="extend",
         default=[],
         metavar="UID@FRACTION",
-        help="fail a task at a fraction of its runtime (attempt 1 only)",
+        help="fail tasks at a fraction of their runtime (attempt 1 only)",
     )
     p.add_argument("--launch-rate-cap", type=float, default=None)
     p.add_argument("--launch-delay", type=float, default=0.0)

@@ -21,7 +21,9 @@ on the node at fault time and every task launched onto it afterwards; the
 scheduler keeps placing work there because nothing diagnoses the node, which
 reproduces the cascade of sequential failures one bad node causes in a
 wave-structured run. A transient fault kills current holders only. Task
-faults fail one task at a fraction of its runtime.
+faults fail one task at a fraction of its runtime. A fault finds its node's
+holders among the uids placed there, which the simulator records only for
+the nodes its node faults name, as the pilot places each task.
 """
 
 from __future__ import annotations
@@ -117,7 +119,9 @@ class SimState:
     :class:`Pilot` drives: each :meth:`advance` applies one heap event
     through :func:`step`. The job's tasks, slots and log live in the pilot;
     the state adds the pending-event heap, the runtime model, the injected
-    node and task faults, and launch timing."""
+    node and task faults, and launch timing. For each node a node fault
+    names, and no other, it keeps the uids placed there, in placement order:
+    a fault's holders are those whose task has not ended."""
 
     def __init__(
         self,
@@ -156,6 +160,9 @@ class SimState:
         self.ts = 0.0
         self._seq = itertools.count()
         self.heap: list[tuple[float, int, str, int, str, object]] = []
+        # faulted node id -> the uids placed on it, ended ones dropped by
+        # each of its faults
+        self._placed: dict[int, list[str]] = {}
 
         self._push(
             platform.bootstrap_overhead_s, _PRIO_BOOTSTRAP, "", "bootstrap", None
@@ -171,6 +178,7 @@ class SimState:
                 fault.at_ts, _PRIO_FAIL, f"node:{fault.node_id}",
                 "node_fault", fault,
             )
+            self._placed.setdefault(fault.node_id, [])
         self._push(walltime_s, _PRIO_WALLTIME, "", "walltime", None)
 
     def _push(self, ts: float, prio: int, key: str, action: str, data) -> None:
@@ -185,8 +193,15 @@ class SimState:
         return True
 
     def start(self, desc: TaskDescription) -> None:
-        """Schedule a placed task's launch after the launch delay, and no
-        sooner than the launch rate cap allows."""
+        """Record a placed task on the faulted nodes it holds, and schedule
+        its launch after the launch delay, and no sooner than the launch
+        rate cap allows."""
+        placed = self._placed  # empty without node faults
+        if placed:
+            for node_id in self.pilot.table.placement_of(desc.uid).node_ids:
+                uids = placed.get(node_id)
+                if uids is not None:
+                    uids.append(desc.uid)
         launch_ts = self.ts + self.launch_delay_s
         if self.launch_rate_cap is not None:
             launch_ts = max(launch_ts, self.next_launch_ts)
@@ -231,13 +246,18 @@ def step(state: SimState) -> SimState:
         )
         if data.persistent:
             state.persistent_failed.add(data.node_id)
-        # sorted: set order of strings depends on PYTHONHASHSEED
+        # the node's holders are the tasks placed on it that have not ended:
+        # fail the launched ones, in uid order, and keep the rest
         last_kind = state.log.last_kind
-        running = sorted(
-            uid
-            for uid in pilot.table.holders[data.node_id]
-            if last_kind(uid) == ev.TASK_LAUNCHED
-        )
+        running, waiting = [], []
+        for uid in state._placed[data.node_id]:
+            kind = last_kind(uid)
+            if kind == ev.TASK_LAUNCHED:
+                running.append(uid)
+            elif kind == ev.TASK_SCHEDULED:
+                waiting.append(uid)
+        state._placed[data.node_id] = waiting
+        running.sort()
         for uid in running:
             pilot.finish(
                 uid, ev.TASK_FAILED, ts, f"node_failure node={data.node_id}"

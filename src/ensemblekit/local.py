@@ -55,17 +55,29 @@ def _argv(desc: TaskDescription) -> list[str]:
     return ["/bin/sh", "-c", line]
 
 
-def _check_startable(desc: TaskDescription) -> None:
+def _name_max(path: Path) -> int:
+    """The longest file name, in bytes, that the nearest existing directory
+    of ``path`` takes; -1 where the file system sets no limit."""
+    while not path.is_dir() and path != path.parent:
+        path = path.parent
+    try:
+        return os.pathconf(path, "PC_NAME_MAX")
+    except OSError:
+        return -1
+
+
+def _check_startable(desc: TaskDescription, name_max: int) -> None:
     """ConfigError, naming the task and the field, unless the uid can name
     the task's log files and each string of its command can reach exec: a
     string that holds NUL or that :func:`os.fsencode` cannot encode, or a
-    uid that holds ``/``."""
+    uid that holds ``/`` or whose ``<uid>.out`` is longer than ``name_max``
+    bytes (no limit when negative)."""
     fields = [("uid", desc.uid), ("executable", desc.executable)]
     fields += [("argument", arg) for arg in desc.arguments]
     fields += [("pre_exec line", line) for line in desc.pre_exec]
     for name, text in fields:
         try:
-            os.fsencode(text)
+            size = len(os.fsencode(text))
         except UnicodeEncodeError as e:
             reason = f"cannot be encoded: {e.reason}"
         else:
@@ -73,6 +85,11 @@ def _check_startable(desc: TaskDescription) -> None:
                 reason = "holds NUL"
             elif name == "uid" and "/" in text:
                 reason = "holds '/', so it cannot name a log file"
+            elif name == "uid" and 0 <= name_max < size + len(".out"):
+                reason = (
+                    f"is {size} bytes, too long to name a log file: the "
+                    f"output directory takes names of at most {name_max} bytes"
+                )
             else:
                 continue
         raise ConfigError(f"task {desc.uid!r}: {name} {text!r} {reason}")
@@ -250,9 +267,11 @@ def run_local(
             f"the local backend needs os.pidfd_open (Linux >= 5.3): {e}"
         ) from e
     pilot = Pilot(specs, platform, 1, backend="local", max_parallel=max_parallel)
+    out_dir = Path(out_dir)
+    name_max = _name_max(out_dir)
     for desc in pilot.job.runs.values():
-        _check_startable(desc)
-    processes = _Processes(pilot, Path(out_dir), max_parallel)
+        _check_startable(desc, name_max)
+    processes = _Processes(pilot, out_dir, max_parallel)
     pilot.boot(processes.now())
     interrupted = False
     try:

@@ -61,7 +61,7 @@ _COUNTS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaskDescription:
     """One self-contained executable with its resource requirements.
 
@@ -181,10 +181,14 @@ class WorkflowSpec:
     def from_json(cls, doc: Mapping) -> "WorkflowSpec":
         """The workflow of a JSON document, read by the records' own
         fields: a missing optional field takes its default, and a key that
-        is not a field raises TypeError naming it."""
+        is not a field raises TypeError naming it. The tasks keep one object
+        per distinct string of their executables, arguments, pre_exec lines
+        and tags; values that are not strings are kept as they are."""
+        share = {}.setdefault  # value -> its first object
         return cls(**{**doc, "stages": tuple(
             Stage(**{**s, "tasks": tuple(
-                TaskDescription(**t) for t in s.get("tasks", ())
+                TaskDescription(**_shared(t, share))
+                for t in s.get("tasks", ())
             )})
             for s in doc["stages"]
         )})
@@ -208,6 +212,30 @@ class WorkflowSpec:
         # wrong type
         except (OSError, ValueError, RecursionError, KeyError, TypeError) as e:
             raise ParseError(f"{path}: {e}") from e
+
+
+def _shared(task: Mapping, share) -> Mapping:
+    """A task record whose executable, and the strings of its arguments,
+    pre_exec and tags, are ``share(value, value)``; a record that is not a
+    dict is returned as it is."""
+    if type(task) is not dict:
+        return task
+    out = dict(task)
+    value = out.get("executable")
+    if type(value) is str:
+        out["executable"] = share(value, value)
+    for name in ("arguments", "pre_exec"):
+        value = out.get(name)
+        if type(value) is list:
+            out[name] = [share(v, v) if type(v) is str else v for v in value]
+    value = out.get("tags")
+    if type(value) is dict:
+        out["tags"] = {
+            (share(k, k) if type(k) is str else k):
+            (share(v, v) if type(v) is str else v)
+            for k, v in value.items()
+        }
+    return out
 
 
 def _value(v: object, depth: int) -> str:
@@ -345,6 +373,7 @@ class JobRun:
         for p, spec in enumerate(specs):
             check_workflow(spec)
             for s, stage in enumerate(spec.stages):
+                where = (p, s)  # one tuple for the stage's tasks
                 for desc in stage.tasks:
                     if desc.uid in self.runs:
                         raise ConfigError(
@@ -352,7 +381,7 @@ class JobRun:
                             f"pipeline of this job"
                         )
                     self.runs[desc.uid] = desc
-                    self._where[desc.uid] = (p, s)
+                    self._where[desc.uid] = where
             self._stages.append([tuple(st.tasks) for st in spec.stages])
         self._left = [[len(st) for st in stages] for stages in self._stages]
         self._current = [0] * len(self._stages)

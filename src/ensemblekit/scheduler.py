@@ -62,8 +62,10 @@ class SlotTable:
     8000-node scale; the arrays stay authoritative. A node without a free
     core can host no chunk (every rank needs at least one core), so it
     leaves the heap until a release frees one: the heap holds each node
-    with a free core exactly once. ``holders[node_id]`` is the set of task
-    uids whose active placement covers that node.
+    with a free core exactly once. The table keeps no per-node record of
+    which tasks a node holds: a placement names its nodes, and the simulator
+    keeps the uids placed on the nodes its node faults name
+    (:class:`~ensemblekit.engine.SimState`).
     """
 
     def __init__(self, node: NodeSpec, node_count: int):
@@ -74,7 +76,6 @@ class SlotTable:
         cores = usable_cores(node)
         self.free_cores = [cores] * node_count
         self.free_gpus = [node.gpus] * node_count
-        self.holders: list[set[str]] = [set() for _ in range(node_count)]
         self._active: dict[str, Placement] = {}
         self._avail = list(range(node_count))  # already a heap: sorted
         # bumped by every release: only a release makes room
@@ -84,7 +85,7 @@ class SlotTable:
     # wraps it by name and reads the length of the copy it returns
     def active_placements(self) -> dict[str, Placement]:
         """A copy of every active placement by task uid; O(active), so the
-        engine's per-event paths use ``placement_of`` and ``holders``."""
+        engine's per-event paths use ``placement_of``."""
         return dict(self._active)
 
     def placement_of(self, uid: str) -> Optional[Placement]:
@@ -162,7 +163,6 @@ def try_place(
         for node_id, procs in zip(chosen, chunks):
             free_cores[node_id] -= procs * threads
             free_gpus[node_id] -= procs * gpus_pp
-            table.holders[node_id].add(uid)
         placement = Placement(uid, tuple(chosen), chunks, threads, gpus_pp)
         table._active[uid] = placement
     # a popped node without a free core stays out until a release frees one
@@ -181,9 +181,7 @@ def release(table: SlotTable, placement: Placement) -> None:
     table.releases += 1
     threads = placement.cpu_threads_per_process
     gpus_pp = placement.gpus_per_process
-    free_cores, free_gpus, holders = (
-        table.free_cores, table.free_gpus, table.holders
-    )
+    free_cores, free_gpus = table.free_cores, table.free_gpus
     avail = table._avail
     for node_id, procs in zip(placement.node_ids, placement.chunks):
         # a node is out of the heap exactly when it has no free core, and
@@ -192,7 +190,6 @@ def release(table: SlotTable, placement: Placement) -> None:
             heapq.heappush(avail, node_id)
         free_cores[node_id] += procs * threads
         free_gpus[node_id] += procs * gpus_pp
-        holders[node_id].remove(uid)
 
 
 class Pilot:

@@ -376,6 +376,40 @@ class TestSimulate:
         assert code == 2
         assert "ConfigError" in capsys.readouterr().err
 
+    def test_fault_lists_log_as_repeated_flags(self, tmp_path):
+        # faults given as one list per flag, one flag per fault, or a mix
+        # keep their order and give one log. On the toy's one node, a task
+        # fault ends toy-s0-t0 at 85.5 s; at 86 s a transient node fault
+        # kills toy-s0-t1, and a persistent one, logged after it, dooms the
+        # second stage, placed but not launched yet
+        wf = tmp_path / "toy.json"
+        assert run_cli("example", "--example", "toy", "--out", str(wf)) == 0
+        spellings = [
+            ["--fail-node", "0@86:transient", "0@86",
+             "--fail-task", "toy-s0-t0@0.05", "toy-s1-t1@0.5"],
+            ["--fail-node", "0@86:transient", "--fail-node", "0@86",
+             "--fail-task", "toy-s0-t0@0.05", "--fail-task", "toy-s1-t1@0.5"],
+            ["--fail-task", "toy-s0-t0@0.05", "--fail-node", "0@86:transient",
+             "--fail-task", "toy-s1-t1@0.5", "--fail-node", "0@86"],
+        ]
+        logs = []
+        for i, faults in enumerate(spellings):
+            log = tmp_path / f"run{i}.jsonl"
+            assert run_cli("simulate", "--workflow", str(wf), "--nodes", "1",
+                           *faults, "--out", str(log)) == 1
+            logs.append(log.read_bytes())
+        assert logs[0] == logs[1] == logs[2]
+        log = EventLog.load_jsonl(tmp_path / "run0.jsonl")
+        assert [(e.ts, e.detail) for e in log if e.kind == ev.NODE_FAILED] \
+            == [(86.0, "transient"), (86.0, "persistent")]
+        assert [(e.task_uid, e.ts, e.detail) for e in log
+                if e.kind == ev.TASK_FAILED] == [
+            ("toy-s0-t0", 85.5, "task_fault"),
+            ("toy-s0-t1", 86.0, "node_failure node=0"),
+            ("toy-s1-t0", 96.0, "node_failure node=0"),
+            ("toy-s1-t1", 96.0, "node_failure node=0"),
+        ]
+
     def test_shared_node_fault_logs_match_golden_hash(self, tmp_path):
         # 2000 1-core tasks share 100 Frontier nodes, 56 to a node; a
         # persistent and a transient fault each kill a node's holders.
@@ -1759,6 +1793,34 @@ class TestRunLocal:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["wf.json"]
         assert run_cli("simulate", "--workflow", str(wf), "--nodes", "1",
                        "--out", str(tmp_path / "sim.jsonl")) == 0
+
+    def test_a_uid_too_long_to_name_its_log_file_is_config_error(
+        self, tmp_path, capsys
+    ):
+        # <uid>.out must fit the name limit of the output directory's file
+        # system, in bytes: a uid one byte over it, 300 characters, or
+        # two-byte characters one over it are rejected before anything is
+        # made; the longest uid that fits runs
+        limit = os.pathconf(tmp_path, "PC_NAME_MAX")
+        wide = len(os.fsencode("\u00e9"))
+        fits = "u" * (limit - len(".out"))
+        too_long = [fits + "u", "u" * max(300, limit),
+                    "\u00e9" * ((limit - len(".out")) // wide + 1)]
+        for uid in too_long:
+            wf = tmp_path / "wf.json"
+            single_stage("s", [make_task(uid, expected=1.0)]).save(wf)
+            out = tmp_path / "out"
+            assert run_cli("run", "--workflow", str(wf), "--out",
+                           str(out)) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: ConfigError: task {uid!r}: uid ")
+            assert "too long to name a log file" in err
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["wf.json"]
+        single_stage("s", [TaskDescription(
+            uid=fits, executable="/bin/sh", arguments=("-c", "echo hi"),
+        )]).save(wf)
+        assert run_cli("run", "--workflow", str(wf), "--out", str(out)) == 0
+        assert (out / "task-logs" / f"{fits}.out").read_text() == "hi\n"
 
     @pytest.mark.parametrize("broken", ["missing", "failing"])
     def test_run_without_pidfd_open_is_config_error(

@@ -233,6 +233,46 @@ class TestFaults:
         done = [e.task_uid for e in log if e.kind == ev.TASK_DONE]
         assert done == ["a", "late"]
 
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        faults=st.lists(
+            st.tuples(st.integers(min_value=0, max_value=4),
+                      st.floats(min_value=0.0, max_value=1.0),
+                      st.booleans()),
+            min_size=1, max_size=8,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_a_node_fault_fails_the_tasks_running_on_its_node(self, seed,
+                                                              faults):
+        # from the log's event order alone: the node_failure events right
+        # after each NODE_FAILED of node N are the tasks launched on N and
+        # not ended yet, in uid order
+        args, kwargs = random_job(seed)
+        nodes, walltime = args[2], args[3]
+        kwargs["node_faults"] = tuple(
+            NodeFault(node % nodes, at * walltime, persistent)
+            for node, at, persistent in faults
+        )
+        events = list(run_simulated(*args, **kwargs))
+        running = collections.defaultdict(set)  # node -> launched, not ended
+        for i, e in enumerate(events):
+            if e.kind == ev.TASK_LAUNCHED:
+                for node in e.node_ids:
+                    running[node].add(e.task_uid)
+            elif e.kind in ev.TERMINAL_KINDS:
+                for node in e.node_ids or ():
+                    running[node].discard(e.task_uid)
+            elif e.kind == ev.NODE_FAILED:
+                (node,) = e.node_ids
+                detail = f"node_failure node={node}"
+                failed = itertools.takewhile(
+                    lambda f: (f.kind, f.detail, f.ts)
+                    == (ev.TASK_FAILED, detail, e.ts),
+                    events[i + 1:],
+                )
+                assert [f.task_uid for f in failed] == sorted(running[node])
+
     def test_task_fault_at_last_step(self):
         platform = small_platform()
         wf = single_stage("s", [make_task("t")])
@@ -656,7 +696,7 @@ class TestStep:
         wf_path, out = tmp_path / "toy.json", tmp_path / "run.jsonl"
         assert main(["example", "--example", "toy", "--tasks", "1",
                      "--out", str(wf_path)]) == 0
-        flags = ["--fail-node", "1@10:transient"] * 10_500
+        flags = ["--fail-node", *["1@10:transient"] * 10_500]
         assert main(["simulate", "--workflow", str(wf_path), "--nodes", "2",
                      *flags, "--out", str(out)]) == 0
         assert "Traceback" not in capsys.readouterr().err

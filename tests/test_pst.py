@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -428,6 +429,42 @@ def test_save_writes_json_dumps_of_to_json(spec, tmp_path_factory):
     assert path.read_bytes() == (
         json.dumps(spec.to_json(), indent=2) + "\n"
     ).encode("ascii")
+
+
+@given(spec=specs)
+@settings(max_examples=60, deadline=None)
+def test_from_json_reads_each_value_the_constructor_reads(spec):
+    """Sharing equal strings changes no value, no type and no violation,
+    and leaves the document as it was."""
+    doc = json.loads(json.dumps(spec.to_json()))
+    text = json.dumps(doc)
+    plain = WorkflowSpec(doc["name"], tuple(
+        Stage(s["name"], tuple(TaskDescription(**t) for t in s["tasks"]))
+        for s in doc["stages"]
+    ))
+    shared = WorkflowSpec.from_json(doc)
+    assert repr(shared) == repr(plain)
+    assert validate_workflow(shared) == validate_workflow(plain)
+    assert json.dumps(doc) == text
+
+
+def test_a_loaded_workflow_keeps_each_string_once(tmp_path, capsys):
+    # every exaconstit task runs /bin/sh -c: the tasks share one executable
+    # object and one "-c"
+    out = tmp_path / "wf.json"
+    assert main(["example", "--example", "exaconstit", "--tasks", "50",
+                 "--no-optimizer", "--out", str(out)]) == 0
+    tasks = list(WorkflowSpec.load(out).tasks())
+    assert len(tasks) == 50
+    assert len({id(t.executable) for t in tasks}) == 1
+    assert len({id(t.arguments[0]) for t in tasks}) == 1
+
+
+def test_a_task_description_has_no_instance_dict():
+    task = make_task("t")
+    assert not hasattr(task, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        task.uid = "u"
 
 
 @pytest.mark.parametrize(

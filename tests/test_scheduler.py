@@ -1,5 +1,6 @@
 import heapq
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -318,6 +319,20 @@ class TestHeapWork:
         assert pops == [2]
 
 
+def test_a_slot_table_costs_at_most_64_bytes_a_node():
+    # three lists of node_count entries and the heap's node ids; a set of
+    # holders per node would cost 216 bytes more
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = SlotTable(FRONTIER_NODE, 100_000)
+        size = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert table.node_count == 100_000
+    assert size <= 64 * 100_000
+
+
 class TestConservation:
     def test_place_release_replay_restores_initial_table(self):
         rng = random.Random(7)
@@ -354,7 +369,7 @@ class TestConservation:
     @settings(max_examples=60, deadline=None)
     def test_free_counts_never_negative(self, seed, cores, reserved, gpus, nodes):
         # random place/release sequences against a brute-force first fit
-        # and a recount of each node's holders
+        # and a recount of each node's free slots from the active placements
         rng = random.Random(seed)
         node = NodeSpec(cores, min(reserved, cores - 1), gpus)
         usable = usable_cores(node)
@@ -385,10 +400,13 @@ class TestConservation:
                     active[desc.uid] = placement
             assert all(0 <= c <= usable for c in table.free_cores)
             assert all(0 <= g <= gpus for g in table.free_gpus)
-            for node_id in range(nodes):
-                assert table.holders[node_id] == {
-                    uid for uid, p in active.items() if node_id in p.node_ids
-                }
+            cores_left, gpus_left = [usable] * nodes, [gpus] * nodes
+            for p in active.values():
+                for node_id, procs in zip(p.node_ids, p.chunks):
+                    cores_left[node_id] -= procs * p.cpu_threads_per_process
+                    gpus_left[node_id] -= procs * p.gpus_per_process
+            assert table.free_cores == cores_left
+            assert table.free_gpus == gpus_left
 
     def test_the_heap_holds_each_node_with_a_free_core_once(self):
         # random place/release sequences on small nodes, which fill and
