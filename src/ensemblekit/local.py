@@ -57,7 +57,7 @@ def _argv(desc: TaskDescription) -> list[str]:
 
 def _name_max(path: Path) -> int:
     """The longest file name, in bytes, that the nearest existing directory
-    of ``path`` takes; -1 where the file system sets no limit."""
+    of ``path`` takes; -1 where the file system sets none or cannot say."""
     while not path.is_dir() and path != path.parent:
         path = path.parent
     try:
