@@ -16,14 +16,15 @@ task between its schedule and its launch.
 How long a task runs is one :class:`RuntimeModel` for the whole job.
 
 Fault injection: :func:`run_simulated` takes the job's :class:`NodeFault`
-and :class:`TaskFault` lists. A persistent node fault kills the task running
-on the node at fault time and every task launched onto it afterwards; the
-scheduler keeps placing work there because nothing diagnoses the node, which
+and :class:`TaskFault` lists. A node fault fails its node's holders, the
+tasks launched there and not yet ended, and comes before a launch at the
+same instant; a task placed but not yet launched survives it. A persistent
+fault also fails every later run on the node, at its natural end: nothing
+diagnoses the node, so the scheduler keeps placing work there, which
 reproduces the cascade of sequential failures one bad node causes in a
-wave-structured run. A transient fault kills current holders only. Task
-faults fail one task at a fraction of its runtime. A fault finds its node's
-holders among the uids placed there, which the simulator records only for
-the nodes its node faults name, as the pilot places each task.
+wave-structured run. Task faults fail one task at a fraction of its
+runtime. The simulator records a node's holders as they launch, and only
+while a fault of that node is still to come.
 """
 
 from __future__ import annotations
@@ -120,8 +121,9 @@ class SimState:
     through :func:`step`. The job's tasks, slots and log live in the pilot;
     the state adds the pending-event heap, the runtime model, the injected
     node and task faults, and launch timing. For each node a node fault
-    names, and no other, it keeps the uids placed there, in placement order:
-    a fault's holders are those whose task has not ended."""
+    names, and no other, it keeps the uids launched there since the node's
+    previous fault, until its last fault fires: a fault's holders are those
+    whose task has not ended."""
 
     def __init__(
         self,
@@ -135,6 +137,12 @@ class SimState:
         launch_delay_s: float = 0.0,
         launch_rate_cap: Optional[float] = None,
     ):
+        if runtime_model.kind == "expected":
+            # a task without a hint is rejected before the job starts, not
+            # when it launches, or never if the walltime cancels it first
+            for spec in specs:
+                for desc in spec.tasks():
+                    runtime_model.duration_for(desc)
         self.pilot = Pilot(
             specs,
             platform,
@@ -160,9 +168,10 @@ class SimState:
         self.ts = 0.0
         self._seq = itertools.count()
         self.heap: list[tuple[float, int, str, int, str, object]] = []
-        # faulted node id -> the uids placed on it, ended ones dropped by
-        # each of its faults
-        self._placed: dict[int, list[str]] = {}
+        # faulted node id -> the time of its last fault, and, until that
+        # fault fires, the uids launched on it since its previous fault
+        self._last_fault: dict[int, float] = {}
+        self._holders: dict[int, list[str]] = {}
 
         self._push(
             platform.bootstrap_overhead_s, _PRIO_BOOTSTRAP, "", "bootstrap", None
@@ -178,7 +187,8 @@ class SimState:
                 fault.at_ts, _PRIO_FAIL, f"node:{fault.node_id}",
                 "node_fault", fault,
             )
-            self._placed.setdefault(fault.node_id, [])
+            last = self._last_fault.get(fault.node_id, fault.at_ts)
+            self._last_fault[fault.node_id] = max(last, fault.at_ts)
         self._push(walltime_s, _PRIO_WALLTIME, "", "walltime", None)
 
     def _push(self, ts: float, prio: int, key: str, action: str, data) -> None:
@@ -193,15 +203,8 @@ class SimState:
         return True
 
     def start(self, desc: TaskDescription) -> None:
-        """Record a placed task on the faulted nodes it holds, and schedule
-        its launch after the launch delay, and no sooner than the launch
-        rate cap allows."""
-        placed = self._placed  # empty without node faults
-        if placed:
-            for node_id in self.pilot.table.placement_of(desc.uid).node_ids:
-                uids = placed.get(node_id)
-                if uids is not None:
-                    uids.append(desc.uid)
+        """Schedule a placed task's launch after the launch delay, and no
+        sooner than the launch rate cap allows."""
         launch_ts = self.ts + self.launch_delay_s
         if self.launch_rate_cap is not None:
             launch_ts = max(launch_ts, self.next_launch_ts)
@@ -246,18 +249,13 @@ def step(state: SimState) -> SimState:
         )
         if data.persistent:
             state.persistent_failed.add(data.node_id)
-        # the node's holders are the tasks placed on it that have not ended:
-        # fail the launched ones, in uid order, and keep the rest
+        # each task running on the node launched after its previous fault,
+        # which popped the node's list: fail those not ended, in uid order
         last_kind = state.log.last_kind
-        running, waiting = [], []
-        for uid in state._placed[data.node_id]:
-            kind = last_kind(uid)
-            if kind == ev.TASK_LAUNCHED:
-                running.append(uid)
-            elif kind == ev.TASK_SCHEDULED:
-                waiting.append(uid)
-        state._placed[data.node_id] = waiting
-        running.sort()
+        running = sorted(
+            uid for uid in state._holders.pop(data.node_id, ())
+            if last_kind(uid) == ev.TASK_LAUNCHED
+        )
         for uid in running:
             pilot.finish(
                 uid, ev.TASK_FAILED, ts, f"node_failure node={data.node_id}"
@@ -265,12 +263,17 @@ def step(state: SimState) -> SimState:
     elif action == "launch":
         pilot.launch(key, ts)
         duration = state.runtime_model.duration_for(pilot.job.runs[key])
-        failed = state.persistent_failed  # empty until a persistent fault
-        if failed:
+        bad = ()
+        last_fault = state._last_fault  # empty without node faults
+        if last_fault:
             nodes = pilot.table.placement_of(key).node_ids
-            bad = sorted(failed.intersection(nodes))
-        else:
-            bad = ()
+            # held where a fault of the node is still to come: one at this
+            # instant popped before this launch
+            for node_id in nodes:
+                if ts < last_fault.get(node_id, ts):
+                    state._holders.setdefault(node_id, []).append(key)
+            if state.persistent_failed:
+                bad = sorted(state.persistent_failed.intersection(nodes))
         if bad:
             # node is accepting launches but every run on it is doomed;
             # the crash surfaces at the task's natural end

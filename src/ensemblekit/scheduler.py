@@ -64,7 +64,7 @@ class SlotTable:
     leaves the heap until a release frees one: the heap holds each node
     with a free core exactly once. The table keeps no per-node record of
     which tasks a node holds: a placement names its nodes, and the simulator
-    keeps the uids placed on the nodes its node faults name
+    keeps the uids launched on the nodes its node faults name
     (:class:`~ensemblekit.engine.SimState`).
     """
 

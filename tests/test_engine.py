@@ -154,6 +154,30 @@ class TestStageSequencing:
         assert (tasks["f1"][ev.TASK_SCHEDULED].ts
                 < terminal_ts(tasks["slowtask"]))
 
+    def test_a_stage_that_opens_later_queues_behind_other_pipelines(self):
+        # the pipelines of a job share one FIFO queue. On one 8-core node, a0
+        # (1 core, 10 s) and b0 (7 cores, 100 s) start at 0. a0's end opens
+        # stage a1 behind b1 and b2, and a1 waits until b2 is placed at 200,
+        # though the core it needs is free from 10 on
+        platform = small_platform(nodes=1)
+        a = WorkflowSpec(
+            name="a",
+            stages=(
+                Stage(name="a0", tasks=(make_task("a0", expected=10.0),)),
+                Stage(name="a1", tasks=(make_task("a1", expected=10.0),)),
+            ),
+        )
+        b = single_stage(
+            "b", [make_task(f"b{i}", procs=7, expected=100.0) for i in range(3)]
+        )
+        log = run_simulated([a, b], platform, 1, 1000.0, RuntimeModel())
+        scheduled = [(e.task_uid, e.ts) for e in log
+                     if e.kind == ev.TASK_SCHEDULED]
+        assert scheduled == [("a0", 0.0), ("b0", 0.0), ("b1", 100.0),
+                             ("b2", 200.0), ("a1", 200.0)]
+        alone = run_simulated(a, platform, 1, 1000.0, RuntimeModel())
+        assert events_by_task(alone)["a1"][ev.TASK_SCHEDULED].ts == 10.0
+
 
 class TestFaults:
     def test_persistent_fault_fails_only_node_holders(self):
@@ -209,6 +233,18 @@ class TestFaults:
         # the failed task ended at the fault instant
         fail_event = next(e for e in log if e.kind == ev.TASK_FAILED)
         assert fail_event.ts == 10.0
+
+    def test_holders_are_kept_only_while_a_fault_is_to_come(self):
+        # at JOB_END the simulator holds a list of uids only for nodes with
+        # a fault still in the heap; the launches that tie with a node's
+        # last fault come after it, and add to no list
+        for seed in range(100):
+            (specs, platform, nodes, walltime, model), kwargs = tied_job(seed)
+            state = SimState(specs, platform, nodes, walltime, model, **kwargs)
+            state.pilot.drive(state)
+            to_come = {data.node_id for *_, action, data in state.heap
+                       if action == "node_fault"}
+            assert set(state._holders) <= to_come, seed
 
     def test_node_fault_fails_running_holders_in_uid_order(self):
         # four 1-core tasks share one node; "a" ends first and its slot goes
@@ -308,6 +344,19 @@ class TestFaults:
                 node_faults=(NodeFault(0, 600.0, persistent=True),),
             )
 
+    def test_fault_on_the_node_past_the_allocation_rejected(self):
+        # nodes 0..3 of a 4-node allocation: node 3 is the last, node 4 is
+        # not in it
+        platform = small_platform(nodes=4)
+        wf = single_stage("s", [make_task("t")])
+        last = run_simulated(wf, platform, 4, 500.0, FIXED_100,
+                             node_faults=(NodeFault(3, 50.0, True),))
+        assert [e.node_ids for e in last if e.kind == ev.NODE_FAILED] == [(3,)]
+        with pytest.raises(ConfigError) as caught:
+            run_simulated(wf, platform, 4, 500.0, FIXED_100,
+                          node_faults=(NodeFault(4, 50.0, True),))
+        assert str(caught.value) == "fault node 4 outside allocation"
+
 
 class TestWalltime:
     def test_running_and_queued_tasks_cancel_at_walltime(self):
@@ -375,6 +424,26 @@ class TestConfigValidation:
                 RuntimeModel(),
             )
 
+    def test_hintless_task_the_walltime_cancels_is_rejected(self):
+        # the walltime cancels the second stage before it is placed, so no
+        # task of it would ever launch; the first hint-less task in job
+        # order is named
+        platform = small_platform()
+        wf = WorkflowSpec(
+            name="wf",
+            stages=(
+                Stage(name="s0", tasks=(make_task("long", expected=1e4),)),
+                Stage(name="s1", tasks=(make_task("hinted", expected=1.0),
+                                        make_task("b"), make_task("a"))),
+            ),
+        )
+        with pytest.raises(ConfigError) as caught:
+            run_simulated(wf, platform, 1, 200.0, RuntimeModel())
+        assert str(caught.value) == (
+            "task b has no expected_runtime_s and the runtime model is "
+            "'expected'"
+        )
+
     @pytest.mark.parametrize(
         "kwargs, message",
         [
@@ -394,6 +463,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as caught:
             RuntimeModel(**kwargs)
         assert str(caught.value) == message
+
+    def test_uniform_with_equal_bounds_is_accepted(self):
+        model = RuntimeModel("uniform", 5.0, 5.0)
+        assert model.duration_for(make_task("t")) == 5.0
+
+    def test_default_seed_is_zero(self):
+        # the seed keys every uniform draw: the default draws seed 0's
+        task = make_task("t")
+        draw = RuntimeModel("uniform", 1.0, 2.0).duration_for(task)
+        assert RuntimeModel().seed == 0
+        assert draw == RuntimeModel("uniform", 1.0, 2.0, seed=0).duration_for(
+            task
+        )
 
     def test_duplicate_uid_across_pipelines(self):
         platform = small_platform()
@@ -477,6 +559,33 @@ class TestDeterminism:
         }
         assert pipelines == {1, 2, 3}
         assert digest.hexdigest() == GOLDEN_RANDOM_JOBS
+
+    def test_tied_fault_jobs_match_golden_hash(self):
+        # jobs on a 5 s grid, where node faults fire at the same instant as
+        # launches, ends and placements on their own node. Hash recorded
+        # before a node's holders were recorded at launch instead of at
+        # placement.
+        digest = hashlib.sha256()
+        ties = collections.Counter()
+        for seed in range(400):
+            args, kwargs = tied_job(seed)
+            log = run_simulated(*args, **kwargs)
+            digest.update(log_bytes(log))
+            for fault in log:
+                if fault.kind != ev.NODE_FAILED:
+                    continue
+                ties.update(
+                    (e.kind, fault.detail) for e in log
+                    if e.ts == fault.ts and e.task_uid is not None
+                    and fault.node_ids[0] in (e.node_ids or ())
+                )
+        # every tie the hash is meant to guard was taken, under both kinds
+        # of fault
+        for kind in (ev.TASK_SCHEDULED, ev.TASK_LAUNCHED, ev.TASK_DONE,
+                     ev.TASK_FAILED, ev.TASK_CANCELED):
+            for detail in ("persistent", "transient"):
+                assert ties[kind, detail] > 0, (kind, detail)
+        assert digest.hexdigest() == GOLDEN_TIED_FAULT_JOBS
 
     def test_doubling_every_time_doubles_every_timestamp(self):
         # the engine has no time scale of its own: doubling every duration,
@@ -606,8 +715,38 @@ def random_job(seed):
     return (specs, platform, nodes, walltime, model), {**faults, **launch}
 
 
+def tied_job(seed):
+    """:func:`random_job`'s job for ``seed`` with its times on a 5 s grid,
+    so that events tie: each task runs its expected_runtime_s hint of 5 to
+    30 s, 1 to 4 node faults fire at multiples of 5 s, and the launch delay
+    and rate cap are whole multiples or fractions of 5 s."""
+    (specs, platform, nodes, walltime, _), kwargs = random_job(seed)
+    rng = random.Random(f"tied/{seed}")
+    specs = [
+        dataclasses.replace(spec, stages=tuple(
+            dataclasses.replace(stage, tasks=tuple(
+                dataclasses.replace(t, expected_runtime_s=5.0 * rng.randint(1, 6))
+                for t in stage.tasks
+            ))
+            for stage in spec.stages
+        ))
+        for spec in specs
+    ]
+    kwargs["node_faults"] = tuple(
+        NodeFault(rng.randrange(nodes), 5.0 * rng.randint(0, int(walltime) // 5),
+                  persistent=rng.random() < 0.5)
+        for _ in range(rng.randint(1, 4))
+    )
+    kwargs["launch_delay_s"] = rng.choice((0.0, 5.0))
+    kwargs["launch_rate_cap"] = rng.choice((None, 0.2, 1.0))
+    return (specs, platform, nodes, walltime, RuntimeModel()), kwargs
+
+
 GOLDEN_RANDOM_JOBS = (
     "4164f21ab5bfbf84494b52d0b5943ed03b75943f314291855956c8a10bf8722a"
+)
+GOLDEN_TIED_FAULT_JOBS = (
+    "a27327ed02e440b60fb6d17011a59b8b5fc7467b6234dc3ebf4cb53fbe1b627f"
 )
 
 

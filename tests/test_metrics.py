@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ensemblekit import events as ev
+from ensemblekit import metrics
 from ensemblekit.engine import (
     NodeFault,
     RuntimeModel,
@@ -93,6 +94,7 @@ class TestUtilization:
 
     def test_matches_per_instant_oracle_on_random_logs(self):
         rng = random.Random(11)
+        regaps = 0  # nodes busy, then idle, then busy again
         for _ in range(50):
             log, task_events, boot, end = random_complete_log(rng)
             stack = compute_utilization(log)
@@ -100,6 +102,39 @@ class TestUtilization:
             assert stack.nodes.busy_s == pytest.approx(nodes, rel=1e-9, abs=1e-9)
             assert stack.cores.busy_s == pytest.approx(cores, rel=1e-9, abs=1e-9)
             assert stack.gpus.busy_s == pytest.approx(gpus, rel=1e-9, abs=1e-9)
+            regaps += busy_gaps(task_events)
+        assert regaps > 0
+
+    def test_node_busy_spans_add_in_time_order(self):
+        # node 0 is busy over [0.1, 0.2] and [0.3, 0.4]: its busy
+        # node-seconds add each span's length in time order, which the
+        # pinned exports' bytes depend on; (0.4 - 0.1) + (0.2 - 0.3), the
+        # same in exact arithmetic, rounds to another float
+        events = [
+            ("A", [0], [1], 1, 0, 0.1, 0.1, 0.2, ev.TASK_DONE),
+            ("B", [0], [1], 1, 0, 0.3, 0.3, 0.4, ev.TASK_DONE),
+        ]
+        log = build_log(events, end_ts=0.5, allocation_nodes=1)
+        busy = compute_utilization(log).nodes.busy_s
+        assert busy == (0.2 - 0.1) + (0.4 - 0.3) != (0.4 - 0.1) + (0.2 - 0.3)
+
+    def test_rounding_clamp_reached_at_equality(self, monkeypatch):
+        # three full nodes busy from boot to end: the products and the sum
+        # leave cores idle a few ulps below zero, which the clamp zeroes
+        # when it is at most the rounding share of capacity, equality
+        # included
+        events = [(f"t{i}", [i], [8], 1, 0, 0.1, 0.1, 0.3, ev.TASK_DONE)
+                  for i in range(3)]
+        log = build_log(events, boot_ts=0.1, end_ts=0.3, allocation_nodes=3)
+        monkeypatch.setattr(metrics, "_ROUNDING", 0.0)
+        raw = compute_utilization(log).cores
+        assert raw.idle_s < 0
+        share = -raw.idle_s / raw.capacity_s
+        assert share * raw.capacity_s == -raw.idle_s
+        monkeypatch.setattr(metrics, "_ROUNDING", share)
+        clamped = compute_utilization(log).cores
+        assert clamped.idle_s == 0.0
+        assert clamped.busy_s == clamped.capacity_s - clamped.ovh_s
 
     def test_scheduled_but_never_launched_counts_idle(self):
         events = [("A", [0], [1], 1, 0, 10.0, None, 30.0, ev.TASK_CANCELED)]
@@ -112,6 +147,24 @@ class TestUtilization:
         assert compute_utilization(log) == (
             compute_utilization(log)
         )
+
+
+def busy_gaps(task_events):
+    """How many times a node of ``task_events`` goes idle between two of
+    its launched tasks."""
+    spans = {}
+    for _, node_ids, _, _, _, _, launch, term, _ in task_events:
+        if launch is not None:
+            for node in node_ids:
+                spans.setdefault(node, []).append((launch, term))
+    gaps = 0
+    for runs in spans.values():
+        runs.sort()
+        until = runs[0][1]
+        for launch, term in runs[1:]:
+            gaps += launch > until
+            until = max(until, term)
+    return gaps
 
 
 class TestConcurrencySeries:
@@ -191,6 +244,18 @@ class TestThroughput:
         log = build_log(events, end_ts=3.0)
         rates = throughput(log, concurrency_series(log))
         assert rates.scheduling_rate_tasks_per_s == pytest.approx(100.0)
+
+    def test_rate_over_exactly_two_timestamps(self):
+        # A starts at 1, B at 5 and both run to 10: two schedules and two
+        # launches in the ramp, one interval of 4 s each
+        events = [
+            ("A", [0], [1], 1, 0, 1.0, 1.0, 10.0, ev.TASK_DONE),
+            ("B", [1], [1], 1, 0, 5.0, 5.0, 10.0, ev.TASK_DONE),
+        ]
+        log = build_log(events, end_ts=10.0)
+        rates = throughput(log, concurrency_series(log))
+        assert rates.scheduling_rate_tasks_per_s == 0.25
+        assert rates.launching_rate_tasks_per_s == 0.25
 
     def test_single_scheduled_insufficient(self):
         events = [("t", [0], [1], 1, 0, 1.0, 1.0, 2.0, ev.TASK_DONE)]
