@@ -448,6 +448,58 @@ def test_from_json_reads_each_value_the_constructor_reads(spec):
     assert json.dumps(doc) == text
 
 
+_TASK_FIELDS = [f.name for f in dataclasses.fields(TaskDescription)]
+# a task record as json.loads gives it: any subset of the fields, each of
+# the right type or any JSON value, perhaps a key that is not a field, and
+# tags whose keys may be the names of task fields; or a record that is not
+# a JSON object at all
+_field_values = {
+    "uid": st.text(max_size=3) | json_values,
+    "executable": st.text(max_size=3) | json_values,
+    "arguments": sequences,
+    "pre_exec": sequences,
+    "cpu_processes": st.integers() | json_values,
+    "cpu_threads_per_process": st.integers() | json_values,
+    "gpus_per_process": st.integers() | json_values,
+    "expected_runtime_s": st.none() | st.floats() | json_values,
+    "tags": st.dictionaries(
+        st.sampled_from(_TASK_FIELDS) | st.text(max_size=3),
+        st.text(max_size=3) | json_values, max_size=3,
+    ) | json_values,
+}
+_unknown_keys = st.dictionaries(
+    st.text(max_size=3).filter(lambda k: k not in _TASK_FIELDS),
+    json_values, max_size=1,
+)
+task_records = st.builds(
+    lambda known, unknown: json.loads(json.dumps({**known, **unknown})),
+    st.fixed_dictionaries({}, optional=_field_values),
+    st.one_of(st.just({}), _unknown_keys),
+) | json_values.filter(lambda v: not isinstance(v, dict))
+
+
+@given(record=task_records)
+@settings(max_examples=300, deadline=None)
+def test_from_json_builds_each_task_as_the_constructor_does(record):
+    """from_json's task equals TaskDescription(**record) field by field,
+    tuples where the record has lists, or raises the TypeError the
+    constructor raises, with its message."""
+    doc = {"name": "w", "stages": [{"name": "s", "tasks": [record]}]}
+    try:
+        want = TaskDescription(**record)
+    except TypeError as e:
+        with pytest.raises(TypeError) as got:
+            WorkflowSpec.from_json(doc)
+        assert str(got.value) == str(e)
+        return
+    (task,) = WorkflowSpec.from_json(doc).stages[0].tasks
+    for name in _TASK_FIELDS:
+        value, wanted = getattr(task, name), getattr(want, name)
+        assert type(value) is type(wanted), name
+        # in a tuple: identity first, as NaN is unequal to itself
+        assert (value,) == (wanted,), name
+
+
 def test_a_loaded_workflow_keeps_each_string_once(tmp_path, capsys):
     # every exaconstit task runs /bin/sh -c: the tasks share one executable
     # object and one "-c"
