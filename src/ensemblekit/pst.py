@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -50,15 +50,12 @@ def count_violation(name: str, value: object, least: int) -> Optional[str]:
 
 
 def _strings(value: object) -> bool:
-    return type(value) is tuple and all(isinstance(v, str) for v in value)
-
-
-# the integer fields of a task and the least value of each
-_COUNTS = (
-    ("cpu_processes", 1),
-    ("cpu_threads_per_process", 1),
-    ("gpus_per_process", 0),
-)
+    if type(value) is not tuple:
+        return False
+    for v in value:
+        if not isinstance(v, str):
+            return False
+    return True
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,13 +91,17 @@ class TaskDescription:
     def violations(self) -> list[str]:
         out = []
         uid = self.uid
-        for name, least in _COUNTS:
-            reason = count_violation(name, getattr(self, name), least)
+        procs = self.cpu_processes
+        threads = self.cpu_threads_per_process
+        gpus = self.gpus_per_process
+        for reason in (
+            count_violation("cpu_processes", procs, 1),
+            count_violation("cpu_threads_per_process", threads, 1),
+            count_violation("gpus_per_process", gpus, 0),
+        ):
             if reason:
                 out.append(f"task {uid}: {reason}")
-        if not out and self.cpu_processes * max(
-            self.cpu_threads_per_process, self.gpus_per_process
-        ) > MAX_SLOTS:
+        if not out and procs * max(threads, gpus) > MAX_SLOTS:
             out.append(
                 f"task {uid}: reserves more than {MAX_SLOTS} core or GPU slots"
             )
@@ -181,14 +182,15 @@ class WorkflowSpec:
     def from_json(cls, doc: Mapping) -> "WorkflowSpec":
         """The workflow of a JSON document, read by the records' own
         fields: a missing optional field takes its default, and a key that
-        is not a field raises TypeError naming it. The tasks keep one object
-        per distinct string of their executables, arguments, pre_exec lines
-        and tags; values that are not strings are kept as they are."""
+        is not a field raises TypeError naming it. Each task is built in one
+        pass over its record (:func:`_task`), with no copy of the record.
+        The tasks keep one object per distinct string of their executables,
+        arguments, pre_exec lines and tags; values that are not strings are
+        kept as they are."""
         share = {}.setdefault  # value -> its first object
         return cls(**{**doc, "stages": tuple(
             Stage(**{**s, "tasks": tuple(
-                TaskDescription(**_shared(t, share))
-                for t in s.get("tasks", ())
+                _task(t, share) for t in s.get("tasks", ())
             )})
             for s in doc["stages"]
         )})
@@ -214,28 +216,58 @@ class WorkflowSpec:
             raise ParseError(f"{path}: {e}") from e
 
 
-def _shared(task: Mapping, share) -> Mapping:
-    """A task record whose executable, and the strings of its arguments,
-    pre_exec and tags, are ``share(value, value)``; a record that is not a
-    dict is returned as it is."""
-    if type(task) is not dict:
-        return task
-    out = dict(task)
-    value = out.get("executable")
-    if type(value) is str:
-        out["executable"] = share(value, value)
-    for name in ("arguments", "pre_exec"):
-        value = out.get(name)
-        if type(value) is list:
-            out[name] = [share(v, v) if type(v) is str else v for v in value]
-    value = out.get("tags")
-    if type(value) is dict:
-        out["tags"] = {
-            (share(k, k) if type(k) is str else k):
-            (share(v, v) if type(v) is str else v)
-            for k, v in value.items()
-        }
-    return out
+# the keys of a task record
+_FIELDS = frozenset(f.name for f in fields(TaskDescription))
+
+
+def _task(record: object, share) -> TaskDescription:
+    """``TaskDescription(**record)``, built by position from one pass over
+    the record: the executable, and the strings of the arguments, pre_exec
+    and tags, are ``share(value, value)``, and lists of arguments and
+    pre_exec lines become tuples as they are read. A record the constructor
+    rejects (not a mapping, a key that is not a field, no uid or no
+    executable) raises the constructor's own TypeError."""
+    if not (type(record) is dict or isinstance(record, Mapping)) or not (
+        "uid" in record and "executable" in record
+        and _FIELDS.issuperset(record)
+    ):
+        TaskDescription(**record)  # raises
+    get = record.get
+    executable = record["executable"]
+    return TaskDescription(
+        record["uid"],
+        share(executable, executable) if type(executable) is str
+        else executable,
+        _shared_list(get("arguments", ()), share),
+        _shared_list(get("pre_exec", ()), share),
+        get("cpu_processes", 1),
+        get("cpu_threads_per_process", 1),
+        get("gpus_per_process", 0),
+        get("expected_runtime_s"),
+        _shared_tags(get("tags", {}), share),
+    )
+
+
+def _shared_list(value: object, share) -> object:
+    """A list as a tuple of its items, each string ``share(v, v)``; any
+    other value as it is."""
+    if type(value) is not list:
+        return value
+    if not value:
+        return ()
+    return tuple([share(v, v) if type(v) is str else v for v in value])
+
+
+def _shared_tags(value: object, share) -> object:
+    """A dict whose string keys and values are ``share(v, v)``; an empty
+    dict, or any other value, as it is: the constructor copies a dict."""
+    if type(value) is not dict or not value:
+        return value
+    return {
+        (share(k, k) if type(k) is str else k):
+        (share(v, v) if type(v) is str else v)
+        for k, v in value.items()
+    }
 
 
 def _value(v: object, depth: int) -> str:

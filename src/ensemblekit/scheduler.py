@@ -41,6 +41,10 @@ from ensemblekit.platform import (
 )
 from ensemblekit.pst import JobRun, TaskDescription, WorkflowSpec
 
+# tuple's own constructor: Event(...) and Placement(...) run NamedTuple's
+# __new__ in Python, several times the cost of the tuple it builds
+_new = tuple.__new__
+
 
 class Placement(NamedTuple):
     """Reserved slots for one task: ``chunks[i]`` ranks on node
@@ -163,7 +167,9 @@ def try_place(
         for node_id, procs in zip(chosen, chunks):
             free_cores[node_id] -= procs * threads
             free_gpus[node_id] -= procs * gpus_pp
-        placement = Placement(uid, tuple(chosen), chunks, threads, gpus_pp)
+        placement = _new(
+            Placement, (uid, tuple(chosen), chunks, threads, gpus_pp)
+        )
         table._active[uid] = placement
     # a popped node without a free core stays out until a release frees one
     for node_id in popped:
@@ -233,7 +239,9 @@ class Pilot:
         self.emit(0.0, ev.JOB_START, detail=json.dumps(start))
 
     def emit(self, ts, kind, uid=None, node_ids=None, detail="") -> None:
-        self.log.append(Event(ts, kind, uid, node_ids, detail))
+        # every event of a job is built here, once per event: tuple.__new__
+        # builds the same Event as Event(...) without its Python __new__
+        self.log.append(_new(Event, (ts, kind, uid, node_ids, detail)))
 
     def boot(self, ts: float) -> None:
         """Log BOOTSTRAP_DONE and queue every pipeline's first stage."""

@@ -1,5 +1,6 @@
 import contextlib
 import errno
+import gc
 import hashlib
 import io
 import json
@@ -2083,3 +2084,78 @@ class TestInterruptedRun:
         assert sorted(t.uid for st in planned.stages for t in st.tasks) == [
             "t0", "t1", "t2", "t3"
         ]
+
+
+def _bad_log(path):
+    # a TASK_DONE with no TASK_LAUNCHED before it: report exits 1
+    path.write_text(
+        '{"ts": 0.0, "kind": "JOB_START", "detail": "{}"}\n'
+        '{"ts": 1.0, "kind": "TASK_DONE", "task_uid": "t"}\n'
+    )
+    return ["report", "--log", str(path)]
+
+
+def _interrupted(monkeypatch, tmp_path):
+    def command(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "cmd_example", command)
+    return ["example", "--out", str(tmp_path / "wf.json")]
+
+
+@pytest.mark.parametrize("caller", [(700, 10, 10), (701, 11, 12), (0, 10, 10)])
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("exit_code,argv", [
+    (0, lambda mp, tmp: ["example", "--example", "toy",
+                         "--out", str(tmp / "wf.json")]),
+    (2, lambda mp, tmp: ["example", "--out", str(tmp / "wf.json")]),
+    (1, lambda mp, tmp: _bad_log(tmp / "bad.jsonl")),
+    (1, _interrupted),
+    ("SystemExit", lambda mp, tmp: ["example", "--example", "fusion"]),
+], ids=["ok", "config-error", "malformed-log", "interrupt", "argparse"])
+def test_main_restores_the_callers_gc_settings(
+    monkeypatch, tmp_path, capsys, caller, enabled, exit_code, argv
+):
+    argv = argv(monkeypatch, tmp_path)
+    saved = gc.get_threshold(), gc.isenabled()
+    try:
+        gc.set_threshold(*caller)
+        if not enabled:
+            gc.disable()
+        if exit_code == "SystemExit":
+            with pytest.raises(SystemExit):
+                main(argv)
+        else:
+            assert main(argv) == exit_code
+        assert gc.get_threshold() == caller
+        assert gc.isenabled() is enabled
+    finally:
+        gc.set_threshold(*saved[0])
+        (gc.enable if saved[1] else gc.disable)()
+
+
+@pytest.mark.parametrize("caller,seen", [
+    ((700, 10, 10), (cli._GC_YOUNG_THRESHOLD, 10, 10)),
+    ((701, 11, 12), (cli._GC_YOUNG_THRESHOLD, 11, 12)),
+    # never lowered, and left off when the caller turned it off
+    ((10**6, 10, 10), (10**6, 10, 10)),
+    ((0, 10, 10), (0, 10, 10)),
+])
+def test_a_command_runs_with_the_raised_young_gc_threshold(
+    monkeypatch, caller, seen
+):
+    during = []
+
+    def command(args):
+        during.append(gc.get_threshold())
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_example", command)
+    saved = gc.get_threshold()
+    try:
+        gc.set_threshold(*caller)
+        assert main(["example", "--out", "unused.json"]) == 0
+        assert gc.get_threshold() == caller
+    finally:
+        gc.set_threshold(*saved)
+    assert during == [seen]
