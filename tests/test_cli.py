@@ -2114,7 +2114,7 @@ def _interrupted(monkeypatch, tmp_path):
     ("SystemExit", lambda mp, tmp: ["example", "--example", "fusion"]),
 ], ids=["ok", "config-error", "malformed-log", "interrupt", "argparse"])
 def test_main_restores_the_callers_gc_settings(
-    monkeypatch, tmp_path, capsys, caller, enabled, exit_code, argv
+    monkeypatch, tmp_path, caller, enabled, exit_code, argv
 ):
     argv = argv(monkeypatch, tmp_path)
     saved = gc.get_threshold(), gc.isenabled()
