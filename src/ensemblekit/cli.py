@@ -39,7 +39,7 @@ from ensemblekit.engine import (
     TaskFault,
     run_simulated,
 )
-from ensemblekit.events import EventLog
+from ensemblekit.events import EventLog, allocation
 from ensemblekit.local import run_local
 from ensemblekit.platform import (
     PlatformConfig,
@@ -280,7 +280,7 @@ def cmd_resubmit(args) -> int:
     check_workflow(spec)
     log = EventLog.load_jsonl(log_path)
     platform = _load_platform(args)
-    nodes = metrics.allocation(log)[1]
+    nodes = allocation(log)[1]
     failed = collect_failures(log, spec, retry_canceled=args.retry_canceled)
     # plan only from a log report accepts; after collect_failures, whose
     # message names the tasks left open

@@ -29,8 +29,9 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from ensemblekit.errors import IncompleteLog, MalformedLog
-from ensemblekit.pst import MAX_SLOTS, is_number
+from ensemblekit.errors import IncompleteLog, MalformedLog, ValidationError
+from ensemblekit.platform import NodeSpec, PlatformConfig
+from ensemblekit.pst import MAX_SLOTS, count_violation, is_number
 
 JOB_START = "JOB_START"
 BOOTSTRAP_DONE = "BOOTSTRAP_DONE"
@@ -348,3 +349,35 @@ def scheduled_slots(detail: str) -> tuple[int, int, list[int]]:
             f"{detail!r}"
         )
     return threads, gpus_pp, chunks
+
+
+def run_metadata(platform: PlatformConfig, nodes: int, **meta) -> str:
+    """JOB_START's detail, read back by :func:`allocation`: JSON of the
+    platform and allocation, ``backend``, ``bootstrap_s`` and ``walltime_s``
+    (null, 0, null) unless ``meta`` gives them, then ``meta``'s other keys."""
+    node = platform.node
+    start = {"backend": None, "platform": platform.name,
+             "allocation_nodes": nodes, "cores_total": node.cores_total,
+             "cores_reserved": node.cores_reserved,
+             "gpus_per_node": node.gpus, "bootstrap_s": 0.0, "walltime_s": None}
+    start.update(meta)  # a key already above keeps its place
+    return json.dumps(start)
+
+
+def allocation(log: EventLog) -> tuple[NodeSpec, int]:
+    """The node shape and count in the first JOB_START's run metadata, JSON
+    integers read as written (MalformedLog if one is missing or bad)."""
+    start = next((e.detail for e in log if e.kind == JOB_START), "")
+    try:
+        meta = json.loads(start)
+        node = NodeSpec(meta["cores_total"], meta.get("cores_reserved", 0),
+                        meta.get("gpus_per_node", 0))
+        nodes = meta["allocation_nodes"]
+    # ValueError: bad JSON or an int past the digit limit; TypeError: no dict
+    except (ValueError, RecursionError, TypeError, KeyError,
+            ValidationError) as e:
+        raise MalformedLog(f"bad run metadata in JOB_START: {e!r}") from e
+    reason = count_violation("allocation_nodes", nodes, 1)
+    if reason:
+        raise MalformedLog(f"bad run metadata in JOB_START: {reason}")
+    return node, nodes

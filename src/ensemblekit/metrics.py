@@ -19,11 +19,10 @@ from pathlib import Path
 from typing import Optional
 
 from ensemblekit import events as ev
-from ensemblekit.errors import (EnsembleKitError, InsufficientData,
-                                MalformedLog, ValidationError)
-from ensemblekit.events import EventLog, scheduled_slots
-from ensemblekit.platform import NodeSpec, usable_cores
-from ensemblekit.pst import _value, count_violation
+from ensemblekit.errors import EnsembleKitError, InsufficientData, MalformedLog
+from ensemblekit.events import EventLog, allocation, scheduled_slots
+from ensemblekit.platform import usable_cores
+from ensemblekit.pst import _value
 
 # the share of a unit's capacity by which float rounding may push busy past
 # what capacity leaves after overhead
@@ -79,25 +78,6 @@ class RateSummary:
     launch_first_ts: Optional[float]
     launch_last_ts: Optional[float]
     launch_count: int
-
-
-def allocation(log: EventLog) -> tuple[NodeSpec, int]:
-    """The node shape and count in the first JOB_START's run metadata, JSON
-    integers read as written (MalformedLog if one is missing or bad)."""
-    start = next((e.detail for e in log if e.kind == ev.JOB_START), "")
-    try:
-        meta = json.loads(start)
-        node = NodeSpec(meta["cores_total"], meta.get("cores_reserved", 0),
-                        meta.get("gpus_per_node", 0))
-        nodes = meta["allocation_nodes"]
-    # ValueError: bad JSON or an int past the digit limit; TypeError: no dict
-    except (ValueError, RecursionError, TypeError, KeyError,
-            ValidationError) as e:
-        raise MalformedLog(f"bad run metadata in JOB_START: {e!r}") from e
-    reason = count_violation("allocation_nodes", nodes, 1)
-    if reason:
-        raise MalformedLog(f"bad run metadata in JOB_START: {reason}")
-    return node, nodes
 
 
 def compute_utilization(log: EventLog) -> UtilizationStack:

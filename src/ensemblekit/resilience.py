@@ -32,32 +32,29 @@ from ensemblekit.pst import Stage, WorkflowSpec
 def collect_failures(
     log: EventLog, spec: WorkflowSpec, retry_canceled: bool = False
 ) -> list[str]:
-    """The uids of the spec's tasks whose terminal event in this log is
-    TASK_FAILED (or TASK_CANCELED when retry_canceled), in log order. DONE
-    tasks never appear; tasks from other pipelines in the same log are
-    ignored. A log holds at most one terminal event per task
-    (:meth:`EventLog.append` checks it). MalformedLog, naming them, when
-    tasks of the spec have no terminal event in the log."""
+    """The uids of the spec's tasks whose last event in this log is
+    TASK_FAILED (or TASK_CANCELED when retry_canceled), in workflow order.
+    DONE tasks never appear; tasks from other pipelines in the same log are
+    ignored. MalformedLog, naming them, when tasks of the spec have no
+    terminal event in the log."""
     if not log.complete:
         raise IncompleteLog("cannot collect failures from a log without JOB_END")
-    missing = [
-        t.uid for t in spec.tasks()
-        if log.last_kind(t.uid) not in ev.TERMINAL_KINDS
-    ]
+    retried = {ev.TASK_FAILED}
+    if retry_canceled:
+        retried.add(ev.TASK_CANCELED)
+    failed, missing = [], []
+    for task in spec.tasks():
+        kind = log.last_kind(task.uid)
+        if kind in retried:
+            failed.append(task.uid)
+        elif kind not in ev.TERMINAL_KINDS:
+            missing.append(task.uid)
     if missing:
         raise MalformedLog(
             f"{len(missing)} tasks of workflow {spec.name} have no terminal "
             f"event in the log: {' '.join(missing)}"
         )
-    uids = {t.uid for t in spec.tasks()}
-    retried = {ev.TASK_FAILED}
-    if retry_canceled:
-        retried.add(ev.TASK_CANCELED)
-    return [
-        event.task_uid
-        for event in log
-        if event.kind in retried and event.task_uid in uids
-    ]
+    return failed
 
 
 @dataclass

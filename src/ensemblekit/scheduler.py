@@ -21,7 +21,6 @@ retried as a fresh job by :mod:`ensemblekit.resilience`.
 from __future__ import annotations
 
 import heapq
-import json
 from collections import deque
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -205,10 +204,8 @@ class Pilot:
 
     Both backends run a job through :meth:`drive` and these methods, which
     keep the stages, the slots and the log in step; a backend adds only how
-    and when tasks start and end. JOB_START is logged at ts 0 on creation.
-    Its metadata lists the platform and allocation, then ``backend``,
-    ``bootstrap_s`` and ``walltime_s`` (given in ``meta``, or null, 0 and
-    null), then any further ``meta`` keys in the order given.
+    and when tasks start and end. JOB_START, logged at ts 0 on creation,
+    carries the job's :func:`~ensemblekit.events.run_metadata`.
     """
 
     def __init__(
@@ -225,18 +222,8 @@ class Pilot:
         # the queue head that last failed to place, and table.releases then
         self._blocked: tuple[Optional[TaskDescription], int] = (None, 0)
         self.log = EventLog()
-        start = {
-            "backend": None,
-            "platform": platform.name,
-            "allocation_nodes": nodes,
-            "cores_total": platform.node.cores_total,
-            "cores_reserved": platform.node.cores_reserved,
-            "gpus_per_node": platform.node.gpus,
-            "bootstrap_s": 0.0,
-            "walltime_s": None,
-        }
-        start.update(meta)  # a key already above keeps its place
-        self.emit(0.0, ev.JOB_START, detail=json.dumps(start))
+        start = ev.run_metadata(platform, nodes, **meta)
+        self.emit(0.0, ev.JOB_START, detail=start)
 
     def emit(self, ts, kind, uid=None, node_ids=None, detail="") -> None:
         # every event of a job is built here, once per event: tuple.__new__

@@ -3,7 +3,7 @@ import hashlib
 import pytest
 
 from ensemblekit import events as ev
-from ensemblekit import metrics, resilience
+from ensemblekit import resilience
 from ensemblekit.engine import (
     NodeFault,
     RuntimeModel,
@@ -56,6 +56,16 @@ class TestCollectFailures:
         assert [e.detail for e in log if e.kind == ev.TASK_FAILED] == [
             "task_fault"
         ]
+
+    def test_failures_come_in_workflow_order(self):
+        # t3 fails 10 s into its run and t1 at its end, so the log records
+        # t3's failure first; the uids still come in the workflow's order
+        wf, log = run_with_fault(
+            task_faults=(TaskFault("t3", 0.1), TaskFault("t1", 1.0))
+        )
+        failed = [e.task_uid for e in log if e.kind == ev.TASK_FAILED]
+        assert failed == ["t3", "t1"]
+        assert collect_failures(log, wf) == ["t1", "t3"]
 
     def test_canceled_only_with_flag(self):
         platform = small_platform()
@@ -301,7 +311,7 @@ class TestRetryLoop:
         logs, unresolved = retry_loop(
             wf, platform, runner, 4, 10000.0, max_attempts=4
         )
-        assert [metrics.allocation(log)[1] for log in logs] == [4, 4, 4, 2]
+        assert [ev.allocation(log)[1] for log in logs] == [4, 4, 4, 2]
         digests = []
         for k, log in enumerate(logs, 1):
             path = tmp_path / f"attempt-{k}.jsonl"
