@@ -18,6 +18,10 @@ terminal event. A task's later events name no nodes or the nodes of its
 each field's type, so readers of a log fold it without checking again, and
 the pilot and engine ask it for a task's state through
 :meth:`EventLog.last_kind`.
+
+Two details have one writer and one reader each, both here: JOB_START's run
+metadata (:func:`run_metadata`, :func:`allocation`) and TASK_SCHEDULED's
+reservation widths (:func:`scheduled_detail`, :func:`scheduled_slots`).
 """
 
 from __future__ import annotations

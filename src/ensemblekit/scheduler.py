@@ -26,6 +26,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from ensemblekit import events as ev
 from ensemblekit.errors import (
+    ConfigError,
     DoubleRelease,
     EnsembleKitError,
     MalformedLog,
@@ -68,7 +69,8 @@ class SlotTable:
     with a free core exactly once. The table keeps no per-node record of
     which tasks a node holds: a placement names its nodes, and the simulator
     keeps the uids launched on the nodes its node faults name
-    (:class:`~ensemblekit.engine.SimState`).
+    (:class:`~ensemblekit.engine.SimState`). An allocation too large for
+    memory to hold its tables is a ConfigError.
     """
 
     def __init__(self, node: NodeSpec, node_count: int):
@@ -77,10 +79,16 @@ class SlotTable:
         self.node = node
         self.node_count = node_count
         cores = usable_cores(node)
-        self.free_cores = [cores] * node_count
-        self.free_gpus = [node.gpus] * node_count
+        try:
+            self.free_cores = [cores] * node_count
+            self.free_gpus = [node.gpus] * node_count
+            self._avail = list(range(node_count))  # already a heap: sorted
+        except MemoryError:
+            raise ConfigError(
+                f"an allocation of {node_count} nodes is too large to hold "
+                f"its slot tables"
+            ) from None
         self._active: dict[str, Placement] = {}
-        self._avail = list(range(node_count))  # already a heap: sorted
         # bumped by every release: only a release makes room
         self.releases = 0
 

@@ -268,6 +268,35 @@ class TestSimulate:
         assert "error: ConfigError: " in err and "float range" in err
         assert not log.exists()
 
+    def test_allocation_too_large_to_hold_is_config_error(self, tmp_path,
+                                                          capsys):
+        # 2**50 nodes pass every check of the platform and the flags, and
+        # their slot tables need 2**53 bytes, more than a process can map,
+        # so the allocator refuses at once. Never run this at a size the
+        # host could try to fill.
+        nodes = 2**50
+        platform = tmp_path / "p.json"
+        platform.write_text(json.dumps({
+            "name": "big",
+            "node": {"cores_total": 64, "cores_reserved": 8, "gpus": 8},
+            "node_count": nodes, "policy": {"tiers": [[nodes, 43200.0]]},
+        }))
+        wf = tmp_path / "toy.json"
+        assert run_cli("example", "--example", "toy", "--out", str(wf)) == 0
+        capsys.readouterr()
+        log = tmp_path / "big.jsonl"
+        code = run_cli(
+            "simulate", "--workflow", str(wf), "--platform", str(platform),
+            "--nodes", str(nodes), "--walltime", "12000", "--out", str(log),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: ConfigError: an allocation of {nodes} nodes is too large "
+            f"to hold its slot tables\n"
+        )
+        assert not log.exists()
+
     def test_task_beyond_the_slot_range_is_config_error(self, tmp_path,
                                                         capsys):
         # each count is in range; their product is not
@@ -365,6 +394,7 @@ class TestSimulate:
                          id="fault-node-outside-allocation"),
             pytest.param(("--walltime", "80"),
                          id="walltime-within-bootstrap"),
+            ("--runtime", "bogus"),
         ],
     )
     def test_bad_flag_value_is_config_error(self, tmp_path, capsys, flag):

@@ -267,6 +267,38 @@ def test_a_child_that_cannot_be_watched_is_killed_and_failed(
     assert log[-1].detail == "done=2 failed=1 canceled=0"
 
 
+def test_without_a_name_limit_a_long_uid_fails_as_it_spawns(
+    local, tmp_path, monkeypatch
+):
+    # where the file system cannot say how long a name it takes, run checks
+    # no uid length up front: a uid too long to name its log file is tried,
+    # and fails the task as it spawns
+    uid = "u" * os.pathconf(tmp_path, "PC_NAME_MAX")  # <uid>.out is too long
+
+    def pathconf(path, name):
+        raise OSError(errno.EINVAL, os.strerror(errno.EINVAL))
+
+    monkeypatch.setattr(local_backend.os, "pathconf", pathconf)
+    assert local_backend._name_max(tmp_path) == -1
+    wf = single_stage("s", [sh_task(uid, "touch spawned")])
+    log = run_local(wf, local, 1, tmp_path / "out")
+    assert log.last_kind(uid) == ev.TASK_FAILED
+    assert log[-2].detail.startswith(
+        f"spawn_error: [Errno {errno.ENAMETOOLONG}]"
+    )
+    assert not (tmp_path / "out" / "spawned").exists()
+
+
+def test_signalling_the_group_of_a_reaped_child_is_quiet():
+    # once its leader is reaped, the child's process group is gone; signal
+    # 0 sends nothing, should the pid be taken again meanwhile
+    proc = subprocess.Popen(["/bin/true"], start_new_session=True)
+    proc.wait()
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+    local_backend._signal_group(proc, 0)
+
+
 def test_concurrency_never_exceeds_max_parallel(local, tmp_path):
     wf = single_stage(
         "sleeps", [sh_task(f"s{i}", "sleep 0.05") for i in range(10)]
