@@ -223,34 +223,35 @@ def compute_utilization(log: EventLog) -> UtilizationStack:
     )
 
 
-# (pending-launch, running) that a task's last event counts it in; a task
-# with no event yet or a terminal one counts in neither
-_PHASE_COUNTS = {ev.TASK_SCHEDULED: (1, 0), ev.TASK_LAUNCHED: (0, 1)}
-
-
 def concurrency_series(log: EventLog) -> ConcurrencySeries:
-    """Sweep the log into (ts, pending-launch, running) change points.
-
-    TASK_SCHEDULED increments pending, TASK_LAUNCHED moves pending to
-    running, terminal events decrement whichever phase the task occupies.
-    Events sharing a timestamp coalesce into one point.
-    """
-    phase: dict[str, str] = {}  # each task's last event kind
-    counts = _PHASE_COUNTS.get
+    """Sweep the log into (ts, pending-launch, running) change points, one
+    per timestamp of a task event. The sweep keeps only open tasks, each
+    scheduled and not yet ended, with whether it has launched; a task's
+    terminal event drops it."""
+    open_tasks: dict[str, bool] = {}  # uid -> whether it has launched
     pending = running = 0
     points: list[ConcurrencyPoint] = []
     current_ts: Optional[float] = None
+    scheduled, launched = ev.TASK_SCHEDULED, ev.TASK_LAUNCHED
     for ts, kind, uid, _, _ in log:
         if uid is None:  # only TASK_* events name a task
             continue
-        was_p, was_r = counts(phase.get(uid), (0, 0))
-        now_p, now_r = counts(kind, (0, 0))
-        phase[uid] = kind
         if current_ts is not None and ts != current_ts:
             points.append(ConcurrencyPoint(current_ts, pending, running))
         current_ts = ts
-        pending += now_p - was_p
-        running += now_r - was_r
+        if kind == scheduled:
+            open_tasks[uid] = False
+            pending += 1
+        elif kind == launched:
+            open_tasks[uid] = True
+            pending -= 1
+            running += 1
+        else:  # terminal: a task canceled while new was never open
+            was_running = open_tasks.pop(uid, None)
+            if was_running:
+                running -= 1
+            elif was_running is not None:
+                pending -= 1
     if current_ts is not None:
         points.append(ConcurrencyPoint(current_ts, pending, running))
     return ConcurrencySeries(points=tuple(points))

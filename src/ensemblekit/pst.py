@@ -80,10 +80,15 @@ class TaskDescription:
     tags: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        # copy sequences and mappings; anything else is left for violations()
-        if isinstance(self.arguments, (tuple, list)):
+        """Make arguments and pre_exec exact tuples, keeping one it is given,
+        and tags a dict of its own; leave anything else for violations()."""
+        if type(self.arguments) is not tuple and isinstance(
+            self.arguments, (tuple, list)
+        ):
             object.__setattr__(self, "arguments", tuple(self.arguments))
-        if isinstance(self.pre_exec, (tuple, list)):
+        if type(self.pre_exec) is not tuple and isinstance(
+            self.pre_exec, (tuple, list)
+        ):
             object.__setattr__(self, "pre_exec", tuple(self.pre_exec))
         if isinstance(self.tags, (dict, Mapping)):
             object.__setattr__(self, "tags", dict(self.tags))
@@ -185,8 +190,8 @@ class WorkflowSpec:
         is not a field raises TypeError naming it. Each task is built in one
         pass over its record (:func:`_task`), with no copy of the record.
         The tasks keep one object per distinct string of their executables,
-        arguments, pre_exec lines and tags; values that are not strings are
-        kept as they are."""
+        arguments and pre_exec lines, and ``json.loads`` one per tag key
+        within a document; other values are kept as decoded."""
         share = {}.setdefault  # value -> its first object
         return cls(**{**doc, "stages": tuple(
             Stage(**{**s, "tasks": tuple(
@@ -222,11 +227,12 @@ _FIELDS = frozenset(f.name for f in fields(TaskDescription))
 
 def _task(record: object, share) -> TaskDescription:
     """``TaskDescription(**record)``, built by position from one pass over
-    the record: the executable, and the strings of the arguments, pre_exec
-    and tags, are ``share(value, value)``, and lists of arguments and
-    pre_exec lines become tuples as they are read. A record the constructor
-    rejects (not a mapping, a key that is not a field, no uid or no
-    executable) raises the constructor's own TypeError."""
+    the record: the executable, and the strings of the arguments and
+    pre_exec lines, are ``share(value, value)``, and lists of them become
+    tuples as they are read. The tags are the record's own value, which the
+    constructor copies. A record the constructor rejects (not a mapping, a
+    key that is not a field, no uid or no executable) raises the
+    constructor's own TypeError."""
     if not (type(record) is dict or isinstance(record, Mapping)) or not (
         "uid" in record and "executable" in record
         and _FIELDS.issuperset(record)
@@ -244,7 +250,7 @@ def _task(record: object, share) -> TaskDescription:
         get("cpu_threads_per_process", 1),
         get("gpus_per_process", 0),
         get("expected_runtime_s"),
-        _shared_tags(get("tags", {}), share),
+        get("tags", {}),
     )
 
 
@@ -256,18 +262,6 @@ def _shared_list(value: object, share) -> object:
     if not value:
         return ()
     return tuple([share(v, v) if type(v) is str else v for v in value])
-
-
-def _shared_tags(value: object, share) -> object:
-    """A dict whose string keys and values are ``share(v, v)``; an empty
-    dict, or any other value, as it is: the constructor copies a dict."""
-    if type(value) is not dict or not value:
-        return value
-    return {
-        (share(k, k) if type(k) is str else k):
-        (share(v, v) if type(v) is str else v)
-        for k, v in value.items()
-    }
 
 
 def _value(v: object, depth: int) -> str:
