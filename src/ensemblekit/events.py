@@ -370,8 +370,11 @@ def run_metadata(platform: PlatformConfig, nodes: int, **meta) -> str:
 
 def allocation(log: EventLog) -> tuple[NodeSpec, int]:
     """The node shape and count in the first JOB_START's run metadata, JSON
-    integers read as written (MalformedLog if one is missing or bad)."""
-    start = next((e.detail for e in log if e.kind == JOB_START), "")
+    integers read as written (MalformedLog if one is missing or bad;
+    IncompleteLog if the log has no JOB_START)."""
+    start = next((e.detail for e in log if e.kind == JOB_START), None)
+    if start is None:
+        raise IncompleteLog("log has no JOB_START event")
     try:
         meta = json.loads(start)
         node = NodeSpec(meta["cores_total"], meta.get("cores_reserved", 0),

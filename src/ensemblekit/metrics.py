@@ -92,7 +92,8 @@ def compute_utilization(log: EventLog) -> UtilizationStack:
     and a unit busy for the whole run reads idle 0, not a few ulps below.
     MalformedLog: a node outside the allocation, chunks not one per node, a
     node reserved past its free slots, a task scheduled before
-    BOOTSTRAP_DONE or open at JOB_END, or an accounted value beyond the
+    BOOTSTRAP_DONE or open at JOB_END, a NODE_FAILED that does not name
+    exactly one node of the allocation, or an accounted value beyond the
     float range.
     """
     node, allocation_nodes = allocation(log)
@@ -117,7 +118,7 @@ def compute_utilization(log: EventLog) -> UtilizationStack:
     task_shapes: list[tuple[int, int, list[int], list[int]]] = []
     open_tasks = 0
     scheduled, launched = ev.TASK_SCHEDULED, ev.TASK_LAUNCHED
-    terminal = ev.TERMINAL_KINDS
+    terminal, node_failed = ev.TERMINAL_KINDS, ev.NODE_FAILED
     for ts, kind, uid, node_ids, detail in log:
         if kind == scheduled:
             if ts < boot_ts:
@@ -186,6 +187,12 @@ def compute_utilization(log: EventLog) -> UtilizationStack:
                     holders[i] = n
                     if not n:
                         span_end[i] = ts
+        elif kind == node_failed and not (
+            node_ids is not None and len(node_ids) == 1
+            and node_ids[0] < allocation_nodes
+        ):
+            raise MalformedLog(f"NODE_FAILED at {ts}: node ids {node_ids} "
+                               f"are not one node of the allocation")
     if open_tasks:
         raise MalformedLog(f"{open_tasks} tasks still scheduled or running "
                            f"at JOB_END")

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 import signal
+import sys
 
 import pytest
 
@@ -29,6 +31,56 @@ def sigint_raises():
     previous = signal.signal(signal.SIGINT, signal.default_int_handler)
     yield
     signal.signal(signal.SIGINT, previous)
+
+
+def count_bytecodes(fn, *args):
+    """How many bytecodes Python runs in ``fn(*args)``, with the garbage
+    collector off: ``sys.settrace`` opcode events before 3.12, and
+    ``sys.monitoring`` INSTRUCTION events from 3.12 on, where settrace
+    counts none. A count repeats exactly within one Python minor version;
+    it does not see C-level work, such as the JSON decoder's or a dict's
+    growth."""
+    count = 0
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        if sys.version_info >= (3, 12):
+            monitoring = sys.monitoring
+            tool = next(i for i in range(6) if monitoring.get_tool(i) is None)
+            instruction = monitoring.events.INSTRUCTION
+
+            def on_instruction(code, offset):
+                nonlocal count
+                count += 1
+
+            monitoring.use_tool_id(tool, "count_bytecodes")
+            monitoring.register_callback(tool, instruction, on_instruction)
+            monitoring.set_events(tool, instruction)
+            try:
+                fn(*args)
+            finally:
+                monitoring.set_events(tool, 0)
+                monitoring.register_callback(tool, instruction, None)
+                monitoring.free_tool_id(tool)
+        else:
+            def trace(frame, event, arg):
+                nonlocal count
+                if event == "opcode":
+                    count += 1
+                elif event == "call":
+                    frame.f_trace_opcodes = True
+                return trace
+
+            previous = sys.gettrace()
+            sys.settrace(trace)
+            try:
+                fn(*args)
+            finally:
+                sys.settrace(previous)
+    finally:
+        if collecting:
+            gc.enable()
+    return count
 
 
 def make_task(

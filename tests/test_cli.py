@@ -634,6 +634,70 @@ class TestReport:
         assert "it was scheduled on" in err
         assert not list(tmp_path.glob("moved_*"))
 
+    @pytest.mark.parametrize(
+        "lines",
+        [[], ['{"ts": 0.0, "kind": "BOOTSTRAP_DONE"}',
+              '{"ts": 5.0, "kind": "JOB_END"}']],
+        ids=["empty", "no-job-start"],
+    )
+    def test_a_log_with_no_job_start_exit_1(self, tmp_path, capsys, lines):
+        # no run metadata to read, which is not bad JSON in it
+        log = tmp_path / "bad.jsonl"
+        log.write_text("".join(line + "\n" for line in lines))
+        wf = tmp_path / "wf.json"
+        single_stage("s", [make_task("t")]).save(wf)
+        plan = tmp_path / "plan.json"
+        for argv in (
+            ("report", "--log", str(log)),
+            ("resubmit", "--log", str(log), "--workflow", str(wf),
+             "--out", str(plan)),
+        ):
+            assert run_cli(*argv) == 1
+            assert capsys.readouterr().err == \
+                "error: IncompleteLog: log has no JOB_START event\n"
+        assert not list(tmp_path.glob("bad_*"))
+        assert not plan.exists()
+
+    @pytest.mark.parametrize(
+        "node_ids,code",
+        [([1], 0), ([2], 1), ([0, 1], 1), (None, 1)],
+        ids=["last-node", "node-count", "two-nodes", "no-node"],
+    )
+    def test_a_node_failed_off_the_allocation_exit_1(self, tmp_path, capsys,
+                                                     node_ids, code):
+        # one task runs on node 0 of 2, then a node fails; the simulator
+        # writes one node of the allocation for each NODE_FAILED
+        meta = dict(_SMALL_META, allocation_nodes=2, cores_total=8,
+                    cores_reserved=0, gpus_per_node=0)
+        records = [
+            {"ts": 0.0, "kind": ev.JOB_START, "detail": json.dumps(meta)},
+            {"ts": 0.0, "kind": ev.BOOTSTRAP_DONE},
+            {"ts": 0.0, "kind": ev.TASK_SCHEDULED, "task_uid": "t",
+             "node_ids": [0], "detail": scheduled_detail(1, 0, [1])},
+            {"ts": 1.0, "kind": ev.TASK_LAUNCHED, "task_uid": "t",
+             "node_ids": [0]},
+            {"ts": 2.0, "kind": ev.TASK_DONE, "task_uid": "t",
+             "node_ids": [0]},
+            {"ts": 5.0, "kind": ev.NODE_FAILED, "node_ids": node_ids},
+            {"ts": 5.0, "kind": ev.JOB_END,
+             "detail": "done=1 failed=0 canceled=0"},
+        ]
+        log = tmp_path / "fault.jsonl"
+        log.write_text("".join(json.dumps(r) + "\n" for r in records))
+        wf = tmp_path / "wf.json"
+        single_stage("s", [make_task("t")]).save(wf)
+        assert run_cli("report", "--log", str(log)) == code
+        assert run_cli("resubmit", "--log", str(log), "--workflow", str(wf),
+                       "--out", str(tmp_path / "plan.json")) == code
+        err = capsys.readouterr().err
+        if code == 0:
+            assert err == ""
+            return
+        ids = None if node_ids is None else tuple(node_ids)
+        assert err == 2 * (f"error: MalformedLog: NODE_FAILED at 5.0: node "
+                           f"ids {ids} are not one node of the allocation\n")
+        assert not list(tmp_path.glob("fault_*"))
+
     def test_missing_log_exit_2(self, tmp_path):
         assert run_cli("report", "--log", str(tmp_path / "absent.jsonl")) == 2
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from ensemblekit import events as ev
 from ensemblekit.engine import RuntimeModel, run_simulated
-from ensemblekit.errors import MalformedLog
+from ensemblekit.errors import IncompleteLog, MalformedLog
 from ensemblekit.events import (
     MAX_SLOTS,
     Event,
@@ -287,6 +287,16 @@ def test_a_later_event_names_no_nodes_or_the_scheduled_ones(kind, ids):
     assert len(log) == before
     log.append(Event(2.0, kind, "t", tuple([0])))
     assert log.last_kind("t") == kind
+
+
+@pytest.mark.parametrize(
+    "events",
+    [[], [Event(0.0, ev.BOOTSTRAP_DONE), Event(5.0, ev.JOB_END)]],
+    ids=["empty", "no-job-start"],
+)
+def test_allocation_of_a_log_with_no_job_start_is_incomplete(events):
+    with pytest.raises(IncompleteLog, match="^log has no JOB_START event$"):
+        ev.allocation(log_of(events))
 
 
 def test_load_rejects_a_launch_on_other_nodes(tmp_path):
